@@ -17,7 +17,7 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out):
     States are lazy: row k of pos is the position at time tupd[k].  Each
     pair is referred to ref = max(tupd[i], tupd[j]) before solving, which
     makes the result a pure function of the stored state (no dependence on
-    the caller's "now", hence identical across broad-phase strategies).
+    the caller's "now", hence on when the pair was scheduled).
 
     out[m] receives the absolute contact time for pair (i, js[m]), or +inf
     when the pair never reaches center distance sqrt(four_a2) while

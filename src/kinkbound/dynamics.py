@@ -5,20 +5,17 @@ N spheres of common radius a move freely between events; at a pair contact
 engine is exact: contact times come from a stable quadratic solve, states
 advance lazily (a particle's stored position changes only when one of its
 own collisions is processed), and the event queue is a heap of
-(time, rank, ...) keys with stale entries invalidated by per-particle
+(time, lo, hi, ...) keys with stale entries invalidated by per-particle
 collision counters.
 
-Two broad-phase strategies are available -- an exhaustive all-pairs scan
-and a cell-list grid -- and they produce byte-identical event logs: every
-contact time is a pure function of the two stored particle states
-(referred to max of their update times), independent of when or how the
-pair was scheduled.
+Scheduling is all-pairs: the initial states are scanned pair by pair, and
+after each collision the two partners are re-predicted against every
+other particle.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -47,10 +44,6 @@ __all__ = [
 ]
 
 EVENTS_FORMAT = "kinkbound-events-v1"
-
-# auto broad phase switches to cell lists above this particle count
-_CELL_AUTO_MIN_N = 12
-
 
 class ConfigurationError(ValueError):
     """Initial data violates the engine's preconditions."""
@@ -83,7 +76,6 @@ class SimConfig:
     (a contact is discarded when the quadratic discriminant is below
     grazing_tol * (b^2 + A|c|)); overlap_tol is scaled by max(a, 1) into an
     absolute length; time_tie_tol feeds the simultaneity detector.
-    broad_phase is "auto" | "allpairs" | "cells" and never affects results.
     """
 
     n: int
@@ -93,10 +85,8 @@ class SimConfig:
     grazing_tol: float = 1e-14
     overlap_tol: float = 1e-9
     time_tie_tol: float = 1e-12
-    broad_phase: str = "auto"
 
     def header_dict(self) -> dict:
-        # broad_phase is deliberately excluded: logs are backend-independent
         return {
             "n": self.n,
             "N": self.N,
@@ -193,11 +183,6 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
                    note="zero radius is only meaningful on the line")
     if config.t_max is not None and not config.t_max > 0:
         return bad("t_max", t_max=config.t_max)
-    if config.broad_phase not in ("auto", "allpairs", "cells"):
-        return bad("broad_phase", broad_phase=config.broad_phase)
-    if config.broad_phase == "cells" and config.n not in (2, 3):
-        return bad("broad_phase", broad_phase="cells", n=config.n,
-                   note="cell lists are implemented for n in {2, 3}")
 
     ids = [s.id for s in states]
     if len(set(ids)) != len(ids):
@@ -277,52 +262,6 @@ def advance_free(state: ParticleState, t: float) -> ParticleState:
     )
 
 
-class _CellGrid:
-    """Sparse uniform grid over R^n (n = 2 or 3), cell edge 3a.
-
-    Cell adjacency (offset <= 1 per axis) covers the contact distance 2a
-    with margin, so a pair is always scheduled strictly before contact.
-    """
-
-    def __init__(self, a: float, n: int):
-        self.size = 3.0 * a
-        self.n = n
-        self.cells: dict = {}
-        self.offsets = [np.array(o) for o in itertools.product((-1, 0, 1), repeat=n)]
-
-    def coords(self, y: np.ndarray) -> tuple:
-        return tuple(int(np.floor(y[k] / self.size)) for k in range(self.n))
-
-    def insert(self, i: int, cell: tuple):
-        self.cells.setdefault(cell, set()).add(i)
-
-    def remove(self, i: int, cell: tuple):
-        occ = self.cells[cell]
-        occ.discard(i)
-        if not occ:
-            del self.cells[cell]
-
-    def occupants(self, cells) -> list:
-        out = []
-        for c in cells:
-            occ = self.cells.get(c)
-            if occ:
-                out.extend(occ)
-        return out
-
-    def neighborhood(self, cell: tuple) -> list:
-        base = np.array(cell)
-        return [tuple(base + o) for o in self.offsets]
-
-    def slab(self, cell: tuple, axis: int, direction: int) -> list:
-        """Cells newly adjacent after stepping along an axis."""
-        ranges = [
-            (cell[k] + direction,) if k == axis else (cell[k] - 1, cell[k], cell[k] + 1)
-            for k in range(self.n)
-        ]
-        return [c for c in itertools.product(*ranges)]
-
-
 class _Engine:
     """One simulation run; see run_simulation."""
 
@@ -333,90 +272,27 @@ class _Engine:
         self.pos = np.ascontiguousarray([s.position for s in states], dtype=np.float64)
         self.vel = np.ascontiguousarray([s.velocity for s in states], dtype=np.float64)
         self.tupd = np.zeros(N)
-        self.cc = np.zeros(N, dtype=np.int64)
+        self.cc = [0] * N
         self.four_a2 = 4.0 * config.a * config.a
         self.heap: list = []
         self.events: list = []
         self.N = N
-        self.n = config.n
-
-        bp = config.broad_phase
-        if bp == "auto":
-            bp = "cells" if (config.n in (2, 3) and N >= _CELL_AUTO_MIN_N) else "allpairs"
-        self.use_cells = bp == "cells"
-
-        if self.use_cells:
-            self.grid = _CellGrid(config.a, config.n)
-            self.cell_of = [self.grid.coords(self.pos[i]) for i in range(N)]
-            for i in range(N):
-                self.grid.insert(i, self.cell_of[i])
-            self.xc = np.zeros(N, dtype=np.int64)  # crossing epochs
-            self.live: dict = {}          # pair -> (cc_i, cc_j) of current prediction
-            self.pairs_of = [set() for _ in range(N)]
-            for i in range(N):
-                cands = [j for j in self.grid.occupants(
-                    self.grid.neighborhood(self.cell_of[i])) if j > i]
-                self._predict(i, cands)
-                self._schedule_crossing(i)
-        else:
-            self.grid = None
-            self.live = None
-            for i in range(N - 1):
-                self._predict(i, range(i + 1, N))
+        self.idx = np.arange(N, dtype=np.int64)
+        for i in range(N - 1):
+            self._predict(i, self.idx[i + 1:])
 
     # -- scheduling ---------------------------------------------------------
 
-    def _predict(self, i: int, cands) -> None:
-        js = np.fromiter(cands, dtype=np.int64)
-        if js.size == 0:
-            return
+    def _predict(self, i: int, js: np.ndarray) -> None:
         out = np.empty(js.size)
         contact_times_scan(self.pos, self.vel, self.tupd, i, js,
                            self.four_a2, self.config.grazing_tol, out)
-        for m in np.flatnonzero(np.isfinite(out)):
-            j = int(js[m])
+        hit = np.isfinite(out)
+        cc = self.cc
+        # plain floats and ints: heap comparisons stay in C
+        for t, j in zip(out[hit].tolist(), js[hit].tolist()):
             lo, hi = (i, j) if i < j else (j, i)
-            key = (lo, hi)
-            entry = (out[m], 0, lo, hi, int(self.cc[lo]), int(self.cc[hi]))
-            heapq.heappush(self.heap, entry)
-            if self.live is not None:
-                self.live[key] = (entry[4], entry[5])
-                self.pairs_of[lo].add(key)
-                self.pairs_of[hi].add(key)
-
-    def _drop_live(self, i: int) -> None:
-        for key in self.pairs_of[i]:
-            self.live.pop(key, None)
-            other = key[0] + key[1] - i
-            self.pairs_of[other].discard(key)
-        self.pairs_of[i] = set()
-
-    def _global_sweep(self) -> int:
-        """All-pairs rescue scan; returns number of predictions pushed."""
-        before = len(self.heap)
-        for i in range(self.N - 1):
-            self._predict(i, range(i + 1, self.N))
-        return len(self.heap) - before
-
-    def _schedule_crossing(self, i: int) -> None:
-        best_t = np.inf
-        best_code = -1
-        cell = self.cell_of[i]
-        size = self.grid.size
-        for k in range(self.n):
-            v = self.vel[i, k]
-            if v > 0.0:
-                tt = self.tupd[i] + ((cell[k] + 1) * size - self.pos[i, k]) / v
-                code = 2 * k + 1
-            elif v < 0.0:
-                tt = self.tupd[i] + (cell[k] * size - self.pos[i, k]) / v
-                code = 2 * k
-            else:
-                continue
-            if tt < best_t:
-                best_t, best_code = tt, code
-        if best_code >= 0:
-            heapq.heappush(self.heap, (best_t, 1, i, best_code, int(self.xc[i]), 0))
+            heapq.heappush(self.heap, (t, lo, hi, cc[lo], cc[hi]))
 
     # -- event processing ---------------------------------------------------
 
@@ -481,58 +357,21 @@ class _Engine:
         ))
 
     def _reschedule_after_collision(self, i: int, j: int) -> None:
-        if self.use_cells:
-            for p in (i, j):
-                self._drop_live(p)
-            for p in (i, j):
-                self.xc[p] += 1
-                self._schedule_crossing(p)
-                cands = [q for q in self.grid.occupants(
-                    self.grid.neighborhood(self.cell_of[p])) if q != p]
-                self._predict(p, cands)
-        else:
-            allv = np.arange(self.N)
-            for p in (i, j):
-                self._predict(p, allv[allv != p])
-
-    def _cross(self, i: int, code: int) -> None:
-        axis, direction = code >> 1, (1 if code & 1 else -1)
-        old = self.cell_of[i]
-        new = list(old)
-        new[axis] += direction
-        new = tuple(new)
-        self.grid.remove(i, old)
-        self.grid.insert(i, new)
-        self.cell_of[i] = new
-        self.xc[i] += 1
-        self._schedule_crossing(i)
-        cands = [q for q in self.grid.occupants(
-            self.grid.slab(new, axis, direction)) if q != i]
-        self._predict(i, cands)
+        for p in (i, j):
+            self._predict(p, self.idx[self.idx != p])
 
     def run(self) -> tuple:
         t_max = self.config.t_max
         termination = "queue_empty"
         while self.heap:
-            entry = heapq.heappop(self.heap)
-            if t_max is not None and entry[0] > t_max:
+            t, i, j, ci, cj = heapq.heappop(self.heap)
+            if self.cc[i] != ci or self.cc[j] != cj:
+                continue  # stale: a partner collided since this prediction
+            if t_max is not None and t > t_max:
                 termination = "t_max"
                 break
-            if entry[1] == 0:
-                t, _, i, j, ci, cj = entry
-                if self.cc[i] != ci or self.cc[j] != cj:
-                    continue
-                self._collide(t, i, j)
-                self._reschedule_after_collision(i, j)
-            else:
-                t, _, i, code, epoch, _ = entry
-                if self.xc[i] != epoch:
-                    continue
-                if self.live is not None and not self.live:
-                    if self._global_sweep() == 0:
-                        termination = "queue_empty"
-                        break
-                self._cross(i, code)
+            self._collide(t, i, j)
+            self._reschedule_after_collision(i, j)
         return self.events, termination
 
 

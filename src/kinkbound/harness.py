@@ -11,7 +11,7 @@ import csv
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,13 +234,12 @@ def scenario_from_config(doc: dict) -> tuple:
 
     sim = doc.get("sim", {})
     cfg = scenario.config
-    scenario.config = SimConfig(
-        n=cfg.n, N=cfg.N, a=cfg.a,
+    scenario.config = replace(
+        cfg,
         t_max=sim.get("t_max", cfg.t_max),
         grazing_tol=float(sim.get("grazing_tol", cfg.grazing_tol)),
         overlap_tol=float(sim.get("overlap_tol", cfg.overlap_tol)),
         time_tie_tol=float(sim.get("time_tie_tol", cfg.time_tie_tol)),
-        broad_phase=sim.get("broad_phase", cfg.broad_phase),
     )
     options = {"epsilon": float(doc.get("ledger", {}).get("epsilon", 1.0))}
     return scenario, options
@@ -334,12 +333,7 @@ def _sweep_scenario(base: dict, size: int, seed: int,
     else:
         raise ValueError(f"unknown sweep generator {generator!r}")
     if t_max is not None:
-        cfg = scenario.config
-        scenario.config = SimConfig(n=cfg.n, N=cfg.N, a=cfg.a, t_max=t_max,
-                                    grazing_tol=cfg.grazing_tol,
-                                    overlap_tol=cfg.overlap_tol,
-                                    time_tie_tol=cfg.time_tie_tol,
-                                    broad_phase=cfg.broad_phase)
+        scenario.config = replace(scenario.config, t_max=t_max)
     return scenario
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,19 @@ def test_t_max_termination():
     assert log.events == []
 
 
+def test_termination_ignores_stale_predictions():
+    # events at t = 3 (A-B), 4 (B-C), 5 (A-B); the A-C prediction for t = 6,
+    # pushed at t = 3, goes stale when C collides at t = 4
+    sc = kb.gen_explicit(2, 0.5, [[0, 0], [4, 0], [10, 0]],
+                         [[1, 0], [0, 0], [-1, 0]])
+    log = run_simulation(sc.states, replace(sc.config, t_max=5.5))
+    assert [e.t for e in log.events] == pytest.approx([3.0, 4.0, 5.0], abs=1e-12)
+    assert log.termination == "queue_empty"
+    log = run_simulation(sc.states, replace(sc.config, t_max=4.5))
+    assert len(log.events) == 2
+    assert log.termination == "t_max"
+
+
 def test_invalid_initial_raises_configuration_error():
     sc = kb.gen_explicit(2, 1.0, [[0.0, 0.0], [1.0, 0.0]],
                          [[0.0, 0.0], [0.0, 0.0]])
@@ -336,24 +351,3 @@ def test_1d_zero_radius_swaps_exactly():
         assert ev.vi_post.tobytes() == ev.vj.tobytes()
         assert ev.vj_post.tobytes() == ev.vi.tobytes()
 
-
-def test_broad_phases_agree():
-    for seed in (31, 32):
-        sc = kb.gen_random_gas(2, 40, [1.0, 1.0], 0.02,
-                               {"kind": "maxwell", "sigma": 1.0}, seed=seed)
-        cfg = sc.config
-        logs = {}
-        for mode in ("allpairs", "cells"):
-            c = SimConfig(n=cfg.n, N=cfg.N, a=cfg.a, broad_phase=mode)
-            log = run_simulation([ParticleState(s.id, np.array(s.position),
-                                                np.array(s.velocity))
-                                  for s in sc.states], c)
-            logs[mode] = events_jsonl_bytes(log)
-        assert logs["allpairs"] == logs["cells"]
-
-
-def test_cells_rejected_off_supported_dimensions():
-    cfg = SimConfig(n=1, N=2, a=0.5, broad_phase="cells")
-    states = [_state(0, [0.0], [1.0]), _state(1, [5.0], [-1.0])]
-    rep = validate_configuration(states, cfg)
-    assert not rep.ok and rep.reason == "broad_phase"

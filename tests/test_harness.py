@@ -152,10 +152,11 @@ def test_scenario_from_config_defaults_and_errors():
 def test_scenario_from_config_sim_overrides():
     doc = {"scenario": {"generator": "random_gas", "N": 6, "a": 0.02,
                         "box": [1.0, 1.0], "seed": 2},
-           "sim": {"broad_phase": "cells", "grazing_tol": 1e-13}}
+           "sim": {"grazing_tol": 1e-13, "t_max": 0.5}}
     scn, _ = harness.scenario_from_config(doc)
-    assert scn.config.broad_phase == "cells"
     assert scn.config.grazing_tol == 1e-13
+    assert scn.config.t_max == 0.5
+    assert scn.config.overlap_tol == harness.SimConfig.overlap_tol
 
 
 def test_simulate_scenario_carries_provenance():
