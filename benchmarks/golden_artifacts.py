@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of the artifacts of a fixed scenario set.
+
+Every scenario runs through ``kinkbound simulate`` (``cli.main``), which
+writes events.jsonl, ledger.csv, report.json and audit.json.  The output is
+one JSON object mapping ``"<scenario>/<artifact>"`` to the hex digest.
+Run it on two commits and diff the two maps to see which artifacts a
+refactor changed:
+
+    PYTHONPATH=src python3 benchmarks/golden_artifacts.py > golden.json
+
+The set:
+
+* 24 Maxwell gases, a=0.01, t_max=1: n=2 at covering fraction 0.3 and
+  n=3 at 0.2, N in {64, 128, 256}, seeds 0-3;
+* line_1d with p in {1, 5, 50};
+* the configs of the benchmark's gas2d_pipeline (2-D gas, N=256) and
+  line1d_dense (line_1d, p=50) workloads at seed 12.
+
+Digests depend on the floating-point library build (BLAS, libm), so compare
+maps made on the same machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from kinkbound import cli
+
+ARTIFACTS = ("events.jsonl", "ledger.csv", "report.json", "audit.json")
+
+
+def gas_config(n: int, N: int, seed: int) -> dict:
+    """Maxwell gas, a=0.01, t_max=1, in a cube sized for a covering
+    fraction of 0.3 (n=2) or 0.2 (n=3)."""
+    a = 0.01
+    if n == 2:
+        side = a * math.sqrt(math.pi * N / 0.3)
+    else:
+        side = a * (4.0 * math.pi * N / (3.0 * 0.2)) ** (1.0 / 3.0)
+    return {
+        "scenario": {"generator": "random_gas", "n": n, "N": N, "a": a,
+                     "box": [side] * n, "seed": seed,
+                     "velocities": {"kind": "maxwell", "sigma": 1.0}},
+        "sim": {"t_max": 1.0},
+    }
+
+
+def line_config(p: int) -> dict:
+    return {"scenario": {"generator": "line_1d", "p": p}}
+
+
+def scenarios() -> dict:
+    out = {}
+    for n in (2, 3):
+        for N in (64, 128, 256):
+            for seed in range(4):
+                out[f"gas{n}d_N{N}_s{seed}"] = gas_config(n, N, seed)
+    for p in (1, 5, 50):
+        out[f"line1d_p{p}"] = line_config(p)
+    out["cli_gas2d_pipeline_s12"] = gas_config(2, 256, 12)
+    out["cli_line1d_dense_s12"] = line_config(50)
+    return out
+
+
+def digests(name: str, config: dict, work: Path) -> dict:
+    config_path = work / f"{name}.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = work / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", "--config", str(config_path),
+                         "--out", str(out_dir)])
+    if code != 0:
+        raise SystemExit(f"kinkbound simulate exited {code} on {name}")
+    return {f"{name}/{artifact}":
+            hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
+            for artifact in ARTIFACTS}
+
+
+def main() -> int:
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in scenarios().items():
+            result.update(digests(name, config, Path(tmp)))
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,8 @@ Velocities live in R^n.  A "lifted" velocity is the spacetime tangent
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["as_vector", "wedge_norm", "spacetime_wedge", "lift"]
@@ -22,16 +24,23 @@ def as_vector(v) -> np.ndarray:
 def wedge_norm(u, u2) -> float:
     """Area of the parallelogram spanned by u and u2.
 
-    Computed via the Gram determinant |u|^2 |u2|^2 - (u.u2)^2, which works
-    in any dimension; the radicand is clamped at zero so near-parallel
-    inputs cannot produce NaN from roundoff.
+    Computed from the 2x2 minors, sqrt(sum_{a<b} (u_a u2_b - u_b u2_a)^2)
+    (Lagrange's identity), which works in any dimension.  Each minor is
+    accurate to rounding of its own size, so parallel inputs give ~eps, not
+    the ~sqrt(eps) floor of the Gram form |u|^2 |u2|^2 - (u.u2)^2, which
+    cancels.
     """
     u = as_vector(u)
     u2 = as_vector(u2)
     if u.shape != u2.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {u2.shape}")
-    g = np.dot(u, u) * np.dot(u2, u2) - np.dot(u, u2) ** 2
-    return float(np.sqrt(g if g > 0.0 else 0.0))
+    x, y = u.tolist(), u2.tolist()
+    total = 0.0
+    for a in range(len(x)):
+        for b in range(a + 1, len(x)):
+            minor = x[a] * y[b] - x[b] * y[a]
+            total += minor * minor
+    return math.sqrt(total)
 
 
 def spacetime_wedge(v, v2) -> float:

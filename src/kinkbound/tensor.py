@@ -173,42 +173,85 @@ def build_tensor(log, window) -> GraphTensor:
                        mass_energy=inv.M + inv.E)
 
 
-def _grouped_vertices(T: GraphTensor):
-    """Deduplicate edge endpoints; exact float match first, then a
-    tolerance sweep (1e-12 * coordinate scale) merging stragglers."""
-    raw = []
-    for e in T.edges:
-        raw.append(e.x_start)
-        raw.append(e.x_end)
-    scale = max(1.0, max(float(np.max(np.abs(x))) for x in raw))
-    tol = 1e-12 * scale
-    groups: dict = {}
-    for idx, x in enumerate(raw):
-        groups.setdefault(x.tobytes(), []).append(idx)
-    reps = {key: raw[members[0]] for key, members in groups.items()}
-    keys = list(groups)
-    if len(keys) > 1:
+def _component_roots(count: int, pairs: np.ndarray) -> np.ndarray:
+    """Smallest index in each index's connected component under pairs
+    (union-find; only the few indices that pairs touch are looked up)."""
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs.tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    root = np.arange(count)
+    touched = np.unique(pairs)
+    root[touched] = [find(i) for i in touched.tolist()]
+    return root
+
+
+def _vertices(T: GraphTensor) -> tuple:
+    """Vertices of T with their divergence atoms, one array row per vertex.
+
+    Endpoints are grouped by exact bit pattern; groups closer than 1e-12 x
+    the coordinate scale (a cKDTree pair sweep) then merge into one vertex,
+    named by its first-seen group.  Vertices come in that order.  Each sum
+    adds its terms in a fixed order -- merged group by first occurrence,
+    then endpoint index -- which is the order of a loop over the groups'
+    member lists, so the sums are the same bits as that loop's.
+
+    Returns (x, m, weight_scale, degree, category).
+    """
+    raw = np.empty((2 * len(T.edges), 1 + T.n))  # edge J: rows 2J, 2J+1
+    raw[0::2] = [e.x_start for e in T.edges]
+    raw[1::2] = [e.x_end for e in T.edges]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(raw))))
+    _, first, key = np.unique(raw.view(np.uint64), axis=0,
+                              return_index=True, return_inverse=True)
+    # renumber the exact groups by first occurrence
+    by_first = np.argsort(first)
+    groups = len(first)
+    rank = np.empty(groups, dtype=np.intp)
+    rank[by_first] = np.arange(groups)
+    first = first[by_first]
+    key = rank[key.reshape(-1)]
+
+    root = np.arange(groups)
+    if groups > 1:
         from scipy.spatial import cKDTree
 
-        pts = np.array([reps[k] for k in keys])
-        parent = list(range(len(keys)))
+        pairs = cKDTree(raw[first]).query_pairs(tol, output_type="ndarray")
+        if len(pairs):
+            root = _component_roots(groups, pairs)
+    comp = root[key]
+    order = np.lexsort((key, comp))  # stable: endpoint index breaks ties
+    roots, vertex = np.unique(comp, return_inverse=True)
+    count = len(roots)
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    weights = np.array([e.weight for e in T.edges])
+    u = weights[:, None] * np.array([e.direction for e in T.edges])
+    signed = np.empty_like(raw)
+    signed[0::2] = -u  # a departing edge contributes -a_J eta_J
+    signed[1::2] = u
+    m = np.zeros((count, 1 + T.n))
+    np.add.at(m, vertex[order], signed[order])
+    scale = np.zeros(count)
+    np.add.at(scale, vertex[order], np.repeat(weights, 2)[order])
+    degree = np.bincount(vertex, minlength=count)
 
-        for i, j in cKDTree(pts).query_pairs(tol):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        merged: dict = {}
-        for k, key in enumerate(keys):
-            root = keys[find(k)]
-            merged.setdefault(root, []).extend(groups[key])
-        groups = merged
-    return raw, groups, tol
+    x = raw[first[roots]]
+    t_lo, t_hi = T.window
+    boundary = (np.minimum(np.abs(x[:, 0] - t_lo), np.abs(x[:, 0] - t_hi))
+                <= _time_tol(t_lo, t_hi))
+    augment = np.repeat([e.kind == "augmentation" for e in T.edges], 2)
+    tip = (degree == 1) & (np.bincount(vertex[augment], minlength=count) == 1)
+    category = np.where(boundary, "boundary",
+                        np.where(tip, "augment_tip", "interior"))
+    return x, m, scale, degree, category
 
 
 def vertex_balances(T: GraphTensor) -> list:
@@ -221,30 +264,10 @@ def vertex_balances(T: GraphTensor) -> list:
     the upper one, so the time components of the boundary balances recover
     the slice mass.
     """
-    raw, groups, _ = _grouped_vertices(T)
-    t_lo, t_hi = T.window
-    tol_t = _time_tol(t_lo, t_hi)
-    out = []
-    for key, members in groups.items():
-        x = raw[members[0]]
-        m = np.zeros(1 + T.n)
-        scale = 0.0
-        kinds = set()
-        for idx in members:
-            e = T.edges[idx // 2]
-            u = e.weight * e.direction
-            m += -u if idx % 2 == 0 else u  # even index = edge start (departing)
-            scale += e.weight
-            kinds.add(e.kind)
-        if min(abs(x[0] - t_lo), abs(x[0] - t_hi)) <= tol_t:
-            category = "boundary"
-        elif kinds == {"augmentation"} and len(members) == 1:
-            category = "augment_tip"
-        else:
-            category = "interior"
-        out.append(VertexBalance(x=x, m=m, weight_scale=scale,
-                                 degree=len(members), category=category))
-    return out
+    x, m, scale, degree, category = _vertices(T)
+    return [VertexBalance(x=xv, m=mv, weight_scale=s, degree=d, category=c)
+            for xv, mv, s, d, c in zip(x, m, scale.tolist(), degree.tolist(),
+                                        category.tolist())]
 
 
 def weak_divergence(T: GraphTensor, phi) -> np.ndarray:
@@ -261,36 +284,61 @@ def weak_divergence(T: GraphTensor, phi) -> np.ndarray:
     return acc
 
 
+def _trajectories(T: GraphTensor) -> tuple:
+    """Trajectory edges packed in edge order: (starts, ends, weights,
+    crossing vectors a_J eta_J)."""
+    traj = [e for e in T.edges if e.kind == "trajectory"]
+    d = 1 + T.n
+    starts = np.array([e.x_start for e in traj]).reshape(-1, d)
+    ends = np.array([e.x_end for e in traj]).reshape(-1, d)
+    weights = np.array([e.weight for e in traj])
+    vecs = weights[:, None] * np.array([e.direction for e in traj]).reshape(-1, d)
+    return starts, ends, weights, vecs
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Sum of positive terms added left to right, as a loop adds them
+    (np.sum adds pairwise, cumsum sequentially)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _slice(T: GraphTensor, trajectories: tuple, kink_times: np.ndarray,
+           t: float) -> tuple:
+    """(crossing mask, total, mass) of the slice at t, from trajectories
+    packed by _trajectories; t and the total are checked as slice_trace
+    documents."""
+    t_lo, t_hi = T.window
+    if not t_lo < t < t_hi:
+        raise ValueError(f"slice time {t} outside window ({t_lo}, {t_hi})")
+    # _time_tol(t, k) for every kink time k at once
+    hits = np.abs(t - kink_times) <= 1e-12 * np.maximum(max(1.0, abs(t)),
+                                                       np.abs(kink_times))
+    if hits.any():
+        k = T.kinks[int(np.argmax(hits))]
+        raise ValueError(f"slice time {t} hits a collision at {k.vertex[0]!r}")
+    starts, ends, weights, vecs = trajectories
+    rows = (starts[:, 0] < t) & (t < ends[:, 0])
+    total = _running_sum(weights[rows])
+    if T.mass_energy is not None and total > T.mass_energy + 1e-12:
+        raise AssertionError(
+            f"slice mass {total} exceeds M+E={T.mass_energy}")
+    return rows, total, _running_sum(vecs[rows, 0])
+
+
 def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
     """Trajectory-edge crossings of the hyperplane {time = t}.
 
     t must lie strictly inside the window, away from collision times.
     The sum of crossing-vector norms is checked against M + E.
     """
-    t_lo, t_hi = T.window
-    if not t_lo < t < t_hi:
-        raise ValueError(f"slice time {t} outside window ({t_lo}, {t_hi})")
-    for k in T.kinks:
-        if abs(t - k.vertex[0]) <= _time_tol(t, k.vertex[0]):
-            raise ValueError(f"slice time {t} hits a collision at {k.vertex[0]!r}")
-    crossings = []
-    total = 0.0
-    mass = 0.0
-    for e in T.edges:
-        if e.kind != "trajectory":
-            continue
-        ts, te = e.x_start[0], e.x_end[0]
-        if not ts < t < te:
-            continue
-        point = e.x_start + ((t - ts) / (te - ts)) * (e.x_end - e.x_start)
-        vec = e.weight * e.direction
-        crossings.append((point, vec))
-        total += e.weight
-        mass += vec[0]
-    if T.mass_energy is not None and total > T.mass_energy + 1e-12:
-        raise AssertionError(
-            f"slice mass {total} exceeds M+E={T.mass_energy}")
-    return SliceTrace(crossings=crossings, total=total, mass=mass)
+    trajectories = _trajectories(T)
+    rows, total, mass = _slice(T, trajectories,
+                               np.array([k.vertex[0] for k in T.kinks]), t)
+    starts, ends, _, vecs = trajectories
+    ts, te = starts[rows, 0], ends[rows, 0]
+    points = starts[rows] + ((t - ts) / (te - ts))[:, None] * (ends[rows] - starts[rows])
+    return SliceTrace(crossings=list(zip(points, vecs[rows])), total=total,
+                      mass=mass)
 
 
 def complement_basis(V, V2, n: int) -> np.ndarray:
@@ -339,22 +387,54 @@ def _point_segment_distance(p, a, b) -> float:
 
 
 def _default_eps(T: GraphTensor, sites) -> np.ndarray:
-    """0.49 x clearance: nearest support away from the kink, window walls."""
+    """0.49 x clearance: nearest support away from the kink, window walls.
+
+    The support is every other kink site (coincident ones excluded) and
+    every edge without an endpoint equal to the kink.  For each kink, one
+    numpy expression gives its distance to all of them.  Those distances
+    may differ from the scalar np.linalg.norm / _point_segment_distance
+    values in the last bits (BLAS dot products, another operation order:
+    a few ulps of the coordinate scale).  So only the candidates within a
+    relative 1e-9 of the row minimum, plus 1e-12 x the coordinate scale,
+    are evaluated again with the scalar functions, and the clearance is the
+    least of those exact values: the same bits as a loop over all of them.
+    """
     t_lo, t_hi = T.window
-    verts = [s.vertex for s in sites]
+    d = 1 + T.n
+    X = np.array([s.vertex for s in sites]).reshape(-1, d)
+    A = np.array([e.x_start for e in T.edges]).reshape(-1, d)
+    B = np.array([e.x_end for e in T.edges]).reshape(-1, d)
+    D = B - A
+    L2 = np.einsum("ij,ij->i", D, D)
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(X), initial=0.0)),
+                        float(np.max(np.abs(A), initial=0.0)),
+                        float(np.max(np.abs(B), initial=0.0)))
     eps = np.empty(len(sites))
-    for k, s in enumerate(sites):
-        x = s.vertex
+    for k, x in enumerate(X):
         best = min(x[0] - t_lo, t_hi - x[0])
-        for other in verts:
-            dd = float(np.linalg.norm(other - x))
-            if dd > 0.0:
-                best = min(best, dd)
-        for e in T.edges:
-            # skip edges incident to this kink: they meet it at distance 0
-            if (np.array_equal(e.x_start, x) or np.array_equal(e.x_end, x)):
-                continue
-            best = min(best, _point_segment_distance(x, e.x_start, e.x_end))
+        dx = X - x
+        to_sites = np.sqrt(np.einsum("ij,ij->i", dx, dx))
+        to_sites[to_sites == 0.0] = np.inf  # x itself and coincident sites
+        P = x - A
+        s = np.clip(np.divide(np.einsum("ij,ij->i", P, D), L2,
+                              out=np.zeros(len(L2)), where=L2 > 0.0), 0.0, 1.0)
+        Q = P - s[:, None] * D
+        to_edges = np.sqrt(np.einsum("ij,ij->i", Q, Q))
+        # edges incident to this kink meet it at distance 0, so only edges
+        # within rounding (slack) of x need the exact incidence test
+        near = np.flatnonzero(to_edges <= slack)
+        incident = np.all(A[near] == x, axis=1) | np.all(B[near] == x, axis=1)
+        to_edges[near[incident]] = np.inf
+        lowest = min(to_sites.min(), to_edges.min(initial=np.inf))
+        if lowest < np.inf:
+            cut = lowest * (1.0 + 1e-9) + slack
+            for j in np.flatnonzero(to_sites <= cut):
+                dd = float(np.linalg.norm(sites[j].vertex - x))
+                if dd > 0.0:
+                    best = min(best, dd)
+            for j in np.flatnonzero(to_edges <= cut):
+                e = T.edges[j]
+                best = min(best, _point_segment_distance(x, e.x_start, e.x_end))
         if best <= 0.0:
             raise ValueError(f"no room for segments at kink {x}")
         eps[k] = 0.49 * best
@@ -388,11 +468,16 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
         if np.any(eps <= 0) or np.any(eps >= limit):
             raise ValueError("eps_seg infeasible: segments would leave the "
                              "window or touch the tensor away from their kink")
-        for p in range(len(sites)):
-            for q in range(p + 1, len(sites)):
-                gap = float(np.linalg.norm(sites[p].vertex - sites[q].vertex))
-                if gap > 0.0 and eps[p] + eps[q] >= gap:
-                    raise ValueError("eps_seg infeasible: segment balls overlap")
+        from scipy.spatial import cKDTree
+
+        # only pairs closer than 2 max(eps) can overlap; the margin keeps
+        # the tree's rounding of distances from dropping a boundary pair
+        reach = 2.0 * float(eps.max()) * (1.0 + 1e-9)
+        tree = cKDTree(np.array([s.vertex for s in sites]))
+        for p, q in tree.query_pairs(reach, output_type="ndarray").tolist():
+            gap = float(np.linalg.norm(sites[p].vertex - sites[q].vertex))
+            if gap > 0.0 and eps[p] + eps[q] >= gap:
+                raise ValueError("eps_seg infeasible: segment balls overlap")
 
     edges = list(T.edges)
     total_b = 0.0
@@ -409,16 +494,44 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
                        div_mass=T.div_mass + 2.0 * (T.n - 1) * total_b)
 
 
+def _max_interior_balance(m, scale, category) -> float:
+    """max |m| / weight_scale over interior vertices with weight.
+
+    The norms come from one array expression, which may differ from
+    np.linalg.norm in the last bits; the rows within a relative 1e-9 of the
+    largest are evaluated again with np.linalg.norm, so the maximum is the
+    same bits as a loop over every vertex.  Rows with m = 0 are exactly 0.
+    """
+    rows = np.flatnonzero((category == "interior") & (scale > 0))
+    m, scale = m[rows], scale[rows]
+    worst = 0.0
+    if len(rows):
+        approx = np.sqrt(np.einsum("ij,ij->i", m, m)) / scale
+        top = (approx >= (1.0 - 1e-9) * approx.max()) & np.any(m != 0.0, axis=1)
+        for i in np.flatnonzero(top):
+            worst = max(worst, float(np.linalg.norm(m[i])) / float(scale[i]))
+    return worst
+
+
 def audit_tensor(T: GraphTensor, n_slices: int = 10) -> dict:
     """Summary audit: worst normalized interior balance, slice traces at
     n_slices deterministic times (both the conserved mass row and the total
-    crossing weight), and the recorded divergence mass."""
-    worst = 0.0
-    for vb in vertex_balances(T):
-        if vb.category == "interior" and vb.weight_scale > 0:
-            worst = max(worst, float(np.linalg.norm(vb.m)) / vb.weight_scale)
+    crossing weight), and the recorded divergence mass.
+
+    Array passes compute the same document, bit for bit, as loops over the
+    vertices of vertex_balances and over slice_trace at each time would.
+    Balances are summed in the fixed member order described in _vertices;
+    the worst balance is re-evaluated exactly on its few candidates (see
+    _max_interior_balance); each slice's mass and total add the crossing
+    edges in edge order with a running sum (np.cumsum), all slices from one
+    packing of the trajectory edges.
+    """
+    _, m, scale, _, category = _vertices(T)
+    worst = _max_interior_balance(m, scale, category)
     t_lo, t_hi = T.window
     kink_times = sorted({float(k.vertex[0]) for k in T.kinks})
+    trajectories = _trajectories(T)
+    all_kink_times = np.array([k.vertex[0] for k in T.kinks])
     traces = []
     totals = []
     for k in range(n_slices):
@@ -435,9 +548,9 @@ def audit_tensor(T: GraphTensor, n_slices: int = 10) -> dict:
                 left = kink_times[pos - 1] if pos > 0 else t_lo
                 right = kink_times[pos] if pos < len(kink_times) else t_hi
                 t = 0.5 * (left + right)
-        st = slice_trace(T, t)
-        traces.append(st.mass)
-        totals.append(st.total)
+        _, total, mass = _slice(T, trajectories, all_kink_times, t)
+        traces.append(mass)
+        totals.append(total)
     return {
         "max_interior_balance": worst,
         "trace_masses": traces,

@@ -2,14 +2,19 @@
 
 Nothing here reuses the package's analytic shortcuts: contact times come
 from dense sampling plus bisection, whole trajectories from a fixed-step
-integrator, box volumes from a facet-area linear system, and the kink
-mass from an explicit product-body construction.  Agreement between these
-and the package is the point of the tests that import them.
+integrator, box volumes from a facet-area linear system, the kink
+mass from an explicit product-body construction, and the tensor audits
+from plain per-edge and per-vertex loops.  Agreement between these and the
+package is the point of the tests that import them.
 """
+
+import bisect
 
 import numpy as np
 
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
+from kinkbound.tensor import (SliceTrace, VertexBalance, _point_segment_distance,
+                              _time_tol)
 
 
 def contact_time_scan(yi, vi, yj, vj, a, t_hi, samples=4096, iters=200):
@@ -242,3 +247,160 @@ def random_balanced_measure(rng, k, min_gap=0.05, max_tries=500):
         if np.all(w > 0.05):
             return AngularMeasure(s, w)
     raise RuntimeError(f"no balanced measure with {k} atoms after {max_tries} tries")
+
+
+# -- tensor audits as scalar loops --------------------------------------------
+# kinkbound.tensor computes these with array code that keeps every summation
+# order; the loops below are the reference it must match bit for bit.
+
+
+def grouped_vertices(T):
+    """Deduplicate edge endpoints; exact float match first, then a
+    tolerance sweep (1e-12 * coordinate scale) merging stragglers."""
+    raw = []
+    for e in T.edges:
+        raw.append(e.x_start)
+        raw.append(e.x_end)
+    scale = max(1.0, max(float(np.max(np.abs(x))) for x in raw))
+    tol = 1e-12 * scale
+    groups: dict = {}
+    for idx, x in enumerate(raw):
+        groups.setdefault(x.tobytes(), []).append(idx)
+    reps = {key: raw[members[0]] for key, members in groups.items()}
+    keys = list(groups)
+    if len(keys) > 1:
+        from scipy.spatial import cKDTree
+
+        pts = np.array([reps[k] for k in keys])
+        parent = list(range(len(keys)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, j in cKDTree(pts).query_pairs(tol):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+        merged: dict = {}
+        for k, key in enumerate(keys):
+            root = keys[find(k)]
+            merged.setdefault(root, []).extend(groups[key])
+        groups = merged
+    return raw, groups, tol
+
+
+def vertex_balances(T):
+    """Per-vertex loop over grouped endpoints: m accumulates +/- a_J eta_J
+    in member order, weight_scale the incident weights."""
+    raw, groups, _ = grouped_vertices(T)
+    t_lo, t_hi = T.window
+    tol_t = _time_tol(t_lo, t_hi)
+    out = []
+    for key, members in groups.items():
+        x = raw[members[0]]
+        m = np.zeros(1 + T.n)
+        scale = 0.0
+        kinds = set()
+        for idx in members:
+            e = T.edges[idx // 2]
+            u = e.weight * e.direction
+            m += -u if idx % 2 == 0 else u  # even index = edge start (departing)
+            scale += e.weight
+            kinds.add(e.kind)
+        if min(abs(x[0] - t_lo), abs(x[0] - t_hi)) <= tol_t:
+            category = "boundary"
+        elif kinds == {"augmentation"} and len(members) == 1:
+            category = "augment_tip"
+        else:
+            category = "interior"
+        out.append(VertexBalance(x=x, m=m, weight_scale=scale,
+                                 degree=len(members), category=category))
+    return out
+
+
+def slice_trace(T, t):
+    """Per-edge loop over the trajectory edges crossing {time = t}."""
+    t_lo, t_hi = T.window
+    if not t_lo < t < t_hi:
+        raise ValueError(f"slice time {t} outside window ({t_lo}, {t_hi})")
+    for k in T.kinks:
+        if abs(t - k.vertex[0]) <= _time_tol(t, k.vertex[0]):
+            raise ValueError(f"slice time {t} hits a collision at {k.vertex[0]!r}")
+    crossings = []
+    total = 0.0
+    mass = 0.0
+    for e in T.edges:
+        if e.kind != "trajectory":
+            continue
+        ts, te = e.x_start[0], e.x_end[0]
+        if not ts < t < te:
+            continue
+        point = e.x_start + ((t - ts) / (te - ts)) * (e.x_end - e.x_start)
+        vec = e.weight * e.direction
+        crossings.append((point, vec))
+        total += e.weight
+        mass += vec[0]
+    if T.mass_energy is not None and total > T.mass_energy + 1e-12:
+        raise AssertionError(
+            f"slice mass {total} exceeds M+E={T.mass_energy}")
+    return SliceTrace(crossings=crossings, total=total, mass=mass)
+
+
+def default_eps(T, sites):
+    """0.49 x clearance, every kink against every vertex and edge."""
+    t_lo, t_hi = T.window
+    verts = [s.vertex for s in sites]
+    eps = np.empty(len(sites))
+    for k, s in enumerate(sites):
+        x = s.vertex
+        best = min(x[0] - t_lo, t_hi - x[0])
+        for other in verts:
+            dd = float(np.linalg.norm(other - x))
+            if dd > 0.0:
+                best = min(best, dd)
+        for e in T.edges:
+            # skip edges incident to this kink: they meet it at distance 0
+            if (np.array_equal(e.x_start, x) or np.array_equal(e.x_end, x)):
+                continue
+            best = min(best, _point_segment_distance(x, e.x_start, e.x_end))
+        if best <= 0.0:
+            raise ValueError(f"no room for segments at kink {x}")
+        eps[k] = 0.49 * best
+    return eps
+
+
+def audit_tensor(T, n_slices=10):
+    """audit_tensor's document from the loops above."""
+    worst = 0.0
+    for vb in vertex_balances(T):
+        if vb.category == "interior" and vb.weight_scale > 0:
+            worst = max(worst, float(np.linalg.norm(vb.m)) / vb.weight_scale)
+    t_lo, t_hi = T.window
+    kink_times = sorted({float(k.vertex[0]) for k in T.kinks})
+    traces = []
+    totals = []
+    for k in range(n_slices):
+        t = t_lo + (k + 0.5) * (t_hi - t_lo) / n_slices
+        if kink_times:
+            pos = bisect.bisect_left(kink_times, t)
+            near = min(
+                (abs(t - kink_times[p]) for p in (pos - 1, pos)
+                 if 0 <= p < len(kink_times)),
+                default=np.inf,
+            )
+            if near <= _time_tol(t, t_lo, t_hi):
+                left = kink_times[pos - 1] if pos > 0 else t_lo
+                right = kink_times[pos] if pos < len(kink_times) else t_hi
+                t = 0.5 * (left + right)
+        st = slice_trace(T, t)
+        traces.append(st.mass)
+        totals.append(st.total)
+    return {
+        "max_interior_balance": worst,
+        "trace_masses": traces,
+        "trace_totals": totals,
+        "div_mass": T.div_mass,
+    }

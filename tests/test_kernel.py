@@ -50,8 +50,8 @@ def test_wedge_symmetric_nonnegative(pair):
 @given(st.lists(finite, min_size=1, max_size=5),
        st.floats(min_value=-100, max_value=100, allow_nan=False))
 def test_wedge_zero_for_scaled_copy(u, c):
-    # The Gram radicand cancels to rounding noise for parallel input, so
-    # the attainable bound is ~sqrt(eps) relative to |u||u2|, not eps.
+    # Each 2x2 minor of a parallel pair is rounding noise of order
+    # eps * |u||u2|; the bound leaves wide room above that.
     u = np.asarray(u)
     scale = float(np.linalg.norm(u) * np.linalg.norm(c * u))
     assert wedge_norm(u, c * u) <= 1e-7 * max(scale, 1.0)

@@ -2,10 +2,13 @@
 augmentation."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oracles
 from kinkbound import harness, tensor
 from kinkbound.kernel import lift
 
@@ -361,6 +364,22 @@ def test_augment_validation():
         tensor.build_augmented(T, eps_seg=0.6)   # sibling balls overlap
 
 
+def test_augment_feasible_eps_seg_on_gas():
+    log = _gas(97)
+    T = tensor.build_tensor(log, _window(log))
+    clearance = oracles.default_eps(T, T.kinks) / 0.49
+    eps = float(np.min(clearance)) * 0.49  # balls of radius eps stay disjoint
+    A = tensor.build_augmented(T, b=0.3, eps_seg=eps)
+    added = [e for e in A.edges if e.kind == "augmentation"]
+    assert len(added) == 2 * (T.n - 1) * len(T.kinks)
+    for e in added:
+        assert np.linalg.norm(e.x_end - e.x_start) == pytest.approx(eps, rel=1e-12)
+    assert tensor.audit_tensor(A)["max_interior_balance"] <= 1e-12
+    # each ball reaching 0.99 of its clearance overlaps a neighbour's
+    with pytest.raises(ValueError, match="segment balls overlap"):
+        tensor.build_augmented(T, eps_seg=0.99 * clearance)
+
+
 def test_augment_no_sites_copies():
     log = _simulate(2, 0.1, [[0.0, 0.0], [50.0, 0.0]],
                     [[1.0, 0.0], [0.0, 0.0]])
@@ -386,3 +405,10 @@ def test_audit_tensor_report():
     assert rep["div_mass"] == 0.0
     aug = tensor.build_augmented(T, b=0.5)
     assert tensor.audit_tensor(aug)["div_mass"] == aug.div_mass
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial takes ~0.5 s to import; only the audits need it
+    code = ("import sys, kinkbound; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
