@@ -18,7 +18,7 @@ from . import _jsonio
 from .dynamics import (ConfigurationError, GenericityViolation, SimulationBug,
                        read_events_jsonl)
 from .detmass import measure_from_dict, measure_report
-from .harness import (PackingError, SweepSpec, apply_time_scale,
+from .harness import (PackingError, SweepSpec, _audit_window, apply_time_scale,
                       run_experiment, scenario_from_config, simulate_scenario,
                       sweep)
 from .tensor import audit_tensor, build_tensor
@@ -31,7 +31,10 @@ EXIT_BUG = 4
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return doc
 
 
 def _emit(doc: dict) -> None:
@@ -70,9 +73,7 @@ def _cmd_verify_tensor(args) -> int:
         lo, hi = (float(x) for x in args.window.split(","))
         window = (lo, hi)
     else:
-        t_end = log.events[-1].t if log.events else 1.0
-        pad = 0.05 * (t_end + 1.0)
-        window = (-pad, t_end + pad)
+        window = _audit_window(log)
     audit = audit_tensor(build_tensor(log, window))
     _emit(audit)
     return EXIT_OK
@@ -107,8 +108,13 @@ def _cmd_scale_check(args) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 2 like any invalid input
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinkbound",
         description="Event-driven hard-sphere dynamics and its verification suite",
     )
@@ -141,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         _emit({"error": exc.report.reason, "detail": str(exc)})

@@ -10,14 +10,14 @@ collision counters.
 
 Scheduling is all-pairs: the initial states are scanned pair by pair, and
 after each collision the two partners are re-predicted against every
-other particle.
+particle except each other.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -87,15 +87,7 @@ class SimConfig:
     time_tie_tol: float = 1e-12
 
     def header_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "a": self.a,
-            "t_max": self.t_max,
-            "grazing_tol": self.grazing_tol,
-            "overlap_tol": self.overlap_tol,
-            "time_tie_tol": self.time_tie_tol,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -357,8 +349,11 @@ class _Engine:
         ))
 
     def _reschedule_after_collision(self, i: int, j: int) -> None:
+        # separating partners in free flight never meet again; predicting
+        # the pair finds only rounding-level contacts (point rods: distance 0)
+        others = self.idx[(self.idx != i) & (self.idx != j)]
         for p in (i, j):
-            self._predict(p, self.idx[self.idx != p])
+            self._predict(p, others)
 
     def run(self) -> tuple:
         t_max = self.config.t_max
@@ -435,11 +430,7 @@ def read_events_jsonl(path) -> EventLog:
     if header.get("format") != EVENTS_FORMAT:
         raise ValueError(f"unknown event log format {header.get('format')!r}")
     cfg = header["config"]
-    config = SimConfig(
-        n=cfg["n"], N=cfg["N"], a=cfg["a"], t_max=cfg["t_max"],
-        grazing_tol=cfg["grazing_tol"], overlap_tol=cfg["overlap_tol"],
-        time_tie_tol=cfg["time_tie_tol"],
-    )
+    config = SimConfig(**{f.name: cfg[f.name] for f in fields(SimConfig)})
     initial = [
         ParticleState(rec["id"], rec["y"], rec["v"]) for rec in header["initial"]
     ]

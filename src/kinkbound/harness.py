@@ -200,11 +200,28 @@ def apply_time_scale(scenario: Scenario, mu: float) -> Scenario:
 # -- config ingestion --------------------------------------------------------
 
 
+def _number(value, name: str):
+    """value if it is a JSON number, else ValueError (int() and float()
+    would raise TypeError on null and accept strings such as "5")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _object(doc: dict, key: str) -> dict:
+    """doc[key] if it is a JSON object ({} when absent), else ValueError."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be an object, got {value!r}")
+    return value
+
+
 def scenario_from_config(doc: dict) -> tuple:
     """Build (Scenario, sim options dict) from a config document.
 
     Schema (README has the full story): {"scenario": {...}, "sim": {...},
-    "ledger": {"epsilon": x}, "boost": [...], "time_scale": mu}.
+    "ledger": {"epsilon": x}, "boost": [...], "time_scale": mu}.  Numeric
+    fields must be JSON numbers; anything else raises ValueError.
     """
     sc = doc.get("scenario")
     if not isinstance(sc, dict):
@@ -212,16 +229,18 @@ def scenario_from_config(doc: dict) -> tuple:
     generator = sc.get("generator", "random_gas")
     if generator == "random_gas":
         scenario = gen_random_gas(
-            n=int(sc.get("n", 2)), N=int(sc["N"]), box=sc.get("box", 1.0),
-            a=float(sc["a"]), velocity_dist=sc.get("velocities",
-                                                   {"kind": "maxwell", "sigma": 1.0}),
-            seed=int(sc.get("seed", 0)),
+            n=int(_number(sc.get("n", 2), "scenario.n")),
+            N=int(_number(sc["N"], "scenario.N")), box=sc.get("box", 1.0),
+            a=float(_number(sc["a"], "scenario.a")),
+            velocity_dist=sc.get("velocities", {"kind": "maxwell", "sigma": 1.0}),
+            seed=int(_number(sc.get("seed", 0), "scenario.seed")),
         )
     elif generator == "line_1d":
-        scenario = gen_line_1d(int(sc["p"]))
+        scenario = gen_line_1d(int(_number(sc["p"], "scenario.p")))
     elif generator == "explicit":
         scenario = gen_explicit(
-            n=int(sc["n"]), a=float(sc["a"]),
+            n=int(_number(sc["n"], "scenario.n")),
+            a=float(_number(sc["a"], "scenario.a")),
             positions=sc["positions"], velocities=sc["velocities"],
         )
     else:
@@ -230,18 +249,17 @@ def scenario_from_config(doc: dict) -> tuple:
     if "boost" in doc:
         scenario = apply_boost(scenario, doc["boost"])
     if "time_scale" in doc:
-        scenario = apply_time_scale(scenario, doc["time_scale"])
+        scenario = apply_time_scale(scenario, _number(doc["time_scale"], "time_scale"))
 
-    sim = doc.get("sim", {})
+    sim = _object(doc, "sim")
     cfg = scenario.config
+    tols = {k: float(_number(sim.get(k, getattr(cfg, k)), f"sim.{k}"))
+            for k in ("grazing_tol", "overlap_tol", "time_tie_tol")}
+    t_max = sim.get("t_max", cfg.t_max)
     scenario.config = replace(
-        cfg,
-        t_max=sim.get("t_max", cfg.t_max),
-        grazing_tol=float(sim.get("grazing_tol", cfg.grazing_tol)),
-        overlap_tol=float(sim.get("overlap_tol", cfg.overlap_tol)),
-        time_tie_tol=float(sim.get("time_tie_tol", cfg.time_tie_tol)),
-    )
-    options = {"epsilon": float(doc.get("ledger", {}).get("epsilon", 1.0))}
+        cfg, t_max=None if t_max is None else _number(t_max, "sim.t_max"), **tols)
+    epsilon = _object(doc, "ledger").get("epsilon", 1.0)
+    options = {"epsilon": float(_number(epsilon, "ledger.epsilon"))}
     return scenario, options
 
 

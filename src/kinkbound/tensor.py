@@ -19,7 +19,7 @@ tensor balance to roundoff.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,10 @@ __all__ = [
 class TensorEdge:
     """Weighted segment in spacetime; kind: trajectory | colliton | augmentation.
 
+    start and end are the vertex ids of the endpoints, assigned where the
+    edge is built: endpoints that meet at one vertex share its id even when
+    their float coordinates differ by rounding.
+
     direction is stored rather than recomputed from the endpoints: a short
     segment far from the origin loses ~eps*|x|/|x_end - x_start| relative
     accuracy to cancellation, which is exactly the quantity the balance
@@ -56,25 +60,19 @@ class TensorEdge:
     x_end: np.ndarray
     weight: float
     kind: str
-    direction: np.ndarray = None
-
-    def __post_init__(self):
-        if self.direction is None:
-            d = self.x_end - self.x_start
-            self.direction = d / np.linalg.norm(d)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "x_start": self.x_start,
-                "x_end": self.x_end, "weight": self.weight}
+    start: int
+    end: int
+    direction: np.ndarray
 
 
 @dataclass
 class KinkSite:
-    """One participant's velocity jump: vertex (t*, y) with v -> v_post."""
+    """One participant's velocity jump v -> v_post at vertex (t*, y), id vertex_id."""
 
     vertex: np.ndarray
     v: np.ndarray
     v_post: np.ndarray
+    vertex_id: int
 
 
 @dataclass
@@ -82,6 +80,7 @@ class GraphTensor:
     edges: list
     window: tuple
     n: int
+    vertices: int                      # edge endpoint ids run over range(vertices)
     kinks: list = field(default_factory=list)
     mass_energy: float | None = None   # M + E of the underlying log
     div_mass: float = 0.0              # added by augmentation, 0 for plain tensors
@@ -121,6 +120,11 @@ def build_tensor(log, window) -> GraphTensor:
     Trajectories are ballistic outside the logged range, so windows may
     extend past the last event (or before 0).  Window boundaries must not
     hit a collision time.
+
+    Vertex ids are numbered in order of first endpoint occurrence (edge by
+    edge, start before end).  A kink is one vertex per (event, particle),
+    or per event when a == 0; each window-boundary endpoint (one per
+    particle and boundary) is a vertex of its own.
     """
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
@@ -129,17 +133,27 @@ def build_tensor(log, window) -> GraphTensor:
         if min(abs(ev.t - t_lo), abs(ev.t - t_hi)) <= _time_tol(ev.t, t_lo, t_hi):
             raise ValueError(f"window boundary hits collision at t={ev.t!r}")
 
-    n = log.config.n
-    # per-particle breakpoints (t_k, y_k, v_k): velocity v_k holds on [t_k, t_{k+1})
-    breaks = {s.id: [(0.0, s.position, s.velocity)] for s in log.initial}
-    for ev in log.events:
-        breaks[ev.i].append((ev.t, ev.yi, ev.vi_post))
-        breaks[ev.j].append((ev.t, ev.yj, ev.vj_post))
+    a = log.config.a
+    ids: dict = {}  # vertex key -> id, numbered by first endpoint occurrence
+
+    def vertex(key) -> int:
+        return ids.setdefault(key, len(ids))
+
+    def kink(e: int, particle: int):
+        # a == 0: the two centers coincide, the four lines meet at one point
+        return e if a == 0.0 else (e, particle)
+
+    # per-particle breakpoints (t_k, y_k, v_k, event k): velocity v_k holds
+    # on [t_k, t_{k+1})
+    breaks = {s.id: [(0.0, s.position, s.velocity, None)] for s in log.initial}
+    for e, ev in enumerate(log.events):
+        breaks[ev.i].append((ev.t, ev.yi, ev.vi_post, e))
+        breaks[ev.j].append((ev.t, ev.yj, ev.vj_post, e))
 
     edges = []
     for s in log.initial:
         chain = breaks[s.id]
-        for k, (tk, yk, vk) in enumerate(chain):
+        for k, (tk, yk, vk, ek) in enumerate(chain):
             te = chain[k + 1][0] if k + 1 < len(chain) else np.inf
             ts = tk if k > 0 else -np.inf  # first segment extends backward
             lo = max(ts, t_lo)
@@ -150,87 +164,46 @@ def build_tensor(log, window) -> GraphTensor:
             x1 = np.concatenate(([hi], yk + (hi - tk) * vk))
             V = np.concatenate(([1.0], vk))
             w = float(np.linalg.norm(V))
-            edges.append(TensorEdge(x0, x1, w, "trajectory", V / w))
+            start = vertex(kink(ek, s.id) if lo == ts else ("lo", s.id))
+            end = vertex(kink(chain[k + 1][3], s.id) if hi == te else ("hi", s.id))
+            edges.append(TensorEdge(x0, x1, w, "trajectory", start, end, V / w))
 
     kinks = []
-    a = log.config.a
-    for ev in log.events:
+    for e, ev in enumerate(log.events):
         if not t_lo < ev.t < t_hi:
             continue
         dv = float(np.linalg.norm(ev.vi_post - ev.vi))
+        ki, kj = vertex(kink(e, ev.i)), vertex(kink(e, ev.j))
         if a > 0.0:
             u = np.concatenate(([0.0], ev.yj - ev.yi))
             edges.append(TensorEdge(
                 np.concatenate(([ev.t], ev.yi)),
                 np.concatenate(([ev.t], ev.yj)),
-                dv, "colliton", u / np.linalg.norm(u)))
-        # a == 0: the two centers coincide, the four lines meet at one point
-        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post))
-        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post))
+                dv, "colliton", ki, kj, u / np.linalg.norm(u)))
+        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
+        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
 
     inv = bulk_invariants(log.initial)
-    return GraphTensor(edges=edges, window=(t_lo, t_hi), n=n, kinks=kinks,
-                       mass_energy=inv.M + inv.E)
-
-
-def _component_roots(count: int, pairs: np.ndarray) -> np.ndarray:
-    """Smallest index in each index's connected component under pairs
-    (union-find; only the few indices that pairs touch are looked up)."""
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs.tolist():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    root = np.arange(count)
-    touched = np.unique(pairs)
-    root[touched] = [find(i) for i in touched.tolist()]
-    return root
+    return GraphTensor(edges=edges, window=(t_lo, t_hi), n=log.config.n,
+                       vertices=len(ids), kinks=kinks, mass_energy=inv.M + inv.E)
 
 
 def _vertices(T: GraphTensor) -> tuple:
-    """Vertices of T with their divergence atoms, one array row per vertex.
+    """Vertices of T with their divergence atoms, one array row per vertex
+    id, each at the coordinates of its first endpoint.
 
-    Endpoints are grouped by exact bit pattern; groups closer than 1e-12 x
-    the coordinate scale (a cKDTree pair sweep) then merge into one vertex,
-    named by its first-seen group.  Vertices come in that order.  Each sum
-    adds its terms in a fixed order -- merged group by first occurrence,
-    then endpoint index -- which is the order of a loop over the groups'
-    member lists, so the sums are the same bits as that loop's.
+    The ids come from construction (build_tensor, build_augmented), so no
+    coordinates are compared.  Each sum adds its vertex's terms in endpoint
+    order: edge by edge, start before end.
 
     Returns (x, m, weight_scale, degree, category).
     """
+    count = T.vertices
     raw = np.empty((2 * len(T.edges), 1 + T.n))  # edge J: rows 2J, 2J+1
     raw[0::2] = [e.x_start for e in T.edges]
     raw[1::2] = [e.x_end for e in T.edges]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(raw))))
-    _, first, key = np.unique(raw.view(np.uint64), axis=0,
-                              return_index=True, return_inverse=True)
-    # renumber the exact groups by first occurrence
-    by_first = np.argsort(first)
-    groups = len(first)
-    rank = np.empty(groups, dtype=np.intp)
-    rank[by_first] = np.arange(groups)
-    first = first[by_first]
-    key = rank[key.reshape(-1)]
-
-    root = np.arange(groups)
-    if groups > 1:
-        from scipy.spatial import cKDTree
-
-        pairs = cKDTree(raw[first]).query_pairs(tol, output_type="ndarray")
-        if len(pairs):
-            root = _component_roots(groups, pairs)
-    comp = root[key]
-    order = np.lexsort((key, comp))  # stable: endpoint index breaks ties
-    roots, vertex = np.unique(comp, return_inverse=True)
-    count = len(roots)
+    vertex = np.array([(e.start, e.end) for e in T.edges],
+                      dtype=np.intp).reshape(-1)
 
     weights = np.array([e.weight for e in T.edges])
     u = weights[:, None] * np.array([e.direction for e in T.edges])
@@ -238,12 +211,14 @@ def _vertices(T: GraphTensor) -> tuple:
     signed[0::2] = -u  # a departing edge contributes -a_J eta_J
     signed[1::2] = u
     m = np.zeros((count, 1 + T.n))
-    np.add.at(m, vertex[order], signed[order])
+    np.add.at(m, vertex, signed)
     scale = np.zeros(count)
-    np.add.at(scale, vertex[order], np.repeat(weights, 2)[order])
+    np.add.at(scale, vertex, np.repeat(weights, 2))
     degree = np.bincount(vertex, minlength=count)
 
-    x = raw[first[roots]]
+    first = np.full(count, len(vertex))
+    np.minimum.at(first, vertex, np.arange(len(vertex)))
+    x = raw[first]
     t_lo, t_hi = T.window
     boundary = (np.minimum(np.abs(x[:, 0] - t_lo), np.abs(x[:, 0] - t_hi))
                 <= _time_tol(t_lo, t_hi))
@@ -255,9 +230,10 @@ def _vertices(T: GraphTensor) -> tuple:
 
 
 def vertex_balances(T: GraphTensor) -> list:
-    """Divergence atom m(x*) per vertex: each incident edge contributes its
-    weight times its direction oriented toward the vertex (+a_J eta_J for an
-    arriving edge, -a_J eta_J for a departing one).
+    """Divergence atom m(x*) per vertex id, in id order (the order of first
+    endpoint occurrence): each edge with an endpoint id at the vertex
+    contributes its weight times its direction oriented toward the vertex
+    (+a_J eta_J for an arriving edge, -a_J eta_J for a departing one).
 
     Interior vertices of a conservative tensor balance to zero; a free edge
     crossing the window reports m = -V at the lower boundary and m = +V at
@@ -453,9 +429,7 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
         raise ValueError("augmentation needs n >= 2 (empty complement on the line)")
     sites = list(T.kinks) if kinks is None else list(kinks)
     if not sites:
-        return GraphTensor(edges=list(T.edges), window=T.window, n=T.n,
-                           kinks=list(T.kinks), mass_energy=T.mass_energy,
-                           div_mass=T.div_mass)
+        return replace(T, edges=list(T.edges), kinks=list(T.kinks))
     bs = np.broadcast_to(np.asarray(b, dtype=np.float64), (len(sites),))
     if not np.all(bs > 0):
         raise ValueError("segment weight b must be positive")
@@ -480,18 +454,21 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
                 raise ValueError("eps_seg infeasible: segment balls overlap")
 
     edges = list(T.edges)
+    tip = T.vertices  # new tips are numbered after the existing vertices
     total_b = 0.0
     for s, bk, ek in zip(sites, bs, eps):
         Z = complement_basis(lift(s.v), lift(s.v_post), T.n)
         for z in Z:
             edges.append(TensorEdge(s.vertex.copy(), s.vertex + ek * z,
-                                    float(bk), "augmentation", z))
+                                    float(bk), "augmentation", s.vertex_id,
+                                    tip, z))
             edges.append(TensorEdge(s.vertex.copy(), s.vertex - ek * z,
-                                    float(bk), "augmentation", -z))
+                                    float(bk), "augmentation", s.vertex_id,
+                                    tip + 1, -z))
+            tip += 2
         total_b += float(bk)
-    return GraphTensor(edges=edges, window=T.window, n=T.n,
-                       kinks=list(T.kinks), mass_energy=T.mass_energy,
-                       div_mass=T.div_mass + 2.0 * (T.n - 1) * total_b)
+    return replace(T, edges=edges, vertices=tip, kinks=list(T.kinks),
+                   div_mass=T.div_mass + 2.0 * (T.n - 1) * total_b)
 
 
 def _max_interior_balance(m, scale, category) -> float:

@@ -307,6 +307,41 @@ def test_cli_rejects_overlapping_start(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "overlap"
 
 
+_GAS = {"generator": "random_gas", "N": 8, "a": 0.02, "box": [1.0, 1.0]}
+
+_BAD_SIMULATE = {
+    "null_N": {"scenario": {**_GAS, "N": None}},
+    "string_t_max": {"scenario": _GAS, "sim": {"t_max": "5"}},
+    "bool_N": {"scenario": {**_GAS, "N": True}},
+    "list_sim": {"scenario": _GAS, "sim": [1.0]},
+    "string_epsilon": {"scenario": _GAS, "ledger": {"epsilon": "1"}},
+    "top_level_array": [{"scenario": _GAS}],
+    "top_level_number": 5,
+}
+
+_BAD_USAGE = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "missing_option": ["simulate"],
+    "unknown_option": ["detmass", "--measure", "m.json", "--extra"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE))
+def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
+    if case in _BAD_USAGE:
+        argv = _BAD_USAGE[case]
+    else:
+        cfg = _write(tmp_path / "cfg.json", _BAD_SIMULATE[case])
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_genericity_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path / "triple.json", {
         "scenario": {"generator": "explicit", "n": 1, "a": 0.0,

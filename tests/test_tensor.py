@@ -112,6 +112,73 @@ def test_window_validation():
         tensor.build_tensor(log, (0.0, log.events[0].t))
 
 
+def _rods(seed=0, N=8):
+    rng = np.random.default_rng(seed)
+    positions = np.sort(rng.uniform(0.0, 10.0, size=N))[:, None]
+    return _simulate(1, 0.0, positions, rng.normal(size=(N, 1)))
+
+
+def _incidence(T):
+    """Degree of every vertex id, counted from the edges' endpoint ids."""
+    ends = [v for e in T.edges for v in (e.start, e.end)]
+    return np.bincount(ends, minlength=T.vertices)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rods_vertices_from_construction(seed):
+    # a == 0: one vertex per collision, where all four lines meet, plus one
+    # per particle on each window boundary
+    log = _rods(seed)
+    N, C = len(log.initial), len(log.events)
+    T = tensor.build_tensor(log, _window(log))
+    assert T.vertices == 2 * N + C
+    degree = _incidence(T)
+    balances = tensor.vertex_balances(T)
+    assert [vb.degree for vb in balances] == degree.tolist()
+    interior = [vb for vb in balances if vb.category == "interior"]
+    assert len(interior) == C and all(vb.degree == 4 for vb in interior)
+    assert sorted({k.vertex_id for k in T.kinks}) == [
+        i for i, vb in enumerate(balances) if vb.category == "interior"]
+
+
+@pytest.mark.parametrize("seed", [61, 97])
+def test_gas_vertices_from_construction(seed):
+    # a > 0: each collision has two kinks, each where a particle's incoming
+    # and outgoing trajectories meet the colliton
+    log = _gas(seed)
+    N, C = len(log.initial), len(log.events)
+    T = tensor.build_tensor(log, _window(log))
+    assert T.vertices == 2 * N + 2 * C
+    balances = tensor.vertex_balances(T)
+    assert [vb.degree for vb in balances] == _incidence(T).tolist()
+    assert sum(vb.category == "boundary" for vb in balances) == 2 * N
+    interior = [vb for vb in balances if vb.category == "interior"]
+    assert len(interior) == 2 * C and all(vb.degree == 3 for vb in interior)
+    assert sorted(k.vertex_id for k in T.kinks) == [
+        i for i, vb in enumerate(balances) if vb.category == "interior"]
+    for e in T.edges:  # the ids name the vertex at each endpoint
+        for v, x in ((e.start, e.x_start), (e.end, e.x_end)):
+            np.testing.assert_allclose(balances[v].x, x, rtol=0, atol=1e-12)
+
+
+def test_augmentation_tips_numbered_after_vertices():
+    log = _gas(61)
+    T = tensor.build_tensor(log, _window(log))
+    A = tensor.build_augmented(T, b=0.5)
+    tips = 2 * (T.n - 1) * len(T.kinks)
+    assert A.vertices == T.vertices + tips
+    balances = tensor.vertex_balances(A)
+    assert [vb.degree for vb in balances] == _incidence(A).tolist()
+    for vb in balances[T.vertices:]:
+        assert vb.degree == 1 and vb.category == "augment_tip"
+    for vb in balances[:T.vertices]:
+        assert vb.category != "augment_tip"
+    added = A.edges[len(T.edges):]
+    assert [e.end for e in added] == list(range(T.vertices, A.vertices))
+    assert [e.start for e in added] == [
+        k.vertex_id for k in T.kinks for _ in range(2 * (T.n - 1))]
+
+
 # -- balances -----------------------------------------------------------------
 
 
@@ -408,7 +475,7 @@ def test_audit_tensor_report():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial takes ~0.5 s to import; only the audits need it
+    # scipy.spatial takes ~0.5 s to import; only the eps_seg check needs it
     code = ("import sys, kinkbound; "
             "sys.exit('scipy.spatial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
