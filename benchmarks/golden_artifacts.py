@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Print sha256 digests of the artifacts of a fixed scenario set.
+"""Print sha256 digests of the artifacts of a fixed scenario and sweep set.
 
 Every scenario runs through ``kinkbound simulate`` (``cli.main``), which
-writes events.jsonl, ledger.csv, report.json and audit.json.  The output is
+writes events.jsonl, ledger.csv, report.json and audit.json; every sweep
+runs through ``kinkbound sweep``, which writes ratios.csv.  The output is
 one JSON object mapping ``"<scenario>/<artifact>"`` to the hex digest.
 Run it on two commits and diff the two maps to see which artifacts a
 refactor changed:
@@ -15,7 +16,12 @@ The set:
   n=3 at 0.2, N in {64, 128, 256}, seeds 0-3;
 * line_1d with p in {1, 5, 50};
 * the configs of the benchmark's gas2d_pipeline (2-D gas, N=256) and
-  line1d_dense (line_1d, p=50) workloads at seed 12.
+  line1d_dense (line_1d, p=50) workloads at seed 12;
+* two sweeps: the spec of the benchmark's sweep3d workload at seed 12 (3-D
+  gas, a=0.01, covering fraction 0.2, sizes 64/128/256, seeds 48-51,
+  t_max=1) and line_1d with p in {1, 5, 20}, t_max=2.5.
+
+Sweeps run in worker processes; KINKBOUND_THREADS caps their number.
 
 Digests depend on the floating-point library build (BLAS, libm), so compare
 maps made on the same machine.
@@ -70,25 +76,40 @@ def scenarios() -> dict:
     return out
 
 
-def digests(name: str, config: dict, work: Path) -> dict:
-    config_path = work / f"{name}.json"
-    config_path.write_text(json.dumps(config))
+def sweeps() -> dict:
+    return {
+        "sweep3d_s12": {
+            "sizes": [64, 128, 256], "seeds": [48, 49, 50, 51],
+            "base": {"generator": "random_gas", "n": 3, "a": 0.01,
+                     "box_policy": {"kind": "fixed_fraction", "value": 0.2}},
+            "epsilon": 1.0, "t_max": 1.0},
+        "sweep_line1d": {"sizes": [1, 5, 20], "seeds": [0],
+                         "base": {"generator": "line_1d"}, "t_max": 2.5},
+    }
+
+
+def digests(command: str, name: str, doc: dict, artifacts, work: Path) -> dict:
+    """Run ``kinkbound <command>`` on doc; digest what it wrote."""
+    doc_path = work / f"{name}.json"
+    doc_path.write_text(json.dumps(doc))
     out_dir = work / name
+    option = "--config" if command == "simulate" else "--spec"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["simulate", "--config", str(config_path),
-                         "--out", str(out_dir)])
+        code = cli.main([command, option, str(doc_path), "--out", str(out_dir)])
     if code != 0:
-        raise SystemExit(f"kinkbound simulate exited {code} on {name}")
+        raise SystemExit(f"kinkbound {command} exited {code} on {name}")
     return {f"{name}/{artifact}":
             hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
-            for artifact in ARTIFACTS}
+            for artifact in artifacts}
 
 
 def main() -> int:
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in scenarios().items():
-            result.update(digests(name, config, Path(tmp)))
+            result.update(digests("simulate", name, config, ARTIFACTS, Path(tmp)))
+        for name, spec in sweeps().items():
+            result.update(digests("sweep", name, spec, ("ratios.csv",), Path(tmp)))
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

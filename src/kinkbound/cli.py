@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import _jsonio
+from ._jsonio import read_int, read_list, read_number, read_object
 from .dynamics import (ConfigurationError, GenericityViolation, SimulationBug,
                        read_events_jsonl)
 from .detmass import measure_from_dict, measure_report
@@ -31,10 +32,7 @@ EXIT_BUG = 4
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must hold a JSON object")
-    return doc
+        return read_object(json.load(fh), path)
 
 
 def _emit(doc: dict) -> None:
@@ -49,10 +47,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.spec)
+    t_max = doc.get("t_max")
     spec = SweepSpec(
-        sizes=doc["sizes"], seeds=doc.get("seeds", [0]),
-        base=doc.get("base", {}), epsilon=float(doc.get("epsilon", 1.0)),
-        t_max=doc.get("t_max"),
+        sizes=read_list(doc["sizes"], "sizes", read_int),
+        seeds=read_list(doc.get("seeds", [0]), "seeds", read_int),
+        base=read_object(doc.get("base", {}), "base"),
+        epsilon=read_number(doc.get("epsilon", 1.0), "epsilon"),
+        t_max=None if t_max is None else read_number(t_max, "t_max"),
     )
     result = sweep(spec, out_dir=args.out)
     _emit({"rows": len(result.rows),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonio import read_list, read_number, read_object
 from .kernel import wedge_norm
 
 __all__ = [
@@ -260,12 +261,14 @@ def dm_kink(V, V2, b: float, n: int | None = None,
 
 def measure_from_dict(doc: dict) -> AngularMeasure:
     """Parse {"atoms": [{"angle": s, "weight": mu}, ...]}."""
-    atoms = doc.get("atoms")
-    if not isinstance(atoms, list) or not atoms:
+    atoms = read_list(doc.get("atoms"), "atoms", read_object)
+    if not atoms:
         raise ValueError('measure JSON needs a nonempty "atoms" list')
     return AngularMeasure(
-        angles=np.array([float(a["angle"]) for a in atoms]),
-        weights=np.array([float(a["weight"]) for a in atoms]),
+        angles=np.array([read_number(atom["angle"], f"atoms[{k}].angle")
+                         for k, atom in enumerate(atoms)]),
+        weights=np.array([read_number(atom["weight"], f"atoms[{k}].weight")
+                          for k, atom in enumerate(atoms)]),
     )
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import _jsonio
+from ._jsonio import read_array, read_int, read_list, read_number, read_object
 from ._kernels import contact_times_scan
 
 __all__ = [
@@ -52,6 +53,9 @@ class ConfigurationError(ValueError):
         self.report = report
         super().__init__(f"{report.reason}: {report.detail}")
 
+    def __reduce__(self):  # a sweep worker sends it back pickled
+        return type(self), (self.report,)
+
 
 class GenericityViolation(RuntimeError):
     """More than two bodies in simultaneous contact (at tolerance resolution)."""
@@ -62,6 +66,9 @@ class GenericityViolation(RuntimeError):
         super().__init__(
             f"simultaneous contact of particles {particles} at t={time!r}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.time, self.particles)
 
 
 class SimulationBug(AssertionError):
@@ -418,36 +425,62 @@ def write_events_jsonl(log: EventLog, path) -> None:
         fh.write(events_jsonl_bytes(log))
 
 
+def _initial_state(value, name: str) -> ParticleState:
+    rec = read_object(value, name)
+    return ParticleState(read_int(rec["id"], f"{name}.id"),
+                         read_array(rec["y"], f"{name}.y"),
+                         read_array(rec["v"], f"{name}.v"))
+
+
 def read_events_jsonl(path) -> EventLog:
+    """Parse a log written by write_events_jsonl; a malformed log raises
+    ValueError (or KeyError for a missing field).
+
+    The header and footer fields are checked one by one; the event lines
+    are converted without per-field checks, since they make up most of the
+    file, and a line of the wrong shape is reported by its line number.
+    """
     with open(path, "rb") as fh:
         lines = fh.read().decode().splitlines()
     if len(lines) < 2:
         raise ValueError("truncated event log")
-    header = json.loads(lines[0])
-    footer = json.loads(lines[-1])
+    header = read_object(json.loads(lines[0]), "event log header")
+    footer = read_object(json.loads(lines[-1]), "event log footer")
     if header.get("kind") != "header" or footer.get("kind") != "footer":
         raise ValueError("malformed event log framing")
     if header.get("format") != EVENTS_FORMAT:
         raise ValueError(f"unknown event log format {header.get('format')!r}")
-    cfg = header["config"]
-    config = SimConfig(**{f.name: cfg[f.name] for f in fields(SimConfig)})
-    initial = [
-        ParticleState(rec["id"], rec["y"], rec["v"]) for rec in header["initial"]
-    ]
+    cfg = read_object(header.get("config"), "config")
+    t_max = cfg["t_max"]
+    config = SimConfig(
+        n=read_int(cfg["n"], "config.n"), N=read_int(cfg["N"], "config.N"),
+        a=read_number(cfg["a"], "config.a"),
+        t_max=None if t_max is None else read_number(t_max, "config.t_max"),
+        **{k: read_number(cfg[k], f"config.{k}")
+           for k in ("grazing_tol", "overlap_tol", "time_tie_tol")})
+    initial = read_list(header.get("initial"), "initial", _initial_state)
+    provenance = read_object(header.get("provenance", {}), "provenance")
     events = []
-    for line in lines[1:-1]:
-        d = json.loads(line)
-        events.append(CollisionEvent(
-            t=float(d["t"]), i=d["i"], j=d["j"],
-            yi=np.array(d["yi"], dtype=np.float64),
-            yj=np.array(d["yj"], dtype=np.float64),
-            vi=np.array(d["vi"], dtype=np.float64),
-            vj=np.array(d["vj"], dtype=np.float64),
-            vi_post=np.array(d["vi_post"], dtype=np.float64),
-            vj_post=np.array(d["vj_post"], dtype=np.float64),
-        ))
-    if footer["events"] != len(events):
+    try:
+        for line in lines[1:-1]:
+            d = json.loads(line)
+            events.append(CollisionEvent(
+                t=float(d["t"]), i=d["i"], j=d["j"],
+                yi=np.array(d["yi"], dtype=np.float64),
+                yj=np.array(d["yj"], dtype=np.float64),
+                vi=np.array(d["vi"], dtype=np.float64),
+                vj=np.array(d["vj"], dtype=np.float64),
+                vi_post=np.array(d["vi_post"], dtype=np.float64),
+                vj_post=np.array(d["vj_post"], dtype=np.float64),
+            ))
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(
+            f"event log line {len(events) + 2} is not a collision event: "
+            f"{exc!r}") from exc
+    if read_int(footer.get("events"), "footer events") != len(events):
         raise ValueError("event count mismatch between footer and body")
+    termination = footer.get("termination")
+    if termination not in ("queue_empty", "t_max"):
+        raise ValueError(f"unknown termination {termination!r}")
     return EventLog(config=config, initial=initial, events=events,
-                    termination=footer["termination"],
-                    provenance=header.get("provenance", {}))
+                    termination=termination, provenance=provenance)

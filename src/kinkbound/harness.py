@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _jsonio
+from ._jsonio import read_array, read_int, read_number, read_object
 from .dynamics import (EventLog, ParticleState, SimConfig, run_simulation,
                        write_events_jsonl)
 from .ledger import build_ledger, build_report, bulk_invariants, bound_report, \
@@ -57,10 +58,11 @@ class Scenario:
 class SweepSpec:
     """Grid of runs: one per (size, seed).
 
-    sizes is the generator's size parameter (N for random_gas, p for
-    line_1d).  base carries the remaining generator parameters; for
-    random_gas with a box_policy of kind "fixed_fraction" the box is
-    resized per N to hold the covering fraction constant.
+    base is a scenario document, as under "scenario" in a simulate config.
+    Each run sets the generator's size field to its size (N for random_gas,
+    p for line_1d) and, for random_gas, seed to its seed; a box_policy of
+    kind "fixed_fraction" then sizes the box per N at a constant covering
+    fraction.
     """
 
     sizes: list
@@ -81,14 +83,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw_velocities(gen, dist: dict, N: int, n: int) -> np.ndarray:
+    dist = read_object(dist, "velocities")
     kind = dist.get("kind", "maxwell")
     if kind == "maxwell":
-        return gen.normal(0.0, float(dist.get("sigma", 1.0)), size=(N, n))
+        sigma = read_number(dist.get("sigma", 1.0), "velocities.sigma")
+        return gen.normal(0.0, sigma, size=(N, n))
     if kind == "uniform":
-        v0 = float(dist.get("v0", 1.0))
+        v0 = read_number(dist.get("v0", 1.0), "velocities.v0")
         return gen.uniform(-v0, v0, size=(N, n))
     if kind == "explicit":
-        v = np.asarray(dist["values"], dtype=np.float64)
+        v = read_array(dist["values"], "velocities.values")
         if v.shape != (N, n):
             raise ValueError(f"explicit velocities must be shape {(N, n)}")
         return v
@@ -200,20 +204,36 @@ def apply_time_scale(scenario: Scenario, mu: float) -> Scenario:
 # -- config ingestion --------------------------------------------------------
 
 
-def _number(value, name: str):
-    """value if it is a JSON number, else ValueError (int() and float()
-    would raise TypeError on null and accept strings such as "5")."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+def _fixed_fraction_box(n: int, N: int, a: float, fraction: float):
+    """Box side at constant covering fraction (area/volume occupied)."""
+    if not 0 < fraction < 1:
+        raise ValueError("fraction must be in (0, 1)")
+    if a <= 0:
+        raise ValueError("fixed_fraction needs a > 0")
+    if n == 2:
+        side = a * np.sqrt(np.pi * N / fraction)
+    elif n == 3:
+        side = a * (4.0 * np.pi * N / (3.0 * fraction)) ** (1.0 / 3.0)
+    elif n == 1:
+        side = 2.0 * a * N / fraction
+    else:
+        raise ValueError(f"unsupported dimension {n}")
+    return [float(side)] * n
 
 
-def _object(doc: dict, key: str) -> dict:
-    """doc[key] if it is a JSON object ({} when absent), else ValueError."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{key!r} must be an object, got {value!r}")
-    return value
+def _box(sc: dict, n: int, N: int, a: float):
+    """Box sides of a random_gas scenario: box_policy, if given, wins over
+    box (default 1.0)."""
+    if "box_policy" not in sc:
+        return read_array(sc.get("box", 1.0), "scenario.box")
+    policy = read_object(sc["box_policy"], "scenario.box_policy")
+    kind = policy.get("kind")
+    if kind == "fixed_fraction":
+        fraction = read_number(policy["value"], "scenario.box_policy.value")
+        return _fixed_fraction_box(n, N, a, fraction)
+    if kind == "fixed_box":
+        return read_array(policy["sides"], "scenario.box_policy.sides")
+    raise ValueError(f"unknown box policy {kind!r}")
 
 
 def scenario_from_config(doc: dict) -> tuple:
@@ -221,46 +241,48 @@ def scenario_from_config(doc: dict) -> tuple:
 
     Schema (README has the full story): {"scenario": {...}, "sim": {...},
     "ledger": {"epsilon": x}, "boost": [...], "time_scale": mu}.  Numeric
-    fields must be JSON numbers; anything else raises ValueError.
+    fields must be finite JSON numbers, and n, N, p and seed integral;
+    anything else raises ValueError.  Sweeps build each run's scenario here.
     """
-    sc = doc.get("scenario")
-    if not isinstance(sc, dict):
-        raise ValueError('config needs a "scenario" object')
+    sc = read_object(doc.get("scenario"), "scenario")
     generator = sc.get("generator", "random_gas")
     if generator == "random_gas":
+        n = read_int(sc.get("n", 2), "scenario.n")
+        N = read_int(sc["N"], "scenario.N")
+        a = read_number(sc["a"], "scenario.a")
         scenario = gen_random_gas(
-            n=int(_number(sc.get("n", 2), "scenario.n")),
-            N=int(_number(sc["N"], "scenario.N")), box=sc.get("box", 1.0),
-            a=float(_number(sc["a"], "scenario.a")),
+            n=n, N=N, box=_box(sc, n, N, a), a=a,
             velocity_dist=sc.get("velocities", {"kind": "maxwell", "sigma": 1.0}),
-            seed=int(_number(sc.get("seed", 0), "scenario.seed")),
+            seed=read_int(sc.get("seed", 0), "scenario.seed"),
         )
     elif generator == "line_1d":
-        scenario = gen_line_1d(int(_number(sc["p"], "scenario.p")))
+        scenario = gen_line_1d(read_int(sc["p"], "scenario.p"))
     elif generator == "explicit":
         scenario = gen_explicit(
-            n=int(_number(sc["n"], "scenario.n")),
-            a=float(_number(sc["a"], "scenario.a")),
-            positions=sc["positions"], velocities=sc["velocities"],
+            n=read_int(sc["n"], "scenario.n"),
+            a=read_number(sc["a"], "scenario.a"),
+            positions=read_array(sc["positions"], "scenario.positions"),
+            velocities=read_array(sc["velocities"], "scenario.velocities"),
         )
     else:
         raise ValueError(f"unknown generator {generator!r}")
 
     if "boost" in doc:
-        scenario = apply_boost(scenario, doc["boost"])
+        scenario = apply_boost(scenario, read_array(doc["boost"], "boost"))
     if "time_scale" in doc:
-        scenario = apply_time_scale(scenario, _number(doc["time_scale"], "time_scale"))
+        scenario = apply_time_scale(
+            scenario, read_number(doc["time_scale"], "time_scale"))
 
-    sim = _object(doc, "sim")
+    sim = read_object(doc.get("sim", {}), "sim")
     cfg = scenario.config
-    tols = {k: float(_number(sim.get(k, getattr(cfg, k)), f"sim.{k}"))
+    tols = {k: read_number(sim.get(k, getattr(cfg, k)), f"sim.{k}")
             for k in ("grazing_tol", "overlap_tol", "time_tie_tol")}
     t_max = sim.get("t_max", cfg.t_max)
     scenario.config = replace(
-        cfg, t_max=None if t_max is None else _number(t_max, "sim.t_max"), **tols)
-    epsilon = _object(doc, "ledger").get("epsilon", 1.0)
-    options = {"epsilon": float(_number(epsilon, "ledger.epsilon"))}
-    return scenario, options
+        cfg, t_max=None if t_max is None else read_number(t_max, "sim.t_max"),
+        **tols)
+    epsilon = read_object(doc.get("ledger", {}), "ledger").get("epsilon", 1.0)
+    return scenario, {"epsilon": read_number(epsilon, "ledger.epsilon")}
 
 
 def simulate_scenario(scenario: Scenario) -> EventLog:
@@ -311,47 +333,16 @@ def default_workers() -> int:
     return cpus
 
 
-def _fixed_fraction_box(n: int, N: int, a: float, fraction: float):
-    """Box side at constant covering fraction (area/volume occupied)."""
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
-    if a <= 0:
-        raise ValueError("fixed_fraction needs a > 0")
-    if n == 2:
-        side = a * np.sqrt(np.pi * N / fraction)
-    elif n == 3:
-        side = a * (4.0 * np.pi * N / (3.0 * fraction)) ** (1.0 / 3.0)
-    elif n == 1:
-        side = 2.0 * a * N / fraction
-    else:
-        raise ValueError(f"unsupported dimension {n}")
-    return [float(side)] * n
-
-
 def _sweep_scenario(base: dict, size: int, seed: int,
                     t_max: float | None) -> Scenario:
+    """One run of a sweep: base with its size field set, through
+    scenario_from_config."""
     generator = base.get("generator", "random_gas")
-    if generator == "line_1d":
-        scenario = gen_line_1d(size)
-    elif generator == "random_gas":
-        n = int(base.get("n", 2))
-        a = float(base["a"])
-        policy = base.get("box_policy", {"kind": "fixed_box", "sides": base.get("box")})
-        if policy["kind"] == "fixed_fraction":
-            box = _fixed_fraction_box(n, size, a, float(policy["value"]))
-        elif policy["kind"] == "fixed_box":
-            box = policy["sides"]
-        else:
-            raise ValueError(f"unknown box policy {policy['kind']!r}")
-        scenario = gen_random_gas(
-            n=n, N=size, box=box, a=a,
-            velocity_dist=base.get("velocities", {"kind": "maxwell", "sigma": 1.0}),
-            seed=seed,
-        )
-    else:
+    if generator not in ("random_gas", "line_1d"):
         raise ValueError(f"unknown sweep generator {generator!r}")
-    if t_max is not None:
-        scenario.config = replace(scenario.config, t_max=t_max)
+    sized = {"N": size, "seed": seed} if generator == "random_gas" else {"p": size}
+    scenario, _ = scenario_from_config(
+        {"scenario": {**base, **sized}, "sim": {"t_max": t_max}})
     return scenario
 
 

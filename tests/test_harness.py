@@ -1,14 +1,19 @@
 """Scenario generators, config ingestion, experiment artifacts, sweeps, CLI."""
 
+import copy
+import functools
 import json
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kinkbound import cli, harness
-from kinkbound.dynamics import read_events_jsonl
+from kinkbound.dynamics import (ConfigurationError, GenericityViolation,
+                                events_jsonl_bytes, read_events_jsonl)
 
 
 # -- generators ---------------------------------------------------------------
@@ -140,6 +145,9 @@ def test_scenario_from_config_defaults_and_errors():
         {"scenario": {"generator": "line_1d", "p": 2}})
     assert scn.config.N == 4
     assert options == {"epsilon": 1.0}
+    scn, _ = harness.scenario_from_config(
+        {"scenario": {"generator": "line_1d", "p": 2.0}})  # integral float
+    assert scn.config.N == 4
     with pytest.raises(ValueError):
         harness.scenario_from_config({})
     with pytest.raises(ValueError):
@@ -250,6 +258,25 @@ def test_sweep_fixed_fraction_policy():
         harness._sweep_scenario({"generator": "nope"}, 8, 0, None)
 
 
+def test_simulate_box_policy_matches_sweep_box(tmp_path, capsys):
+    """simulate and sweep read one scenario schema: a box_policy sizes a
+    simulate config's box as it sizes the sweep's, and a sweep base without
+    box gets simulate's default box."""
+    base = {"generator": "random_gas", "n": 2, "a": 0.01,
+            "box_policy": {"kind": "fixed_fraction", "value": 0.3}}
+    cfg = _write(tmp_path / "cfg.json", {"scenario": {**base, "N": 16, "seed": 3}})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    log = read_events_jsonl(tmp_path / "o" / "events.jsonl")
+    swept = harness._sweep_scenario(base, 16, 3, None)
+    want = harness._fixed_fraction_box(2, 16, 0.01, 0.3)
+    assert log.provenance["params"]["box"] == swept.provenance["params"]["box"] == want
+    assert [s.position.tolist() for s in log.initial] == \
+        [s.position.tolist() for s in swept.states]
+    no_box = harness._sweep_scenario({"generator": "random_gas", "a": 0.01}, 4, 0, None)
+    assert no_box.provenance["params"]["box"] == [1.0, 1.0]
+
+
 def test_sweep_t_max_truncates():
     base = {"generator": "line_1d"}
     scn = harness._sweep_scenario(base, 3, 0, 1.5)
@@ -266,6 +293,20 @@ def test_sweep_parallel_matches_serial(tmp_path):
     parallel = harness.sweep(spec, workers=2)
     assert serial.rows == parallel.rows
     assert serial.medians == parallel.medians
+
+
+def test_sweep_worker_errors_keep_their_type():
+    """Engine errors raised in a worker process reach the caller intact
+    (at sigma=1e308, seeds 0 and 2 draw velocities that overflow)."""
+    spec = harness.SweepSpec(sizes=[8], seeds=[0, 2], base={
+        "generator": "random_gas", "a": 0.01, "box": 1.0,
+        "velocities": {"sigma": 1e308}})
+    with pytest.raises(ConfigurationError) as err:
+        harness.sweep(spec, workers=2)
+    assert err.value.report.reason == "non_finite"
+    exc = pickle.loads(pickle.dumps(GenericityViolation(1.5, (0, 1, 2))))
+    assert (exc.time, exc.particles, str(exc)) == \
+        (1.5, (0, 1, 2), str(GenericityViolation(1.5, (0, 1, 2))))
 
 
 def test_default_workers_env_cap(monkeypatch):
@@ -317,6 +358,7 @@ _BAD_SIMULATE = {
     "string_epsilon": {"scenario": _GAS, "ledger": {"epsilon": "1"}},
     "top_level_array": [{"scenario": _GAS}],
     "top_level_number": 5,
+    "fractional_p": {"scenario": {"generator": "line_1d", "p": 2.5}},
 }
 
 _BAD_USAGE = {
@@ -327,19 +369,154 @@ _BAD_USAGE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE))
-def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
-    if case in _BAD_USAGE:
-        argv = _BAD_USAGE[case]
-    else:
-        cfg = _write(tmp_path / "cfg.json", _BAD_SIMULATE[case])
-        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
-    assert cli.main(argv) == 2
+@functools.cache
+def _events_lines() -> tuple:
+    log = harness.simulate_scenario(harness.gen_line_1d(2))
+    lines = events_jsonl_bytes(log).decode().splitlines()
+    return tuple(json.loads(line) for line in lines)
+
+
+def _valid_doc(command: str):
+    """A small valid input of command; verify-tensor's is the list of the
+    JSON lines of a line_1d (p=2) log."""
+    if command == "simulate":
+        return {"scenario": {**_GAS, "box": 1.0, "seed": 1,
+                             "velocities": {"kind": "maxwell", "sigma": 1.0}},
+                "sim": {"t_max": 1.0}, "ledger": {"epsilon": 1.0},
+                "boost": [0.5, 0.0], "time_scale": 2.0}
+    if command == "sweep":
+        return {"sizes": [2], "seeds": [0], "epsilon": 1.0, "t_max": 1.0,
+                "base": {"generator": "random_gas", "n": 2, "a": 0.02,
+                         "box_policy": {"kind": "fixed_fraction", "value": 0.3},
+                         "velocities": {"kind": "maxwell", "sigma": 1.0}}}
+    if command == "detmass":
+        return {"atoms": [{"angle": 0.0, "weight": 1.0}, {"angle": 2.0, "weight": 1.0},
+                          {"angle": 4.0, "weight": 1.0}]}
+    return list(_events_lines())
+
+
+def _replaced(doc, path: tuple, value):
+    """A copy of doc with the field at path (keys and indices) set to value."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _argv(command: str, doc, tmp_path) -> list:
+    path = tmp_path / "input.json"
+    if command == "verify-tensor":
+        path.write_text("".join(json.dumps(line) + "\n" for line in doc))
+        return [command, "--events", str(path)]
+    path.write_text(json.dumps(doc))
+    if command == "detmass":
+        return [command, "--measure", str(path)]
+    option = "--config" if command == "simulate" else "--spec"
+    return [command, option, str(path), "--out", str(tmp_path / "o")]
+
+
+# (command, path of the field in _valid_doc(command), value put there)
+_BAD_FIELDS = {
+    "string_velocities": ("simulate", ("scenario", "velocities"), "x"),
+    "fractional_N": ("simulate", ("scenario", "N"), 4.7),
+    "fractional_n": ("simulate", ("scenario", "n"), 2.5),
+    "fractional_seed": ("simulate", ("scenario", "seed"), 1.5),
+    "sweep_null_a": ("sweep", ("base", "a"), None),
+    "sweep_number_sizes": ("sweep", ("sizes",), 5),
+    "sweep_string_size": ("sweep", ("sizes",), ["a"]),
+    "sweep_fractional_seed": ("sweep", ("seeds",), [0.5]),
+    "sweep_null_epsilon": ("sweep", ("epsilon",), None),
+    "sweep_list_base": ("sweep", ("base",), [1]),
+    "sweep_string_box_policy": ("sweep", ("base", "box_policy"), "x"),
+    "sweep_string_t_max": ("sweep", ("t_max",), "1"),
+    "sweep_string_velocities": ("sweep", ("base", "velocities"), "x"),
+    "measure_null_angle": ("detmass", ("atoms",), [{"angle": None, "weight": 1}]),
+    "measure_number_atoms": ("detmass", ("atoms",), [1, 2, 3]),
+    "events_null_config": ("verify-tensor", (0, "config"), None),
+    "events_array_header": ("verify-tensor", (0,), ["header"]),
+    "events_null_initial": ("verify-tensor", (0, "initial"), None),
+    "events_array_event": ("verify-tensor", (1,), [1]),
+    "events_null_t": ("verify-tensor", (1, "t"), None),
+    "events_string_a": ("verify-tensor", (0, "config", "a"), "0"),
+}
+
+
+def _assert_one_json_object(capsys) -> None:
     out, err = capsys.readouterr()
     assert err == ""
     lines = out.splitlines()
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE) + sorted(_BAD_FIELDS))
+def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
+    if case in _BAD_USAGE:
+        argv = _BAD_USAGE[case]
+    elif case in _BAD_SIMULATE:
+        argv = _argv("simulate", _BAD_SIMULATE[case], tmp_path)
+    else:
+        command, path, value = _BAD_FIELDS[case]
+        argv = _argv(command, _replaced(_valid_doc(command), path, value), tmp_path)
+    assert cli.main(argv) == 2
+    _assert_one_json_object(capsys)
     assert not (tmp_path / "o").exists()
+
+
+def _fields(doc, path=()):
+    """(path, value) of every field of doc, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+def _checked_log_field(path: tuple, lines: int) -> bool:
+    """Whether the log reader checks the field at path: a whole line, or a
+    field of the header or footer outside the free-form provenance.  The
+    fields inside event lines are converted without per-field checks."""
+    if len(path) == 1:
+        return True
+    return path[0] in (0, lines - 1) and not (path[1] == "provenance" and len(path) > 2)
+
+
+def _fuzzed_fields() -> list:
+    """(command, path, value) of every field that command checks in its
+    valid input."""
+    out = []
+    for command in ("simulate", "sweep", "detmass", "verify-tensor"):
+        doc = _valid_doc(command)
+        out += [(command, path, value) for path, value in _fields(doc)
+                if command != "verify-tensor" or _checked_log_field(path, len(doc))]
+    return out
+
+
+_WRONG_TYPES = {
+    type(None): st.none(),
+    str: st.text(max_size=4),
+    bool: st.booleans(),
+    list: st.lists(st.none() | st.text(max_size=2) | st.booleans(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.none(), max_size=2),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_fuzzed_fields()), data=st.data())
+def test_cli_wrong_json_type_is_one_json_object(field, data, tmp_path, capsys):
+    """A field of the wrong JSON type anywhere in a valid input exits 2 with
+    one JSON object on stdout and nothing on stderr (t_max may be null)."""
+    command, path, original = field
+    kinds = [kind for kind in _WRONG_TYPES if not isinstance(original, kind)
+             and not (kind is type(None) and path[-1] == "t_max")]
+    value = data.draw(st.sampled_from(kinds).flatmap(_WRONG_TYPES.get))
+    argv = _argv(command, _replaced(_valid_doc(command), path, value), tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    _assert_one_json_object(capsys)
 
 
 def test_cli_genericity_exit_code(tmp_path, capsys):
