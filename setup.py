@@ -1,28 +1,5 @@
-"""Build script for the compiled contact-time kernel.
+"""Build script: a pure-Python package (see pyproject.toml)."""
 
-The extension is optional at runtime: kinkbound falls back to a pure numpy
-kernel when the compiled module is absent (or KINKBOUND_PURE_PYTHON=1).
+from setuptools import setup
 
--ffp-contract=off keeps the compiler from fusing multiply-adds so the
-compiled kernel reproduces the numpy fallback bit for bit.
-"""
-
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-except ImportError:  # pragma: no cover - build without cython -> no extension
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "kinkbound._ckern",
-                ["src/kinkbound/_ckern.pyx"],
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup()

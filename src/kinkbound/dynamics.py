@@ -2,15 +2,17 @@
 
 N spheres of common radius a move freely between events; at a pair contact
 (center distance 2a) the normal velocity components are exchanged.  The
-engine is exact: contact times come from a stable quadratic solve, states
-advance lazily (a particle's stored position changes only when one of its
-own collisions is processed), and the event queue is a heap of
-(time, lo, hi, ...) keys with stale entries invalidated by per-particle
-collision counters.
+engine is exact: contact times come from a stable quadratic solve, and
+states advance lazily (a particle's stored position changes only when one
+of its own collisions is processed).
 
-Scheduling is all-pairs: the initial states are scanned pair by pair, and
-after each collision the two partners are re-predicted against every
-particle except each other.
+The event calendar keeps one pending prediction per particle (Lubachevsky
+1991; Marin, Risso & Cordero 1993): a heap of each particle's earliest
+contact over all others, keyed (time, lo, hi, ...), with entries checked at
+pop time against per-particle collision counters.  The initial states are
+scanned in blocks of rows; after each collision one kernel call rescans
+both partners against every particle, and the gaps it returns at the
+collision time are the third-body check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import read_array, read_int, read_list, read_number, read_object
-from ._kernels import contact_times_scan
+from ._pykern import contact_times_scan
 
 __all__ = [
     "ConfigurationError",
@@ -262,7 +264,24 @@ def advance_free(state: ParticleState, t: float) -> ParticleState:
 
 
 class _Engine:
-    """One simulation run; see run_simulation."""
+    """One simulation run; see run_simulation.
+
+    The heap holds at most one live entry per particle, its owner's
+    earliest predicted contact:
+
+        (t, lo, hi, owner, cc[owner], cc[partner])
+
+    (t, lo, hi) orders events, so simultaneous disjoint collisions come out
+    in pair order; the counters copied at prediction time tell at pop time
+    whether the entry still holds.  An owner that has collided since was
+    re-predicted then, so its old entry is dropped.  An owner whose partner
+    has collided since is re-predicted against every particle.  Otherwise
+    the entry is the earliest pending collision: every pair's current
+    prediction was part of the minimum that made some live entry, and
+    every entry pushed at a pop is keyed no earlier than it.
+    """
+
+    _BLOCK = 1 << 12  # pairs per initial-scan call: small temporaries
 
     def __init__(self, states, config: SimConfig):
         self.config = config
@@ -271,55 +290,68 @@ class _Engine:
         self.pos = np.ascontiguousarray([s.position for s in states], dtype=np.float64)
         self.vel = np.ascontiguousarray([s.velocity for s in states], dtype=np.float64)
         self.tupd = np.zeros(N)
+        self.speed = np.linalg.norm(self.vel, axis=1)
         self.cc = [0] * N
+        self.last = [-1] * N  # partner of each particle's latest collision
         self.four_a2 = 4.0 * config.a * config.a
+        self.four_a = 4.0 * config.a
         self.heap: list = []
         self.events: list = []
-        self.N = N
         self.idx = np.arange(N, dtype=np.int64)
-        for i in range(N - 1):
-            self._predict(i, self.idx[i + 1:])
+        rows_per_call = max(1, self._BLOCK // N)
+        for r0 in range(0, N, rows_per_call):
+            rows = self.idx[r0:r0 + rows_per_call]
+            out = np.empty((rows.size, N))
+            # a particle against itself has b == 0 exactly, hence +inf
+            contact_times_scan(self.pos, self.vel, self.tupd, rows, self.idx,
+                               self.four_a2, config.grazing_tol, out)
+            self._push_earliest(rows.tolist(), out)
 
     # -- scheduling ---------------------------------------------------------
 
-    def _predict(self, i: int, js: np.ndarray) -> None:
-        out = np.empty(js.size)
-        contact_times_scan(self.pos, self.vel, self.tupd, i, js,
-                           self.four_a2, self.config.grazing_tol, out)
-        hit = np.isfinite(out)
+    def _push_earliest(self, rows: list, out: np.ndarray) -> None:
+        """Push each row's earliest contact; out[r, q] is row r vs particle q.
+
+        argmin takes the first of equal times, which is the smallest
+        partner index and hence the smallest (lo, hi) of the row.
+        """
+        first = out.argmin(axis=1)
+        times = out[np.arange(len(rows)), first].tolist()
         cc = self.cc
         # plain floats and ints: heap comparisons stay in C
-        for t, j in zip(out[hit].tolist(), js[hit].tolist()):
-            lo, hi = (i, j) if i < j else (j, i)
-            heapq.heappush(self.heap, (t, lo, hi, cc[lo], cc[hi]))
+        for p, q, t in zip(rows, first.tolist(), times):
+            if t != np.inf:
+                lo, hi = (p, q) if p < q else (q, p)
+                heapq.heappush(self.heap, (t, lo, hi, p, cc[p], cc[q]))
+
+    def _repredict(self, p: int) -> None:
+        """New earliest contact of p, whose predicted partner has collided.
+
+        The partner of p's latest collision stays out while neither of the
+        two has collided since: separating partners in free flight never
+        meet again, and predicting the pair finds only rounding-level
+        contacts (point rods: distance 0).
+        """
+        out = np.empty((1, self.config.N))
+        contact_times_scan(self.pos, self.vel, self.tupd, (p,), self.idx,
+                           self.four_a2, self.config.grazing_tol, out)
+        q = self.last[p]
+        if q >= 0 and self.last[q] == p:
+            out[0, q] = np.inf
+        self._push_earliest([p], out)
 
     # -- event processing ---------------------------------------------------
 
-    def _advance(self, i: int, t: float) -> None:
-        self.pos[i] += (t - self.tupd[i]) * self.vel[i]
-        self.tupd[i] = t
-
-    def _check_third_bodies(self, t: float, i: int, j: int) -> None:
-        """Abort when any third particle is in contact with i or j at t."""
-        if self.N <= 2:
-            return
-        P = self.pos + (t - self.tupd)[:, None] * self.vel
-        speeds = np.linalg.norm(self.vel, axis=1)
-        twoa = 2.0 * self.config.a
-        tie = self.config.time_tie_tol
-        for p in (i, j):
-            d = np.linalg.norm(P - P[p], axis=1)
-            near = d <= twoa + tie * (speeds + speeds[p])
-            near[i] = near[j] = False
-            if near.any():
-                culprits = tuple(int(self.ids[k]) for k in np.flatnonzero(near))
-                raise GenericityViolation(
-                    t, (int(self.ids[i]), int(self.ids[j])) + culprits)
-
-    def _collide(self, t: float, i: int, j: int) -> None:
-        self._advance(i, t)
-        self._advance(j, t)
-        dy = self.pos[j] - self.pos[i]
+    def _collide(self, t: float, pair: np.ndarray) -> None:
+        """Advance the pair (i, j) to t, swap their normal velocity
+        components, and log the event."""
+        i, j = pair.tolist()
+        V = self.vel.take(pair, axis=0)
+        Y = self.pos.take(pair, axis=0) + (t - self.tupd.take(pair))[:, None] * V
+        self.pos[pair] = Y
+        self.tupd[pair] = t
+        yi, yj = Y
+        dy = yj - yi
         dist = float(np.linalg.norm(dy))
         a = self.config.a
         tol = self.config.overlap_tol * max(a, 1.0)
@@ -328,52 +360,76 @@ class _Engine:
                 f"contact distance {dist!r} vs 2a={2 * a!r} at t={t!r} "
                 f"for pair ({i}, {j})"
             )
-        vi = self.vel[i].copy()
-        vj = self.vel[j].copy()
+        vi, vj = V
         if a > 0.0:
             u = dy / dist
-            vn = float(np.dot(vj - vi, u))
-            impulse = vn * u
-            vi_post = vi + impulse
-            vj_post = vj - impulse
+            impulse = float(np.dot(vj - vi, u)) * u
+            V_post = np.array([vi + impulse, vj - impulse])
         else:
             # point particles on the line swap velocities exactly; the
             # normal is the approach direction (centers coincide at contact)
             u = np.array([1.0 if vi[0] > vj[0] else -1.0])
-            vi_post = vj.copy()
-            vj_post = vi.copy()
+            V_post = V[::-1].copy()
+        vi_post, vj_post = V_post
         if float(np.dot(vj_post - vi_post, u)) <= 0.0:
             raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
-        self.vel[i] = vi_post
-        self.vel[j] = vj_post
+        self.vel[pair] = V_post
+        self.speed[pair] = np.sqrt(np.add.reduce(V_post * V_post, axis=1))
         self.cc[i] += 1
         self.cc[j] += 1
-        self._check_third_bodies(t, i, j)
+        self.last[i] = j
+        self.last[j] = i
         self.events.append(CollisionEvent(
             t=float(t), i=int(self.ids[i]), j=int(self.ids[j]),
-            yi=self.pos[i].copy(), yj=self.pos[j].copy(),
-            vi=vi, vj=vj, vi_post=vi_post.copy(), vj_post=vj_post.copy(),
-        ))
+            yi=yi, yj=yj, vi=vi, vj=vj, vi_post=vi_post, vj_post=vj_post))
 
-    def _reschedule_after_collision(self, i: int, j: int) -> None:
-        # separating partners in free flight never meet again; predicting
-        # the pair finds only rounding-level contacts (point rods: distance 0)
-        others = self.idx[(self.idx != i) & (self.idx != j)]
-        for p in (i, j):
-            self._predict(p, others)
+    def _rescan(self, t: float, pair: np.ndarray) -> None:
+        """Re-predict both partners of the collision at t in one kernel call.
+
+        Both rows were just advanced to t, and every other particle was
+        last updated no later, so the scan refers every pair to t: its gap
+        c = |dy|^2 - 4a^2 is the third bodies' distance from i and j at
+        the collision.  A third body within contact distance plus
+        time_tie_tol * (sum of the two speeds) aborts the run.
+        """
+        N = self.config.N
+        out = np.empty((2, N))
+        gap = np.empty((2, N))
+        contact_times_scan(self.pos, self.vel, self.tupd, pair, self.idx,
+                           self.four_a2, self.config.grazing_tol, out, gap)
+        out[:, pair] = np.inf  # self, and the partner it just left
+        # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
+        tau = self.config.time_tie_tol * (self.speed + self.speed.take(pair)[:, None])
+        near = gap <= tau * (self.four_a + tau)
+        near[:, pair] = False
+        if near.any():
+            culprits = tuple(self.ids[near[0] if near[0].any() else near[1]].tolist())
+            raise GenericityViolation(t, tuple(self.ids[pair].tolist()) + culprits)
+        self._push_earliest(pair.tolist(), out)
 
     def run(self) -> tuple:
         t_max = self.config.t_max
+        heap, cc = self.heap, self.cc
         termination = "queue_empty"
-        while self.heap:
-            t, i, j, ci, cj = heapq.heappop(self.heap)
-            if self.cc[i] != ci or self.cc[j] != cj:
-                continue  # stale: a partner collided since this prediction
+        t_prev = 0.0
+        while heap:
+            t, lo, hi, owner, c_owner, c_partner = heapq.heappop(heap)
+            if cc[owner] != c_owner:
+                continue  # the owner collided since and was re-predicted then
+            if cc[hi if owner == lo else lo] != c_partner:
+                self._repredict(owner)
+                continue
             if t_max is not None and t > t_max:
                 termination = "t_max"
                 break
-            self._collide(t, i, j)
-            self._reschedule_after_collision(i, j)
+            if t < t_prev:
+                raise SimulationBug(
+                    f"event at t={t!r} for pair ({lo}, {hi}) precedes the "
+                    f"previous event at t={t_prev!r}")
+            t_prev = t
+            pair = np.array((lo, hi))
+            self._collide(t, pair)
+            self._rescan(t, pair)
         return self.events, termination
 
 
@@ -382,7 +438,7 @@ def run_simulation(states, config: SimConfig) -> EventLog:
 
     Raises ConfigurationError on invalid initial data, GenericityViolation
     when a third body touches a colliding pair within tolerance, and
-    SimulationBug if internal guards (overlap, separation) trip.
+    SimulationBug if internal guards (overlap, separation, event order) trip.
     """
     report = validate_configuration(states, config)
     if not report.ok:
@@ -436,9 +492,10 @@ def read_events_jsonl(path) -> EventLog:
     """Parse a log written by write_events_jsonl; a malformed log raises
     ValueError (or KeyError for a missing field).
 
-    The header and footer fields are checked one by one; the event lines
-    are converted without per-field checks, since they make up most of the
-    file, and a line of the wrong shape is reported by its line number.
+    The header and footer fields are checked one by one.  The event lines
+    make up most of the file: they are converted first, a line of the wrong
+    shape reported by its line number, and then one pass checks that every
+    t is a finite number and every i and j an integer id of the header.
     """
     with open(path, "rb") as fh:
         lines = fh.read().decode().splitlines()
@@ -465,7 +522,7 @@ def read_events_jsonl(path) -> EventLog:
         for line in lines[1:-1]:
             d = json.loads(line)
             events.append(CollisionEvent(
-                t=float(d["t"]), i=d["i"], j=d["j"],
+                t=d["t"], i=d["i"], j=d["j"],
                 yi=np.array(d["yi"], dtype=np.float64),
                 yj=np.array(d["yj"], dtype=np.float64),
                 vi=np.array(d["vi"], dtype=np.float64),
@@ -477,6 +534,13 @@ def read_events_jsonl(path) -> EventLog:
         raise ValueError(
             f"event log line {len(events) + 2} is not a collision event: "
             f"{exc!r}") from exc
+    ids = {s.id for s in initial}
+    for line, ev in enumerate(events, start=2):
+        ev.t = read_number(ev.t, f"event log line {line} t")
+        if not (type(ev.i) is int and type(ev.j) is int
+                and ev.i in ids and ev.j in ids):
+            raise ValueError(f"event log line {line}: i={ev.i!r}, j={ev.j!r} "
+                             "are not particle ids of the header")
     if read_int(footer.get("events"), "footer events") != len(events):
         raise ValueError("event count mismatch between footer and body")
     termination = footer.get("termination")

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import read_array, read_int, read_number, read_object
-from .dynamics import (EventLog, ParticleState, SimConfig, run_simulation,
-                       write_events_jsonl)
+from .dynamics import (ConfigurationError, EventLog, ParticleState, SimConfig,
+                       ValidationReport, run_simulation, write_events_jsonl)
 from .ledger import build_ledger, build_report, bulk_invariants, bound_report, \
     classify_kinks, write_ledger_csv
 from .tensor import audit_tensor, build_tensor
@@ -83,7 +83,22 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw_velocities(gen, dist: dict, N: int, n: int) -> np.ndarray:
+    """Velocities of a random gas.  A draw that overflows, or whose squares
+    do (the engine and the ledger square relative velocities, which are up
+    to twice as large), is a ConfigurationError of reason "non_finite"."""
     dist = read_object(dist, "velocities")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v = _velocity_draw(gen, dist, N, n)
+            if np.isfinite(np.sum((2.0 * v) ** 2)):
+                return v
+    except (FloatingPointError, OverflowError):
+        pass
+    raise ConfigurationError(ValidationReport(
+        False, "non_finite", {"velocities": dist}))
+
+
+def _velocity_draw(gen, dist: dict, N: int, n: int) -> np.ndarray:
     kind = dist.get("kind", "maxwell")
     if kind == "maxwell":
         sigma = read_number(dist.get("sigma", 1.0), "velocities.sigma")
@@ -309,7 +324,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     write_events_jsonl(log, paths["events.jsonl"])
     ledger = build_ledger(log)
     write_ledger_csv(ledger, paths["ledger.csv"])
-    report = build_report(log, epsilon=options["epsilon"])
+    report = build_report(log, ledger, epsilon=options["epsilon"])
     paths["report.json"].write_text(_jsonio.dumps(report) + "\n")
     audit = audit_tensor(build_tensor(log, _audit_window(log)))
     paths["audit.json"].write_text(_jsonio.dumps(audit) + "\n")

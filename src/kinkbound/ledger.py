@@ -236,10 +236,10 @@ def read_ledger_csv(path) -> list:
         ]
 
 
-def build_report(log, epsilon: float = 1.0) -> dict:
-    """Everything the report JSON carries, as one plain dict."""
+def build_report(log, ledger: list, epsilon: float = 1.0) -> dict:
+    """Everything the report JSON carries, as one plain dict; ledger is
+    build_ledger(log)."""
     inv = bulk_invariants(log.initial)
-    ledger = build_ledger(log)
     rep = bound_report(ledger, inv, int(inv.M))
     cls = classify_kinks(ledger, inv, epsilon)
     hodo = hodograph_summaries(log)

@@ -2,17 +2,26 @@
 
 Nothing here reuses the package's analytic shortcuts: contact times come
 from dense sampling plus bisection, whole trajectories from a fixed-step
-integrator, box volumes from a facet-area linear system, the kink
-mass from an explicit product-body construction, and the tensor audits
-from plain per-edge and per-vertex loops.  Agreement between these and the
-package is the point of the tests that import them.
+integrator or an eager all-pairs stepper, box volumes from a facet-area
+linear system, the kink mass from an explicit product-body construction,
+and the tensor audits from plain per-edge and per-vertex loops.  Agreement
+between these and the package is the point of the tests that import them.
+
+The one exception is HeapEngine, the engine's earlier all-pairs scheduler
+kept as a bitwise oracle for the event calendar that replaced it.
 """
 
 import bisect
+import heapq
+import math
 
 import numpy as np
 
+from kinkbound._pykern import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
+from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventLog,
+                                GenericityViolation, ParticleState,
+                                SimulationBug, validate_configuration)
 from kinkbound.tensor import (SliceTrace, VertexBalance, _point_segment_distance,
                               _time_tol)
 
@@ -123,6 +132,228 @@ class BruteForceIntegrator:
             self.vel[j] = self.vel[j] - ex
             events.append((t_c, i, j))
         return events
+
+
+class HeapEngine:
+    """The engine's all-pairs heap scheduler before the event calendar.
+
+    Every pair's prediction goes on the heap as (t, lo, hi, cc[lo], cc[hi]);
+    an entry whose counters no longer match is stale and skipped.  After a
+    collision both partners are re-predicted against every particle but
+    each other, and a separate pass over all particles checks for third
+    bodies.  The calendar must emit the same bytes.
+    """
+
+    def __init__(self, states, config):
+        self.config = config
+        N = config.N
+        self.N = N
+        self.ids = np.array([s.id for s in states], dtype=np.int64)
+        self.pos = np.ascontiguousarray([s.position for s in states], dtype=np.float64)
+        self.vel = np.ascontiguousarray([s.velocity for s in states], dtype=np.float64)
+        self.tupd = np.zeros(N)
+        self.cc = [0] * N
+        self.four_a2 = 4.0 * config.a * config.a
+        self.heap = []
+        self.events = []
+        self.idx = np.arange(N, dtype=np.int64)
+        for i in range(N - 1):
+            self._predict(i, self.idx[i + 1:])
+
+    def _predict(self, i, js):
+        out = np.empty(js.size)
+        contact_times_scan(self.pos, self.vel, self.tupd, i, js,
+                           self.four_a2, self.config.grazing_tol, out)
+        hit = np.isfinite(out)
+        for t, j in zip(out[hit].tolist(), js[hit].tolist()):
+            lo, hi = (i, j) if i < j else (j, i)
+            heapq.heappush(self.heap, (t, lo, hi, self.cc[lo], self.cc[hi]))
+
+    def _advance(self, i, t):
+        self.pos[i] += (t - self.tupd[i]) * self.vel[i]
+        self.tupd[i] = t
+
+    def _check_third_bodies(self, t, i, j):
+        if self.N <= 2:
+            return
+        P = self.pos + (t - self.tupd)[:, None] * self.vel
+        speeds = np.linalg.norm(self.vel, axis=1)
+        twoa = 2.0 * self.config.a
+        tie = self.config.time_tie_tol
+        for p in (i, j):
+            d = np.linalg.norm(P - P[p], axis=1)
+            near = d <= twoa + tie * (speeds + speeds[p])
+            near[i] = near[j] = False
+            if near.any():
+                culprits = tuple(int(self.ids[k]) for k in np.flatnonzero(near))
+                raise GenericityViolation(
+                    t, (int(self.ids[i]), int(self.ids[j])) + culprits)
+
+    def _collide(self, t, i, j):
+        self._advance(i, t)
+        self._advance(j, t)
+        dy = self.pos[j] - self.pos[i]
+        dist = float(np.linalg.norm(dy))
+        a = self.config.a
+        if abs(dist - 2.0 * a) > self.config.overlap_tol * max(a, 1.0):
+            raise SimulationBug(f"contact distance {dist!r} at t={t!r}")
+        vi = self.vel[i].copy()
+        vj = self.vel[j].copy()
+        if a > 0.0:
+            u = dy / dist
+            impulse = float(np.dot(vj - vi, u)) * u
+            vi_post = vi + impulse
+            vj_post = vj - impulse
+        else:
+            u = np.array([1.0 if vi[0] > vj[0] else -1.0])
+            vi_post = vj.copy()
+            vj_post = vi.copy()
+        if float(np.dot(vj_post - vi_post, u)) <= 0.0:
+            raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
+        self.vel[i] = vi_post
+        self.vel[j] = vj_post
+        self.cc[i] += 1
+        self.cc[j] += 1
+        self._check_third_bodies(t, i, j)
+        self.events.append(CollisionEvent(
+            t=float(t), i=int(self.ids[i]), j=int(self.ids[j]),
+            yi=self.pos[i].copy(), yj=self.pos[j].copy(),
+            vi=vi, vj=vj, vi_post=vi_post.copy(), vj_post=vj_post.copy()))
+
+    def run(self):
+        t_max = self.config.t_max
+        termination = "queue_empty"
+        while self.heap:
+            t, i, j, ci, cj = heapq.heappop(self.heap)
+            if self.cc[i] != ci or self.cc[j] != cj:
+                continue
+            if t_max is not None and t > t_max:
+                termination = "t_max"
+                break
+            self._collide(t, i, j)
+            others = self.idx[(self.idx != i) & (self.idx != j)]
+            for p in (i, j):
+                self._predict(p, others)
+        return self.events, termination
+
+
+def heap_simulation(states, config):
+    """run_simulation with HeapEngine in place of the event calendar."""
+    report = validate_configuration(states, config)
+    if not report.ok:
+        raise ConfigurationError(report)
+    initial = [ParticleState(s.id, s.position.copy(), s.velocity.copy())
+               for s in states]
+    events, termination = HeapEngine(states, config).run()
+    return EventLog(config=config, initial=initial, events=events,
+                    termination=termination)
+
+
+class ReferenceEngine:
+    """Eager hard-sphere stepper: no heap, no lazy states, no counters.
+
+    Each step solves every pair's contact from the current state (all
+    particles at one common time), advances every particle to the earliest
+    contact, ties broken by the pair's indices, and exchanges the normal
+    velocity components of that pair.  A pair whose latest collisions were
+    with each other is left out until one of the two meets a third:
+    separating partners in free flight never meet again, and point rods sit
+    at distance 0 after their swap.  A third particle within contact distance of the colliding
+    pair, up to time_tie_tol times the speeds, raises GenericityViolation.
+    Grazing contacts are dropped by the engine's rule (discriminant below
+    grazing_tol * (b^2 + A|c|)).
+    """
+
+    def __init__(self, positions, velocities, a, t_max=None, grazing_tol=1e-14,
+                 time_tie_tol=1e-12, max_events=100_000):
+        self.pos = np.array(positions, dtype=np.float64)
+        self.vel = np.array(velocities, dtype=np.float64)
+        self.a = float(a)
+        self.t_max = t_max
+        self.grazing_tol = grazing_tol
+        self.tie = time_tie_tol
+        self.max_events = max_events
+        self.t = 0.0
+        self.ii, self.jj = np.triu_indices(len(self.pos), k=1)
+
+    def _contact_in(self):
+        """Time from now to each pair's contact (inf when none)."""
+        dy = self.pos[self.jj] - self.pos[self.ii]
+        dv = self.vel[self.jj] - self.vel[self.ii]
+        b = np.einsum("pk,pk->p", dy, dv)
+        A = np.einsum("pk,pk->p", dv, dv)
+        c = np.einsum("pk,pk->p", dy, dy) - 4.0 * self.a ** 2
+        s = np.full(b.shape, np.inf)
+        for p in range(len(s)):
+            if self.a == 0.0 and c[p] == 0.0:
+                s[p] = 0.0  # coinciding points: in contact now (b is 0)
+                continue
+            if b[p] >= 0.0:
+                continue
+            if self.a == 0.0:
+                s[p] = c[p] / -b[p]  # a perfect square: |dy|^2 / -(dy . dv)
+                continue
+            disc = b[p] ** 2 - A[p] * c[p]
+            if disc >= self.grazing_tol * (b[p] ** 2 + A[p] * abs(c[p])):
+                # the smaller root, in the form that survives A underflowing;
+                # an approaching pair at contact distance up to rounding
+                # (root < 0) meets now
+                s[p] = max(0.0, c[p] / (-b[p] + math.sqrt(disc)))
+        return s
+
+    def run(self):
+        """((t, i, j) events, termination) of the whole run."""
+        events = []
+        last = np.full(len(self.pos), -1)  # partner of each latest collision
+        while len(events) < self.max_events:
+            s = self._contact_in()
+            s[(last[self.ii] == self.jj) & (last[self.jj] == self.ii)] = np.inf
+            p = int(np.argmin(s))  # pairs are in (i, j) order: ties go to the lowest
+            if not np.isfinite(s[p]):
+                return events, "queue_empty"
+            t = self.t + s[p]
+            if self.t_max is not None and t > self.t_max:
+                return events, "t_max"
+            self.pos += s[p] * self.vel
+            self.t = t
+            i, j = int(self.ii[p]), int(self.jj[p])
+            self._resolve(i, j)
+            self._check_third_bodies(i, j)
+            events.append((t, i, j))
+            last[i], last[j] = j, i
+        raise AssertionError("reference run did not end")
+
+    def _resolve(self, i, j):
+        if self.a == 0.0:
+            self.vel[[i, j]] = self.vel[[j, i]]
+            return
+        u = self.pos[j] - self.pos[i]
+        u /= np.linalg.norm(u)
+        impulse = np.dot(self.vel[j] - self.vel[i], u) * u
+        self.vel[i] += impulse
+        self.vel[j] -= impulse
+
+    def _check_third_bodies(self, i, j):
+        speed = np.linalg.norm(self.vel, axis=1)
+        for p in (i, j):
+            d = np.linalg.norm(self.pos - self.pos[p], axis=1)
+            near = d <= 2.0 * self.a + self.tie * (speed + speed[p])
+            near[[i, j]] = False
+            if near.any():
+                raise GenericityViolation(
+                    self.t, (i, j) + tuple(np.flatnonzero(near).tolist()))
+
+
+def tie_groups(events, tol):
+    """Split (t, i, j) events into runs whose successive times differ by at
+    most tol * max(1, |t|); returns [(first time, sorted pairs)]."""
+    groups = []
+    for t, i, j in events:
+        if groups and t - groups[-1][-1][0] <= tol * max(1.0, abs(t)):
+            groups[-1].append((t, i, j))
+        else:
+            groups.append([(t, i, j)])
+    return [(g[0][0], sorted((i, j) for _, i, j in g)) for g in groups]
 
 
 def match_events(expected, actual, tol):

@@ -1,14 +1,9 @@
-"""The compiled contact kernel and its pure-python mirror must agree bit
-for bit, or reruns on machines without a compiler would diverge."""
-
-import os
-import subprocess
-import sys
+"""The numpy contact kernel: every pair's time against a one-pair scalar
+transliteration, and a block of rows bit for bit equal to one row at a
+time, including the gap it reports."""
 
 import numpy as np
-import pytest
 
-from kinkbound import _kernels
 from kinkbound._pykern import contact_times_scan as py_scan
 
 
@@ -18,24 +13,6 @@ def _random_scan_case(rng, n, m):
     tupd = np.abs(rng.normal(0, 0.1, size=m + 1))
     js = np.arange(1, m + 1, dtype=np.int64)
     return pos, vel, tupd, js
-
-
-@pytest.mark.skipif(_kernels.BACKEND != "compiled",
-                    reason="compiled extension not built")
-def test_compiled_and_python_scans_bit_identical():
-    c_scan = _kernels.get_impl("compiled")
-    assert c_scan is not py_scan
-    rng = np.random.default_rng(2024)
-    for n in (1, 2, 3, 5):
-        for trial in range(200):
-            pos, vel, tupd, js = _random_scan_case(rng, n, 12)
-            a = 0.0 if n == 1 and trial % 3 == 0 else float(rng.uniform(0.01, 0.3))
-            out_c = np.empty(js.size)
-            out_p = np.empty(js.size)
-            c_scan(pos, vel, tupd, 0, js, 4.0 * a * a, 1e-14, out_c)
-            py_scan(pos, vel, tupd, 0, js, 4.0 * a * a, 1e-14, out_p)
-            # bitwise, including inf patterns
-            assert out_c.tobytes() == out_p.tobytes(), (n, trial)
 
 
 def test_python_scan_matches_scalar_reference():
@@ -74,21 +51,40 @@ def test_python_scan_matches_scalar_reference():
                 assert (np.isinf(out[m]) and np.isinf(want)) or out[m] == want
 
 
-def test_pure_python_env_forces_fallback():
-    code = ("import kinkbound, sys; "
-            "sys.exit(0 if kinkbound.kernel_backend == 'python' else 1)")
-    env = dict(os.environ, KINKBOUND_PURE_PYTHON="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0
-
-
 def test_grazing_contact_filtered_out():
-    scan = _kernels.contact_times_scan
     a = 0.5
     # straight-line pass at exactly distance 2a: tangential, no momentum
     pos = np.array([[0.0, 0.0], [-5.0, 2 * a]])
     vel = np.array([[0.0, 0.0], [1.0, 0.0]])
     tupd = np.zeros(2)
     out = np.empty(1)
-    scan(pos, vel, tupd, 0, np.array([1], dtype=np.int64), 4 * a * a, 1e-14, out)
+    py_scan(pos, vel, tupd, 0, np.array([1], dtype=np.int64), 4 * a * a, 1e-14, out)
     assert np.isinf(out[0])
+
+
+def test_row_block_matches_single_rows_bitwise():
+    """The engine rescans both partners of a collision in one (2, m) call
+    and the initial state in blocks of rows; each row must come out as the
+    one-row call would give it, and gap must be |dy|^2 - 4a^2 at ref."""
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        for trial in range(50):
+            pos, vel, tupd, _ = _random_scan_case(rng, n, 9)
+            a = 0.0 if n == 1 and trial % 2 else float(rng.uniform(0.01, 0.3))
+            rows = np.array([0, 4, 7])
+            js = np.arange(10, dtype=np.int64)
+            out = np.empty((3, 10))
+            gap = np.empty((3, 10))
+            py_scan(pos, vel, tupd, rows, js, 4 * a * a, 1e-14, out, gap)
+            assert not np.isnan(out).any()
+            for r, i in enumerate(rows):
+                one = np.empty(10)
+                py_scan(pos, vel, tupd, int(i), js, 4 * a * a, 1e-14, one)
+                assert out[r].tobytes() == one.tobytes(), (n, trial, i)
+                ref = np.maximum(tupd[i], tupd)
+                dy = (pos[i] + (ref - tupd[i])[:, None] * vel[i]) - (
+                    pos + (ref - tupd)[:, None] * vel)
+                np.testing.assert_allclose(gap[r], (dy * dy).sum(axis=1) - 4 * a * a,
+                                           rtol=1e-12, atol=1e-12)
+            # a pair's time does not depend on which of the two is the row
+            np.testing.assert_array_equal(out[:, 0], out[0, rows])

@@ -1,0 +1,283 @@
+"""The event calendar against two oracles.
+
+HeapEngine, the all-pairs heap scheduler the calendar replaced, must give
+the same bytes on fixed scenes.  ReferenceEngine, an eager stepper that
+shares no scheduling code with the engine, is the fuzz target: hypothesis
+draws small scenes and the two runs must agree on the pair sequence, the
+times and the termination, or both raise GenericityViolation.
+"""
+
+import heapq
+import itertools
+import math
+import types
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import kinkbound as kb
+from kinkbound import dynamics
+from kinkbound.dynamics import (GenericityViolation, SimulationBug,
+                                events_jsonl_bytes, run_simulation)
+
+from oracles import ReferenceEngine, heap_simulation, tie_groups
+
+
+def _stale_scene(t_max):
+    # events at t = 3 (A-B), 4 (B-C), 5 (A-B); the A-C contact predicted
+    # at t = 3 goes stale when C collides at t = 4
+    sc = kb.gen_explicit(2, 0.5, [[0, 0], [4, 0], [10, 0]],
+                         [[1, 0], [0, 0], [-1, 0]])
+    return replace(sc, config=replace(sc.config, t_max=t_max))
+
+
+def _rods(seed):
+    rng = np.random.default_rng(seed)
+    positions = np.sort(rng.uniform(0.0, 10.0, size=8))[:, None]
+    return kb.gen_explicit(1, 0.0, positions, rng.normal(size=(8, 1)))
+
+
+def _gas(n, N, seed, t_max=None):
+    sc = kb.gen_random_gas(n, N, [1.0] * n, 0.03,
+                           {"kind": "maxwell", "sigma": 1.0}, seed)
+    return replace(sc, config=replace(sc.config, t_max=t_max))
+
+
+_SCENES = {
+    **{f"line_p{p}": (lambda p=p: kb.gen_line_1d(p)) for p in (1, 5, 50)},
+    **{f"gas2d_s{s}": (lambda s=s: _gas(2, 24, s)) for s in range(4)},
+    **{f"gas3d_s{s}": (lambda s=s: _gas(3, 20, s)) for s in range(4)},
+    "gas2d_t_max": lambda: _gas(2, 40, 7, t_max=0.3),
+    "stale_t_max_5.5": lambda: _stale_scene(5.5),
+    "stale_t_max_4.5": lambda: _stale_scene(4.5),
+    "stale_no_t_max": lambda: _stale_scene(None),
+    **{f"rods_s{s}": (lambda s=s: _rods(s)) for s in (0, 5, 11)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCENES))
+def test_calendar_matches_heap_oracle_bytes(name):
+    sc = _SCENES[name]()
+    log = run_simulation(sc.states, sc.config)
+    expected = heap_simulation(sc.states, sc.config)
+    assert events_jsonl_bytes(log) == events_jsonl_bytes(expected)
+
+
+@pytest.mark.parametrize("n, a, positions, velocities", [
+    (1, 0.0, [[-1.0], [0.0], [1.0]], [[1.0], [0.0], [-1.0]]),  # one point
+    (2, 0.5, [[-2.0, 0.0], [0.0, 0.0], [0.0, 2.0]],
+     [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]),  # A and C touch B at t = 1
+    (1, 0.0, [[-6.0], [-4.0], [0.0], [4.0], [6.0]],
+     [[1.0], [0.0], [0.0], [0.0], [-1.0]]),  # two swaps at t = 2, triple at 6
+])
+def test_calendar_raises_where_heap_oracle_raises(n, a, positions, velocities):
+    sc = kb.gen_explicit(n, a, positions, velocities)
+    with pytest.raises(GenericityViolation) as want:
+        heap_simulation(sc.states, sc.config)
+    with pytest.raises(GenericityViolation) as got:
+        run_simulation(sc.states, sc.config)
+    assert (got.value.time, got.value.particles) == \
+        (want.value.time, want.value.particles)
+
+
+def _counting_heapq(counts):
+    def heappush(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    return types.SimpleNamespace(heappush=heappush, heappop=heappop)
+
+
+@pytest.mark.parametrize("p", [50, 100])
+def test_heap_pops_per_collision_are_bounded(p, monkeypatch):
+    """One pending entry per particle: a collision costs a small constant
+    number of pops, where the all-pairs heap spent about N."""
+    counts = {"push": 0, "pop": 0}
+    monkeypatch.setattr(dynamics, "heapq", _counting_heapq(counts))
+    log = kb.simulate_scenario(kb.gen_line_1d(p))
+    assert len(log.events) == p * p
+    assert counts["pop"] <= 3 * len(log.events)
+    assert counts["push"] == counts["pop"]  # queue_empty: every entry popped
+
+
+def test_event_earlier_than_previous_is_a_bug(monkeypatch):
+    """A popped valid entry before the last event means the calendar lost
+    an earlier contact; the engine stops instead of writing it."""
+    sc = kb.gen_explicit(1, 0.0, [[-10.0], [-8.0], [8.0], [11.0]],
+                         [[1.0], [0.0], [0.0], [-1.0]])  # contacts at t = 2, 3
+
+    def early_pop(heap):
+        t, *rest = heapq.heappop(heap)
+        return (1.0 if t == 3.0 else t, *rest)
+
+    monkeypatch.setattr(dynamics, "heapq", types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=early_pop))
+    with pytest.raises(SimulationBug, match="precedes"):
+        run_simulation(sc.states, sc.config)
+
+
+# -- fuzzing against the eager reference ---------------------------------------
+#
+# The dense lattice is drawn twice as often as the other scenes: it is where
+# an entry whose owner has collided since can come up with its partner
+# unchanged, which is how a missing owner check would show.
+
+# Eager advancing rounds differently from lazy advancing, so event times
+# agree to TIME_RTOL, and events whose times lie within TIE_RTOL of each
+# other (simultaneous up to rounding) may come in either order.
+TIME_RTOL = 1e-9
+TIE_RTOL = 1e-12
+
+
+def _separated(pos, a):
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    d[np.diag_indices_from(d)] = np.inf
+    return d.min() > 2.0 * a + 1e-6
+
+
+_T_MAX = st.sampled_from([None, 0.7, 2.5])
+
+
+@st.composite
+def _gas_scene(draw):
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 12))
+    a = 0.0 if n == 1 and draw(st.booleans()) else draw(st.floats(0.005, 0.05))
+    coord = st.floats(0.0, 1.0, allow_nan=False)
+    speed = st.floats(-1.0, 1.0, allow_nan=False)
+    pos = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                 min_size=N, max_size=N)))
+    vel = np.array(draw(st.lists(st.lists(speed, min_size=n, max_size=n),
+                                 min_size=N, max_size=N)))
+    assume(_separated(pos, a))
+    # nearly equal velocities meet only at times near 1e300, beyond the
+    # positions either engine resolves and with the kernel's squares of
+    # their difference underflowing: a gas runs to a bounded t_max
+    return n, a, pos, vel, draw(st.sampled_from([0.7, 2.5, 10.0]))
+
+
+@st.composite
+def _lattice_gas(draw):
+    """A dense cluster: spheres on a grid of spacing 3a, jittered, with
+    random velocities, so that collisions chain within a short time.  The
+    values come from a drawn seed: rounding must be generic here."""
+    n = draw(st.integers(2, 3))
+    N = draw(st.integers(6, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = 0.1
+    side = math.ceil(N ** (1.0 / n))
+    grid = np.array(list(itertools.product(range(side), repeat=n))[:N], dtype=float)
+    pos = 3.0 * a * grid + rng.uniform(-0.02, 0.02, size=(N, n))
+    return n, a, pos, rng.uniform(-1.0, 1.0, size=(N, n)), 10.0
+
+
+@st.composite
+def _point_rods(draw):
+    """Point rods at random places and speeds: after each swap the pair
+    sits at distance 0 up to rounding, and must not meet again."""
+    N = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = np.sort(rng.uniform(0.0, 10.0, size=N))[:, None]
+    return 1, 0.0, pos, rng.normal(size=(N, 1)), None
+
+
+@st.composite
+def _head_on_rows(draw):
+    """p right-movers and q left-movers, spacing 1, on the first axis."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 12 - p))
+    a = 0.0 if n == 1 and draw(st.booleans()) else draw(st.floats(0.01, 0.2))
+    x = [-(k + 1.0) for k in range(p)] + [k + 1.0 for k in range(q)]
+    pos = np.zeros((p + q, n))
+    vel = np.zeros((p + q, n))
+    pos[:, 0] = x
+    vel[:, 0] = [1.0] * p + [-1.0] * q
+    return n, a, pos, vel, draw(_T_MAX)
+
+
+@st.composite
+def _equal_spacings(draw):
+    """Disjoint pairs that all meet at one instant, then meet their
+    neighbours at further common instants."""
+    n = draw(st.integers(1, 3))
+    pairs = draw(st.integers(2, 6))
+    a = 0.0 if n == 1 else draw(st.sampled_from([0.125, 0.25]))
+    pos = np.zeros((2 * pairs, n))
+    vel = np.zeros((2 * pairs, n))
+    for k in range(pairs):
+        pos[2 * k, 0], pos[2 * k + 1, 0] = 4.0 * k, 4.0 * k + 2.0
+        vel[2 * k, 0], vel[2 * k + 1, 0] = 1.0, -1.0
+    return n, a, pos, vel, draw(_T_MAX)
+
+
+@st.composite
+def _near_grazing(draw):
+    """Two spheres passing at impact parameter 2a(1 - delta), plus a few
+    bystanders: delta > 0 is a glancing hit, delta < 0 a miss."""
+    n = draw(st.integers(2, 3))
+    a = 0.05
+    delta = draw(st.sampled_from([-1e-3, -1e-6, 1e-8, 1e-6, 1e-3, 0.5]))
+    pos = np.zeros((2, n))
+    vel = np.zeros((2, n))
+    pos[0, 0], pos[1, 0] = -1.0, 1.0
+    pos[1, 1] = 2.0 * a * (1.0 - delta)
+    vel[0, 0], vel[1, 0] = 1.0, -draw(st.floats(0.5, 2.0))
+    extra = draw(st.integers(0, 3))
+    far = np.zeros((extra, n))
+    far[:, 1] = 5.0 + 3.0 * np.arange(extra)
+    return (n, a, np.vstack([pos, far]), np.vstack([vel, np.zeros((extra, n))]),
+            draw(_T_MAX))
+
+
+@st.composite
+def _three_body(draw):
+    """A and C reach B from both sides at times 1 and 1 + eps: eps = 0 is
+    a triple contact, the others are far enough apart to be two events."""
+    n = draw(st.integers(1, 3))
+    a = 0.0 if n == 1 and draw(st.booleans()) else 0.05
+    eps = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.25]))
+    pos = np.zeros((3, n))
+    vel = np.zeros((3, n))
+    pos[:, 0] = [-(1.0 + 2.0 * a), 0.0, 1.0 + 2.0 * a + eps]
+    vel[:, 0] = [1.0, 0.0, -1.0]
+    return n, a, pos, vel, draw(_T_MAX)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(scene=st.one_of(_gas_scene(), _lattice_gas(), _lattice_gas(),
+                       _point_rods(), _head_on_rows(), _equal_spacings(),
+                       _near_grazing(), _three_body()))
+def test_calendar_agrees_with_eager_reference(scene):
+    n, a, pos, vel, t_max = scene
+    sc = kb.gen_explicit(n, a, pos, vel, t_max=t_max)
+    ref = ReferenceEngine(pos, vel, a, t_max=t_max)
+    try:
+        want, want_end = ref.run()
+    except GenericityViolation:
+        with pytest.raises(GenericityViolation):
+            run_simulation(sc.states, sc.config)
+        return
+    log = run_simulation(sc.states, sc.config)
+    got = [(ev.t, ev.i, ev.j) for ev in log.events]
+    if t_max is not None:
+        # an event within rounding of t_max may fall on either side
+        assume(all(abs(t - t_max) > TIME_RTOL * t_max for t, _, _ in want))
+    assert log.termination == want_end
+    # events at one time are disjoint pairs and come out in pair order
+    for (t1, *pair1), (t2, *pair2) in zip(got, got[1:]):
+        assert t1 < t2 or pair1 < pair2
+    got_groups = tie_groups(got, TIE_RTOL)
+    want_groups = tie_groups(want, TIE_RTOL)
+    assert [pairs for _, pairs in got_groups] == [pairs for _, pairs in want_groups]
+    for (t_got, _), (t_want, _) in zip(got_groups, want_groups):
+        assert abs(t_got - t_want) <= TIME_RTOL * max(1.0, t_want)

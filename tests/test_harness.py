@@ -440,6 +440,13 @@ _BAD_FIELDS = {
     "events_array_event": ("verify-tensor", (1,), [1]),
     "events_null_t": ("verify-tensor", (1, "t"), None),
     "events_string_a": ("verify-tensor", (0, "config", "a"), "0"),
+    "overflowing_v0": ("simulate", ("scenario", "velocities"),
+                       {"kind": "uniform", "v0": 1e308}),
+    "sweep_overflowing_sigma": ("sweep", ("base", "velocities"),
+                                {"kind": "maxwell", "sigma": 1e308}),
+    "events_list_i": ("verify-tensor", (1, "i"), [1]),
+    "events_bool_t": ("verify-tensor", (1, "t"), True),
+    "events_unknown_j": ("verify-tensor", (1, "j"), 99),
 }
 
 
@@ -475,12 +482,15 @@ def _fields(doc, path=()):
 
 
 def _checked_log_field(path: tuple, lines: int) -> bool:
-    """Whether the log reader checks the field at path: a whole line, or a
-    field of the header or footer outside the free-form provenance.  The
-    fields inside event lines are converted without per-field checks."""
+    """Whether the log reader checks the field at path: a whole line, a
+    field of the header or footer outside the free-form provenance, or an
+    event's t, i or j.  The arrays of event lines are converted without
+    per-field checks."""
     if len(path) == 1:
         return True
-    return path[0] in (0, lines - 1) and not (path[1] == "provenance" and len(path) > 2)
+    if path[0] in (0, lines - 1):
+        return not (path[1] == "provenance" and len(path) > 2)
+    return len(path) == 2 and path[1] in ("t", "i", "j")
 
 
 def _fuzzed_fields() -> list:

@@ -346,7 +346,8 @@ def test_ledger_csv_rejects_foreign_header(tmp_path):
 
 
 def test_build_report_schema():
-    rep = ledger.build_report(_gas(53), epsilon=1.0)
+    log = _gas(53)
+    rep = ledger.build_report(log, ledger.build_ledger(log), epsilon=1.0)
     assert set(rep) == {
         "M", "E", "w", "v_bar", "v_dev", "S1", "ratio1", "S2", "ratio2",
         "S_st", "ratio_st", "strong_count", "weak_count", "per_particle",
