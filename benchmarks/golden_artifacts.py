@@ -15,6 +15,8 @@ The set:
 * 24 Maxwell gases, a=0.01, t_max=1: n=2 at covering fraction 0.3 and
   n=3 at 0.2, N in {64, 128, 256}, seeds 0-3;
 * line_1d with p in {1, 5, 50};
+* two explicit scenes at the edge shapes of the event log: two spheres
+  in R^3 flying apart (no collision) and a head-on pair in R^2 (one);
 * the configs of the benchmark's gas2d_pipeline (2-D gas, N=256) and
   line1d_dense (line_1d, p=50) workloads at seed 12;
 * two sweeps: the spec of the benchmark's sweep3d workload at seed 12 (3-D
@@ -63,6 +65,11 @@ def line_config(p: int) -> dict:
     return {"scenario": {"generator": "line_1d", "p": p}}
 
 
+def explicit_config(n: int, positions: list, velocities: list) -> dict:
+    return {"scenario": {"generator": "explicit", "n": n, "a": 0.125,
+                         "positions": positions, "velocities": velocities}}
+
+
 def scenarios() -> dict:
     out = {}
     for n in (2, 3):
@@ -71,6 +78,11 @@ def scenarios() -> dict:
                 out[f"gas{n}d_N{N}_s{seed}"] = gas_config(n, N, seed)
     for p in (1, 5, 50):
         out[f"line1d_p{p}"] = line_config(p)
+    out["explicit3d_no_events"] = explicit_config(
+        3, [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]],
+        [[-1.0, 0.25, 0.0], [1.0, 0.0, 0.5]])
+    out["explicit2d_one_event"] = explicit_config(
+        2, [[-1.0, 0.0625], [1.0, 0.0]], [[1.0, 0.0], [-0.5, 0.0]])
     out["cli_gas2d_pipeline_s12"] = gas_config(2, 256, 12)
     out["cli_line1d_dense_s12"] = line_config(50)
     return out

@@ -9,7 +9,7 @@ from .detmass import (AngularMeasure, ConvexPolygon, check_balance,
                       dm_closed_formula, dm_cross, dm_direct_sum, dm_kink,
                       dm_triple, enclosed_area, polygon_from_measure,
                       support_function)
-from .dynamics import (CollisionEvent, ConfigurationError, EventLog,
+from .dynamics import (CollisionEvent, ConfigurationError, EventBlock, EventLog,
                        GenericityViolation, ParticleState, SimConfig,
                        SimulationBug, advance_free, predict_pair_collision,
                        read_events_jsonl, resolve_collision, run_simulation,
@@ -19,13 +19,14 @@ from .harness import (PackingError, Scenario, SweepSpec, apply_boost,
                       gen_random_gas, run_experiment, scenario_from_config,
                       simulate_scenario, sweep)
 from .kernel import lift, spacetime_wedge, wedge_norm
-from .ledger import (BulkInvariants, HodographSummary, KinkRecord,
+from .ledger import (BulkInvariants, HodographSummary, KinkRecord, Ledger,
                      bound_report, build_ledger, build_report,
                      bulk_invariants, classify_kinks, hodograph_summaries,
                      write_ledger_csv)
-from .tensor import (GraphTensor, TensorEdge, VertexBalance, audit_tensor,
-                     build_augmented, build_tensor, complement_basis,
-                     slice_trace, vertex_balances, weak_divergence)
+from .tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite, TensorEdge,
+                     VertexBalance, audit_tensor, build_augmented,
+                     build_tensor, complement_basis, slice_trace,
+                     vertex_balances, weak_divergence)
 
 __version__ = "0.1.0"
 # the contact kernel is numpy only; benchmark records carry this name

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import _jsonio
+from ._columns import Columns
 from ._jsonio import read_array, read_int, read_list, read_number, read_object
 from ._pykern import contact_times_scan
 
@@ -34,6 +36,7 @@ __all__ = [
     "SimConfig",
     "ParticleState",
     "CollisionEvent",
+    "EventBlock",
     "EventLog",
     "ValidationReport",
     "validate_configuration",
@@ -47,6 +50,8 @@ __all__ = [
 ]
 
 EVENTS_FORMAT = "kinkbound-events-v1"
+_EVENT_ARRAYS = ("yi", "yj", "vi", "vj", "vi_post", "vj_post")
+_EVENT_FIELDS = ("t", "i", "j") + _EVENT_ARRAYS
 
 class ConfigurationError(ValueError):
     """Initial data violates the engine's preconditions."""
@@ -144,15 +149,76 @@ class CollisionEvent:
         }
 
 
+@dataclass(eq=False)
+class EventBlock(Columns):
+    """Collision events packed in arrays, read as a sequence of CollisionEvent.
+
+    t (E,) holds the collision times, i and j (E,) int64 the particle ids,
+    and y, v, v_post (E, 2, n) float64 the centers at contact and the
+    velocities before and after: [:, 0] is particle i, [:, 1] particle j.
+    """
+
+    t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    v_post: np.ndarray
+
+    @classmethod
+    def pack(cls, events, n: int) -> "EventBlock":
+        """The block of a sequence of CollisionEvents in R^n."""
+        if isinstance(events, EventBlock):
+            return events
+
+        def pairs(a, b):
+            return np.array([(getattr(ev, a), getattr(ev, b)) for ev in events],
+                            dtype=np.float64).reshape(len(events), 2, n)
+
+        return cls(np.array([ev.t for ev in events], dtype=np.float64),
+                   np.array([ev.i for ev in events], dtype=np.int64),
+                   np.array([ev.j for ev in events], dtype=np.int64),
+                   pairs("yi", "yj"), pairs("vi", "vj"),
+                   pairs("vi_post", "vj_post"))
+
+    def _row(self, k) -> CollisionEvent:
+        y, v, vp = self.y[k], self.v[k], self.v_post[k]
+        return CollisionEvent(t=float(self.t[k]), i=int(self.i[k]),
+                              j=int(self.j[k]), yi=y[0], yj=y[1], vi=v[0],
+                              vj=v[1], vi_post=vp[0], vj_post=vp[1])
+
+
 @dataclass
 class EventLog:
-    """Simulation output: config, initial states, ordered events, termination."""
+    """Simulation output: config, initial states, ordered events, termination.
+
+    events is an EventBlock when the engine or read_events_jsonl made the
+    log.  A list of CollisionEvents (a log assembled by hand) is replaced
+    by its EventBlock the first time block is read.
+    """
 
     config: SimConfig
     initial: list
-    events: list
+    events: Sequence
     termination: str
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def block(self) -> EventBlock:
+        self.events = EventBlock.pack(self.events, self.config.n)
+        return self.events
+
+    def rows(self) -> np.ndarray:
+        """(E, 2) index into initial of each event's particles i and j."""
+        b = self.block
+        ids = np.array([s.id for s in self.initial], dtype=np.int64)
+        keys = np.stack((b.i, b.j), axis=1)
+        order = np.argsort(ids, kind="stable")
+        rows = order[np.searchsorted(ids, keys, sorter=order)
+                     .clip(0, max(len(ids) - 1, 0))]
+        if not np.array_equal(ids[rows], keys):
+            raise ValueError("event particle ids are not ids of the initial states")
+        return rows
 
 
 @dataclass
@@ -296,7 +362,12 @@ class _Engine:
         self.four_a2 = 4.0 * config.a * config.a
         self.four_a = 4.0 * config.a
         self.heap: list = []
-        self.events: list = []
+        # the event block, grown by doubling: times, pairs of rows, and the
+        # (2, n) centers and velocities of each collision
+        self.count = 0
+        self.recorded = (np.empty(16), np.empty((16, 2), dtype=np.int64),
+                    np.empty((16, 2, config.n)), np.empty((16, 2, config.n)),
+                    np.empty((16, 2, config.n)))
         self.idx = np.arange(N, dtype=np.int64)
         rows_per_call = max(1, self._BLOCK // N)
         for r0 in range(0, N, rows_per_call):
@@ -379,9 +450,13 @@ class _Engine:
         self.cc[j] += 1
         self.last[i] = j
         self.last[j] = i
-        self.events.append(CollisionEvent(
-            t=float(t), i=int(self.ids[i]), j=int(self.ids[j]),
-            yi=yi, yj=yj, vi=vi, vj=vj, vi_post=vi_post, vj_post=vj_post))
+        k = self.count
+        if k == len(self.recorded[0]):
+            self.recorded = tuple(np.concatenate((c, np.empty_like(c)))
+                                  for c in self.recorded)
+        for column, value in zip(self.recorded, (t, pair, Y, V, V_post)):
+            column[k] = value
+        self.count = k + 1
 
     def _rescan(self, t: float, pair: np.ndarray) -> None:
         """Re-predict both partners of the collision at t in one kernel call.
@@ -430,7 +505,9 @@ class _Engine:
             pair = np.array((lo, hi))
             self._collide(t, pair)
             self._rescan(t, pair)
-        return self.events, termination
+        t, pairs, y, v, v_post = (c[:self.count] for c in self.recorded)
+        i, j = self.ids.take(pairs.T)
+        return EventBlock(t, i, j, y, v, v_post), termination
 
 
 def run_simulation(states, config: SimConfig) -> EventLog:
@@ -447,17 +524,28 @@ def run_simulation(states, config: SimConfig) -> EventLog:
         ParticleState(s.id, s.position.copy(), s.velocity.copy(), 0.0, 0)
         for s in states
     ]
-    events, termination = _Engine(states, config).run()
-    return EventLog(config=config, initial=initial, events=events,
+    block, termination = _Engine(states, config).run()
+    return EventLog(config=config, initial=initial, events=block,
                     termination=termination)
 
 
 # -- serialization ----------------------------------------------------------
 
 
+def _event_template(n: int) -> str:
+    """%-template of one event line in R^n: the fields of
+    CollisionEvent.to_dict, as _jsonio.dumps writes them."""
+    vector = "[" + ",".join(["%.17g"] * n) + "]"
+    return ('{"t":%.17g,"i":%d,"j":%d'
+            + "".join(f',"{key}":{vector}' for key in _EVENT_ARRAYS) + "}")
+
+
 def events_jsonl_bytes(log: EventLog) -> bytes:
-    """Canonical JSONL encoding (header, events, footer); floats %.17g."""
-    lines = []
+    """Canonical JSONL encoding (header, events, footer); floats %.17g.
+
+    Event lines are one template per line over the block's columns, the
+    same text as _jsonio.dumps of each CollisionEvent.to_dict().
+    """
     header = {
         "kind": "header",
         "format": EVENTS_FORMAT,
@@ -467,11 +555,21 @@ def events_jsonl_bytes(log: EventLog) -> bytes:
             {"id": s.id, "y": s.position, "v": s.velocity} for s in log.initial
         ],
     }
-    lines.append(_jsonio.dumps(header))
-    for ev in log.events:
-        lines.append(_jsonio.dumps(ev.to_dict()))
-    footer = {"kind": "footer", "events": len(log.events),
-              "termination": log.termination}
+    lines = [_jsonio.dumps(header)]
+    b = log.block
+    E, width = len(b), 2 * log.config.n
+    # per line: t, then yi, yj, vi, vj, vi_post, vj_post
+    floats = np.concatenate((b.t[:, None], b.y.reshape(E, width),
+                             b.v.reshape(E, width), b.v_post.reshape(E, width)),
+                            axis=1)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        _jsonio.format_float(float(floats[~finite][0]))  # raises, as dumps does
+    columns = floats.T.tolist()
+    template = _event_template(log.config.n)
+    lines += [template % row for row in
+              zip(columns[0], b.i.tolist(), b.j.tolist(), *columns[1:])]
+    footer = {"kind": "footer", "events": E, "termination": log.termination}
     lines.append(_jsonio.dumps(footer))
     return ("\n".join(lines) + "\n").encode()
 
@@ -488,14 +586,86 @@ def _initial_state(value, name: str) -> ParticleState:
                          read_array(rec["v"], f"{name}.v"))
 
 
+def _check_event(doc, line: int, n: int, ids: set) -> None:
+    """Raise ValueError naming the line unless the event line doc has a
+    finite t, particle ids i and j, and six vectors of n finite numbers."""
+    name = f"event log line {line}"
+    if not isinstance(doc, dict) or not doc.keys() >= set(_EVENT_FIELDS):
+        raise ValueError(f"{name} is not a collision event: {doc!r}")
+    read_number(doc["t"], f"{name} t")
+    i, j = doc["i"], doc["j"]
+    if not (type(i) is int and type(j) is int and i in ids and j in ids):
+        raise ValueError(f"{name}: i={i!r}, j={j!r} are not particle ids "
+                         "of the header")
+    for key in _EVENT_ARRAYS:
+        if read_array(doc[key], f"{name} {key}").shape != (n,):
+            raise ValueError(f"{name}: {key} must be {n} numbers, "
+                             f"got {doc[key]!r}")
+
+
+def _decode_lines(body: list) -> list:
+    """The JSON values of the event lines, decoded as one array; a line
+    that is not JSON is reported by its line number."""
+    try:
+        docs = json.loads("[" + ",".join(body) + "]")
+        if len(docs) == len(body):
+            return docs
+    except ValueError:
+        pass
+    for line, text in enumerate(body, start=2):
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"event log line {line} is not JSON: {exc}") from exc
+    raise ValueError("event log lines are not one JSON value each")
+
+
+def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
+    """The EventBlock of the event lines body, checked as _check_event
+    checks each line.
+
+    The columns are converted without a dtype and tested once: numeric
+    and not bool, of the right shape, finite, ids among the header's.  A
+    boolean mixed into numbers promotes to a number, so a line whose text
+    holds "true" or "false" counts as failing too.  On any failure the
+    lines are checked one by one, and the first bad one is reported.
+    """
+    docs = _decode_lines(body)
+    E = len(docs)
+    shapes = {"t": (E,), "i": (E,), "j": (E,), **dict.fromkeys(_EVENT_ARRAYS, (E, n))}
+    try:
+        cols = {key: np.array([d[key] for d in docs]) for key in _EVENT_FIELDS}
+        ok = (E == 0 or all(  # no events: empty columns, shape (0,)
+            cols[key].shape == shape
+            and cols[key].dtype.kind in ("i" if key in ("i", "j") else "if")
+            and (key in ("i", "j") or np.isfinite(cols[key]).all())
+            for key, shape in shapes.items()))
+        ok = ok and np.isin(cols["i"], ids).all() and np.isin(cols["j"], ids).all()
+    except (TypeError, KeyError, ValueError, OverflowError):
+        ok = False
+    if not ok or any("true" in s or "false" in s for s in body):
+        id_set = set(ids.tolist())
+        for line, doc in enumerate(docs, start=2):
+            _check_event(doc, line, n, id_set)
+        cols = {key: np.array([d[key] for d in docs]) for key in _EVENT_FIELDS}
+
+    def pair(a, b):
+        return np.stack((cols[a], cols[b]), axis=1).astype(np.float64).reshape(E, 2, n)
+
+    return EventBlock(cols["t"].astype(np.float64).reshape(E),
+                      cols["i"].astype(np.int64).reshape(E),
+                      cols["j"].astype(np.int64).reshape(E),
+                      pair("yi", "yj"), pair("vi", "vj"), pair("vi_post", "vj_post"))
+
+
 def read_events_jsonl(path) -> EventLog:
     """Parse a log written by write_events_jsonl; a malformed log raises
     ValueError (or KeyError for a missing field).
 
     The header and footer fields are checked one by one.  The event lines
-    make up most of the file: they are converted first, a line of the wrong
-    shape reported by its line number, and then one pass checks that every
-    t is a finite number and every i and j an integer id of the header.
+    make up most of the file: they are decoded, packed into an EventBlock
+    and checked column by column (see _event_block), a bad line reported
+    by its line number.
     """
     with open(path, "rb") as fh:
         lines = fh.read().decode().splitlines()
@@ -516,35 +686,18 @@ def read_events_jsonl(path) -> EventLog:
         **{k: read_number(cfg[k], f"config.{k}")
            for k in ("grazing_tol", "overlap_tol", "time_tie_tol")})
     initial = read_list(header.get("initial"), "initial", _initial_state)
+    for k, s in enumerate(initial):
+        if s.position.shape != (config.n,):
+            raise ValueError(f"initial[{k}] is not a state in R^{config.n}")
+    ids = [s.id for s in initial]
+    if len(set(ids)) != len(ids) or any(abs(i) >= 2**63 for i in ids):
+        raise ValueError("initial ids must be distinct 64-bit integers")
     provenance = read_object(header.get("provenance", {}), "provenance")
-    events = []
-    try:
-        for line in lines[1:-1]:
-            d = json.loads(line)
-            events.append(CollisionEvent(
-                t=d["t"], i=d["i"], j=d["j"],
-                yi=np.array(d["yi"], dtype=np.float64),
-                yj=np.array(d["yj"], dtype=np.float64),
-                vi=np.array(d["vi"], dtype=np.float64),
-                vj=np.array(d["vj"], dtype=np.float64),
-                vi_post=np.array(d["vi_post"], dtype=np.float64),
-                vj_post=np.array(d["vj_post"], dtype=np.float64),
-            ))
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(
-            f"event log line {len(events) + 2} is not a collision event: "
-            f"{exc!r}") from exc
-    ids = {s.id for s in initial}
-    for line, ev in enumerate(events, start=2):
-        ev.t = read_number(ev.t, f"event log line {line} t")
-        if not (type(ev.i) is int and type(ev.j) is int
-                and ev.i in ids and ev.j in ids):
-            raise ValueError(f"event log line {line}: i={ev.i!r}, j={ev.j!r} "
-                             "are not particle ids of the header")
-    if read_int(footer.get("events"), "footer events") != len(events):
+    block = _event_block(lines[1:-1], config.n, np.array(ids, dtype=np.int64))
+    if read_int(footer.get("events"), "footer events") != len(block):
         raise ValueError("event count mismatch between footer and body")
     termination = footer.get("termination")
     if termination not in ("queue_empty", "t_max"):
         raise ValueError(f"unknown termination {termination!r}")
-    return EventLog(config=config, initial=initial, events=events,
+    return EventLog(config=config, initial=initial, events=block,
                     termination=termination, provenance=provenance)

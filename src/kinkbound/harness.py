@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import statistics
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -82,20 +84,27 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
+def _checked_velocities(v, detail: dict) -> np.ndarray:
+    """v, unless it is None or v or the squares of twice it are not finite
+    (the engine and the ledger square relative velocities, which are up to
+    twice as large): then a ConfigurationError of reason "non_finite"."""
+    if v is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.sum((2.0 * v) ** 2)):
+                return v
+    raise ConfigurationError(ValidationReport(False, "non_finite", detail))
+
+
 def _draw_velocities(gen, dist: dict, N: int, n: int) -> np.ndarray:
-    """Velocities of a random gas.  A draw that overflows, or whose squares
-    do (the engine and the ledger square relative velocities, which are up
-    to twice as large), is a ConfigurationError of reason "non_finite"."""
+    """Velocities of a random gas, checked by _checked_velocities; a draw
+    that overflows counts as not finite."""
     dist = read_object(dist, "velocities")
     try:
         with np.errstate(over="raise", invalid="raise"):
             v = _velocity_draw(gen, dist, N, n)
-            if np.isfinite(np.sum((2.0 * v) ** 2)):
-                return v
     except (FloatingPointError, OverflowError):
-        pass
-    raise ConfigurationError(ValidationReport(
-        False, "non_finite", {"velocities": dist}))
+        v = None
+    return _checked_velocities(v, {"velocities": dist})
 
 
 def _velocity_draw(gen, dist: dict, N: int, n: int) -> np.ndarray:
@@ -179,6 +188,7 @@ def gen_explicit(n: int, a: float, positions, velocities,
     velocities = np.asarray(velocities, dtype=np.float64)
     if positions.shape != velocities.shape or positions.ndim != 2:
         raise ValueError("positions and velocities must both be (N, n)")
+    velocities = _checked_velocities(velocities, {"generator": "explicit"})
     N = positions.shape[0]
     states = [ParticleState(i, positions[i], velocities[i]) for i in range(N)]
     config = SimConfig(n=n, N=N, a=a, t_max=t_max)
@@ -314,20 +324,33 @@ def _audit_window(log: EventLog) -> tuple:
 
 def run_experiment(config: dict, out_dir) -> dict:
     """Simulate one config and write events.jsonl, ledger.csv, report.json,
-    audit.json into out_dir.  Returns paths plus a small summary."""
+    audit.json into out_dir.  Returns paths plus a small summary.
+
+    The artifacts are written into a temporary sibling of out_dir and
+    moved into it only when all four are written, so a run that fails
+    leaves no partial output.
+    """
     scenario, options = scenario_from_config(config)
     log = simulate_scenario(scenario)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / name for name in
-             ("events.jsonl", "ledger.csv", "report.json", "audit.json")}
-    write_events_jsonl(log, paths["events.jsonl"])
-    ledger = build_ledger(log)
-    write_ledger_csv(ledger, paths["ledger.csv"])
-    report = build_report(log, ledger, epsilon=options["epsilon"])
-    paths["report.json"].write_text(_jsonio.dumps(report) + "\n")
-    audit = audit_tensor(build_tensor(log, _audit_window(log)))
-    paths["audit.json"].write_text(_jsonio.dumps(audit) + "\n")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        staged = {name: staging / name for name in
+                  ("events.jsonl", "ledger.csv", "report.json", "audit.json")}
+        write_events_jsonl(log, staged["events.jsonl"])
+        ledger = build_ledger(log)
+        write_ledger_csv(ledger, staged["ledger.csv"])
+        report = build_report(log, ledger, epsilon=options["epsilon"])
+        staged["report.json"].write_text(_jsonio.dumps(report) + "\n")
+        audit = audit_tensor(build_tensor(log, _audit_window(log)))
+        staged["audit.json"].write_text(_jsonio.dumps(audit) + "\n")
+        out.mkdir(exist_ok=True)
+        paths = {name: out / name for name in staged}
+        for name, path in staged.items():
+            os.replace(path, paths[name])
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return {
         "paths": {k: str(v) for k, v in paths.items()},
         "events": len(log.events),

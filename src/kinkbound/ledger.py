@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import spacetime_wedge, wedge_norm
+from ._columns import Columns
+from .kernel import norms, running_sum, spacetime_wedges, wedge_norms
 
 __all__ = [
     "BulkInvariants",
     "KinkRecord",
+    "Ledger",
     "HodographSummary",
     "BoundReport",
     "KinkClassification",
@@ -65,6 +67,34 @@ class KinkRecord:
     dv_norm: float
     wedge: float
     st_wedge: float
+
+
+@dataclass(eq=False)
+class Ledger(Columns):
+    """build_ledger's kink records as columns, read as a sequence of
+    KinkRecord.
+
+    Two rows per collision, its participants i then j, in event order:
+    time, particle, partner, dv_norm, wedge and st_wedge have shape (2E,),
+    v and v_post (2E, n).
+    """
+
+    record = KinkRecord
+    time: np.ndarray
+    particle: np.ndarray
+    partner: np.ndarray
+    v: np.ndarray
+    v_post: np.ndarray
+    dv_norm: np.ndarray
+    wedge: np.ndarray
+    st_wedge: np.ndarray
+
+
+def _columns(ledger, *names) -> list:
+    """The named columns of a Ledger, or of a list of KinkRecords."""
+    if isinstance(ledger, Ledger):
+        return [getattr(ledger, name) for name in names]
+    return [np.array([getattr(r, name) for r in ledger]) for name in names]
 
 
 @dataclass
@@ -119,30 +149,32 @@ def bulk_invariants(states) -> BulkInvariants:
     return BulkInvariants(M=M, E=E, Q_total=Q, w=w, v_bar=v_bar, v_dev=v_dev)
 
 
-def build_ledger(log) -> list:
-    """Two KinkRecords per collision (participant order: i then j)."""
-    records = []
-    for ev in log.events:
-        for pid, partner, v, vp in (
-            (ev.i, ev.j, ev.vi, ev.vi_post),
-            (ev.j, ev.i, ev.vj, ev.vj_post),
-        ):
-            records.append(KinkRecord(
-                time=ev.t, particle=pid, partner=partner, v=v, v_post=vp,
-                dv_norm=float(np.linalg.norm(vp - v)),
-                wedge=wedge_norm(v, vp),
-                st_wedge=spacetime_wedge(v, vp),
-            ))
-    return records
+def build_ledger(log) -> Ledger:
+    """Two kink records per collision (participant order: i then j)."""
+    b = log.block
+    n = log.config.n
+    v = b.v.reshape(-1, n)
+    v_post = b.v_post.reshape(-1, n)
+    return Ledger(
+        time=np.repeat(b.t, 2),
+        particle=np.stack((b.i, b.j), axis=1).reshape(-1),
+        partner=np.stack((b.j, b.i), axis=1).reshape(-1),
+        v=v, v_post=v_post,
+        dv_norm=norms(v_post - v),
+        wedge=wedge_norms(v, v_post),
+        st_wedge=spacetime_wedges(v, v_post))
 
 
 def bound_report(ledger, inv: BulkInvariants, N: int) -> BoundReport:
-    """Aggregate kink strengths and normalize by their a-priori scales."""
-    S1 = S2 = S_st = 0.0
-    for r in ledger:
-        S1 += inv.v_bar * r.dv_norm + r.wedge
-        S2 += r.dv_norm
-        S_st += r.st_wedge
+    """Aggregate kink strengths and normalize by their a-priori scales.
+
+    ledger is a Ledger or a list of KinkRecords; each sum adds its terms
+    left to right, in ledger order.
+    """
+    dv, wedge, st = _columns(ledger, "dv_norm", "wedge", "st_wedge")
+    S1 = running_sum(inv.v_bar * dv + wedge)
+    S2 = running_sum(dv)
+    S_st = running_sum(st)
     N2 = float(N) * float(N)
     ratio1 = S1 / (N2 * inv.v_bar**2) if inv.v_bar > 0 else 0.0
     if inv.v_dev > 0:
@@ -159,15 +191,16 @@ def bound_report(ledger, inv: BulkInvariants, N: int) -> BoundReport:
 
 def classify_kinks(ledger, inv: BulkInvariants, epsilon: float) -> KinkClassification:
     """Split records into strong (dv >= eps*v_bar) and weak, with the
-    first-moment (Markov) bound on the strong count."""
+    first-moment (Markov) bound on the strong count; ledger as in
+    bound_report."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     thr = epsilon * inv.v_bar
-    strong = sum(1 for r in ledger if r.dv_norm >= thr)
-    S2 = sum(r.dv_norm for r in ledger)
+    dv, = _columns(ledger, "dv_norm")
+    strong = int(np.count_nonzero(dv >= thr))
     return KinkClassification(
-        strong=strong, weak=len(ledger) - strong,
-        markov_bound=S2 / thr if thr > 0 else float("inf"),
+        strong=strong, weak=len(dv) - strong,
+        markov_bound=running_sum(dv) / thr if thr > 0 else float("inf"),
     )
 
 
@@ -177,27 +210,31 @@ def hodograph_summaries(log) -> list:
     The chain is the sequence of velocity values in the mean-velocity
     frame; each kink sweeps the triangle spanned by the old and new frame
     velocities, area (1/2)|(v-w) ^ (v'-w)|.  Finite logs attain their
-    limit velocities, so v_plus is the last segment's velocity.
+    limit velocities, so v_plus is the last segment's velocity.  Each
+    particle's length and area add its kinks in event order.
     """
-    w = bulk_invariants(log.initial).w
-    vel = {s.id: s.velocity for s in log.initial}
-    ell = {s.id: 0.0 for s in log.initial}
-    area = {s.id: 0.0 for s in log.initial}
-    v0 = {s.id: s.velocity for s in log.initial}
-    for ev in log.events:
-        for pid, v, vp in ((ev.i, ev.vi, ev.vi_post), (ev.j, ev.vj, ev.vj_post)):
-            ell[pid] += float(np.linalg.norm(vp - v))
-            area[pid] += 0.5 * wedge_norm(v - w, vp - w)
-            vel[pid] = vp
-    out = []
-    for s in log.initial:
-        pid = s.id
-        out.append(HodographSummary(
-            particle=pid, ell=ell[pid], area=area[pid],
-            v0=v0[pid], v_minus=v0[pid], v_plus=vel[pid],
-            scatter=float(np.linalg.norm(vel[pid] - v0[pid])),
-        ))
-    return out
+    b = log.block
+    n = log.config.n
+    V0 = np.array([s.velocity for s in log.initial], dtype=np.float64)
+    w = bulk_invariants(V0).w
+    rows = log.rows().reshape(-1)
+    v = b.v.reshape(-1, n)
+    v_post = b.v_post.reshape(-1, n)
+    ell = np.zeros(len(V0))
+    np.add.at(ell, rows, norms(v_post - v))
+    area = np.zeros(len(V0))
+    np.add.at(area, rows, 0.5 * wedge_norms(v - w, v_post - w))
+    last = np.full(len(V0), -1)
+    np.maximum.at(last, rows, np.arange(len(rows)))
+    v_plus = V0.copy()
+    kinked = last >= 0
+    v_plus[kinked] = v_post[last[kinked]]
+    scatter = norms(v_plus - V0)
+    return [HodographSummary(particle=s.id, ell=length, area=swept, v0=v0,
+                             v_minus=v0, v_plus=vp, scatter=sc)
+            for s, length, swept, v0, vp, sc in zip(
+                log.initial, ell.tolist(), area.tolist(), V0, v_plus,
+                scatter.tolist())]
 
 
 # -- serialization ----------------------------------------------------------
@@ -206,15 +243,14 @@ LEDGER_COLUMNS = ["t", "particle", "partner", "dv_norm", "wedge", "st_wedge"]
 
 
 def write_ledger_csv(ledger, path) -> None:
+    """One CSV row per kink record, floats %.17g; ledger as in
+    bound_report."""
+    columns = _columns(ledger, "time", "particle", "partner", "dv_norm",
+                       "wedge", "st_wedge")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEDGER_COLUMNS)
-        for r in ledger:
-            writer.writerow([
-                format(r.time, ".17g"), r.particle, r.partner,
-                format(r.dv_norm, ".17g"), format(r.wedge, ".17g"),
-                format(r.st_wedge, ".17g"),
-            ])
+        fh.write(",".join(LEDGER_COLUMNS) + "\r\n")
+        fh.writelines("%.17g,%d,%d,%.17g,%.17g,%.17g\r\n" % row
+                      for row in zip(*(c.tolist() for c in columns)))
 
 
 def read_ledger_csv(path) -> list:
@@ -236,7 +272,7 @@ def read_ledger_csv(path) -> list:
         ]
 
 
-def build_report(log, ledger: list, epsilon: float = 1.0) -> dict:
+def build_report(log, ledger, epsilon: float = 1.0) -> dict:
     """Everything the report JSON carries, as one plain dict; ledger is
     build_ledger(log)."""
     inv = bulk_invariants(log.initial)

@@ -19,16 +19,20 @@ tensor balance to roundoff.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import lift
+from ._columns import Columns
+from .kernel import lift, norms, running_sum, squared_norms
 from .ledger import bulk_invariants
 
 __all__ = [
     "TensorEdge",
     "KinkSite",
+    "EdgeBlock",
+    "KinkBlock",
     "GraphTensor",
     "VertexBalance",
     "SliceTrace",
@@ -75,15 +79,92 @@ class KinkSite:
     vertex_id: int
 
 
+@dataclass(eq=False)
+class EdgeBlock(Columns):
+    """Edges packed in columns, read as a sequence of TensorEdge: x_start,
+    x_end and direction (M, 1+n), weight (M,), kind (M,) str, start and
+    end (M,) int64."""
+
+    record = TensorEdge
+    x_start: np.ndarray
+    x_end: np.ndarray
+    weight: np.ndarray
+    kind: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    direction: np.ndarray
+
+    @classmethod
+    def pack(cls, edges, n: int) -> "EdgeBlock":
+        """The block of a sequence of TensorEdges in R^(1+n)."""
+        if isinstance(edges, EdgeBlock):
+            return edges
+
+        def rows(name):
+            return np.array([getattr(e, name) for e in edges],
+                            dtype=np.float64).reshape(len(edges), 1 + n)
+
+        return cls(rows("x_start"), rows("x_end"),
+                   np.array([e.weight for e in edges], dtype=np.float64),
+                   np.array([e.kind for e in edges], dtype=str),
+                   np.array([e.start for e in edges], dtype=np.int64),
+                   np.array([e.end for e in edges], dtype=np.int64),
+                   rows("direction"))
+
+
+@dataclass(eq=False)
+class KinkBlock(Columns):
+    """Kink sites packed in columns, read as a sequence of KinkSite: vertex
+    (K, 1+n), v and v_post (K, n), vertex_id (K,) int64."""
+
+    record = KinkSite
+    vertex: np.ndarray
+    v: np.ndarray
+    v_post: np.ndarray
+    vertex_id: np.ndarray
+
+    @classmethod
+    def pack(cls, sites, n: int) -> "KinkBlock":
+        """The block of a sequence of KinkSites in R^(1+n)."""
+        if isinstance(sites, KinkBlock):
+            return sites
+
+        def rows(name, width):
+            return np.array([getattr(site, name) for site in sites],
+                            dtype=np.float64).reshape(len(sites), width)
+
+        return cls(rows("vertex", 1 + n), rows("v", n), rows("v_post", n),
+                   np.array([site.vertex_id for site in sites], dtype=np.int64))
+
+
 @dataclass
 class GraphTensor:
-    edges: list
+    """A graph tensor: its edges and kink sites, the window, the dimension
+    n of space (the tensor lives in R^(1+n)) and the vertex count.
+
+    edges and kinks are an EdgeBlock and a KinkBlock when build_tensor or
+    build_augmented made the tensor; lists of TensorEdges or KinkSites are
+    replaced by their blocks the first time edge_block or kink_block is
+    read.
+    """
+
+    edges: Sequence
     window: tuple
     n: int
     vertices: int                      # edge endpoint ids run over range(vertices)
-    kinks: list = field(default_factory=list)
+    kinks: Sequence = field(default_factory=list)
     mass_energy: float | None = None   # M + E of the underlying log
     div_mass: float = 0.0              # added by augmentation, 0 for plain tensors
+
+    @property
+    def edge_block(self) -> EdgeBlock:
+        self.edges = EdgeBlock.pack(self.edges, self.n)
+        return self.edges
+
+    @property
+    def kink_block(self) -> KinkBlock:
+        self.kinks = KinkBlock.pack(self.kinks, self.n)
+        return self.kinks
 
 
 @dataclass
@@ -115,77 +196,98 @@ def _time_tol(*times) -> float:
 
 
 def build_tensor(log, window) -> GraphTensor:
-    """Graph tensor of a log restricted to a time window.
+    """Graph tensor of a log restricted to a finite time window.
 
     Trajectories are ballistic outside the logged range, so windows may
     extend past the last event (or before 0).  Window boundaries must not
     hit a collision time.
 
-    Vertex ids are numbered in order of first endpoint occurrence (edge by
-    edge, start before end).  A kink is one vertex per (event, particle),
-    or per event when a == 0; each window-boundary endpoint (one per
-    particle and boundary) is a vertex of its own.
+    Edges come in order: each particle's trajectory segments in the order
+    of initial (its chain of breakpoints: the initial state, then its
+    collisions in event order), then one colliton per collision in the
+    window.  Vertex ids are numbered in order of first endpoint occurrence
+    (edge by edge, start before end, then the kinks).  A kink is one
+    vertex per (event, particle), or per event when a == 0; each
+    window-boundary endpoint (one per particle and boundary) is a vertex
+    of its own.
     """
     t_lo, t_hi = float(window[0]), float(window[1])
-    if not t_lo < t_hi:
-        raise ValueError(f"empty window ({t_lo}, {t_hi})")
-    for ev in log.events:
-        if min(abs(ev.t - t_lo), abs(ev.t - t_hi)) <= _time_tol(ev.t, t_lo, t_hi):
-            raise ValueError(f"window boundary hits collision at t={ev.t!r}")
+    if not -np.inf < t_lo < t_hi < np.inf:
+        raise ValueError(f"empty or unbounded window ({t_lo}, {t_hi})")
+    b = log.block
+    hits = (np.minimum(np.abs(b.t - t_lo), np.abs(b.t - t_hi))
+            <= 1e-12 * np.maximum(max(1.0, abs(t_lo), abs(t_hi)), np.abs(b.t)))
+    if hits.any():
+        t = float(b.t[np.argmax(hits)])
+        raise ValueError(f"window boundary hits collision at t={t!r}")
 
-    a = log.config.a
-    ids: dict = {}  # vertex key -> id, numbered by first endpoint occurrence
+    n, N, K = log.config.n, len(log.initial), 2 * len(b)
+    # kink k = 2e + (0 for i, 1 for j) is participant k of event e; its
+    # vertex key is k, or e when a == 0 (the two centers coincide and the
+    # four lines meet at one point).  Boundary keys follow: K + row at
+    # t_lo, K + N + row at t_hi.
+    def kink_key(k):
+        return k if log.config.a > 0.0 else k // 2
 
-    def vertex(key) -> int:
-        return ids.setdefault(key, len(ids))
+    # breakpoints (t_k, y_k, v_k, kink k): velocity v_k holds on
+    # [t_k, t_{k+1}); a stable sort by particle puts each chain in order
+    owner = np.concatenate((np.arange(N), log.rows().reshape(-1)))
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    tk = np.concatenate((np.zeros(N), np.repeat(b.t, 2)))[order]
+    P0 = np.array([s.position for s in log.initial], dtype=np.float64)
+    V0 = np.array([s.velocity for s in log.initial], dtype=np.float64)
+    yk = np.concatenate((P0.reshape(N, n), b.y.reshape(K, n)))[order]
+    vk = np.concatenate((V0.reshape(N, n), b.v_post.reshape(K, n)))[order]
+    kink = np.concatenate((np.full(N, -1), np.arange(K)))[order]
+    first = kink < 0  # the first segment extends backward
+    last = np.append(owner[1:] != owner[:-1], True)
+    te = np.where(last, np.inf, np.append(tk[1:], np.inf))
+    ts = np.where(first, -np.inf, tk)
+    lo = np.maximum(ts, t_lo)
+    hi = np.minimum(te, t_hi)
+    seg = np.flatnonzero(lo < hi)
+    lo, hi, ts, te, tk, owner = lo[seg], hi[seg], ts[seg], te[seg], tk[seg], owner[seg]
+    yk, vk = yk[seg], vk[seg]
+    x0 = np.column_stack((lo, yk + (lo - tk)[:, None] * vk))
+    x1 = np.column_stack((hi, yk + (hi - tk)[:, None] * vk))
+    V = np.column_stack((np.ones(len(seg)), vk))
+    w = norms(V)
+    start = np.where(lo == ts, kink_key(kink[seg]), K + owner)
+    end = np.where(hi == te, kink_key(np.append(kink[1:], -1)[seg]), K + N + owner)
 
-    def kink(e: int, particle: int):
-        # a == 0: the two centers coincide, the four lines meet at one point
-        return e if a == 0.0 else (e, particle)
+    inside = np.flatnonzero((t_lo < b.t) & (b.t < t_hi))
+    participants = np.stack((2 * inside, 2 * inside + 1), axis=1).reshape(-1)
+    keys = np.concatenate((np.stack((start, end), axis=1).reshape(-1),
+                           kink_key(participants)))
+    unique, first_at, inverse = np.unique(keys, return_index=True,
+                                          return_inverse=True)
+    rank = np.empty(len(unique), dtype=np.int64)
+    rank[np.argsort(first_at)] = np.arange(len(unique))
+    vid = rank[inverse]
 
-    # per-particle breakpoints (t_k, y_k, v_k, event k): velocity v_k holds
-    # on [t_k, t_{k+1})
-    breaks = {s.id: [(0.0, s.position, s.velocity, None)] for s in log.initial}
-    for e, ev in enumerate(log.events):
-        breaks[ev.i].append((ev.t, ev.yi, ev.vi_post, e))
-        breaks[ev.j].append((ev.t, ev.yj, ev.vj_post, e))
-
-    edges = []
-    for s in log.initial:
-        chain = breaks[s.id]
-        for k, (tk, yk, vk, ek) in enumerate(chain):
-            te = chain[k + 1][0] if k + 1 < len(chain) else np.inf
-            ts = tk if k > 0 else -np.inf  # first segment extends backward
-            lo = max(ts, t_lo)
-            hi = min(te, t_hi)
-            if not lo < hi:
-                continue
-            x0 = np.concatenate(([lo], yk + (lo - tk) * vk))
-            x1 = np.concatenate(([hi], yk + (hi - tk) * vk))
-            V = np.concatenate(([1.0], vk))
-            w = float(np.linalg.norm(V))
-            start = vertex(kink(ek, s.id) if lo == ts else ("lo", s.id))
-            end = vertex(kink(chain[k + 1][3], s.id) if hi == te else ("hi", s.id))
-            edges.append(TensorEdge(x0, x1, w, "trajectory", start, end, V / w))
-
-    kinks = []
-    for e, ev in enumerate(log.events):
-        if not t_lo < ev.t < t_hi:
-            continue
-        dv = float(np.linalg.norm(ev.vi_post - ev.vi))
-        ki, kj = vertex(kink(e, ev.i)), vertex(kink(e, ev.j))
-        if a > 0.0:
-            u = np.concatenate(([0.0], ev.yj - ev.yi))
-            edges.append(TensorEdge(
-                np.concatenate(([ev.t], ev.yi)),
-                np.concatenate(([ev.t], ev.yj)),
-                dv, "colliton", ki, kj, u / np.linalg.norm(u)))
-        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
-        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
+    S = len(seg)
+    edges = EdgeBlock(x0, x1, w, np.full(S, "trajectory"), vid[0:2 * S:2],
+                      vid[1:2 * S:2], V / w[:, None])
+    t = b.t[inside]
+    Y = b.y[inside]
+    X = np.concatenate((np.broadcast_to(t[:, None, None], (len(t), 2, 1)), Y),
+                       axis=2)  # (t, y_i) and (t, y_j)
+    v, v_post = b.v[inside], b.v_post[inside]
+    kink_ids = vid[2 * S:]
+    if log.config.a > 0.0:
+        U = np.column_stack((np.zeros(len(t)), Y[:, 1] - Y[:, 0]))
+        edges = EdgeBlock.concat(edges, EdgeBlock(
+            X[:, 0], X[:, 1], norms(v_post[:, 0] - v[:, 0]),
+            np.full(len(t), "colliton"), kink_ids[0::2], kink_ids[1::2],
+            U / norms(U)[:, None]))
+    sites = KinkBlock(X.reshape(-1, 1 + n), v.reshape(-1, n),
+                      v_post.reshape(-1, n), kink_ids)
 
     inv = bulk_invariants(log.initial)
-    return GraphTensor(edges=edges, window=(t_lo, t_hi), n=log.config.n,
-                       vertices=len(ids), kinks=kinks, mass_energy=inv.M + inv.E)
+    return GraphTensor(edges=edges, window=(t_lo, t_hi), n=n,
+                       vertices=len(unique), kinks=sites,
+                       mass_energy=inv.M + inv.E)
 
 
 def _vertices(T: GraphTensor) -> tuple:
@@ -198,15 +300,15 @@ def _vertices(T: GraphTensor) -> tuple:
 
     Returns (x, m, weight_scale, degree, category).
     """
+    B = T.edge_block
     count = T.vertices
-    raw = np.empty((2 * len(T.edges), 1 + T.n))  # edge J: rows 2J, 2J+1
-    raw[0::2] = [e.x_start for e in T.edges]
-    raw[1::2] = [e.x_end for e in T.edges]
-    vertex = np.array([(e.start, e.end) for e in T.edges],
-                      dtype=np.intp).reshape(-1)
+    raw = np.empty((2 * len(B), 1 + T.n))  # edge J: rows 2J, 2J+1
+    raw[0::2] = B.x_start
+    raw[1::2] = B.x_end
+    vertex = np.stack((B.start, B.end), axis=1).reshape(-1)
 
-    weights = np.array([e.weight for e in T.edges])
-    u = weights[:, None] * np.array([e.direction for e in T.edges])
+    weights = B.weight
+    u = weights[:, None] * B.direction
     signed = np.empty_like(raw)
     signed[0::2] = -u  # a departing edge contributes -a_J eta_J
     signed[1::2] = u
@@ -222,7 +324,7 @@ def _vertices(T: GraphTensor) -> tuple:
     t_lo, t_hi = T.window
     boundary = (np.minimum(np.abs(x[:, 0] - t_lo), np.abs(x[:, 0] - t_hi))
                 <= _time_tol(t_lo, t_hi))
-    augment = np.repeat([e.kind == "augmentation" for e in T.edges], 2)
+    augment = np.repeat(B.kind == "augmentation", 2)
     tip = (degree == 1) & (np.bincount(vertex[augment], minlength=count) == 1)
     category = np.where(boundary, "boundary",
                         np.where(tip, "augment_tip", "interior"))
@@ -254,28 +356,22 @@ def weak_divergence(T: GraphTensor, phi) -> np.ndarray:
     vanishes when phi is supported away from unbalanced vertices (window
     boundaries, augmentation tips).
     """
+    B = T.edge_block
     acc = np.zeros(1 + T.n)
-    for e in T.edges:
-        acc += e.weight * (phi(e.x_end) - phi(e.x_start)) * e.direction
+    for x_start, x_end, weight, direction in zip(B.x_start, B.x_end,
+                                                 B.weight.tolist(), B.direction):
+        acc += weight * (phi(x_end) - phi(x_start)) * direction
     return acc
 
 
 def _trajectories(T: GraphTensor) -> tuple:
     """Trajectory edges packed in edge order: (starts, ends, weights,
     crossing vectors a_J eta_J)."""
-    traj = [e for e in T.edges if e.kind == "trajectory"]
-    d = 1 + T.n
-    starts = np.array([e.x_start for e in traj]).reshape(-1, d)
-    ends = np.array([e.x_end for e in traj]).reshape(-1, d)
-    weights = np.array([e.weight for e in traj])
-    vecs = weights[:, None] * np.array([e.direction for e in traj]).reshape(-1, d)
-    return starts, ends, weights, vecs
-
-
-def _running_sum(values: np.ndarray) -> float:
-    """Sum of positive terms added left to right, as a loop adds them
-    (np.sum adds pairwise, cumsum sequentially)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    B = T.edge_block
+    traj = B.kind == "trajectory"
+    weights = B.weight[traj]
+    return (B.x_start[traj], B.x_end[traj], weights,
+            weights[:, None] * B.direction[traj])
 
 
 def _slice(T: GraphTensor, trajectories: tuple, kink_times: np.ndarray,
@@ -290,15 +386,15 @@ def _slice(T: GraphTensor, trajectories: tuple, kink_times: np.ndarray,
     hits = np.abs(t - kink_times) <= 1e-12 * np.maximum(max(1.0, abs(t)),
                                                        np.abs(kink_times))
     if hits.any():
-        k = T.kinks[int(np.argmax(hits))]
-        raise ValueError(f"slice time {t} hits a collision at {k.vertex[0]!r}")
+        k = kink_times[np.argmax(hits)]
+        raise ValueError(f"slice time {t} hits a collision at {k!r}")
     starts, ends, weights, vecs = trajectories
     rows = (starts[:, 0] < t) & (t < ends[:, 0])
-    total = _running_sum(weights[rows])
+    total = running_sum(weights[rows])
     if T.mass_energy is not None and total > T.mass_energy + 1e-12:
         raise AssertionError(
             f"slice mass {total} exceeds M+E={T.mass_energy}")
-    return rows, total, _running_sum(vecs[rows, 0])
+    return rows, total, running_sum(vecs[rows, 0])
 
 
 def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
@@ -308,8 +404,7 @@ def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
     The sum of crossing-vector norms is checked against M + E.
     """
     trajectories = _trajectories(T)
-    rows, total, mass = _slice(T, trajectories,
-                               np.array([k.vertex[0] for k in T.kinks]), t)
+    rows, total, mass = _slice(T, trajectories, T.kink_block.vertex[:, 0], t)
     starts, ends, _, vecs = trajectories
     ts, te = starts[rows, 0], ends[rows, 0]
     points = starts[rows] + ((t - ts) / (te - ts))[:, None] * (ends[rows] - starts[rows])
@@ -352,65 +447,31 @@ def complement_basis(V, V2, n: int) -> np.ndarray:
     return np.array(basis)
 
 
-def _point_segment_distance(p, a, b) -> float:
-    d = b - a
-    L2 = float(np.dot(d, d))
-    if L2 == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float(np.dot(p - a, d)) / L2
-    s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(p - (a + s * d)))
-
-
 def _default_eps(T: GraphTensor, sites) -> np.ndarray:
     """0.49 x clearance: nearest support away from the kink, window walls.
 
     The support is every other kink site (coincident ones excluded) and
     every edge without an endpoint equal to the kink.  For each kink, one
-    numpy expression gives its distance to all of them.  Those distances
-    may differ from the scalar np.linalg.norm / _point_segment_distance
-    values in the last bits (BLAS dot products, another operation order:
-    a few ulps of the coordinate scale).  So only the candidates within a
-    relative 1e-9 of the row minimum, plus 1e-12 x the coordinate scale,
-    are evaluated again with the scalar functions, and the clearance is the
-    least of those exact values: the same bits as a loop over all of them.
+    pass over all of them gives the distances that np.linalg.norm and the
+    scalar point-to-segment distance (clamped projection) give one at a
+    time, to the bit: the same operations, and dot products through
+    np.vecdot (see kernel.norms).
     """
     t_lo, t_hi = T.window
-    d = 1 + T.n
-    X = np.array([s.vertex for s in sites]).reshape(-1, d)
-    A = np.array([e.x_start for e in T.edges]).reshape(-1, d)
-    B = np.array([e.x_end for e in T.edges]).reshape(-1, d)
+    X = KinkBlock.pack(sites, T.n).vertex
+    A, B = T.edge_block.x_start, T.edge_block.x_end
     D = B - A
-    L2 = np.einsum("ij,ij->i", D, D)
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(X), initial=0.0)),
-                        float(np.max(np.abs(A), initial=0.0)),
-                        float(np.max(np.abs(B), initial=0.0)))
-    eps = np.empty(len(sites))
+    L2 = squared_norms(D)
+    eps = np.empty(len(X))
     for k, x in enumerate(X):
-        best = min(x[0] - t_lo, t_hi - x[0])
-        dx = X - x
-        to_sites = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-        to_sites[to_sites == 0.0] = np.inf  # x itself and coincident sites
-        P = x - A
-        s = np.clip(np.divide(np.einsum("ij,ij->i", P, D), L2,
-                              out=np.zeros(len(L2)), where=L2 > 0.0), 0.0, 1.0)
-        Q = P - s[:, None] * D
-        to_edges = np.sqrt(np.einsum("ij,ij->i", Q, Q))
-        # edges incident to this kink meet it at distance 0, so only edges
-        # within rounding (slack) of x need the exact incidence test
-        near = np.flatnonzero(to_edges <= slack)
-        incident = np.all(A[near] == x, axis=1) | np.all(B[near] == x, axis=1)
-        to_edges[near[incident]] = np.inf
-        lowest = min(to_sites.min(), to_edges.min(initial=np.inf))
-        if lowest < np.inf:
-            cut = lowest * (1.0 + 1e-9) + slack
-            for j in np.flatnonzero(to_sites <= cut):
-                dd = float(np.linalg.norm(sites[j].vertex - x))
-                if dd > 0.0:
-                    best = min(best, dd)
-            for j in np.flatnonzero(to_edges <= cut):
-                e = T.edges[j]
-                best = min(best, _point_segment_distance(x, e.x_start, e.x_end))
+        to_sites = norms(X - x)
+        s = np.clip(np.divide(np.vecdot(x - A, D), L2, out=np.zeros(len(L2)),
+                              where=L2 > 0.0), 0.0, 1.0)
+        to_edges = norms(x - (A + s[:, None] * D))
+        incident = np.all(A == x, axis=1) | np.all(B == x, axis=1)
+        best = min(x[0] - t_lo, t_hi - x[0],
+                   to_sites[to_sites > 0.0].min(initial=np.inf),
+                   to_edges[~incident].min(initial=np.inf))
         if best <= 0.0:
             raise ValueError(f"no room for segments at kink {x}")
         eps[k] = 0.49 * best
@@ -427,17 +488,17 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
     """
     if T.n < 2:
         raise ValueError("augmentation needs n >= 2 (empty complement on the line)")
-    sites = list(T.kinks) if kinks is None else list(kinks)
-    if not sites:
-        return replace(T, edges=list(T.edges), kinks=list(T.kinks))
-    bs = np.broadcast_to(np.asarray(b, dtype=np.float64), (len(sites),))
+    sites = T.kink_block if kinks is None else KinkBlock.pack(kinks, T.n)
+    K = len(sites)
+    if not K:
+        return replace(T)
+    bs = np.broadcast_to(np.asarray(b, dtype=np.float64), (K,))
     if not np.all(bs > 0):
         raise ValueError("segment weight b must be positive")
     if eps_seg is None:
         eps = _default_eps(T, sites)
     else:
-        eps = np.broadcast_to(np.asarray(eps_seg, dtype=np.float64),
-                              (len(sites),)).copy()
+        eps = np.broadcast_to(np.asarray(eps_seg, dtype=np.float64), (K,)).copy()
         limit = _default_eps(T, sites) / 0.49
         if np.any(eps <= 0) or np.any(eps >= limit):
             raise ValueError("eps_seg infeasible: segments would leave the "
@@ -447,47 +508,34 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
         # only pairs closer than 2 max(eps) can overlap; the margin keeps
         # the tree's rounding of distances from dropping a boundary pair
         reach = 2.0 * float(eps.max()) * (1.0 + 1e-9)
-        tree = cKDTree(np.array([s.vertex for s in sites]))
+        tree = cKDTree(sites.vertex)
         for p, q in tree.query_pairs(reach, output_type="ndarray").tolist():
-            gap = float(np.linalg.norm(sites[p].vertex - sites[q].vertex))
+            gap = float(np.linalg.norm(sites.vertex[p] - sites.vertex[q]))
             if gap > 0.0 and eps[p] + eps[q] >= gap:
                 raise ValueError("eps_seg infeasible: segment balls overlap")
 
-    edges = list(T.edges)
-    tip = T.vertices  # new tips are numbered after the existing vertices
-    total_b = 0.0
-    for s, bk, ek in zip(sites, bs, eps):
-        Z = complement_basis(lift(s.v), lift(s.v_post), T.n)
-        for z in Z:
-            edges.append(TensorEdge(s.vertex.copy(), s.vertex + ek * z,
-                                    float(bk), "augmentation", s.vertex_id,
-                                    tip, z))
-            edges.append(TensorEdge(s.vertex.copy(), s.vertex - ek * z,
-                                    float(bk), "augmentation", s.vertex_id,
-                                    tip + 1, -z))
-            tip += 2
-        total_b += float(bk)
-    return replace(T, edges=edges, vertices=tip, kinks=list(T.kinks),
-                   div_mass=T.div_mass + 2.0 * (T.n - 1) * total_b)
+    # per site, per complement direction z: the half-edges toward +z and
+    # -z, their tips numbered after the existing vertices
+    Z = np.array([complement_basis(lift(v), lift(v_post), T.n)
+                  for v, v_post in zip(sites.v, sites.v_post)])
+    Z = np.stack((Z, -Z), axis=2).reshape(-1, 1 + T.n)
+    per = 2 * (T.n - 1)
+    x = np.repeat(sites.vertex, per, axis=0)
+    tips = T.vertices + np.arange(len(Z))
+    added = EdgeBlock(x, x + np.repeat(eps, per)[:, None] * Z,
+                      np.repeat(bs, per), np.full(len(Z), "augmentation"),
+                      np.repeat(sites.vertex_id, per), tips, Z)
+    return replace(T, edges=EdgeBlock.concat(T.edge_block, added),
+                   vertices=T.vertices + len(Z),
+                   div_mass=T.div_mass + 2.0 * (T.n - 1) * running_sum(bs))
 
 
 def _max_interior_balance(m, scale, category) -> float:
-    """max |m| / weight_scale over interior vertices with weight.
-
-    The norms come from one array expression, which may differ from
-    np.linalg.norm in the last bits; the rows within a relative 1e-9 of the
-    largest are evaluated again with np.linalg.norm, so the maximum is the
-    same bits as a loop over every vertex.  Rows with m = 0 are exactly 0.
-    """
-    rows = np.flatnonzero((category == "interior") & (scale > 0))
-    m, scale = m[rows], scale[rows]
-    worst = 0.0
-    if len(rows):
-        approx = np.sqrt(np.einsum("ij,ij->i", m, m)) / scale
-        top = (approx >= (1.0 - 1e-9) * approx.max()) & np.any(m != 0.0, axis=1)
-        for i in np.flatnonzero(top):
-            worst = max(worst, float(np.linalg.norm(m[i])) / float(scale[i]))
-    return worst
+    """max |m| / weight_scale over interior vertices with weight; each
+    norm is np.linalg.norm's (kernel.norms), and NaN ratios are skipped as
+    max(worst, ratio) in a loop from 0.0 skips them."""
+    rows = (category == "interior") & (scale > 0)
+    return float(np.fmax.reduce(norms(m[rows]) / scale[rows], initial=0.0))
 
 
 def audit_tensor(T: GraphTensor, n_slices: int = 10) -> dict:
@@ -498,17 +546,16 @@ def audit_tensor(T: GraphTensor, n_slices: int = 10) -> dict:
     Array passes compute the same document, bit for bit, as loops over the
     vertices of vertex_balances and over slice_trace at each time would.
     Balances are summed in the fixed member order described in _vertices;
-    the worst balance is re-evaluated exactly on its few candidates (see
-    _max_interior_balance); each slice's mass and total add the crossing
-    edges in edge order with a running sum (np.cumsum), all slices from one
-    packing of the trajectory edges.
+    each slice's mass and total add the crossing edges in edge order with a
+    running sum (np.cumsum), all slices from one selection of the
+    trajectory edges.
     """
     _, m, scale, _, category = _vertices(T)
     worst = _max_interior_balance(m, scale, category)
     t_lo, t_hi = T.window
-    kink_times = sorted({float(k.vertex[0]) for k in T.kinks})
+    all_kink_times = T.kink_block.vertex[:, 0]
+    kink_times = sorted(set(all_kink_times.tolist()))
     trajectories = _trajectories(T)
-    all_kink_times = np.array([k.vertex[0] for k in T.kinks])
     traces = []
     totals = []
     for k in range(n_slices):

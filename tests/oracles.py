@@ -7,23 +7,30 @@ linear system, the kink mass from an explicit product-body construction,
 and the tensor audits from plain per-edge and per-vertex loops.  Agreement
 between these and the package is the point of the tests that import them.
 
-The one exception is HeapEngine, the engine's earlier all-pairs scheduler
-kept as a bitwise oracle for the event calendar that replaced it.
+The exceptions are bitwise oracles: HeapEngine, the engine's earlier
+all-pairs scheduler, for the event calendar that replaced it, and the
+per-event loops at the end of this file, for the array passes over the
+packed event log (serialization, ledger, report, tensor construction).
 """
 
 import bisect
+import csv
 import heapq
+import json
 import math
 
 import numpy as np
 
+from kinkbound import _jsonio
 from kinkbound._pykern import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
 from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventLog,
                                 GenericityViolation, ParticleState,
                                 SimulationBug, validate_configuration)
-from kinkbound.tensor import (SliceTrace, VertexBalance, _point_segment_distance,
-                              _time_tol)
+from kinkbound.ledger import (BoundReport, HodographSummary, KinkClassification,
+                              KinkRecord, LEDGER_COLUMNS, bulk_invariants)
+from kinkbound.tensor import (GraphTensor, KinkSite, SliceTrace, TensorEdge,
+                              VertexBalance, _time_tol)
 
 
 def contact_time_scan(yi, vi, yj, vj, a, t_hi, samples=4096, iters=200):
@@ -580,6 +587,16 @@ def slice_trace(T, t):
     return SliceTrace(crossings=crossings, total=total, mass=mass)
 
 
+def _point_segment_distance(p, a, b):
+    d = b - a
+    L2 = float(np.dot(d, d))
+    if L2 == 0.0:
+        return float(np.linalg.norm(p - a))
+    s = float(np.dot(p - a, d)) / L2
+    s = min(1.0, max(0.0, s))
+    return float(np.linalg.norm(p - (a + s * d)))
+
+
 def default_eps(T, sites):
     """0.49 x clearance, every kink against every vertex and edge."""
     t_lo, t_hi = T.window
@@ -635,3 +652,224 @@ def audit_tensor(T, n_slices=10):
         "trace_totals": totals,
         "div_mass": T.div_mass,
     }
+
+
+# -- the packed event log's layers as per-event loops -------------------------
+# dynamics, ledger and tensor compute these as array passes over the packed
+# event block; the loops below add in the same order and must match bit for
+# bit.
+
+
+def events_jsonl_bytes(log):
+    """events.jsonl with every line from _jsonio.dumps."""
+    header = {
+        "kind": "header", "format": "kinkbound-events-v1",
+        "config": log.config.header_dict(), "provenance": log.provenance,
+        "initial": [{"id": s.id, "y": s.position, "v": s.velocity}
+                    for s in log.initial],
+    }
+    lines = [_jsonio.dumps(header)]
+    lines += [_jsonio.dumps(ev.to_dict()) for ev in log.events]
+    lines.append(_jsonio.dumps({"kind": "footer", "events": len(log.events),
+                                "termination": log.termination}))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def read_events(path):
+    """The CollisionEvents of an events.jsonl file, one line at a time."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    events = []
+    for line in lines[1:-1]:
+        d = json.loads(line)
+        events.append(CollisionEvent(
+            t=float(d["t"]), i=d["i"], j=d["j"],
+            **{k: np.array(d[k], dtype=np.float64)
+               for k in ("yi", "yj", "vi", "vj", "vi_post", "vj_post")}))
+    return events
+
+
+def wedge_norm(u, u2):
+    """Lagrange's identity over the 2x2 minors, added in (a, b) order."""
+    x, y = list(map(float, u)), list(map(float, u2))
+    total = 0.0
+    for a in range(len(x)):
+        for b in range(a + 1, len(x)):
+            minor = x[a] * y[b] - x[b] * y[a]
+            total += minor * minor
+    return math.sqrt(total)
+
+
+def spacetime_wedge(v, v2):
+    d = np.asarray(v2, dtype=np.float64) - np.asarray(v, dtype=np.float64)
+    w = wedge_norm(v, v2)
+    return float(np.sqrt(np.dot(d, d) + w * w))
+
+
+def build_ledger(log):
+    """Two KinkRecords per collision (participant order: i then j)."""
+    records = []
+    for ev in log.events:
+        for pid, partner, v, vp in ((ev.i, ev.j, ev.vi, ev.vi_post),
+                                    (ev.j, ev.i, ev.vj, ev.vj_post)):
+            records.append(KinkRecord(
+                time=ev.t, particle=pid, partner=partner, v=v, v_post=vp,
+                dv_norm=float(np.linalg.norm(vp - v)),
+                wedge=wedge_norm(v, vp), st_wedge=spacetime_wedge(v, vp)))
+    return records
+
+
+def bound_report(records, inv, N):
+    S1 = S2 = S_st = 0.0
+    for r in records:
+        S1 += inv.v_bar * r.dv_norm + r.wedge
+        S2 += r.dv_norm
+        S_st += r.st_wedge
+    N2 = float(N) * float(N)
+    ratio1 = S1 / (N2 * inv.v_bar**2) if inv.v_bar > 0 else 0.0
+    if inv.v_dev > 0:
+        ratio2, defined = S2 / (N2 * inv.v_dev), True
+    elif S2 == 0.0:
+        ratio2, defined = 0.0, True
+    else:
+        ratio2, defined = float("inf"), False
+    me = inv.M + inv.E
+    return BoundReport(S1=S1, ratio1=ratio1, S2=S2, ratio2=ratio2,
+                       ratio2_defined=defined, S_st=S_st,
+                       ratio_st=S_st / (me * me))
+
+
+def classify_kinks(records, inv, epsilon):
+    thr = epsilon * inv.v_bar
+    strong = 0
+    S2 = 0.0
+    for r in records:
+        strong += r.dv_norm >= thr
+        S2 += r.dv_norm
+    return KinkClassification(
+        strong=strong, weak=len(records) - strong,
+        markov_bound=S2 / thr if thr > 0 else float("inf"))
+
+
+def hodograph_summaries(log):
+    """Per-particle dicts updated event by event."""
+    w = bulk_invariants(log.initial).w
+    vel = {s.id: s.velocity for s in log.initial}
+    ell = {s.id: 0.0 for s in log.initial}
+    area = {s.id: 0.0 for s in log.initial}
+    for ev in log.events:
+        for pid, v, vp in ((ev.i, ev.vi, ev.vi_post), (ev.j, ev.vj, ev.vj_post)):
+            ell[pid] += float(np.linalg.norm(vp - v))
+            area[pid] += 0.5 * wedge_norm(v - w, vp - w)
+            vel[pid] = vp
+    return [HodographSummary(
+        particle=s.id, ell=ell[s.id], area=area[s.id], v0=s.velocity,
+        v_minus=s.velocity, v_plus=vel[s.id],
+        scatter=float(np.linalg.norm(vel[s.id] - s.velocity)))
+        for s in log.initial]
+
+
+def write_ledger_csv(records, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LEDGER_COLUMNS)
+        for r in records:
+            writer.writerow([
+                format(r.time, ".17g"), r.particle, r.partner,
+                format(r.dv_norm, ".17g"), format(r.wedge, ".17g"),
+                format(r.st_wedge, ".17g")])
+
+
+def build_report(log, records, epsilon=1.0):
+    inv = bulk_invariants(log.initial)
+    rep = bound_report(records, inv, int(inv.M))
+    cls = classify_kinks(records, inv, epsilon)
+    return {
+        "M": inv.M, "E": inv.E, "w": inv.w, "v_bar": inv.v_bar,
+        "v_dev": inv.v_dev, "S1": rep.S1, "ratio1": rep.ratio1, "S2": rep.S2,
+        "ratio2": rep.ratio2 if rep.ratio2_defined else None,
+        "S_st": rep.S_st, "ratio_st": rep.ratio_st,
+        "strong_count": cls.strong, "weak_count": cls.weak,
+        "per_particle": [{"id": h.particle, "ell": h.ell, "area": h.area,
+                          "scatter": h.scatter}
+                         for h in hodograph_summaries(log)],
+    }
+
+
+def build_tensor(log, window):
+    """Per-particle breakpoint chains, with vertex ids from a dict keyed by
+    kink (event, particle) or boundary (side, particle)."""
+    t_lo, t_hi = float(window[0]), float(window[1])
+    for ev in log.events:
+        if min(abs(ev.t - t_lo), abs(ev.t - t_hi)) <= _time_tol(ev.t, t_lo, t_hi):
+            raise ValueError(f"window boundary hits collision at t={ev.t!r}")
+    a = log.config.a
+    ids = {}
+
+    def vertex(key):
+        return ids.setdefault(key, len(ids))
+
+    def kink(e, particle):
+        return e if a == 0.0 else (e, particle)
+
+    breaks = {s.id: [(0.0, s.position, s.velocity, None)] for s in log.initial}
+    for e, ev in enumerate(log.events):
+        breaks[ev.i].append((ev.t, ev.yi, ev.vi_post, e))
+        breaks[ev.j].append((ev.t, ev.yj, ev.vj_post, e))
+    edges = []
+    for s in log.initial:
+        chain = breaks[s.id]
+        for k, (tk, yk, vk, ek) in enumerate(chain):
+            te = chain[k + 1][0] if k + 1 < len(chain) else np.inf
+            ts = tk if k > 0 else -np.inf
+            lo = max(ts, t_lo)
+            hi = min(te, t_hi)
+            if not lo < hi:
+                continue
+            x0 = np.concatenate(([lo], yk + (lo - tk) * vk))
+            x1 = np.concatenate(([hi], yk + (hi - tk) * vk))
+            V = np.concatenate(([1.0], vk))
+            w = float(np.linalg.norm(V))
+            start = vertex(kink(ek, s.id) if lo == ts else ("lo", s.id))
+            end = vertex(kink(chain[k + 1][3], s.id) if hi == te else ("hi", s.id))
+            edges.append(TensorEdge(x0, x1, w, "trajectory", start, end, V / w))
+    kinks = []
+    for e, ev in enumerate(log.events):
+        if not t_lo < ev.t < t_hi:
+            continue
+        dv = float(np.linalg.norm(ev.vi_post - ev.vi))
+        ki, kj = vertex(kink(e, ev.i)), vertex(kink(e, ev.j))
+        if a > 0.0:
+            u = np.concatenate(([0.0], ev.yj - ev.yi))
+            edges.append(TensorEdge(
+                np.concatenate(([ev.t], ev.yi)), np.concatenate(([ev.t], ev.yj)),
+                dv, "colliton", ki, kj, u / np.linalg.norm(u)))
+        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
+        kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
+    inv = bulk_invariants(log.initial)
+    return GraphTensor(edges=edges, window=(t_lo, t_hi), n=log.config.n,
+                       vertices=len(ids), kinks=kinks, mass_energy=inv.M + inv.E)
+
+
+def build_augmented(T, b=1.0):
+    """n-1 balanced segment pairs at every kink, appended one TensorEdge at
+    a time, with the clearance from default_eps."""
+    from kinkbound.kernel import lift
+    from kinkbound.tensor import complement_basis
+
+    sites = list(T.kinks)
+    eps = default_eps(T, sites)
+    edges = list(T.edges)
+    tip = T.vertices
+    total_b = 0.0
+    for s, ek in zip(sites, eps):
+        for z in complement_basis(lift(s.v), lift(s.v_post), T.n):
+            edges.append(TensorEdge(s.vertex.copy(), s.vertex + ek * z, float(b),
+                                    "augmentation", s.vertex_id, tip, z))
+            edges.append(TensorEdge(s.vertex.copy(), s.vertex - ek * z, float(b),
+                                    "augmentation", s.vertex_id, tip + 1, -z))
+            tip += 2
+        total_b += float(b)
+    return GraphTensor(edges=edges, window=T.window, n=T.n, vertices=tip,
+                       kinks=list(T.kinks), mass_energy=T.mass_energy,
+                       div_mass=T.div_mass + 2.0 * (T.n - 1) * total_b)

@@ -359,6 +359,9 @@ _BAD_SIMULATE = {
     "top_level_array": [{"scenario": _GAS}],
     "top_level_number": 5,
     "fractional_p": {"scenario": {"generator": "line_1d", "p": 2.5}},
+    "overflowing_explicit_velocities": {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.01,
+        "positions": [[0, 0], [1, 0]], "velocities": [[1e308, 0], [-1e308, 0]]}},
 }
 
 _BAD_USAGE = {
@@ -447,6 +450,11 @@ _BAD_FIELDS = {
     "events_list_i": ("verify-tensor", (1, "i"), [1]),
     "events_bool_t": ("verify-tensor", (1, "t"), True),
     "events_unknown_j": ("verify-tensor", (1, "j"), 99),
+    "events_string_yi": ("verify-tensor", (1, "yi"), ["-0.5"]),
+    "events_bool_vi": ("verify-tensor", (1, "vi"), [True]),
+    "events_null_yj": ("verify-tensor", (1, "yj"), [None]),
+    "events_nested_vj_post": ("verify-tensor", (2, "vj_post"), [[1.0]]),
+    "events_long_vi_post": ("verify-tensor", (3, "vi_post"), [1.0, 2.0]),
 }
 
 
@@ -472,6 +480,41 @@ def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
+    """The explicit generator's overflowing velocities exit 2 with one JSON
+    object on stdout and nothing on stderr (no numpy overflow warnings)."""
+    cfg = _write(tmp_path / "cfg.json", _BAD_SIMULATE["overflowing_explicit_velocities"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinkbound.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "non_finite"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_experiment_failure_leaves_no_output(tmp_path, monkeypatch):
+    def broken_audit(T):
+        raise RuntimeError("audit failed")
+
+    monkeypatch.setattr(harness, "audit_tensor", broken_audit)
+    config = {"scenario": {"generator": "line_1d", "p": 2}}
+    with pytest.raises(RuntimeError, match="audit failed"):
+        harness.run_experiment(config, tmp_path / "run")
+    assert list(tmp_path.iterdir()) == []
+    # an earlier run's artifacts stay as they were
+    monkeypatch.undo()
+    harness.run_experiment(config, tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    monkeypatch.setattr(harness, "audit_tensor", broken_audit)
+    with pytest.raises(RuntimeError):
+        harness.run_experiment({"scenario": {"generator": "line_1d", "p": 3}},
+                               tmp_path / "run")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+
 def _fields(doc, path=()):
     """(path, value) of every field of doc, nested ones included."""
     items = doc.items() if isinstance(doc, dict) else \
@@ -483,14 +526,11 @@ def _fields(doc, path=()):
 
 def _checked_log_field(path: tuple, lines: int) -> bool:
     """Whether the log reader checks the field at path: a whole line, a
-    field of the header or footer outside the free-form provenance, or an
-    event's t, i or j.  The arrays of event lines are converted without
-    per-field checks."""
-    if len(path) == 1:
-        return True
-    if path[0] in (0, lines - 1):
-        return not (path[1] == "provenance" and len(path) > 2)
-    return len(path) == 2 and path[1] in ("t", "i", "j")
+    field of the header or footer outside the free-form provenance, or any
+    field of an event line (t, i, j, the six vectors and their entries)."""
+    if path[0] in (0, lines - 1) and len(path) > 2:
+        return path[1] != "provenance"
+    return True
 
 
 def _fuzzed_fields() -> list:

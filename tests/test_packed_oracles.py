@@ -1,0 +1,228 @@
+"""The packed event log's array passes against the per-event loops in
+oracles.py.
+
+The engine and read_events_jsonl fill one EventBlock; serialization, the
+ledger, the report, the tensor construction and its augmentation are
+array passes over packed columns that keep every summation order and use
+norms that equal np.linalg.norm row by row.  Agreement is required bit for bit: artifacts as bytes, other
+results field by field with tobytes() or ==.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import oracles
+from kinkbound import _jsonio, dynamics, harness, kernel, ledger, tensor
+
+
+def _gas(n, N, seed, a=0.02, t_max=None):
+    scn = harness.gen_random_gas(
+        n, N, [1.0] * n, a, {"kind": "maxwell", "sigma": 1.0}, seed)
+    scn.config = replace(scn.config, t_max=t_max)
+    return harness.simulate_scenario(scn)
+
+
+def _explicit(n, a, positions, velocities):
+    return harness.simulate_scenario(
+        harness.gen_explicit(n, a, positions, velocities))
+
+
+def _empty3d():
+    # two spheres flying apart: no collision
+    return _explicit(3, 0.1, [[0, 0, 0], [1, 0, 0]], [[-1, 0.5, 0], [1, 0, 0.25]])
+
+
+CASES = {
+    **{f"line_p{p}": (lambda p=p: harness.simulate_scenario(harness.gen_line_1d(p)))
+       for p in (1, 5, 50)},
+    "gas2d": lambda: _gas(2, 40, 3),
+    "gas3d": lambda: _gas(3, 40, 1, a=0.06),
+    "gas2d_t_max": lambda: _gas(2, 40, 7, t_max=0.3),
+    "no_events_3d": _empty3d,
+    "rods_n1": lambda: _explicit(1, 0.0, [[0.0], [1.0], [3.0]],
+                                 [[2.0], [-1.0], [-0.5]]),
+    "oblique_n2": lambda: _explicit(2, 0.5, [[0, 0], [1 + 0.5**0.5, 0.5**0.5]],
+                                    [[1, 0], [0, 0]]),
+    "three_body_n3": lambda: _explicit(
+        3, 0.25, [[0, 0, 0], [2, 0.1, 0], [4, -0.2, 0.3]],
+        [[1, 0, 0], [0, 0, 0.05], [-1, 0.02, 0]]),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def log(request):
+    return CASES[request.param]()
+
+
+def _hand_made(log):
+    """The same log with its events as a plain list, as tests and oracles
+    assemble logs."""
+    return replace(log, events=list(log.events))
+
+
+def test_explicit_cases_collide():
+    for name in ("rods_n1", "oblique_n2", "three_body_n3"):
+        assert len(CASES[name]().events) >= 1
+    assert len(CASES["no_events_3d"]().events) == 0
+    assert CASES["gas2d_t_max"]().termination == "t_max"
+
+
+def test_events_jsonl_matches_loop(log):
+    data = dynamics.events_jsonl_bytes(log)
+    assert data == oracles.events_jsonl_bytes(log)
+    assert dynamics.events_jsonl_bytes(_hand_made(log)) == data
+
+
+def test_read_events_matches_loop(log, tmp_path):
+    path = tmp_path / "events.jsonl"
+    dynamics.write_events_jsonl(log, path)
+    read = dynamics.read_events_jsonl(path)
+    b, want = read.block, log.block
+    for name in ("t", "i", "j", "y", "v", "v_post"):
+        got, expected = getattr(b, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), name
+    loop = oracles.read_events(path)
+    assert len(loop) == len(read.events)
+    for g, w in zip(read.events, loop):
+        assert (g.t, g.i, g.j) == (w.t, w.i, w.j)
+        for name in ("yi", "yj", "vi", "vj", "vi_post", "vj_post"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    assert dynamics.events_jsonl_bytes(read) == path.read_bytes()
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.time, g.particle, g.partner) == (w.time, w.particle, w.partner)
+        assert g.v.tobytes() == w.v.tobytes()
+        assert g.v_post.tobytes() == w.v_post.tobytes()
+        assert (g.dv_norm, g.wedge, g.st_wedge) == (w.dv_norm, w.wedge, w.st_wedge)
+
+
+def _assert_ledger_layers(log, tmp_path):
+    records = ledger.build_ledger(log)
+    want = oracles.build_ledger(log)
+    _assert_same_records(records, want)
+    inv = ledger.bulk_invariants(log.initial)
+    N = len(log.initial)
+    for led in (records, list(records)):  # packed, and a list of KinkRecords
+        assert ledger.bound_report(led, inv, N) == oracles.bound_report(want, inv, N)
+        for eps in (0.5, 1.0):
+            assert (ledger.classify_kinks(led, inv, eps)
+                    == oracles.classify_kinks(want, inv, eps))
+    got = ledger.hodograph_summaries(log)
+    loop = oracles.hodograph_summaries(log)
+    assert len(got) == len(loop)
+    for g, w in zip(got, loop):
+        assert (g.particle, g.ell, g.area, g.scatter) == \
+            (w.particle, w.ell, w.area, w.scatter)
+        for name in ("v0", "v_minus", "v_plus"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    ledger.write_ledger_csv(records, tmp_path / "packed.csv")
+    oracles.write_ledger_csv(want, tmp_path / "loop.csv")
+    assert (tmp_path / "packed.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    assert (_jsonio.dumps(ledger.build_report(log, records))
+            == _jsonio.dumps(oracles.build_report(log, want)))
+
+
+def test_ledger_layers_match_loops(log, tmp_path):
+    _assert_ledger_layers(log, tmp_path)
+    _assert_ledger_layers(_hand_made(log), tmp_path)
+
+
+def _assert_same_tensor(got, want):
+    assert (got.window, got.n, got.vertices, got.mass_energy, got.div_mass) == \
+        (want.window, want.n, want.vertices, want.mass_energy, want.div_mass)
+    assert len(got.edges) == len(want.edges)
+    for g, w in zip(got.edges, want.edges):
+        assert (g.weight, g.kind, g.start, g.end) == (w.weight, w.kind, w.start, w.end)
+        for name in ("x_start", "x_end", "direction"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    assert len(got.kinks) == len(want.kinks)
+    for g, w in zip(got.kinks, want.kinks):
+        assert g.vertex_id == w.vertex_id
+        for name in ("vertex", "v", "v_post"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+
+
+def _windows(log):
+    """The audit window, and one that cuts between the second and third
+    and the second-to-last and last collisions (when there are enough)."""
+    out = [harness._audit_window(log)]
+    times = sorted({ev.t for ev in log.events})
+    if len(times) >= 5:
+        out.append((0.5 * (times[1] + times[2]), 0.5 * (times[-2] + times[-1])))
+    return out
+
+
+def test_build_tensor_matches_loop(log):
+    for window in _windows(log):
+        T = tensor.build_tensor(log, window)
+        _assert_same_tensor(T, oracles.build_tensor(log, window))
+        _assert_same_tensor(tensor.build_tensor(_hand_made(log), window), T)
+        assert (_jsonio.dumps(tensor.audit_tensor(T))
+                == _jsonio.dumps(oracles.audit_tensor(T)))
+
+
+@pytest.mark.parametrize("case", ["gas2d", "gas3d", "oblique_n2", "three_body_n3"])
+def test_build_augmented_matches_loop(case):
+    log = CASES[case]()
+    T = tensor.build_tensor(log, harness._audit_window(log))
+    A = tensor.build_augmented(T, b=0.75)
+    want = oracles.build_augmented(oracles.build_tensor(log, T.window), b=0.75)
+    _assert_same_tensor(A, want)
+    assert _jsonio.dumps(tensor.audit_tensor(A)) == _jsonio.dumps(oracles.audit_tensor(A))
+
+
+def test_build_tensor_rejects_boundary_on_collision():
+    log = CASES["gas2d"]()
+    t = log.events[3].t
+    for window in ((t, t + 1.0), (-1.0, t)):
+        with pytest.raises(ValueError, match="window boundary") as packed:
+            tensor.build_tensor(log, window)
+        with pytest.raises(ValueError, match="window boundary") as loop:
+            oracles.build_tensor(log, window)
+        assert str(packed.value) == str(loop.value)
+    with pytest.raises(ValueError, match="window"):
+        tensor.build_tensor(log, (-np.inf, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_norms_and_wedges_match_scalar_forms(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(4000, n)) * rng.uniform(0.01, 100.0, size=(4000, 1))
+    Y = X + rng.normal(size=(4000, n)) * 1e-3  # nearly parallel rows too
+    Y[::2] = rng.normal(size=(2000, n))
+    norms = kernel.norms(X)
+    assert norms.tolist() == [float(np.linalg.norm(x)) for x in X]
+    # rows that are not contiguous are copied first: BLAS adds a strided
+    # vector in another order
+    assert kernel.norms(np.asfortranarray(X)).tobytes() == norms.tobytes()
+    assert kernel.norms(np.stack((Y, X), axis=1)[:, 1]).tobytes() == norms.tobytes()
+    assert kernel.wedge_norms(X, Y).tolist() == \
+        [oracles.wedge_norm(x, y) for x, y in zip(X, Y)]
+    assert kernel.spacetime_wedges(X, Y).tolist() == \
+        [oracles.spacetime_wedge(x, y) for x, y in zip(X, Y)]
+    assert kernel.wedge_norm(X[0], Y[0]) == oracles.wedge_norm(X[0], Y[0])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), n=st.sampled_from([1, 2, 3]),
+       N=st.integers(1, 14))
+def test_small_gases_match_loops(seed, n, N, tmp_path):
+    if n == 1:
+        rng = np.random.default_rng(seed)
+        positions = np.sort(rng.uniform(0.0, 10.0, size=N))[:, None]
+        log = _explicit(1, 0.0, positions, rng.normal(size=(N, 1)))
+    else:
+        log = _gas(n, N, seed, a=0.03)
+    assert dynamics.events_jsonl_bytes(log) == oracles.events_jsonl_bytes(log)
+    _assert_ledger_layers(log, tmp_path)
+    window = harness._audit_window(log)
+    _assert_same_tensor(tensor.build_tensor(log, window),
+                        oracles.build_tensor(log, window))
