@@ -11,8 +11,7 @@ from .detmass import (AngularMeasure, ConvexPolygon, check_balance,
                       support_function)
 from .dynamics import (CollisionEvent, ConfigurationError, EventBlock, EventLog,
                        GenericityViolation, ParticleState, SimConfig,
-                       SimulationBug, advance_free, predict_pair_collision,
-                       read_events_jsonl, resolve_collision, run_simulation,
+                       SimulationBug, read_events_jsonl, run_simulation,
                        validate_configuration, write_events_jsonl)
 from .harness import (PackingError, Scenario, SweepSpec, apply_boost,
                       apply_time_scale, gen_explicit, gen_line_1d,

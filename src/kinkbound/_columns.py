@@ -21,7 +21,8 @@ class Columns(Sequence):
 
     Subclasses are dataclasses (eq=False) whose fields are the columns and
     whose class attribute record names the record type.  Row k of a 1-D
-    column becomes a Python scalar, a row of any other column a view.
+    column becomes a Python scalar, a row of any other column a view; a
+    slice is a block of the same type over views of the columns.
     """
 
     record = None
@@ -31,7 +32,8 @@ class Columns(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [self[q] for q in range(*k.indices(len(self)))]
+            return type(self)(**{f.name: getattr(self, f.name)[k]
+                                 for f in fields(self)})
         return self._row(k)
 
     def _row(self, k):
@@ -40,13 +42,6 @@ class Columns(Sequence):
             column = getattr(self, f.name)
             values[f.name] = column[k].item() if column.ndim == 1 else column[k]
         return self.record(**values)
-
-    def __eq__(self, other):
-        if isinstance(other, (list, Columns)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
     @classmethod
     def concat(cls, *blocks):

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,9 +39,6 @@ __all__ = [
     "EventLog",
     "ValidationReport",
     "validate_configuration",
-    "predict_pair_collision",
-    "resolve_collision",
-    "advance_free",
     "run_simulation",
     "events_jsonl_bytes",
     "write_events_jsonl",
@@ -106,13 +102,11 @@ class SimConfig:
 
 @dataclass
 class ParticleState:
-    """One sphere: position/velocity valid at last_update_time."""
+    """One sphere's initial data: id, position and velocity at time 0."""
 
     id: int
     position: np.ndarray
     velocity: np.ndarray
-    last_update_time: float = 0.0
-    collision_counter: int = 0
 
     def __post_init__(self):
         self.position = np.array(self.position, dtype=np.float64)
@@ -135,19 +129,6 @@ class CollisionEvent:
     vi_post: np.ndarray
     vj_post: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "i": self.i,
-            "j": self.j,
-            "yi": self.yi,
-            "yj": self.yj,
-            "vi": self.vi,
-            "vj": self.vj,
-            "vi_post": self.vi_post,
-            "vj_post": self.vj_post,
-        }
-
 
 @dataclass(eq=False)
 class EventBlock(Columns):
@@ -165,22 +146,6 @@ class EventBlock(Columns):
     v: np.ndarray
     v_post: np.ndarray
 
-    @classmethod
-    def pack(cls, events, n: int) -> "EventBlock":
-        """The block of a sequence of CollisionEvents in R^n."""
-        if isinstance(events, EventBlock):
-            return events
-
-        def pairs(a, b):
-            return np.array([(getattr(ev, a), getattr(ev, b)) for ev in events],
-                            dtype=np.float64).reshape(len(events), 2, n)
-
-        return cls(np.array([ev.t for ev in events], dtype=np.float64),
-                   np.array([ev.i for ev in events], dtype=np.int64),
-                   np.array([ev.j for ev in events], dtype=np.int64),
-                   pairs("yi", "yj"), pairs("vi", "vj"),
-                   pairs("vi_post", "vj_post"))
-
     def _row(self, k) -> CollisionEvent:
         y, v, vp = self.y[k], self.v[k], self.v_post[k]
         return CollisionEvent(t=float(self.t[k]), i=int(self.i[k]),
@@ -190,27 +155,18 @@ class EventBlock(Columns):
 
 @dataclass
 class EventLog:
-    """Simulation output: config, initial states, ordered events, termination.
-
-    events is an EventBlock when the engine or read_events_jsonl made the
-    log.  A list of CollisionEvents (a log assembled by hand) is replaced
-    by its EventBlock the first time block is read.
-    """
+    """Simulation output: config, initial states, the ordered events as one
+    EventBlock, and the termination reason."""
 
     config: SimConfig
     initial: list
-    events: Sequence
+    events: EventBlock
     termination: str
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def block(self) -> EventBlock:
-        self.events = EventBlock.pack(self.events, self.config.n)
-        return self.events
-
     def rows(self) -> np.ndarray:
         """(E, 2) index into initial of each event's particles i and j."""
-        b = self.block
+        b = self.events
         ids = np.array([s.id for s in self.initial], dtype=np.int64)
         keys = np.stack((b.i, b.j), axis=1)
         order = np.argsort(ids, kind="stable")
@@ -231,8 +187,11 @@ class ValidationReport:
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
     """Check initial data: shapes, finiteness, distinct ids, no overlap.
 
-    Overlap means a pair at center distance <= 2a; validity requires
-    strictly separated spheres (and distinct points when a == 0).
+    Positions count as not finite when the square of twice one of them
+    overflows: the overlap check and the engine square differences of
+    positions, which are up to twice as large.  Overlap means a pair at
+    center distance <= 2a; validity requires strictly separated spheres
+    (and distinct points when a == 0).
     """
     def bad(reason, **detail):
         return ValidationReport(False, reason, detail)
@@ -259,10 +218,12 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
             return bad("dimension_mismatch", id=s.id)
         if not (np.all(np.isfinite(s.position)) and np.all(np.isfinite(s.velocity))):
             return bad("non_finite", id=s.id)
-        if s.last_update_time != 0.0:
-            return bad("nonzero_start_time", id=s.id, t=s.last_update_time)
 
     pos = np.array([s.position for s in states])
+    with np.errstate(over="ignore"):
+        squares = np.sum((2.0 * pos) ** 2, axis=1)
+    if not np.isfinite(squares).all():
+        return bad("non_finite", id=ids[int(np.argmin(np.isfinite(squares)))])
     for i in range(len(states) - 1):
         d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
         k = int(np.argmin(d))
@@ -270,63 +231,6 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
             return bad("overlap", pair=(ids[i], ids[i + 1 + k]),
                        distance=float(d[k]), contact=2.0 * config.a)
     return ValidationReport(True)
-
-
-def predict_pair_collision(state_i: ParticleState, state_j: ParticleState,
-                           a: float, now: float | None = None,
-                           grazing_tol: float = 1e-14) -> float | None:
-    """Earliest contact time t > now of two spheres, or None.
-
-    None when the pair is receding, never reaches distance 2a, or the
-    contact is grazing (discriminant below grazing_tol relative to
-    b^2 + A|c|).  The solve uses the stable branch s = c / (-b + sqrt(disc))
-    so nearly-touching slow approaches do not lose precision.
-    """
-    pos = np.ascontiguousarray([state_i.position, state_j.position], dtype=np.float64)
-    vel = np.ascontiguousarray([state_i.velocity, state_j.velocity], dtype=np.float64)
-    tupd = np.array([state_i.last_update_time, state_j.last_update_time])
-    if now is None:
-        now = float(tupd.max())
-    out = np.empty(1)
-    contact_times_scan(pos, vel, tupd, 0, np.array([1], dtype=np.int64),
-                       4.0 * a * a, grazing_tol, out)
-    t = float(out[0])
-    return t if np.isfinite(t) and t > now else None
-
-
-def resolve_collision(v_i, v_j, u_hat):
-    """Exchange normal velocity components along the unit contact normal.
-
-    u_hat points from i to j.  Returns (v_i', v_j') with
-    v_i' = v_i + ((v_j - v_i) . u) u and v_j' the mirror image; the shared
-    impulse makes momentum conservation exact up to one rounding.
-    """
-    v_i = np.asarray(v_i, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    u = np.asarray(u_hat, dtype=np.float64)
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"contact normal is not unit length: |u| = {norm!r}")
-    vn = float(np.dot(v_j - v_i, u))
-    if vn >= 0.0:
-        raise ValueError("pair is not approaching along the contact normal")
-    impulse = vn * u
-    return v_i + impulse, v_j - impulse
-
-
-def advance_free(state: ParticleState, t: float) -> ParticleState:
-    """Ballistic update of one particle to time t >= last_update_time."""
-    if t < state.last_update_time:
-        raise ValueError(
-            f"cannot advance to t={t} before last update {state.last_update_time}"
-        )
-    dt = t - state.last_update_time
-    return replace(
-        state,
-        position=state.position + dt * state.velocity,
-        velocity=state.velocity.copy(),
-        last_update_time=t,
-    )
 
 
 class _Engine:
@@ -520,10 +424,8 @@ def run_simulation(states, config: SimConfig) -> EventLog:
     report = validate_configuration(states, config)
     if not report.ok:
         raise ConfigurationError(report)
-    initial = [
-        ParticleState(s.id, s.position.copy(), s.velocity.copy(), 0.0, 0)
-        for s in states
-    ]
+    initial = [ParticleState(s.id, s.position.copy(), s.velocity.copy())
+               for s in states]
     block, termination = _Engine(states, config).run()
     return EventLog(config=config, initial=initial, events=block,
                     termination=termination)
@@ -532,42 +434,52 @@ def run_simulation(states, config: SimConfig) -> EventLog:
 # -- serialization ----------------------------------------------------------
 
 
-def _event_template(n: int) -> str:
-    """%-template of one event line in R^n: the fields of
-    CollisionEvent.to_dict, as _jsonio.dumps writes them."""
+def _templates(n: int) -> tuple:
+    """%-templates of one initial state of the header and of one event
+    line in R^n, the text _jsonio.dumps writes for their fields."""
     vector = "[" + ",".join(["%.17g"] * n) + "]"
-    return ('{"t":%.17g,"i":%d,"j":%d'
-            + "".join(f',"{key}":{vector}' for key in _EVENT_ARRAYS) + "}")
+    state = '{"id":%d,"y":' + vector + ',"v":' + vector + "}"
+    event = ('{"t":%.17g,"i":%d,"j":%d'
+             + "".join(f',"{key}":{vector}' for key in _EVENT_ARRAYS) + "}")
+    return state, event
+
+
+def _finite_lists(floats: np.ndarray) -> list:
+    """The columns of floats as lists; a non-finite value raises
+    ValueError, as _jsonio.dumps does."""
+    finite = np.isfinite(floats)
+    if not finite.all():
+        _jsonio.format_float(float(floats[~finite][0]))
+    return floats.T.tolist()
 
 
 def events_jsonl_bytes(log: EventLog) -> bytes:
     """Canonical JSONL encoding (header, events, footer); floats %.17g.
 
-    Event lines are one template per line over the block's columns, the
-    same text as _jsonio.dumps of each CollisionEvent.to_dict().
+    The header's initial states and the event lines are one template per
+    state or line over packed columns: the same text as _jsonio.dumps of
+    {"id", "y", "v"} per state and of the CollisionEvent fields per event.
     """
-    header = {
+    n, N = log.config.n, len(log.initial)
+    state, event = _templates(n)
+    header = _jsonio.dumps({
         "kind": "header",
         "format": EVENTS_FORMAT,
         "config": log.config.header_dict(),
         "provenance": log.provenance,
-        "initial": [
-            {"id": s.id, "y": s.position, "v": s.velocity} for s in log.initial
-        ],
-    }
-    lines = [_jsonio.dumps(header)]
-    b = log.block
-    E, width = len(b), 2 * log.config.n
+    })
+    PV = np.array([(s.position, s.velocity) for s in log.initial],
+                  dtype=np.float64).reshape(N, 2 * n)
+    initial = ",".join(state % row for row in
+                       zip([s.id for s in log.initial], *_finite_lists(PV)))
+    lines = [header[:-1] + ',"initial":[' + initial + "]}"]
+    b = log.events
+    E, width = len(b), 2 * n
     # per line: t, then yi, yj, vi, vj, vi_post, vj_post
-    floats = np.concatenate((b.t[:, None], b.y.reshape(E, width),
-                             b.v.reshape(E, width), b.v_post.reshape(E, width)),
-                            axis=1)
-    finite = np.isfinite(floats)
-    if not finite.all():
-        _jsonio.format_float(float(floats[~finite][0]))  # raises, as dumps does
-    columns = floats.T.tolist()
-    template = _event_template(log.config.n)
-    lines += [template % row for row in
+    columns = _finite_lists(np.concatenate(
+        (b.t[:, None], b.y.reshape(E, width), b.v.reshape(E, width),
+         b.v_post.reshape(E, width)), axis=1))
+    lines += [event % row for row in
               zip(columns[0], b.i.tolist(), b.j.tolist(), *columns[1:])]
     footer = {"kind": "footer", "events": E, "termination": log.termination}
     lines.append(_jsonio.dumps(footer))
@@ -662,10 +574,12 @@ def read_events_jsonl(path) -> EventLog:
     """Parse a log written by write_events_jsonl; a malformed log raises
     ValueError (or KeyError for a missing field).
 
-    The header and footer fields are checked one by one.  The event lines
-    make up most of the file: they are decoded, packed into an EventBlock
-    and checked column by column (see _event_block), a bad line reported
-    by its line number.
+    The header and footer fields are checked one by one, and the header's
+    config and initial states as run_simulation checks its input: by
+    validate_configuration, raising ConfigurationError (a ValueError).
+    The event lines make up most of the file: they are decoded, packed
+    into an EventBlock and checked column by column (see _event_block), a
+    bad line reported by its line number.
     """
     with open(path, "rb") as fh:
         lines = fh.read().decode().splitlines()
@@ -686,12 +600,12 @@ def read_events_jsonl(path) -> EventLog:
         **{k: read_number(cfg[k], f"config.{k}")
            for k in ("grazing_tol", "overlap_tol", "time_tie_tol")})
     initial = read_list(header.get("initial"), "initial", _initial_state)
-    for k, s in enumerate(initial):
-        if s.position.shape != (config.n,):
-            raise ValueError(f"initial[{k}] is not a state in R^{config.n}")
+    report = validate_configuration(initial, config)
+    if not report.ok:
+        raise ConfigurationError(report)
     ids = [s.id for s in initial]
-    if len(set(ids)) != len(ids) or any(abs(i) >= 2**63 for i in ids):
-        raise ValueError("initial ids must be distinct 64-bit integers")
+    if any(abs(i) >= 2**63 for i in ids):
+        raise ValueError("initial ids must be 64-bit integers")
     provenance = read_object(header.get("provenance", {}), "provenance")
     block = _event_block(lines[1:-1], config.n, np.array(ids, dtype=np.int64))
     if read_int(footer.get("events"), "footer events") != len(block):

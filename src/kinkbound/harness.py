@@ -128,7 +128,8 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
     """Uniform non-overlapping spheres in [0, box] with drawn velocities.
 
     Placement is rejection sampling with a global attempt cap; packings
-    too dense to place raise PackingError.
+    too dense to place raise PackingError.  A distance that overflows is
+    an infinite one, far enough; run_simulation rejects such positions.
     """
     box = np.broadcast_to(np.asarray(box, dtype=np.float64), (n,))
     if np.any(box <= 0):
@@ -146,8 +147,10 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
                     f"{_PACKING_ATTEMPT_CAP} attempts (box {box.tolist()}, a={a})"
                 )
             cand = gen.random(n) * box
-            if i == 0 or np.all(
-                    np.linalg.norm(placed[:i] - cand, axis=1) > min_dist):
+            with np.errstate(over="ignore"):
+                apart = i == 0 or np.all(
+                    np.linalg.norm(placed[:i] - cand, axis=1) > min_dist)
+            if apart:
                 placed[i] = cand
                 break
     vel = _draw_velocities(gen, velocity_dist, N, n)
@@ -317,7 +320,8 @@ def simulate_scenario(scenario: Scenario) -> EventLog:
 
 
 def _audit_window(log: EventLog) -> tuple:
-    t_end = log.events[-1].t if log.events else 1.0
+    t = log.events.t
+    t_end = float(t[-1]) if len(t) else 1.0
     pad = 0.05 * (t_end + 1.0)
     return (-pad, t_end + pad)
 

@@ -90,13 +90,6 @@ class Ledger(Columns):
     st_wedge: np.ndarray
 
 
-def _columns(ledger, *names) -> list:
-    """The named columns of a Ledger, or of a list of KinkRecords."""
-    if isinstance(ledger, Ledger):
-        return [getattr(ledger, name) for name in names]
-    return [np.array([getattr(r, name) for r in ledger]) for name in names]
-
-
 @dataclass
 class HodographSummary:
     """Per-particle polygonal chain of velocity values (in the w-frame)."""
@@ -151,7 +144,7 @@ def bulk_invariants(states) -> BulkInvariants:
 
 def build_ledger(log) -> Ledger:
     """Two kink records per collision (participant order: i then j)."""
-    b = log.block
+    b = log.events
     n = log.config.n
     v = b.v.reshape(-1, n)
     v_post = b.v_post.reshape(-1, n)
@@ -165,13 +158,12 @@ def build_ledger(log) -> Ledger:
         st_wedge=spacetime_wedges(v, v_post))
 
 
-def bound_report(ledger, inv: BulkInvariants, N: int) -> BoundReport:
+def bound_report(ledger: Ledger, inv: BulkInvariants, N: int) -> BoundReport:
     """Aggregate kink strengths and normalize by their a-priori scales.
 
-    ledger is a Ledger or a list of KinkRecords; each sum adds its terms
-    left to right, in ledger order.
+    Each sum adds its terms left to right, in ledger order.
     """
-    dv, wedge, st = _columns(ledger, "dv_norm", "wedge", "st_wedge")
+    dv, wedge, st = ledger.dv_norm, ledger.wedge, ledger.st_wedge
     S1 = running_sum(inv.v_bar * dv + wedge)
     S2 = running_sum(dv)
     S_st = running_sum(st)
@@ -189,14 +181,14 @@ def bound_report(ledger, inv: BulkInvariants, N: int) -> BoundReport:
                        ratio_st=S_st / (me * me))
 
 
-def classify_kinks(ledger, inv: BulkInvariants, epsilon: float) -> KinkClassification:
+def classify_kinks(ledger: Ledger, inv: BulkInvariants,
+                   epsilon: float) -> KinkClassification:
     """Split records into strong (dv >= eps*v_bar) and weak, with the
-    first-moment (Markov) bound on the strong count; ledger as in
-    bound_report."""
+    first-moment (Markov) bound on the strong count."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     thr = epsilon * inv.v_bar
-    dv, = _columns(ledger, "dv_norm")
+    dv = ledger.dv_norm
     strong = int(np.count_nonzero(dv >= thr))
     return KinkClassification(
         strong=strong, weak=len(dv) - strong,
@@ -213,7 +205,7 @@ def hodograph_summaries(log) -> list:
     limit velocities, so v_plus is the last segment's velocity.  Each
     particle's length and area add its kinks in event order.
     """
-    b = log.block
+    b = log.events
     n = log.config.n
     V0 = np.array([s.velocity for s in log.initial], dtype=np.float64)
     w = bulk_invariants(V0).w
@@ -242,11 +234,10 @@ def hodograph_summaries(log) -> list:
 LEDGER_COLUMNS = ["t", "particle", "partner", "dv_norm", "wedge", "st_wedge"]
 
 
-def write_ledger_csv(ledger, path) -> None:
-    """One CSV row per kink record, floats %.17g; ledger as in
-    bound_report."""
-    columns = _columns(ledger, "time", "particle", "partner", "dv_norm",
-                       "wedge", "st_wedge")
+def write_ledger_csv(ledger: Ledger, path) -> None:
+    """One CSV row per kink record, floats %.17g."""
+    columns = (ledger.time, ledger.particle, ledger.partner, ledger.dv_norm,
+               ledger.wedge, ledger.st_wedge)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\r\n")
         fh.writelines("%.17g,%d,%d,%.17g,%.17g,%.17g\r\n" % row

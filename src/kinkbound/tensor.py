@@ -19,8 +19,7 @@ tensor balance to roundoff.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,23 +93,6 @@ class EdgeBlock(Columns):
     end: np.ndarray
     direction: np.ndarray
 
-    @classmethod
-    def pack(cls, edges, n: int) -> "EdgeBlock":
-        """The block of a sequence of TensorEdges in R^(1+n)."""
-        if isinstance(edges, EdgeBlock):
-            return edges
-
-        def rows(name):
-            return np.array([getattr(e, name) for e in edges],
-                            dtype=np.float64).reshape(len(edges), 1 + n)
-
-        return cls(rows("x_start"), rows("x_end"),
-                   np.array([e.weight for e in edges], dtype=np.float64),
-                   np.array([e.kind for e in edges], dtype=str),
-                   np.array([e.start for e in edges], dtype=np.int64),
-                   np.array([e.end for e in edges], dtype=np.int64),
-                   rows("direction"))
-
 
 @dataclass(eq=False)
 class KinkBlock(Columns):
@@ -123,48 +105,19 @@ class KinkBlock(Columns):
     v_post: np.ndarray
     vertex_id: np.ndarray
 
-    @classmethod
-    def pack(cls, sites, n: int) -> "KinkBlock":
-        """The block of a sequence of KinkSites in R^(1+n)."""
-        if isinstance(sites, KinkBlock):
-            return sites
-
-        def rows(name, width):
-            return np.array([getattr(site, name) for site in sites],
-                            dtype=np.float64).reshape(len(sites), width)
-
-        return cls(rows("vertex", 1 + n), rows("v", n), rows("v_post", n),
-                   np.array([site.vertex_id for site in sites], dtype=np.int64))
-
 
 @dataclass
 class GraphTensor:
     """A graph tensor: its edges and kink sites, the window, the dimension
-    n of space (the tensor lives in R^(1+n)) and the vertex count.
+    n of space (the tensor lives in R^(1+n)) and the vertex count."""
 
-    edges and kinks are an EdgeBlock and a KinkBlock when build_tensor or
-    build_augmented made the tensor; lists of TensorEdges or KinkSites are
-    replaced by their blocks the first time edge_block or kink_block is
-    read.
-    """
-
-    edges: Sequence
+    edges: EdgeBlock
     window: tuple
     n: int
     vertices: int                      # edge endpoint ids run over range(vertices)
-    kinks: Sequence = field(default_factory=list)
+    kinks: KinkBlock
     mass_energy: float | None = None   # M + E of the underlying log
     div_mass: float = 0.0              # added by augmentation, 0 for plain tensors
-
-    @property
-    def edge_block(self) -> EdgeBlock:
-        self.edges = EdgeBlock.pack(self.edges, self.n)
-        return self.edges
-
-    @property
-    def kink_block(self) -> KinkBlock:
-        self.kinks = KinkBlock.pack(self.kinks, self.n)
-        return self.kinks
 
 
 @dataclass
@@ -214,7 +167,7 @@ def build_tensor(log, window) -> GraphTensor:
     t_lo, t_hi = float(window[0]), float(window[1])
     if not -np.inf < t_lo < t_hi < np.inf:
         raise ValueError(f"empty or unbounded window ({t_lo}, {t_hi})")
-    b = log.block
+    b = log.events
     hits = (np.minimum(np.abs(b.t - t_lo), np.abs(b.t - t_hi))
             <= 1e-12 * np.maximum(max(1.0, abs(t_lo), abs(t_hi)), np.abs(b.t)))
     if hits.any():
@@ -300,7 +253,7 @@ def _vertices(T: GraphTensor) -> tuple:
 
     Returns (x, m, weight_scale, degree, category).
     """
-    B = T.edge_block
+    B = T.edges
     count = T.vertices
     raw = np.empty((2 * len(B), 1 + T.n))  # edge J: rows 2J, 2J+1
     raw[0::2] = B.x_start
@@ -356,7 +309,7 @@ def weak_divergence(T: GraphTensor, phi) -> np.ndarray:
     vanishes when phi is supported away from unbalanced vertices (window
     boundaries, augmentation tips).
     """
-    B = T.edge_block
+    B = T.edges
     acc = np.zeros(1 + T.n)
     for x_start, x_end, weight, direction in zip(B.x_start, B.x_end,
                                                  B.weight.tolist(), B.direction):
@@ -367,7 +320,7 @@ def weak_divergence(T: GraphTensor, phi) -> np.ndarray:
 def _trajectories(T: GraphTensor) -> tuple:
     """Trajectory edges packed in edge order: (starts, ends, weights,
     crossing vectors a_J eta_J)."""
-    B = T.edge_block
+    B = T.edges
     traj = B.kind == "trajectory"
     weights = B.weight[traj]
     return (B.x_start[traj], B.x_end[traj], weights,
@@ -404,7 +357,7 @@ def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
     The sum of crossing-vector norms is checked against M + E.
     """
     trajectories = _trajectories(T)
-    rows, total, mass = _slice(T, trajectories, T.kink_block.vertex[:, 0], t)
+    rows, total, mass = _slice(T, trajectories, T.kinks.vertex[:, 0], t)
     starts, ends, _, vecs = trajectories
     ts, te = starts[rows, 0], ends[rows, 0]
     points = starts[rows] + ((t - ts) / (te - ts))[:, None] * (ends[rows] - starts[rows])
@@ -447,7 +400,7 @@ def complement_basis(V, V2, n: int) -> np.ndarray:
     return np.array(basis)
 
 
-def _default_eps(T: GraphTensor, sites) -> np.ndarray:
+def _default_eps(T: GraphTensor, sites: KinkBlock) -> np.ndarray:
     """0.49 x clearance: nearest support away from the kink, window walls.
 
     The support is every other kink site (coincident ones excluded) and
@@ -458,8 +411,8 @@ def _default_eps(T: GraphTensor, sites) -> np.ndarray:
     np.vecdot (see kernel.norms).
     """
     t_lo, t_hi = T.window
-    X = KinkBlock.pack(sites, T.n).vertex
-    A, B = T.edge_block.x_start, T.edge_block.x_end
+    X = sites.vertex
+    A, B = T.edges.x_start, T.edges.x_end
     D = B - A
     L2 = squared_norms(D)
     eps = np.empty(len(X))
@@ -478,41 +431,27 @@ def _default_eps(T: GraphTensor, sites) -> np.ndarray:
     return eps
 
 
-def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTensor:
-    """Add n-1 balanced segment pairs at each kink vertex.
+def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
+                    b=1.0) -> GraphTensor:
+    """Add n-1 balanced segment pairs at each kink vertex of kinks (all of
+    T.kinks by default, or a slice of them).
 
     Every segment contributes two half-edges (x*, x* +/- eps z_j) of weight
     b, with {z_j} an orthonormal basis of Span(V, V')^perp; the +/- pairing
     keeps the kink balanced while each far endpoint carries divergence b,
-    for a total added divergence mass of exactly 2(n-1) * sum(b).
+    for a total added divergence mass of exactly 2(n-1) * sum(b).  eps is
+    0.49 times the kink's clearance (_default_eps).
     """
     if T.n < 2:
         raise ValueError("augmentation needs n >= 2 (empty complement on the line)")
-    sites = T.kink_block if kinks is None else KinkBlock.pack(kinks, T.n)
+    sites = T.kinks if kinks is None else kinks
     K = len(sites)
     if not K:
         return replace(T)
     bs = np.broadcast_to(np.asarray(b, dtype=np.float64), (K,))
     if not np.all(bs > 0):
         raise ValueError("segment weight b must be positive")
-    if eps_seg is None:
-        eps = _default_eps(T, sites)
-    else:
-        eps = np.broadcast_to(np.asarray(eps_seg, dtype=np.float64), (K,)).copy()
-        limit = _default_eps(T, sites) / 0.49
-        if np.any(eps <= 0) or np.any(eps >= limit):
-            raise ValueError("eps_seg infeasible: segments would leave the "
-                             "window or touch the tensor away from their kink")
-        from scipy.spatial import cKDTree
-
-        # only pairs closer than 2 max(eps) can overlap; the margin keeps
-        # the tree's rounding of distances from dropping a boundary pair
-        reach = 2.0 * float(eps.max()) * (1.0 + 1e-9)
-        tree = cKDTree(sites.vertex)
-        for p, q in tree.query_pairs(reach, output_type="ndarray").tolist():
-            gap = float(np.linalg.norm(sites.vertex[p] - sites.vertex[q]))
-            if gap > 0.0 and eps[p] + eps[q] >= gap:
-                raise ValueError("eps_seg infeasible: segment balls overlap")
+    eps = _default_eps(T, sites)
 
     # per site, per complement direction z: the half-edges toward +z and
     # -z, their tips numbered after the existing vertices
@@ -525,7 +464,7 @@ def build_augmented(T: GraphTensor, kinks=None, b=1.0, eps_seg=None) -> GraphTen
     added = EdgeBlock(x, x + np.repeat(eps, per)[:, None] * Z,
                       np.repeat(bs, per), np.full(len(Z), "augmentation"),
                       np.repeat(sites.vertex_id, per), tips, Z)
-    return replace(T, edges=EdgeBlock.concat(T.edge_block, added),
+    return replace(T, edges=EdgeBlock.concat(T.edges, added),
                    vertices=T.vertices + len(Z),
                    div_mass=T.div_mass + 2.0 * (T.n - 1) * running_sum(bs))
 
@@ -553,7 +492,7 @@ def audit_tensor(T: GraphTensor, n_slices: int = 10) -> dict:
     _, m, scale, _, category = _vertices(T)
     worst = _max_interior_balance(m, scale, category)
     t_lo, t_hi = T.window
-    all_kink_times = T.kink_block.vertex[:, 0]
+    all_kink_times = T.kinks.vertex[:, 0]
     kink_times = sorted(set(all_kink_times.tolist()))
     trajectories = _trajectories(T)
     traces = []

@@ -24,13 +24,55 @@ import numpy as np
 from kinkbound import _jsonio
 from kinkbound._pykern import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
-from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventLog,
-                                GenericityViolation, ParticleState,
+from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
+                                EventLog, GenericityViolation, ParticleState,
                                 SimulationBug, validate_configuration)
 from kinkbound.ledger import (BoundReport, HodographSummary, KinkClassification,
                               KinkRecord, LEDGER_COLUMNS, bulk_invariants)
-from kinkbound.tensor import (GraphTensor, KinkSite, SliceTrace, TensorEdge,
-                              VertexBalance, _time_tol)
+from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
+                              SliceTrace, TensorEdge, VertexBalance, _time_tol)
+
+
+# -- blocks of per-record lists -------------------------------------------------
+# the package's logs and tensors hold their records packed in columns; the
+# loops below build lists of records and pack them here
+
+
+def event_block(events, n):
+    """The EventBlock of a list of CollisionEvents in R^n."""
+    def pairs(a, b):
+        return np.array([(getattr(ev, a), getattr(ev, b)) for ev in events],
+                        dtype=np.float64).reshape(len(events), 2, n)
+
+    return EventBlock(np.array([ev.t for ev in events], dtype=np.float64),
+                      np.array([ev.i for ev in events], dtype=np.int64),
+                      np.array([ev.j for ev in events], dtype=np.int64),
+                      pairs("yi", "yj"), pairs("vi", "vj"),
+                      pairs("vi_post", "vj_post"))
+
+
+def edge_block(edges, n):
+    """The EdgeBlock of a list of TensorEdges in R^(1+n)."""
+    def rows(name):
+        return np.array([getattr(e, name) for e in edges],
+                        dtype=np.float64).reshape(len(edges), 1 + n)
+
+    return EdgeBlock(rows("x_start"), rows("x_end"),
+                     np.array([e.weight for e in edges], dtype=np.float64),
+                     np.array([e.kind for e in edges], dtype=str),
+                     np.array([e.start for e in edges], dtype=np.int64),
+                     np.array([e.end for e in edges], dtype=np.int64),
+                     rows("direction"))
+
+
+def kink_block(sites, n):
+    """The KinkBlock of a list of KinkSites in R^(1+n)."""
+    def rows(name, width):
+        return np.array([getattr(site, name) for site in sites],
+                        dtype=np.float64).reshape(len(sites), width)
+
+    return KinkBlock(rows("vertex", 1 + n), rows("v", n), rows("v_post", n),
+                     np.array([site.vertex_id for site in sites], dtype=np.int64))
 
 
 def contact_time_scan(yi, vi, yj, vj, a, t_hi, samples=4096, iters=200):
@@ -252,8 +294,8 @@ def heap_simulation(states, config):
     initial = [ParticleState(s.id, s.position.copy(), s.velocity.copy())
                for s in states]
     events, termination = HeapEngine(states, config).run()
-    return EventLog(config=config, initial=initial, events=events,
-                    termination=termination)
+    return EventLog(config=config, initial=initial,
+                    events=event_block(events, config.n), termination=termination)
 
 
 class ReferenceEngine:
@@ -660,6 +702,9 @@ def audit_tensor(T, n_slices=10):
 # bit.
 
 
+EVENT_FIELDS = ("t", "i", "j", "yi", "yj", "vi", "vj", "vi_post", "vj_post")
+
+
 def events_jsonl_bytes(log):
     """events.jsonl with every line from _jsonio.dumps."""
     header = {
@@ -669,7 +714,8 @@ def events_jsonl_bytes(log):
                     for s in log.initial],
     }
     lines = [_jsonio.dumps(header)]
-    lines += [_jsonio.dumps(ev.to_dict()) for ev in log.events]
+    lines += [_jsonio.dumps({key: getattr(ev, key) for key in EVENT_FIELDS})
+              for ev in log.events]
     lines.append(_jsonio.dumps({"kind": "footer", "events": len(log.events),
                                 "termination": log.termination}))
     return ("\n".join(lines) + "\n").encode()
@@ -685,7 +731,7 @@ def read_events(path):
         events.append(CollisionEvent(
             t=float(d["t"]), i=d["i"], j=d["j"],
             **{k: np.array(d[k], dtype=np.float64)
-               for k in ("yi", "yj", "vi", "vj", "vi_post", "vj_post")}))
+               for k in EVENT_FIELDS[3:]}))
     return events
 
 
@@ -847,8 +893,10 @@ def build_tensor(log, window):
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
     inv = bulk_invariants(log.initial)
-    return GraphTensor(edges=edges, window=(t_lo, t_hi), n=log.config.n,
-                       vertices=len(ids), kinks=kinks, mass_energy=inv.M + inv.E)
+    n = log.config.n
+    return GraphTensor(edges=edge_block(edges, n), window=(t_lo, t_hi), n=n,
+                       vertices=len(ids), kinks=kink_block(kinks, n),
+                       mass_energy=inv.M + inv.E)
 
 
 def build_augmented(T, b=1.0):
@@ -870,6 +918,6 @@ def build_augmented(T, b=1.0):
                                     "augmentation", s.vertex_id, tip + 1, -z))
             tip += 2
         total_b += float(b)
-    return GraphTensor(edges=edges, window=T.window, n=T.n, vertices=tip,
-                       kinks=list(T.kinks), mass_energy=T.mass_energy,
+    return GraphTensor(edges=edge_block(edges, T.n), window=T.window, n=T.n,
+                       vertices=tip, kinks=T.kinks, mass_energy=T.mass_energy,
                        div_mass=T.div_mass + 2.0 * (T.n - 1) * total_b)

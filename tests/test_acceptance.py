@@ -360,9 +360,12 @@ def test_criterion_7_covariance():
 def _id_ordered_jsonl(log):
     """events.jsonl bytes with initial states sorted by id and each event's
     (i, j) put in id order, so logs of permuted inputs compare bytewise."""
-    events = [ev if ev.i < ev.j else dynamics.CollisionEvent(
-        ev.t, ev.j, ev.i, ev.yj, ev.yi, ev.vj, ev.vi, ev.vj_post, ev.vi_post)
-        for ev in log.events]
+    b = log.events
+    swap = b.i > b.j
+    pair = np.where(swap[:, None], [1, 0], [0, 1])[:, :, None]  # (E, 2, 1)
+    events = dynamics.EventBlock(
+        b.t, np.minimum(b.i, b.j), np.maximum(b.i, b.j),
+        *(np.take_along_axis(x, pair, axis=1) for x in (b.y, b.v, b.v_post)))
     initial = sorted(log.initial, key=lambda s: s.id)
     return dynamics.events_jsonl_bytes(replace(log, initial=initial, events=events))
 

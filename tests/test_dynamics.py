@@ -14,17 +14,14 @@ from kinkbound.dynamics import (
     GenericityViolation,
     ParticleState,
     SimConfig,
-    advance_free,
     events_jsonl_bytes,
-    predict_pair_collision,
     read_events_jsonl,
-    resolve_collision,
     run_simulation,
     validate_configuration,
     write_events_jsonl,
 )
 
-from oracles import contact_time_scan, replay_positions
+from oracles import replay_positions
 
 
 def _state(i, y, v):
@@ -60,131 +57,108 @@ def test_validate_rejects_zero_radius_off_line():
     assert not validate_configuration([_state(0, [0, 0], [0, 0])], cfg).ok
 
 
-# -- prediction ---------------------------------------------------------------
+def test_validate_rejects_positions_whose_doubled_squares_overflow():
+    cfg = SimConfig(n=2, N=2, a=0.01)
+    states = [_state(0, [1e308, 0], [-1, 0]), _state(1, [-1e308, 0], [1, 0])]
+    with np.errstate(all="raise"):  # no overflow escapes as a warning
+        rep = validate_configuration(states, cfg)
+    assert not rep.ok and rep.reason == "non_finite"
+    assert rep.detail["id"] == 0
+    states = [_state(0, [0, 0], [0, 0]), _state(1, [1e154, 0], [0, 0])]
+    assert validate_configuration(states, cfg).reason == "non_finite"
+    states[1] = _state(1, [1e153, 0], [0, 0])
+    assert validate_configuration(states, cfg).ok
 
 
-def test_predict_head_on():
-    """Gap 4 -> 2 at relative closing speed 2: contact at t = 1."""
-    si = _state(0, [0.0, 0.0], [1.0, 0.0])
-    sj = _state(1, [4.0, 0.0], [-1.0, 0.0])
-    t = predict_pair_collision(si, sj, a=1.0)
-    oracle = contact_time_scan([0, 0], [1, 0], [4, 0], [-1, 0], 1.0, 5.0)
-    assert t == pytest.approx(1.0, abs=1e-12)
-    assert t == pytest.approx(oracle, abs=1e-9)
+# -- collision resolution: the engine's impulse rule and free flight ----------
 
 
-def test_predict_separating_pair_none():
-    si = _state(0, [0.0, 0.0], [-1.0, 0.0])
-    sj = _state(1, [4.0, 0.0], [1.0, 0.0])
-    assert predict_pair_collision(si, sj, a=1.0) is None
+def _scene(n, a, positions, velocities):
+    sc = kb.gen_explicit(n, a, positions, velocities)
+    return sc.states, sc.config
 
 
-def test_predict_grazing_none():
-    # impact parameter exactly 2a: tangential contact, filtered
-    si = _state(0, [0.0, 0.0], [1.0, 0.0])
-    sj = _state(1, [5.0, 2.0], [0.0, 0.0])
-    assert predict_pair_collision(si, sj, a=1.0) is None
-    assert contact_time_scan([0, 0], [1, 0], [5, 2], [0, 0], 1.0, 20.0) is None
-
-
-def test_predict_matches_scan_oracle_on_random_pairs():
-    rng = np.random.default_rng(11)
-    hits = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 4))
-        a = float(rng.uniform(0.05, 0.5))
-        yi, yj = rng.normal(0, 2, size=(2, n))
-        if np.linalg.norm(yj - yi) <= 2 * a:
-            continue
-        vi, vj = rng.normal(0, 1.5, size=(2, n))
-        t = predict_pair_collision(_state(0, yi, vi), _state(1, yj, vj), a=a)
-        t_oracle = contact_time_scan(yi, vi, yj, vj, a, 50.0)
-        if t is None:
-            # the scan may see a tangential touch the grazing filter drops;
-            # everything else must agree
-            assert t_oracle is None or t_oracle > 50.0 or abs(
-                np.dot(yj - yi, vj - vi)) < 1e-12 or _is_grazing(yi, vi, yj, vj, a)
-        elif t < 49.0:  # inside the oracle's scan horizon
-            hits += 1
-            assert t_oracle is not None
-            assert t == pytest.approx(t_oracle, rel=1e-9, abs=1e-9)
-    assert hits > 30  # the draw really exercises the colliding branch
-
-
-def _is_grazing(yi, vi, yj, vj, a):
-    dy, dv = np.asarray(yj) - yi, np.asarray(vj) - vi
-    b = float(np.dot(dy, dv))
-    A = float(np.dot(dv, dv))
-    c = float(np.dot(dy, dy)) - 4 * a * a
-    disc = b * b - A * c
-    return disc < 1e-14 * (b * b + A * abs(c))
-
-
-# -- resolution ---------------------------------------------------------------
+def _one_collision(n, a, positions, velocities):
+    log = run_simulation(*_scene(n, a, positions, velocities))
+    assert len(log.events) == 1
+    return log.events[0]
 
 
 def test_resolve_head_on_swap():
-    vi, vj = resolve_collision([1.0, 0.0], [-1.0, 0.0], [1.0, 0.0])
-    np.testing.assert_array_equal(vi, [-1.0, 0.0])
-    np.testing.assert_array_equal(vj, [1.0, 0.0])
+    # gap 4 -> contact separation 1 at closing speed 2: t = 1.5, normal (1, 0)
+    ev = _one_collision(2, 0.5, [[-2.0, 0.0], [2.0, 0.0]],
+                        [[1.0, 0.0], [-1.0, 0.0]])
+    assert ev.t == 1.5
+    np.testing.assert_array_equal(ev.vi_post, [-1.0, 0.0])
+    np.testing.assert_array_equal(ev.vj_post, [1.0, 0.0])
 
 
 def test_resolve_1d_exchange():
-    vi, vj = resolve_collision([2.0], [-1.0], [1.0])
-    assert (vi[0], vj[0]) == (-1.0, 2.0)
+    ev = _one_collision(1, 0.5, [[0.0], [3.0]], [[2.0], [-1.0]])
+    assert (ev.vi_post[0], ev.vj_post[0]) == (-1.0, 2.0)
 
 
 def test_resolve_oblique():
-    r = np.sqrt(2.0) / 2.0
-    vi, vj = resolve_collision([1.0, 0.0], [0.0, 0.0], [r, r])
-    np.testing.assert_allclose(vi, [0.5, -0.5], atol=1e-15)
-    np.testing.assert_allclose(vj, [0.5, 0.5], atol=1e-15)
-    assert np.dot(vi, vi) + np.dot(vj, vj) == pytest.approx(1.0, abs=1e-15)
+    # contact at t = 1 with the normal at 45 degrees
+    r = np.sqrt(0.5)
+    ev = _one_collision(2, 0.5, [[0.0, 0.0], [1.0 + r, r]],
+                        [[1.0, 0.0], [0.0, 0.0]])
+    assert ev.t == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(ev.vi_post, [0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(ev.vj_post, [0.5, 0.5], atol=1e-12)
+    energy = np.dot(ev.vi_post, ev.vi_post) + np.dot(ev.vj_post, ev.vj_post)
+    assert energy == pytest.approx(1.0, abs=1e-15)
 
 
 def test_resolve_conservation_exact_on_random_input():
+    """Random pairs aimed at each other with impact parameter below 2a."""
     rng = np.random.default_rng(3)
+    collided = 0
     for _ in range(200):
         n = int(rng.integers(1, 5))
+        a = float(rng.uniform(0.05, 0.5))
         vi, vj = rng.normal(0, 2, size=(2, n))
-        u = rng.normal(0, 1, size=n)
-        u /= np.linalg.norm(u)
-        if np.dot(vj - vi, u) >= 0:
-            u = -u
-        if np.dot(vj - vi, u) >= 0:
-            continue  # exactly orthogonal draw
-        wi, wj = resolve_collision(vi, vj, u)
+        dv = vj - vi
+        if np.linalg.norm(dv) * 3.0 <= 4.0 * a:
+            continue  # too slow to start 3 time units apart
+        offset = rng.normal(size=n)
+        offset -= np.dot(offset, dv) / np.dot(dv, dv) * dv
+        if n > 1:
+            offset *= rng.uniform(0.0, 1.8 * a) / np.linalg.norm(offset)
+        yj = -3.0 * dv + offset
+        ev = _one_collision(n, a, [np.zeros(n), yj], [vi, vj])
+        collided += 1
+        wi, wj = ev.vi_post, ev.vj_post
         # the impulse is shared, so momentum error is one rounding per component
         np.testing.assert_allclose(wi + wj, vi + vj, rtol=0, atol=1e-13)
         e0 = np.dot(vi, vi) + np.dot(vj, vj)
         e1 = np.dot(wi, wi) + np.dot(wj, wj)
         assert e1 == pytest.approx(e0, rel=1e-12)
-        # jump parallel to the normal, post-collision separation
+        # jump parallel to the contact normal, post-collision separation
+        u = (ev.yj - ev.yi) / np.linalg.norm(ev.yj - ev.yi)
         jump = wi - vi
-        assert np.linalg.norm(jump - np.dot(jump, u) * u) <= 1e-12
+        assert np.linalg.norm(jump - np.dot(jump, u) * u) <= 1e-12 * max(
+            1.0, np.linalg.norm(jump))
         assert np.dot(wj - wi, u) > 0
+    assert collided > 100
 
 
 def test_resolve_rejects_separating():
-    with pytest.raises(ValueError):
-        resolve_collision([-1.0, 0.0], [1.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        resolve_collision([1.0, 0.0], [-1.0, 0.0], [2.0, 0.0])  # not unit
-
-
-# -- free flight --------------------------------------------------------------
+    # receding, and passing at exactly 2a: neither pair is ever resolved
+    for positions, velocities in (([[0.0, 0.0], [2.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]),
+                                  ([[0.0, 0.0], [5.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])):
+        log = run_simulation(*_scene(2, 0.5, positions, velocities))
+        assert len(log.events) == 0 and log.termination == "queue_empty"
 
 
 def test_advance_free():
-    s = _state(0, [0.0, 0.0], [1.0, 2.0])
-    s2 = advance_free(s, 2.0)
-    np.testing.assert_array_equal(s2.position, [2.0, 4.0])
-    np.testing.assert_array_equal(s2.velocity, [1.0, 2.0])
-    assert s2.last_update_time == 2.0
-    s3 = advance_free(s2, 2.0)
-    np.testing.assert_array_equal(s3.position, s2.position)
-    with pytest.raises(ValueError):
-        advance_free(s2, 1.0)
+    # between collisions each particle flies straight: the contact centers
+    # are the initial positions advanced by t times the initial velocities
+    ev = _one_collision(2, 0.5, [[-2.0, 1.0], [2.0, 1.0]],
+                        [[1.0, 2.0], [-1.0, 2.0]])
+    assert ev.t == 1.5
+    np.testing.assert_array_equal(ev.yi, [-0.5, 4.0])
+    np.testing.assert_array_equal(ev.yj, [0.5, 4.0])
 
 
 # -- full runs ----------------------------------------------------------------
@@ -209,7 +183,7 @@ def test_t_max_termination():
     cfg = SimConfig(n=cfg.n, N=cfg.N, a=cfg.a, t_max=1.0)
     log = run_simulation(sc.states, cfg)
     assert log.termination == "t_max"
-    assert log.events == []
+    assert len(log.events) == 0
 
 
 def test_termination_ignores_stale_predictions():

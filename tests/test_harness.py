@@ -362,6 +362,10 @@ _BAD_SIMULATE = {
     "overflowing_explicit_velocities": {"scenario": {
         "generator": "explicit", "n": 2, "a": 0.01,
         "positions": [[0, 0], [1, 0]], "velocities": [[1e308, 0], [-1e308, 0]]}},
+    "overflowing_explicit_positions": {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.01,
+        "positions": [[1e308, 0], [-1e308, 0]], "velocities": [[-1, 0], [1, 0]]}},
+    "overflowing_gas_box": {"scenario": {**_GAS, "box": [1e308, 1e308]}},
 }
 
 _BAD_USAGE = {
@@ -465,6 +469,7 @@ def _assert_one_json_object(capsys) -> None:
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
 @pytest.mark.parametrize(
     "case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE) + sorted(_BAD_FIELDS))
 def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
@@ -492,6 +497,35 @@ def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "non_finite"
     assert not (tmp_path / "o").exists()
+
+
+@functools.cache
+def _head_on_lines() -> tuple:
+    """The JSON lines of the log of two spheres colliding head-on in R^2."""
+    log = harness.simulate_scenario(harness.gen_explicit(
+        2, 0.5, [[-2.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]))
+    return tuple(json.loads(line)
+                 for line in events_jsonl_bytes(log).decode().splitlines())
+
+
+# config fields of a header that run_simulation would have refused
+_BAD_HEADERS = {
+    "negative_a": ("a", -0.25),
+    "zero_a_off_the_line": ("a", 0),
+    "N_not_the_state_count": ("N", 7),
+    "negative_t_max": ("t_max", -3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_HEADERS))
+def test_cli_verify_tensor_rejects_invalid_header(case, tmp_path, capsys):
+    field, value = _BAD_HEADERS[case]
+    good = _argv("verify-tensor", list(_head_on_lines()), tmp_path)
+    assert cli.main(good) == 0
+    capsys.readouterr()
+    doc = _replaced(list(_head_on_lines()), (0, "config", field), value)
+    assert cli.main(_argv("verify-tensor", doc, tmp_path)) == 2
+    _assert_one_json_object(capsys)
 
 
 def test_run_experiment_failure_leaves_no_output(tmp_path, monkeypatch):

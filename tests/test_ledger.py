@@ -144,8 +144,12 @@ def test_st_wedge_identity_on_every_record():
 
 
 def test_bound_report_empty_ledger():
-    inv = ledger.bulk_invariants(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    rep = ledger.bound_report([], inv, 2)
+    # two spheres flying apart: no collision, no kink
+    log = _simulate(2, 0.1, [[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]])
+    records = ledger.build_ledger(log)
+    assert len(records) == 0
+    inv = ledger.bulk_invariants(log.initial)
+    rep = ledger.bound_report(records, inv, 2)
     assert rep.S1 == rep.S2 == rep.S_st == 0.0
     assert rep.ratio1 == rep.ratio2 == rep.ratio_st == 0.0
     assert rep.ratio2_defined
@@ -168,11 +172,11 @@ def test_bound_report_line_sharpness(p):
 def test_bound_report_undefined_ratio2_flag():
     # nonzero jump sum but zero velocity spread: ratio2 has no value
     inv = ledger.bulk_invariants(np.array([[3.0, 4.0]]))
-    rec = ledger.KinkRecord(
-        time=1.0, particle=0, partner=1,
-        v=np.array([1.0, 0.0]), v_post=np.array([-1.0, 0.0]),
-        dv_norm=2.0, wedge=0.0, st_wedge=2.0)
-    rep = ledger.bound_report([rec], inv, 1)
+    one_kink = ledger.Ledger(
+        time=np.array([1.0]), particle=np.array([0]), partner=np.array([1]),
+        v=np.array([[1.0, 0.0]]), v_post=np.array([[-1.0, 0.0]]),
+        dv_norm=np.array([2.0]), wedge=np.array([0.0]), st_wedge=np.array([2.0]))
+    rep = ledger.bound_report(one_kink, inv, 1)
     assert not rep.ratio2_defined
     assert math.isinf(rep.ratio2)
 

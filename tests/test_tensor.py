@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-import oracles
 from kinkbound import harness, tensor
 from kinkbound.kernel import lift
 
@@ -367,7 +366,7 @@ def test_complement_basis_rejects_parallel():
 def test_augment_single_site_planar():
     log = _head_on()
     T = tensor.build_tensor(log, (0.0, 3.0))
-    A = tensor.build_augmented(T, kinks=[T.kinks[0]], b=2.0)
+    A = tensor.build_augmented(T, kinks=T.kinks[:1], b=2.0)
     added = [e for e in A.edges if e.kind == "augmentation"]
     assert len(added) == 2  # one segment = two half-edges
     assert A.div_mass == 2.0 * (2 - 1) * 2.0
@@ -405,7 +404,7 @@ def test_augment_3d_two_segments_per_site():
                     [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     assert len(log.events) == 1
     T = tensor.build_tensor(log, (0.0, 3.0))
-    A = tensor.build_augmented(T, kinks=[T.kinks[0]], b=1.0)
+    A = tensor.build_augmented(T, kinks=T.kinks[:1], b=1.0)
     added = [e for e in A.edges if e.kind == "augmentation"]
     assert len(added) == 4  # n-1 = 2 segments, two half-edges each
     assert A.div_mass == 4.0
@@ -423,28 +422,6 @@ def test_augment_validation():
     T = tensor.build_tensor(log, (0.0, 3.0))
     with pytest.raises(ValueError):
         tensor.build_augmented(T, b=0.0)
-    with pytest.raises(ValueError):
-        tensor.build_augmented(T, eps_seg=1.5)   # pokes out of clearance
-    with pytest.raises(ValueError):
-        tensor.build_augmented(T, eps_seg=-0.1)
-    with pytest.raises(ValueError):
-        tensor.build_augmented(T, eps_seg=0.6)   # sibling balls overlap
-
-
-def test_augment_feasible_eps_seg_on_gas():
-    log = _gas(97)
-    T = tensor.build_tensor(log, _window(log))
-    clearance = oracles.default_eps(T, T.kinks) / 0.49
-    eps = float(np.min(clearance)) * 0.49  # balls of radius eps stay disjoint
-    A = tensor.build_augmented(T, b=0.3, eps_seg=eps)
-    added = [e for e in A.edges if e.kind == "augmentation"]
-    assert len(added) == 2 * (T.n - 1) * len(T.kinks)
-    for e in added:
-        assert np.linalg.norm(e.x_end - e.x_start) == pytest.approx(eps, rel=1e-12)
-    assert tensor.audit_tensor(A)["max_interior_balance"] <= 1e-12
-    # each ball reaching 0.99 of its clearance overlaps a neighbour's
-    with pytest.raises(ValueError, match="segment balls overlap"):
-        tensor.build_augmented(T, eps_seg=0.99 * clearance)
 
 
 def test_augment_no_sites_copies():
@@ -475,7 +452,8 @@ def test_audit_tensor_report():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial takes ~0.5 s to import; only the eps_seg check needs it
+    # the package runs on numpy alone; scipy serves the test oracles and
+    # the benchmark only
     code = ("import sys, kinkbound; "
-            "sys.exit('scipy.spatial' in sys.modules)")
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
