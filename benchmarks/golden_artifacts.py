@@ -14,6 +14,9 @@ The set:
 
 * 24 Maxwell gases, a=0.01, t_max=1: n=2 at covering fraction 0.3 and
   n=3 at 0.2, N in {64, 128, 256}, seeds 0-3;
+* two 2-D gases at N=64 (fraction 0.3, t_max=1) through the transforms
+  and the other velocity draw: seed 0 with "boost": [0.5, -0.25] and
+  "time_scale": 2.0, and seed 1 with uniform velocities (v0=1);
 * line_1d with p in {1, 5, 50};
 * two explicit scenes at the edge shapes of the event log: two spheres
   in R^3 flying apart (no collision) and a head-on pair in R^2 (one);
@@ -76,6 +79,11 @@ def scenarios() -> dict:
         for N in (64, 128, 256):
             for seed in range(4):
                 out[f"gas{n}d_N{N}_s{seed}"] = gas_config(n, N, seed)
+    out["gas2d_N64_s0_boost_time_scale"] = {
+        **gas_config(2, 64, 0), "boost": [0.5, -0.25], "time_scale": 2.0}
+    uniform = gas_config(2, 64, 1)
+    uniform["scenario"]["velocities"] = {"kind": "uniform", "v0": 1.0}
+    out["gas2d_N64_s1_uniform"] = uniform
     for p in (1, 5, 50):
         out[f"line1d_p{p}"] = line_config(p)
     out["explicit3d_no_events"] = explicit_config(

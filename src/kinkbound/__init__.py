@@ -11,8 +11,9 @@ from .detmass import (AngularMeasure, ConvexPolygon, check_balance,
                       support_function)
 from .dynamics import (CollisionEvent, ConfigurationError, EventBlock, EventLog,
                        GenericityViolation, ParticleState, SimConfig,
-                       SimulationBug, read_events_jsonl, run_simulation,
-                       validate_configuration, write_events_jsonl)
+                       SimulationBug, StateBlock, read_events_jsonl,
+                       run_simulation, validate_configuration,
+                       write_events_jsonl)
 from .harness import (PackingError, Scenario, SweepSpec, apply_boost,
                       apply_time_scale, gen_explicit, gen_line_1d,
                       gen_random_gas, run_experiment, scenario_from_config,

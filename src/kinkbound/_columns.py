@@ -1,8 +1,8 @@
 """Records packed in columns.
 
-The event log, the ledger and the graph tensor keep their records as
-equal-length arrays, one row per record, and the layers that consume them
-are array passes.  Columns is the base of those blocks: a dataclass of the
+The initial states, the event log, the ledger and the graph tensor keep
+their records as equal-length arrays, one row per record, and the layers
+that consume them are array passes.  Columns is the base of those blocks: a dataclass of the
 arrays that also reads as a sequence of the record type, for the callers
 that want one record at a time.
 """

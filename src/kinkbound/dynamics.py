@@ -34,6 +34,7 @@ __all__ = [
     "SimulationBug",
     "SimConfig",
     "ParticleState",
+    "StateBlock",
     "CollisionEvent",
     "EventBlock",
     "EventLog",
@@ -108,11 +109,17 @@ class ParticleState:
     position: np.ndarray
     velocity: np.ndarray
 
-    def __post_init__(self):
-        self.position = np.array(self.position, dtype=np.float64)
-        self.velocity = np.array(self.velocity, dtype=np.float64)
-        if self.position.shape != self.velocity.shape or self.position.ndim != 1:
-            raise ValueError("position and velocity must be 1-D and congruent")
+
+@dataclass(eq=False)
+class StateBlock(Columns):
+    """Initial states packed in arrays, read as a sequence of ParticleState:
+    id (N,) int64, and position and velocity (N, n) float64 at time 0."""
+
+    id: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+
+    record = ParticleState
 
 
 @dataclass
@@ -155,11 +162,11 @@ class EventBlock(Columns):
 
 @dataclass
 class EventLog:
-    """Simulation output: config, initial states, the ordered events as one
-    EventBlock, and the termination reason."""
+    """Simulation output: config, the initial states as one StateBlock, the
+    ordered events as one EventBlock, and the termination reason."""
 
     config: SimConfig
-    initial: list
+    initial: StateBlock
     events: EventBlock
     termination: str
     provenance: dict = field(default_factory=dict)
@@ -167,7 +174,7 @@ class EventLog:
     def rows(self) -> np.ndarray:
         """(E, 2) index into initial of each event's particles i and j."""
         b = self.events
-        ids = np.array([s.id for s in self.initial], dtype=np.int64)
+        ids = self.initial.id
         keys = np.stack((b.i, b.j), axis=1)
         order = np.argsort(ids, kind="stable")
         rows = order[np.searchsorted(ids, keys, sorter=order)
@@ -185,13 +192,13 @@ class ValidationReport:
 
 
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
-    """Check initial data: shapes, finiteness, distinct ids, no overlap.
+    """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap.
 
-    Positions count as not finite when the square of twice one of them
-    overflows: the overlap check and the engine square differences of
-    positions, which are up to twice as large.  Overlap means a pair at
-    center distance <= 2a; validity requires strictly separated spheres
-    (and distinct points when a == 0).
+    Positions count as not finite when the square of twice one overflows,
+    velocities from where the running sum of the squares of twice them
+    does (the engine squares differences, up to twice as large; the
+    ledger sums the energy).  Overlap means center distance <= 2a: spheres
+    must be strictly apart (and points distinct when a == 0).
     """
     def bad(reason, **detail):
         return ValidationReport(False, reason, detail)
@@ -210,25 +217,22 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
     if config.t_max is not None and not config.t_max > 0:
         return bad("t_max", t_max=config.t_max)
 
-    ids = [s.id for s in states]
-    if len(set(ids)) != len(ids):
-        return bad("duplicate_ids", ids=ids)
-    for s in states:
-        if s.position.shape != (config.n,) or s.velocity.shape != (config.n,):
-            return bad("dimension_mismatch", id=s.id)
-        if not (np.all(np.isfinite(s.position)) and np.all(np.isfinite(s.velocity))):
-            return bad("non_finite", id=s.id)
-
-    pos = np.array([s.position for s in states])
+    ids, pos, vel = states.id, states.position, states.velocity
+    if len(np.unique(ids)) != len(ids):
+        return bad("duplicate_ids", ids=ids.tolist())
+    if pos.shape != (config.N, config.n) or vel.shape != pos.shape:
+        return bad("dimension_mismatch", n=config.n, position=pos.shape,
+                   velocity=vel.shape)
     with np.errstate(over="ignore"):
-        squares = np.sum((2.0 * pos) ** 2, axis=1)
-    if not np.isfinite(squares).all():
-        return bad("non_finite", id=ids[int(np.argmin(np.isfinite(squares)))])
+        finite = (np.isfinite(np.sum((2.0 * pos) ** 2, axis=1))
+                  & np.isfinite(np.cumsum(np.sum((2.0 * vel) ** 2, axis=1))))
+    if not finite.all():
+        return bad("non_finite", id=int(ids[np.argmin(finite)]))
     for i in range(len(states) - 1):
         d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
         k = int(np.argmin(d))
         if d[k] <= 2.0 * config.a:
-            return bad("overlap", pair=(ids[i], ids[i + 1 + k]),
+            return bad("overlap", pair=(int(ids[i]), int(ids[i + 1 + k])),
                        distance=float(d[k]), contact=2.0 * config.a)
     return ValidationReport(True)
 
@@ -253,12 +257,13 @@ class _Engine:
 
     _BLOCK = 1 << 12  # pairs per initial-scan call: small temporaries
 
-    def __init__(self, states, config: SimConfig):
+    def __init__(self, states: StateBlock, config: SimConfig):
         self.config = config
         N = config.N
-        self.ids = np.array([s.id for s in states], dtype=np.int64)
-        self.pos = np.ascontiguousarray([s.position for s in states], dtype=np.float64)
-        self.vel = np.ascontiguousarray([s.velocity for s in states], dtype=np.float64)
+        self.ids = states.id
+        # copies: the run moves these, and the caller's states stay as given
+        self.pos = np.array(states.position, dtype=np.float64, order="C")
+        self.vel = np.array(states.velocity, dtype=np.float64, order="C")
         self.tupd = np.zeros(N)
         self.speed = np.linalg.norm(self.vel, axis=1)
         self.cc = [0] * N
@@ -414,7 +419,7 @@ class _Engine:
         return EventBlock(t, i, j, y, v, v_post), termination
 
 
-def run_simulation(states, config: SimConfig) -> EventLog:
+def run_simulation(states: StateBlock, config: SimConfig) -> EventLog:
     """Run to completion (queue empty) or to config.t_max.
 
     Raises ConfigurationError on invalid initial data, GenericityViolation
@@ -424,10 +429,8 @@ def run_simulation(states, config: SimConfig) -> EventLog:
     report = validate_configuration(states, config)
     if not report.ok:
         raise ConfigurationError(report)
-    initial = [ParticleState(s.id, s.position.copy(), s.velocity.copy())
-               for s in states]
     block, termination = _Engine(states, config).run()
-    return EventLog(config=config, initial=initial, events=block,
+    return EventLog(config=config, initial=states, events=block,
                     termination=termination)
 
 
@@ -460,7 +463,7 @@ def events_jsonl_bytes(log: EventLog) -> bytes:
     state or line over packed columns: the same text as _jsonio.dumps of
     {"id", "y", "v"} per state and of the CollisionEvent fields per event.
     """
-    n, N = log.config.n, len(log.initial)
+    n, states = log.config.n, log.initial
     state, event = _templates(n)
     header = _jsonio.dumps({
         "kind": "header",
@@ -468,10 +471,9 @@ def events_jsonl_bytes(log: EventLog) -> bytes:
         "config": log.config.header_dict(),
         "provenance": log.provenance,
     })
-    PV = np.array([(s.position, s.velocity) for s in log.initial],
-                  dtype=np.float64).reshape(N, 2 * n)
+    PV = np.concatenate((states.position, states.velocity), axis=1)
     initial = ",".join(state % row for row in
-                       zip([s.id for s in log.initial], *_finite_lists(PV)))
+                       zip(states.id.tolist(), *_finite_lists(PV)))
     lines = [header[:-1] + ',"initial":[' + initial + "]}"]
     b = log.events
     E, width = len(b), 2 * n
@@ -491,11 +493,11 @@ def write_events_jsonl(log: EventLog, path) -> None:
         fh.write(events_jsonl_bytes(log))
 
 
-def _initial_state(value, name: str) -> ParticleState:
+def _initial_state(value, name: str) -> tuple:
     rec = read_object(value, name)
-    return ParticleState(read_int(rec["id"], f"{name}.id"),
-                         read_array(rec["y"], f"{name}.y"),
-                         read_array(rec["v"], f"{name}.v"))
+    return (read_int(rec["id"], f"{name}.id"),
+            read_array(rec["y"], f"{name}.y"),
+            read_array(rec["v"], f"{name}.v"))
 
 
 def _check_event(doc, line: int, n: int, ids: set) -> None:
@@ -599,15 +601,20 @@ def read_events_jsonl(path) -> EventLog:
         t_max=None if t_max is None else read_number(t_max, "config.t_max"),
         **{k: read_number(cfg[k], f"config.{k}")
            for k in ("grazing_tol", "overlap_tol", "time_tie_tol")})
-    initial = read_list(header.get("initial"), "initial", _initial_state)
+    states = read_list(header.get("initial"), "initial", _initial_state)
+    ids, y, v = zip(*states) if states else ((), (), ())
+    try:  # an id beyond int64, or vectors of unequal lengths
+        initial = StateBlock(np.array(ids, dtype=np.int64),
+                             np.array(y, dtype=np.float64),
+                             np.array(v, dtype=np.float64))
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"initial states need int64 ids and vectors of one "
+                         f"length: {exc}") from None
     report = validate_configuration(initial, config)
     if not report.ok:
         raise ConfigurationError(report)
-    ids = [s.id for s in initial]
-    if any(abs(i) >= 2**63 for i in ids):
-        raise ValueError("initial ids must be 64-bit integers")
     provenance = read_object(header.get("provenance", {}), "provenance")
-    block = _event_block(lines[1:-1], config.n, np.array(ids, dtype=np.int64))
+    block = _event_block(lines[1:-1], config.n, initial.id)
     if read_int(footer.get("events"), "footer events") != len(block):
         raise ValueError("event count mismatch between footer and body")
     termination = footer.get("termination")

@@ -121,15 +121,9 @@ class KinkClassification:
     markov_bound: float  # strong <= S2 / (epsilon * v_bar)
 
 
-def bulk_invariants(states) -> BulkInvariants:
-    """Mass, energy, momentum and velocity-spread scales of a state set.
-
-    Accepts a sequence of ParticleStates or an (N, n) velocity array.
-    """
-    if isinstance(states, np.ndarray):
-        V = np.asarray(states, dtype=np.float64)
-    else:
-        V = np.array([s.velocity for s in states], dtype=np.float64)
+def bulk_invariants(V: np.ndarray) -> BulkInvariants:
+    """Mass, energy, momentum and velocity-spread scales of the (N, n)
+    velocities V of a state set (unit masses)."""
     if V.ndim != 2 or V.shape[0] < 1:
         raise ValueError("need at least one particle")
     M = float(V.shape[0])
@@ -207,7 +201,7 @@ def hodograph_summaries(log) -> list:
     """
     b = log.events
     n = log.config.n
-    V0 = np.array([s.velocity for s in log.initial], dtype=np.float64)
+    V0 = log.initial.velocity
     w = bulk_invariants(V0).w
     rows = log.rows().reshape(-1)
     v = b.v.reshape(-1, n)
@@ -222,11 +216,11 @@ def hodograph_summaries(log) -> list:
     kinked = last >= 0
     v_plus[kinked] = v_post[last[kinked]]
     scatter = norms(v_plus - V0)
-    return [HodographSummary(particle=s.id, ell=length, area=swept, v0=v0,
+    return [HodographSummary(particle=pid, ell=length, area=swept, v0=v0,
                              v_minus=v0, v_plus=vp, scatter=sc)
-            for s, length, swept, v0, vp, sc in zip(
-                log.initial, ell.tolist(), area.tolist(), V0, v_plus,
-                scatter.tolist())]
+            for pid, length, swept, v0, vp, sc in zip(
+                log.initial.id.tolist(), ell.tolist(), area.tolist(), V0,
+                v_plus, scatter.tolist())]
 
 
 # -- serialization ----------------------------------------------------------
@@ -266,7 +260,7 @@ def read_ledger_csv(path) -> list:
 def build_report(log, ledger, epsilon: float = 1.0) -> dict:
     """Everything the report JSON carries, as one plain dict; ledger is
     build_ledger(log)."""
-    inv = bulk_invariants(log.initial)
+    inv = bulk_invariants(log.initial.velocity)
     rep = bound_report(ledger, inv, int(inv.M))
     cls = classify_kinks(ledger, inv, epsilon)
     hodo = hodograph_summaries(log)

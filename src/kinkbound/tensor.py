@@ -188,10 +188,8 @@ def build_tensor(log, window) -> GraphTensor:
     order = np.argsort(owner, kind="stable")
     owner = owner[order]
     tk = np.concatenate((np.zeros(N), np.repeat(b.t, 2)))[order]
-    P0 = np.array([s.position for s in log.initial], dtype=np.float64)
-    V0 = np.array([s.velocity for s in log.initial], dtype=np.float64)
-    yk = np.concatenate((P0.reshape(N, n), b.y.reshape(K, n)))[order]
-    vk = np.concatenate((V0.reshape(N, n), b.v_post.reshape(K, n)))[order]
+    yk = np.concatenate((log.initial.position, b.y.reshape(K, n)))[order]
+    vk = np.concatenate((log.initial.velocity, b.v_post.reshape(K, n)))[order]
     kink = np.concatenate((np.full(N, -1), np.arange(K)))[order]
     first = kink < 0  # the first segment extends backward
     last = np.append(owner[1:] != owner[:-1], True)
@@ -237,7 +235,7 @@ def build_tensor(log, window) -> GraphTensor:
     sites = KinkBlock(X.reshape(-1, 1 + n), v.reshape(-1, n),
                       v_post.reshape(-1, n), kink_ids)
 
-    inv = bulk_invariants(log.initial)
+    inv = bulk_invariants(log.initial.velocity)
     return GraphTensor(edges=edges, window=(t_lo, t_hi), n=n,
                        vertices=len(unique), kinks=sites,
                        mass_energy=inv.M + inv.E)

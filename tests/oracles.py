@@ -25,8 +25,8 @@ from kinkbound import _jsonio
 from kinkbound._pykern import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
 from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
-                                EventLog, GenericityViolation, ParticleState,
-                                SimulationBug, validate_configuration)
+                                EventLog, GenericityViolation, SimulationBug,
+                                validate_configuration)
 from kinkbound.ledger import (BoundReport, HodographSummary, KinkClassification,
                               KinkRecord, LEDGER_COLUMNS, bulk_invariants)
 from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
@@ -291,10 +291,8 @@ def heap_simulation(states, config):
     report = validate_configuration(states, config)
     if not report.ok:
         raise ConfigurationError(report)
-    initial = [ParticleState(s.id, s.position.copy(), s.velocity.copy())
-               for s in states]
     events, termination = HeapEngine(states, config).run()
-    return EventLog(config=config, initial=initial,
+    return EventLog(config=config, initial=states,
                     events=event_block(events, config.n), termination=termination)
 
 
@@ -799,7 +797,7 @@ def classify_kinks(records, inv, epsilon):
 
 def hodograph_summaries(log):
     """Per-particle dicts updated event by event."""
-    w = bulk_invariants(log.initial).w
+    w = bulk_invariants(log.initial.velocity).w
     vel = {s.id: s.velocity for s in log.initial}
     ell = {s.id: 0.0 for s in log.initial}
     area = {s.id: 0.0 for s in log.initial}
@@ -827,7 +825,7 @@ def write_ledger_csv(records, path):
 
 
 def build_report(log, records, epsilon=1.0):
-    inv = bulk_invariants(log.initial)
+    inv = bulk_invariants(log.initial.velocity)
     rep = bound_report(records, inv, int(inv.M))
     cls = classify_kinks(records, inv, epsilon)
     return {
@@ -892,7 +890,7 @@ def build_tensor(log, window):
                 dv, "colliton", ki, kj, u / np.linalg.norm(u)))
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
-    inv = bulk_invariants(log.initial)
+    inv = bulk_invariants(log.initial.velocity)
     n = log.config.n
     return GraphTensor(edges=edge_block(edges, n), window=(t_lo, t_hi), n=n,
                        vertices=len(ids), kinks=kink_block(kinks, n),

@@ -59,7 +59,7 @@ def test_criterion_1_conservation():
         E1 = 0.5 * float(np.sum(V1 * V1))
         energy_drift = abs(E1 - E0) / E0
         momentum_drift = float(np.linalg.norm(V1.sum(0) - V0.sum(0)))
-        v_bar = ledger.bulk_invariants(log.initial).v_bar
+        v_bar = ledger.bulk_invariants(log.initial.velocity).v_bar
         info["events"] = len(log.events)
         info["energy_drift"] = f"{energy_drift:.2e}"
         info["momentum_drift"] = f"{momentum_drift:.2e}"
@@ -83,7 +83,7 @@ def test_criterion_2_sharpness_exactness():
             ell_sum = math.fsum(
                 h.ell for h in ledger.hodograph_summaries(log))
             assert ell_sum == pytest.approx(N * N, rel=1e-12)
-            inv = ledger.bulk_invariants(log.initial)
+            inv = ledger.bulk_invariants(log.initial.velocity)
             rep = ledger.bound_report(ledger.build_ledger(log), inv, N)
             assert rep.ratio2 == pytest.approx(1.0, rel=1e-12)
         elapsed = time.perf_counter() - t0
@@ -124,7 +124,7 @@ def test_criterion_3_bound_boundedness(sweep_logs):
         for size, group in logs.items():
             ratios = []
             for log in group:
-                inv = ledger.bulk_invariants(log.initial)
+                inv = ledger.bulk_invariants(log.initial.velocity)
                 rep = ledger.bound_report(
                     ledger.build_ledger(log), inv, size)
                 ratios.append(rep.ratio1)
@@ -299,7 +299,7 @@ def test_criterion_7_covariance():
                     case["velocities"], seed)
                 base = harness.simulate_scenario(scn)
                 counts[n] += len(base.events)
-                inv = ledger.bulk_invariants(base.initial)
+                inv = ledger.bulk_invariants(base.initial.velocity)
                 rec0 = ledger.build_ledger(base)
                 rep0 = ledger.bound_report(rec0, inv, case["N"])
 
@@ -312,7 +312,7 @@ def test_criterion_7_covariance():
                     err = abs(rb.dv_norm - r0.dv_norm) / r0.dv_norm
                     worst_dv = max(worst_dv, err)
                     assert err <= 1e-10
-                invb = ledger.bulk_invariants(boosted.initial)
+                invb = ledger.bulk_invariants(boosted.initial.velocity)
                 repb = ledger.bound_report(recb, invb, case["N"])
                 if rep0.S2 > 0:
                     assert repb.ratio2 == pytest.approx(rep0.ratio2,
@@ -366,7 +366,10 @@ def _id_ordered_jsonl(log):
     events = dynamics.EventBlock(
         b.t, np.minimum(b.i, b.j), np.maximum(b.i, b.j),
         *(np.take_along_axis(x, pair, axis=1) for x in (b.y, b.v, b.v_post)))
-    initial = sorted(log.initial, key=lambda s: s.id)
+    states = log.initial
+    order = np.argsort(states.id)
+    initial = dynamics.StateBlock(states.id[order], states.position[order],
+                                  states.velocity[order])
     return dynamics.events_jsonl_bytes(replace(log, initial=initial, events=events))
 
 
@@ -408,7 +411,7 @@ def test_criterion_9_brute_force_cross_validation():
         assert len(log.events) == N * (N - 1) // 2  # strictly decreasing speeds
         first = [(ev.t, *sorted((ev.i, ev.j))) for ev in log.events[:100]]
 
-        v_bar = ledger.bulk_invariants(log.initial).v_bar
+        v_bar = ledger.bulk_invariants(log.initial.velocity).v_bar
         dt = 1e-5 * a / v_bar
         tol = 1e-4 * a / v_bar
         t0 = time.perf_counter()

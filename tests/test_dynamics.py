@@ -12,8 +12,8 @@ from kinkbound.dynamics import (
     ConfigurationError,
     EVENTS_FORMAT,
     GenericityViolation,
-    ParticleState,
     SimConfig,
+    StateBlock,
     events_jsonl_bytes,
     read_events_jsonl,
     run_simulation,
@@ -24,9 +24,11 @@ from kinkbound.dynamics import (
 from oracles import replay_positions
 
 
-def _state(i, y, v):
-    return ParticleState(i, np.asarray(y, dtype=np.float64),
-                         np.asarray(v, dtype=np.float64))
+def _states(*rows):
+    """The StateBlock of (id, position, velocity) rows."""
+    ids, y, v = zip(*rows)
+    return StateBlock(np.array(ids, dtype=np.int64), np.array(y, dtype=np.float64),
+                      np.array(v, dtype=np.float64))
 
 
 # -- validation ---------------------------------------------------------------
@@ -34,13 +36,13 @@ def _state(i, y, v):
 
 def test_validate_accepts_separated_spheres():
     cfg = SimConfig(n=2, N=2, a=1.0)
-    states = [_state(0, [0, 0], [0, 0]), _state(1, [3, 0], [0, 0])]
+    states = _states((0, [0, 0], [0, 0]), (1, [3, 0], [0, 0]))
     assert validate_configuration(states, cfg).ok
 
 
 def test_validate_rejects_overlap():
     cfg = SimConfig(n=2, N=2, a=1.0)
-    states = [_state(0, [0, 0], [0, 0]), _state(1, [1, 0], [0, 0])]
+    states = _states((0, [0, 0], [0, 0]), (1, [1, 0], [0, 0]))
     rep = validate_configuration(states, cfg)
     assert not rep.ok and rep.reason == "overlap"
     assert rep.detail["pair"] == (0, 1)
@@ -48,26 +50,45 @@ def test_validate_rejects_overlap():
 
 def test_validate_rejects_coincident_points_on_line():
     cfg = SimConfig(n=1, N=2, a=0.0)
-    states = [_state(0, [0.0], [1.0]), _state(1, [0.0], [-1.0])]
+    states = _states((0, [0.0], [1.0]), (1, [0.0], [-1.0]))
     assert not validate_configuration(states, cfg).ok
 
 
 def test_validate_rejects_zero_radius_off_line():
     cfg = SimConfig(n=2, N=1, a=0.0)
-    assert not validate_configuration([_state(0, [0, 0], [0, 0])], cfg).ok
+    assert not validate_configuration(_states((0, [0, 0], [0, 0])), cfg).ok
 
 
 def test_validate_rejects_positions_whose_doubled_squares_overflow():
     cfg = SimConfig(n=2, N=2, a=0.01)
-    states = [_state(0, [1e308, 0], [-1, 0]), _state(1, [-1e308, 0], [1, 0])]
+    states = _states((0, [1e308, 0], [-1, 0]), (1, [-1e308, 0], [1, 0]))
     with np.errstate(all="raise"):  # no overflow escapes as a warning
         rep = validate_configuration(states, cfg)
     assert not rep.ok and rep.reason == "non_finite"
     assert rep.detail["id"] == 0
-    states = [_state(0, [0, 0], [0, 0]), _state(1, [1e154, 0], [0, 0])]
+    states = _states((0, [0, 0], [0, 0]), (1, [1e154, 0], [0, 0]))
     assert validate_configuration(states, cfg).reason == "non_finite"
-    states[1] = _state(1, [1e153, 0], [0, 0])
+    states = _states((0, [0, 0], [0, 0]), (1, [1e153, 0], [0, 0]))
     assert validate_configuration(states, cfg).ok
+
+
+def test_validate_rejects_velocities_whose_doubled_squares_overflow():
+    """Velocities fail from the state where the running sum of the squares
+    of twice them overflows; inf and NaN fail too."""
+    cfg = SimConfig(n=2, N=4, a=0.01)
+    rows = [(k, [k, 0], [0, 0]) for k in range(4)]
+    for k, v in ((2, [1e154, 0]), (1, [np.inf, 0]), (3, [0, np.nan])):
+        bad = list(rows)
+        bad[k] = (k, [k, 0], v)
+        with np.errstate(all="raise"):
+            rep = validate_configuration(_states(*bad), cfg)
+        assert rep.reason == "non_finite" and rep.detail["id"] == k
+    # each (2v)^2 = 1e308 is finite; their sum overflows at the second
+    fast = [(k, [k, 0], [5e153, 0]) for k in range(4)]
+    with np.errstate(all="raise"):
+        rep = validate_configuration(_states(*fast), cfg)
+    assert rep.reason == "non_finite" and rep.detail["id"] == 1
+    assert validate_configuration(_states(*fast[:1], *rows[1:]), cfg).ok
 
 
 # -- collision resolution: the engine's impulse rule and free flight ----------
@@ -235,6 +256,24 @@ def test_jsonl_round_trip(tmp_path):
     assert events_jsonl_bytes(log2) == events_jsonl_bytes(log)
 
 
+def test_run_and_transforms_leave_their_input_unchanged():
+    """The engine moves copies of the initial states: two runs of one
+    scenario give the same bytes, and neither a run nor a transform writes
+    into the scenario's block."""
+    sc = kb.gen_random_gas(2, 24, [1.0, 1.0], 0.02,
+                           {"kind": "maxwell", "sigma": 1.0}, seed=5)
+    before = (sc.states.id.tobytes(), sc.states.position.tobytes(),
+              sc.states.velocity.tobytes())
+    log = run_simulation(sc.states, sc.config)
+    assert len(log.events) > 5
+    assert events_jsonl_bytes(run_simulation(sc.states, sc.config)) == \
+        events_jsonl_bytes(log)
+    kb.apply_boost(sc, [0.5, -0.25])
+    kb.apply_time_scale(sc, 2.0)
+    assert (sc.states.id.tobytes(), sc.states.position.tobytes(),
+            sc.states.velocity.tobytes()) == before
+
+
 def test_conservation_and_no_overlap_on_random_gas():
     sc = kb.gen_random_gas(2, 48, [1.0, 1.0], 0.015,
                            {"kind": "maxwell", "sigma": 1.0}, seed=12)
@@ -243,7 +282,7 @@ def test_conservation_and_no_overlap_on_random_gas():
     V = {s.id: np.array(s.velocity) for s in log.initial}
     p0 = sum(V.values())
     e0 = sum(np.dot(v, v) for v in V.values())
-    vbar = kb.bulk_invariants(log.initial).v_bar
+    vbar = kb.bulk_invariants(log.initial.velocity).v_bar
     for ev in log.events:
         V[ev.i], V[ev.j] = np.array(ev.vi_post), np.array(ev.vj_post)
         p = sum(V.values())
@@ -266,8 +305,8 @@ def test_rotation_equivariance():
     sc = kb.gen_random_gas(2, 20, [1.0, 1.0], 0.03,
                            {"kind": "maxwell", "sigma": 1.0}, seed=21)
     log = run_simulation(sc.states, sc.config)
-    rotated = [ParticleState(s.id, R @ s.position, R @ s.velocity)
-               for s in sc.states]
+    rotated = StateBlock(sc.states.id, sc.states.position @ R.T,
+                         sc.states.velocity @ R.T)
     log_r = run_simulation(rotated, sc.config)
     assert [(e.i, e.j) for e in log_r.events] == [(e.i, e.j) for e in log.events]
     scale = max(1.0, max(abs(e.t) for e in log.events))
@@ -282,8 +321,7 @@ def test_galilean_equivariance():
     sc = kb.gen_random_gas(2, 20, [1.0, 1.0], 0.03,
                            {"kind": "maxwell", "sigma": 1.0}, seed=22)
     log = run_simulation(sc.states, sc.config)
-    boosted = [ParticleState(s.id, np.array(s.position), s.velocity + w0)
-               for s in sc.states]
+    boosted = replace(sc.states, velocity=sc.states.velocity + w0)
     log_b = run_simulation(boosted, sc.config)
     assert [(e.i, e.j) for e in log_b.events] == [(e.i, e.j) for e in log.events]
     for e1, e2 in zip(log.events, log_b.events):

@@ -366,7 +366,26 @@ _BAD_SIMULATE = {
         "generator": "explicit", "n": 2, "a": 0.01,
         "positions": [[1e308, 0], [-1e308, 0]], "velocities": [[-1, 0], [1, 0]]}},
     "overflowing_gas_box": {"scenario": {**_GAS, "box": [1e308, 1e308]}},
+    # velocities that overflow only after the transforms
+    "time_scale_overflows_velocities": {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.01,
+        "positions": [[0, 0], [1, 0]], "velocities": [[1e150, 0], [-1e150, 0]]},
+        "time_scale": 1e10},
+    "boost_overflows_velocities": {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.01,
+        "positions": [[0, 0], [1, 0]], "velocities": [[1e150, 0], [-1e150, 0]]},
+        "boost": [1e154, 0]},
+    "time_scale_overflows_to_inf": {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.01,
+        "positions": [[0, 0], [1, 0]], "velocities": [[1e100, 0], [-1e100, 0]]},
+        "time_scale": 1e300},
 }
+
+# the _BAD_SIMULATE cases whose velocities overflow
+_OVERFLOWING_VELOCITIES = ("overflowing_explicit_velocities",
+                           "time_scale_overflows_velocities",
+                           "boost_overflows_velocities",
+                           "time_scale_overflows_to_inf")
 
 _BAD_USAGE = {
     "no_command": [],
@@ -459,6 +478,9 @@ _BAD_FIELDS = {
     "events_null_yj": ("verify-tensor", (1, "yj"), [None]),
     "events_nested_vj_post": ("verify-tensor", (2, "vj_post"), [[1.0]]),
     "events_long_vi_post": ("verify-tensor", (3, "vi_post"), [1.0, 2.0]),
+    "events_overflowing_initial_v": ("verify-tensor", (0, "initial", 0, "v"), [1e154]),
+    "events_int64_overflowing_id": ("verify-tensor", (0, "initial", 0, "id"), 2**63),
+    "events_two_component_y": ("verify-tensor", (0, "initial", 0, "y"), [0.0, 1.0]),
 }
 
 
@@ -486,17 +508,19 @@ def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
 
 
 def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
-    """The explicit generator's overflowing velocities exit 2 with one JSON
-    object on stdout and nothing on stderr (no numpy overflow warnings)."""
-    cfg = _write(tmp_path / "cfg.json", _BAD_SIMULATE["overflowing_explicit_velocities"])
-    proc = subprocess.run(
-        [sys.executable, "-m", "kinkbound.cli", "simulate", "--config", cfg,
-         "--out", str(tmp_path / "o")], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr == ""
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "non_finite"
-    assert not (tmp_path / "o").exists()
+    """Explicit velocities that overflow, as given or after boost or
+    time_scale, exit 2 with one JSON object on stdout and nothing on
+    stderr (no numpy overflow warnings)."""
+    for case in _OVERFLOWING_VELOCITIES:
+        cfg = _write(tmp_path / "cfg.json", _BAD_SIMULATE[case])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kinkbound.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "o")], capture_output=True, text=True)
+        assert proc.returncode == 2, case
+        assert proc.stderr == "", case
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "non_finite"
+        assert not (tmp_path / "o").exists()
 
 
 @functools.cache

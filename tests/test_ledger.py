@@ -47,10 +47,13 @@ def test_bulk_invariants_four_symmetric():
 
 
 def test_bulk_invariants_accepts_states_and_rejects_empty():
-    states = [dynamics.ParticleState(0, [0.0, 0.0], [3.0, 4.0])]
-    assert ledger.bulk_invariants(states).v_bar == 5.0
+    states = dynamics.StateBlock(np.array([0]), np.zeros((1, 2)),
+                                 np.array([[3.0, 4.0]]))
+    assert ledger.bulk_invariants(states.velocity).v_bar == 5.0
     with pytest.raises(ValueError):
         ledger.bulk_invariants(np.empty((0, 2)))
+    with pytest.raises(ValueError):  # one velocity, not a state set
+        ledger.bulk_invariants(np.array([3.0, 4.0]))
 
 
 def test_bulk_inequalities_on_random_velocity_sets():
@@ -66,7 +69,7 @@ def test_bulk_inequalities_on_random_velocity_sets():
 def test_invariants_constant_along_log():
     log = _gas(11)
     assert log.events, "want a log with collisions"
-    before = ledger.bulk_invariants(log.initial)
+    before = ledger.bulk_invariants(log.initial.velocity)
     vel = {s.id: s.velocity for s in log.initial}
     for ev in log.events:
         vel[ev.i], vel[ev.j] = ev.vi_post, ev.vj_post
@@ -148,7 +151,7 @@ def test_bound_report_empty_ledger():
     log = _simulate(2, 0.1, [[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]])
     records = ledger.build_ledger(log)
     assert len(records) == 0
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     rep = ledger.bound_report(records, inv, 2)
     assert rep.S1 == rep.S2 == rep.S_st == 0.0
     assert rep.ratio1 == rep.ratio2 == rep.ratio_st == 0.0
@@ -161,7 +164,7 @@ def test_bound_report_line_sharpness(p):
     log = harness.simulate_scenario(harness.gen_line_1d(p))
     N = 2 * p
     assert len(log.events) == p * p
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     assert (inv.v_bar, inv.v_dev) == (1.0, 1.0)
     rep = ledger.bound_report(ledger.build_ledger(log), inv, N)
     assert rep.S2 == pytest.approx(N * N, rel=1e-12)
@@ -183,7 +186,7 @@ def test_bound_report_undefined_ratio2_flag():
 
 def test_bound_report_random_gas_ratios_finite():
     log = _gas(17)
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     rep = ledger.bound_report(ledger.build_ledger(log), inv, log.config.N)
     for val in (rep.S1, rep.ratio1, rep.S2, rep.ratio2, rep.S_st, rep.ratio_st):
         assert math.isfinite(val) and val > 0
@@ -195,7 +198,7 @@ def test_bound_report_random_gas_ratios_finite():
 def test_classify_head_on_all_strong():
     log = _simulate(
         2, 0.5, [[-2.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     recs = ledger.build_ledger(log)
     cls = ledger.classify_kinks(recs, inv, 2.0)
     assert (cls.strong, cls.weak) == (2, 0)
@@ -207,7 +210,7 @@ def test_classify_head_on_all_strong():
 @pytest.mark.parametrize("p", [2, 4])
 def test_classify_line_sharpness(p):
     log = harness.simulate_scenario(harness.gen_line_1d(p))
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     cls = ledger.classify_kinks(ledger.build_ledger(log), inv, 1.0)
     assert cls.strong == 2 * p * p
     assert cls.weak == 0
@@ -223,7 +226,7 @@ def test_classify_rejects_bad_epsilon():
 
 def test_strong_count_obeys_markov_bound_on_gas():
     log = _gas(23)
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     recs = ledger.build_ledger(log)
     for eps in (0.25, 0.5, 1.0, 2.0):
         cls = ledger.classify_kinks(recs, inv, eps)
@@ -263,7 +266,7 @@ def test_hodograph_single_symmetric_2d_kink():
     )
     assert len(log.events) == 1
     np.testing.assert_allclose(log.events[0].vi_post, [0.0, 1.0], atol=1e-12)
-    w = ledger.bulk_invariants(log.initial).w
+    w = ledger.bulk_invariants(log.initial.velocity).w
     np.testing.assert_allclose(w, [0.0, 0.0], atol=1e-15)
     for h in ledger.hodograph_summaries(log):
         assert h.ell == pytest.approx(math.sqrt(2), rel=1e-12)
@@ -297,8 +300,8 @@ def test_jump_magnitudes_boost_invariant():
     log0 = harness.simulate_scenario(scn)
     logb = harness.simulate_scenario(harness.apply_boost(scn, [2.5, -1.0]))
     assert [(e.i, e.j) for e in log0.events] == [(e.i, e.j) for e in logb.events]
-    inv0 = ledger.bulk_invariants(log0.initial)
-    invb = ledger.bulk_invariants(logb.initial)
+    inv0 = ledger.bulk_invariants(log0.initial.velocity)
+    invb = ledger.bulk_invariants(logb.initial.velocity)
     assert invb.v_dev == pytest.approx(inv0.v_dev, rel=1e-10)
     rec0 = ledger.build_ledger(log0)
     recb = ledger.build_ledger(logb)

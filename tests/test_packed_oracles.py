@@ -75,8 +75,8 @@ def test_events_jsonl_rejects_non_finite_values():
     log = CASES["oblique_n2"]()
     for bad in (np.nan, np.inf):
         for k in range(2):
-            initial = [replace(s) for s in log.initial]
-            initial[k].velocity = np.array([0.0, bad])
+            initial = replace(log.initial, velocity=log.initial.velocity.copy())
+            initial.velocity[k] = [0.0, bad]
             with pytest.raises(ValueError, match="non-finite"):
                 dynamics.events_jsonl_bytes(replace(log, initial=initial))
         events = replace(log.events, v_post=log.events.v_post.copy())
@@ -116,7 +116,7 @@ def _assert_ledger_layers(log, tmp_path):
     records = ledger.build_ledger(log)
     want = oracles.build_ledger(log)
     _assert_same_records(records, want)
-    inv = ledger.bulk_invariants(log.initial)
+    inv = ledger.bulk_invariants(log.initial.velocity)
     N = len(log.initial)
     assert ledger.bound_report(records, inv, N) == oracles.bound_report(want, inv, N)
     for eps in (0.5, 1.0):
