@@ -21,8 +21,7 @@ from .harness import (PackingError, Scenario, SweepSpec, apply_boost,
 from .kernel import lift, spacetime_wedge, wedge_norm
 from .ledger import (BulkInvariants, HodographSummary, KinkRecord, Ledger,
                      bound_report, build_ledger, build_report,
-                     bulk_invariants, classify_kinks, hodograph_summaries,
-                     write_ledger_csv)
+                     bulk_invariants, hodograph_summaries, write_ledger_csv)
 from .tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite, TensorEdge,
                      VertexBalance, audit_tensor, build_augmented,
                      build_tensor, complement_basis, slice_trace,

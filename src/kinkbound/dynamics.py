@@ -493,10 +493,16 @@ def write_events_jsonl(log: EventLog, path) -> None:
         fh.write(events_jsonl_bytes(log))
 
 
+def _is_id(value) -> bool:
+    """Particle ids in an event log are JSON integers (not 1.0, not true)."""
+    return type(value) is int
+
+
 def _initial_state(value, name: str) -> tuple:
     rec = read_object(value, name)
-    return (read_int(rec["id"], f"{name}.id"),
-            read_array(rec["y"], f"{name}.y"),
+    if not _is_id(rec["id"]):
+        raise ValueError(f"{name}.id must be an integer, got {rec['id']!r}")
+    return (rec["id"], read_array(rec["y"], f"{name}.y"),
             read_array(rec["v"], f"{name}.v"))
 
 
@@ -508,7 +514,7 @@ def _check_event(doc, line: int, n: int, ids: set) -> None:
         raise ValueError(f"{name} is not a collision event: {doc!r}")
     read_number(doc["t"], f"{name} t")
     i, j = doc["i"], doc["j"]
-    if not (type(i) is int and type(j) is int and i in ids and j in ids):
+    if not (_is_id(i) and _is_id(j) and i in ids and j in ids):
         raise ValueError(f"{name}: i={i!r}, j={j!r} are not particle ids "
                          "of the header")
     for key in _EVENT_ARRAYS:

@@ -22,8 +22,8 @@ from . import _jsonio
 from ._jsonio import read_array, read_int, read_number, read_object
 from .dynamics import (EventLog, SimConfig, StateBlock, run_simulation,
                        write_events_jsonl)
-from .ledger import build_ledger, build_report, bulk_invariants, bound_report, \
-    classify_kinks, write_ledger_csv
+from .ledger import (bound_report, build_ledger, build_report, bulk_invariants,
+                     write_ledger_csv)
 from .tensor import audit_tensor, build_tensor
 
 __all__ = [
@@ -375,15 +375,12 @@ def _sweep_run(args) -> dict:
     scenario = _sweep_scenario(base, size, seed, t_max)
     log = simulate_scenario(scenario)
     inv = bulk_invariants(log.initial.velocity)
-    ledger = build_ledger(log)
-    rep = bound_report(ledger, inv, len(log.initial))
-    cls = classify_kinks(ledger, inv, epsilon)
+    rep = bound_report(build_ledger(log), inv, epsilon)
     return {
         "N": len(log.initial), "size": size, "seed": seed,
         "events": len(log.events),
-        "ratio1": rep.ratio1,
-        "ratio2": rep.ratio2 if rep.ratio2_defined else None,
-        "strong": cls.strong, "weak": cls.weak,
+        "ratio1": rep.ratio1, "ratio2": rep.ratio2,
+        "strong": rep.strong, "weak": rep.weak,
     }
 
 

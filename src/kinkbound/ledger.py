@@ -15,7 +15,6 @@ All quantities are pure functions of an EventLog.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,11 @@ __all__ = [
     "Ledger",
     "HodographSummary",
     "BoundReport",
-    "KinkClassification",
     "bulk_invariants",
     "build_ledger",
     "bound_report",
-    "classify_kinks",
     "hodograph_summaries",
     "write_ledger_csv",
-    "read_ledger_csv",
     "build_report",
 ]
 
@@ -98,27 +94,23 @@ class HodographSummary:
     ell: float          # chain length: sum of jump magnitudes
     area: float         # swept sector area about the origin
     v0: np.ndarray
-    v_minus: np.ndarray
     v_plus: np.ndarray
     scatter: float      # |v_plus - v(0)|
 
 
 @dataclass
 class BoundReport:
+    """A ledger's kink sums over their a-priori scales, and its counts of
+    strong kinks (dv_norm >= epsilon * v_bar) and weak ones."""
+
     S1: float
     ratio1: float
     S2: float
-    ratio2: float       # inf when v_dev == 0 and S2 > 0
-    ratio2_defined: bool
+    ratio2: float | None  # None when v_dev == 0 and S2 > 0
     S_st: float
     ratio_st: float
-
-
-@dataclass
-class KinkClassification:
     strong: int
     weak: int
-    markov_bound: float  # strong <= S2 / (epsilon * v_bar)
 
 
 def bulk_invariants(V: np.ndarray) -> BulkInvariants:
@@ -152,42 +144,30 @@ def build_ledger(log) -> Ledger:
         st_wedge=spacetime_wedges(v, v_post))
 
 
-def bound_report(ledger: Ledger, inv: BulkInvariants, N: int) -> BoundReport:
-    """Aggregate kink strengths and normalize by their a-priori scales.
+def bound_report(ledger: Ledger, inv: BulkInvariants,
+                 epsilon: float = 1.0) -> BoundReport:
+    """Aggregate kink strengths, normalize by their a-priori scales (N is
+    inv.M) and count the strong and weak kinks at epsilon.
 
     Each sum adds its terms left to right, in ledger order.
     """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     dv, wedge, st = ledger.dv_norm, ledger.wedge, ledger.st_wedge
     S1 = running_sum(inv.v_bar * dv + wedge)
     S2 = running_sum(dv)
     S_st = running_sum(st)
-    N2 = float(N) * float(N)
+    N2 = inv.M * inv.M
     ratio1 = S1 / (N2 * inv.v_bar**2) if inv.v_bar > 0 else 0.0
     if inv.v_dev > 0:
-        ratio2, defined = S2 / (N2 * inv.v_dev), True
-    elif S2 == 0.0:
-        ratio2, defined = 0.0, True
+        ratio2 = S2 / (N2 * inv.v_dev)
     else:
-        ratio2, defined = float("inf"), False
+        ratio2 = 0.0 if S2 == 0.0 else None
     me = inv.M + inv.E
-    return BoundReport(S1=S1, ratio1=ratio1, S2=S2, ratio2=ratio2,
-                       ratio2_defined=defined, S_st=S_st,
-                       ratio_st=S_st / (me * me))
-
-
-def classify_kinks(ledger: Ledger, inv: BulkInvariants,
-                   epsilon: float) -> KinkClassification:
-    """Split records into strong (dv >= eps*v_bar) and weak, with the
-    first-moment (Markov) bound on the strong count."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    thr = epsilon * inv.v_bar
-    dv = ledger.dv_norm
-    strong = int(np.count_nonzero(dv >= thr))
-    return KinkClassification(
-        strong=strong, weak=len(dv) - strong,
-        markov_bound=running_sum(dv) / thr if thr > 0 else float("inf"),
-    )
+    strong = int(np.count_nonzero(dv >= epsilon * inv.v_bar))
+    return BoundReport(S1=S1, ratio1=ratio1, S2=S2, ratio2=ratio2, S_st=S_st,
+                       ratio_st=S_st / (me * me), strong=strong,
+                       weak=len(dv) - strong)
 
 
 def hodograph_summaries(log) -> list:
@@ -217,7 +197,7 @@ def hodograph_summaries(log) -> list:
     v_plus[kinked] = v_post[last[kinked]]
     scatter = norms(v_plus - V0)
     return [HodographSummary(particle=pid, ell=length, area=swept, v0=v0,
-                             v_minus=v0, v_plus=vp, scatter=sc)
+                             v_plus=vp, scatter=sc)
             for pid, length, swept, v0, vp, sc in zip(
                 log.initial.id.tolist(), ell.tolist(), area.tolist(), V0,
                 v_plus, scatter.tolist())]
@@ -238,32 +218,11 @@ def write_ledger_csv(ledger: Ledger, path) -> None:
                       for row in zip(*(c.tolist() for c in columns)))
 
 
-def read_ledger_csv(path) -> list:
-    """Rows as dicts with parsed floats (records lack v/v_post)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != LEDGER_COLUMNS:
-            raise ValueError(f"unexpected ledger columns {reader.fieldnames}")
-        return [
-            {
-                "t": float(row["t"]),
-                "particle": int(row["particle"]),
-                "partner": int(row["partner"]),
-                "dv_norm": float(row["dv_norm"]),
-                "wedge": float(row["wedge"]),
-                "st_wedge": float(row["st_wedge"]),
-            }
-            for row in reader
-        ]
-
-
 def build_report(log, ledger, epsilon: float = 1.0) -> dict:
     """Everything the report JSON carries, as one plain dict; ledger is
     build_ledger(log)."""
     inv = bulk_invariants(log.initial.velocity)
-    rep = bound_report(ledger, inv, int(inv.M))
-    cls = classify_kinks(ledger, inv, epsilon)
-    hodo = hodograph_summaries(log)
+    rep = bound_report(ledger, inv, epsilon)
     return {
         "M": inv.M,
         "E": inv.E,
@@ -273,13 +232,13 @@ def build_report(log, ledger, epsilon: float = 1.0) -> dict:
         "S1": rep.S1,
         "ratio1": rep.ratio1,
         "S2": rep.S2,
-        "ratio2": rep.ratio2 if rep.ratio2_defined else None,
+        "ratio2": rep.ratio2,
         "S_st": rep.S_st,
         "ratio_st": rep.ratio_st,
-        "strong_count": cls.strong,
-        "weak_count": cls.weak,
+        "strong_count": rep.strong,
+        "weak_count": rep.weak,
         "per_particle": [
             {"id": h.particle, "ell": h.ell, "area": h.area, "scatter": h.scatter}
-            for h in hodo
+            for h in hodograph_summaries(log)
         ],
     }

@@ -27,8 +27,8 @@ from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_are
 from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
                                 EventLog, GenericityViolation, SimulationBug,
                                 validate_configuration)
-from kinkbound.ledger import (BoundReport, HodographSummary, KinkClassification,
-                              KinkRecord, LEDGER_COLUMNS, bulk_invariants)
+from kinkbound.ledger import (BoundReport, HodographSummary, KinkRecord,
+                              LEDGER_COLUMNS, bulk_invariants)
 from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
                               SliceTrace, TensorEdge, VertexBalance, _time_tol)
 
@@ -331,21 +331,24 @@ class ReferenceEngine:
         A = np.einsum("pk,pk->p", dv, dv)
         c = np.einsum("pk,pk->p", dy, dy) - 4.0 * self.a ** 2
         s = np.full(b.shape, np.inf)
-        for p in range(len(s)):
-            if self.a == 0.0 and c[p] == 0.0:
-                s[p] = 0.0  # coinciding points: in contact now (b is 0)
-                continue
-            if b[p] >= 0.0:
-                continue
-            if self.a == 0.0:
-                s[p] = c[p] / -b[p]  # a perfect square: |dy|^2 / -(dy . dv)
-                continue
-            disc = b[p] ** 2 - A[p] * c[p]
-            if disc >= self.grazing_tol * (b[p] ** 2 + A[p] * abs(c[p])):
-                # the smaller root, in the form that survives A underflowing;
-                # an approaching pair at contact distance up to rounding
-                # (root < 0) meets now
-                s[p] = max(0.0, c[p] / (-b[p] + math.sqrt(disc)))
+        # a time beyond the float range is +inf: never
+        with np.errstate(over="ignore"):
+            for p in range(len(s)):
+                if self.a == 0.0 and c[p] == 0.0:
+                    s[p] = 0.0  # coinciding points: in contact now (b is 0)
+                    continue
+                if b[p] >= 0.0:
+                    continue
+                if self.a == 0.0:
+                    # a perfect square: |dy|^2 / -(dy . dv)
+                    s[p] = c[p] / -b[p]
+                    continue
+                disc = b[p] ** 2 - A[p] * c[p]
+                if disc >= self.grazing_tol * (b[p] ** 2 + A[p] * abs(c[p])):
+                    # the smaller root, in the form that survives A
+                    # underflowing; an approaching pair at contact distance
+                    # up to rounding (root < 0) meets now
+                    s[p] = max(0.0, c[p] / (-b[p] + math.sqrt(disc)))
         return s
 
     def run(self):
@@ -763,36 +766,27 @@ def build_ledger(log):
     return records
 
 
-def bound_report(records, inv, N):
+def bound_report(records, inv, epsilon=1.0):
+    thr = epsilon * inv.v_bar
     S1 = S2 = S_st = 0.0
+    strong = 0
     for r in records:
         S1 += inv.v_bar * r.dv_norm + r.wedge
         S2 += r.dv_norm
         S_st += r.st_wedge
-    N2 = float(N) * float(N)
+        strong += r.dv_norm >= thr
+    N2 = inv.M * inv.M
     ratio1 = S1 / (N2 * inv.v_bar**2) if inv.v_bar > 0 else 0.0
     if inv.v_dev > 0:
-        ratio2, defined = S2 / (N2 * inv.v_dev), True
+        ratio2 = S2 / (N2 * inv.v_dev)
     elif S2 == 0.0:
-        ratio2, defined = 0.0, True
+        ratio2 = 0.0
     else:
-        ratio2, defined = float("inf"), False
+        ratio2 = None
     me = inv.M + inv.E
-    return BoundReport(S1=S1, ratio1=ratio1, S2=S2, ratio2=ratio2,
-                       ratio2_defined=defined, S_st=S_st,
-                       ratio_st=S_st / (me * me))
-
-
-def classify_kinks(records, inv, epsilon):
-    thr = epsilon * inv.v_bar
-    strong = 0
-    S2 = 0.0
-    for r in records:
-        strong += r.dv_norm >= thr
-        S2 += r.dv_norm
-    return KinkClassification(
-        strong=strong, weak=len(records) - strong,
-        markov_bound=S2 / thr if thr > 0 else float("inf"))
+    return BoundReport(S1=S1, ratio1=ratio1, S2=S2, ratio2=ratio2, S_st=S_st,
+                       ratio_st=S_st / (me * me), strong=strong,
+                       weak=len(records) - strong)
 
 
 def hodograph_summaries(log):
@@ -808,7 +802,7 @@ def hodograph_summaries(log):
             vel[pid] = vp
     return [HodographSummary(
         particle=s.id, ell=ell[s.id], area=area[s.id], v0=s.velocity,
-        v_minus=s.velocity, v_plus=vel[s.id],
+        v_plus=vel[s.id],
         scatter=float(np.linalg.norm(vel[s.id] - s.velocity)))
         for s in log.initial]
 
@@ -826,14 +820,12 @@ def write_ledger_csv(records, path):
 
 def build_report(log, records, epsilon=1.0):
     inv = bulk_invariants(log.initial.velocity)
-    rep = bound_report(records, inv, int(inv.M))
-    cls = classify_kinks(records, inv, epsilon)
+    rep = bound_report(records, inv, epsilon)
     return {
         "M": inv.M, "E": inv.E, "w": inv.w, "v_bar": inv.v_bar,
         "v_dev": inv.v_dev, "S1": rep.S1, "ratio1": rep.ratio1, "S2": rep.S2,
-        "ratio2": rep.ratio2 if rep.ratio2_defined else None,
-        "S_st": rep.S_st, "ratio_st": rep.ratio_st,
-        "strong_count": cls.strong, "weak_count": cls.weak,
+        "ratio2": rep.ratio2, "S_st": rep.S_st, "ratio_st": rep.ratio_st,
+        "strong_count": rep.strong, "weak_count": rep.weak,
         "per_particle": [{"id": h.particle, "ell": h.ell, "area": h.area,
                           "scatter": h.scatter}
                          for h in hodograph_summaries(log)],

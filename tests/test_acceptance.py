@@ -84,7 +84,7 @@ def test_criterion_2_sharpness_exactness():
                 h.ell for h in ledger.hodograph_summaries(log))
             assert ell_sum == pytest.approx(N * N, rel=1e-12)
             inv = ledger.bulk_invariants(log.initial.velocity)
-            rep = ledger.bound_report(ledger.build_ledger(log), inv, N)
+            rep = ledger.bound_report(ledger.build_ledger(log), inv)
             assert rep.ratio2 == pytest.approx(1.0, rel=1e-12)
         elapsed = time.perf_counter() - t0
         info["p"] = "1,5,50"
@@ -125,8 +125,7 @@ def test_criterion_3_bound_boundedness(sweep_logs):
             ratios = []
             for log in group:
                 inv = ledger.bulk_invariants(log.initial.velocity)
-                rep = ledger.bound_report(
-                    ledger.build_ledger(log), inv, size)
+                rep = ledger.bound_report(ledger.build_ledger(log), inv)
                 ratios.append(rep.ratio1)
             medians[size] = float(np.median(ratios))
         spread = max(medians.values()) / min(medians.values())
@@ -301,7 +300,7 @@ def test_criterion_7_covariance():
                 counts[n] += len(base.events)
                 inv = ledger.bulk_invariants(base.initial.velocity)
                 rec0 = ledger.build_ledger(base)
-                rep0 = ledger.bound_report(rec0, inv, case["N"])
+                rep0 = ledger.bound_report(rec0, inv)
 
                 boosted = harness.simulate_scenario(
                     harness.apply_boost(scn, w0))
@@ -313,7 +312,7 @@ def test_criterion_7_covariance():
                     worst_dv = max(worst_dv, err)
                     assert err <= 1e-10
                 invb = ledger.bulk_invariants(boosted.initial.velocity)
-                repb = ledger.bound_report(recb, invb, case["N"])
+                repb = ledger.bound_report(recb, invb)
                 if rep0.S2 > 0:
                     assert repb.ratio2 == pytest.approx(rep0.ratio2,
                                                         rel=1e-10)

@@ -3,6 +3,8 @@ transliteration and against a bisection oracle that knows nothing of
 quadratics, and a block of rows bit for bit equal to one row at a time,
 including the gap it reports."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,40 @@ def test_scan_grazing_pass_never_meets():
     # impact parameter exactly 2a: tangential contact, filtered
     assert _contact([0.0, 0.0], [1.0, 0.0], [5.0, 2.0], [0.0, 0.0], a=1.0) is None
     assert contact_time_scan([0, 0], [1, 0], [5, 2], [0, 0], 1.0, 20.0) is None
+
+
+@pytest.mark.parametrize("k", [300, 450, 500, 700, 1000, 1030])
+def test_scan_slow_pairs_scale_exactly(k):
+    """Velocities scaled by 2^-k give the time scaled by 2^k, bit for bit,
+    also where |dv|^2 underflows (k >= 450), and +inf where the time
+    overflows (k = 1030)."""
+    for yi, vi, yj, vj, a in (([0.0, 0.0], [0.75, 0.25], [3.0, 0.5], [-1.0, 0.0], 0.5),
+                              ([0.25], [0.5], [2.0], [-0.75], 0.125),
+                              ([0.0], [1.0], [1.5], [-0.5], 0.0)):
+        t = _contact(yi, vi, yj, vj, a)
+        slow = _contact(yi, np.ldexp(vi, -k), yj, np.ldexp(vj, -k), a)
+        want = math.ldexp(t, k) if k < 1030 else None
+        assert slow == want
+
+
+def test_slow_pair_leaves_the_other_pairs_bits():
+    """A block holding a pair that needs rescaling returns the same bits
+    for every other pair as a block without it."""
+    rng = np.random.default_rng(5)
+    pos, vel, _, js = _random_scan_case(rng, 3, 8)
+    tupd = np.zeros(len(pos))
+    vel[0] = 0.0
+    vel[1] = np.ldexp(pos[0] - pos[1], -600)  # approaching particle 0
+    out = np.empty(len(js))
+    py_scan(pos, vel, tupd, 0, js, 0.01, 1e-14, out)
+    rest = np.empty(len(js) - 1)
+    py_scan(pos, vel, tupd, 0, js[1:], 0.01, 1e-14, rest)
+    assert out[1:].tobytes() == rest.tobytes()
+    fast = vel.copy()
+    fast[1] = pos[0] - pos[1]
+    want = np.empty(1)
+    py_scan(pos, fast, tupd, 0, js[:1], 0.01, 1e-14, want)
+    assert out[0] == math.ldexp(want[0], 600) and math.isfinite(out[0])
 
 
 def _is_grazing(yi, vi, yj, vj, a):

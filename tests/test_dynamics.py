@@ -358,6 +358,18 @@ def test_simultaneous_disjoint_pairs_ok():
     assert sorted(pairs[3:]) == [(0, 1), (2, 3)]
 
 
+@pytest.mark.parametrize("n, speed, t", [(1, 1e-250, 9.375e248),
+                                         (2, 1e-200, 9.375e198)])
+def test_tiny_speeds_meet_at_the_exact_time(n, speed, t):
+    """At these speeds |dv|^2 underflows to 0; the pair still meets when
+    its gap 0.25 - 2a closes at 2 * speed."""
+    pad = [0.0] * (n - 1)
+    log = kb.simulate_scenario(kb.gen_explicit(
+        n, 0.03125, [[0.75] + pad, [1.0] + pad], [[speed] + pad, [-speed] + pad]))
+    assert log.events.t.tolist() == [pytest.approx(t, rel=1e-15)]
+    assert log.termination == "queue_empty"
+
+
 def test_1d_zero_radius_swaps_exactly():
     sc = kb.gen_line_1d(3)
     log = run_simulation(sc.states, sc.config)

@@ -295,6 +295,28 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.medians == parallel.medians
 
 
+_SWEPT_GAS = {"generator": "random_gas", "n": 2, "a": 0.02, "box": 1.0}
+
+
+@pytest.mark.parametrize("base, size, seed, scenario", [
+    (_SWEPT_GAS, 12, 5, {**_SWEPT_GAS, "N": 12, "seed": 5}),
+    ({"generator": "line_1d"}, 3, 0, {"generator": "line_1d", "p": 3}),
+])
+def test_sweep_row_matches_report(base, size, seed, scenario, tmp_path):
+    """A sweep row carries report.json's ratio1, ratio2 and strong/weak
+    counts for the same run and epsilon."""
+    spec = harness.SweepSpec(sizes=[size], seeds=[seed], base=base,
+                             epsilon=0.5)
+    [row] = harness.sweep(spec, workers=1).rows
+    harness.run_experiment({"scenario": scenario, "ledger": {"epsilon": 0.5}},
+                           tmp_path / "run")
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert row["events"] > 0
+    assert (row["ratio1"], row["ratio2"], row["strong"], row["weak"]) == \
+        (report["ratio1"], report["ratio2"], report["strong_count"],
+         report["weak_count"])
+
+
 def test_sweep_worker_errors_keep_their_type():
     """Engine errors raised in a worker process reach the caller intact
     (at sigma=1e308, seeds 0 and 2 draw velocities that overflow)."""
@@ -480,6 +502,7 @@ _BAD_FIELDS = {
     "events_long_vi_post": ("verify-tensor", (3, "vi_post"), [1.0, 2.0]),
     "events_overflowing_initial_v": ("verify-tensor", (0, "initial", 0, "v"), [1e154]),
     "events_int64_overflowing_id": ("verify-tensor", (0, "initial", 0, "id"), 2**63),
+    "events_float_initial_id": ("verify-tensor", (0, "initial", 1, "id"), 1.0),
     "events_two_component_y": ("verify-tensor", (0, "initial", 0, "y"), [0.0, 1.0]),
 }
 
@@ -507,20 +530,32 @@ def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _simulate_subprocess(doc, tmp_path):
+    cfg = _write(tmp_path / "cfg.json", doc)
+    return subprocess.run(
+        [sys.executable, "-m", "kinkbound.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "o")], capture_output=True, text=True)
+
+
 def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
     """Explicit velocities that overflow, as given or after boost or
-    time_scale, exit 2 with one JSON object on stdout and nothing on
-    stderr (no numpy overflow warnings)."""
+    time_scale, exit 2 with one JSON object on stdout, and a pair whose
+    contact time overflows never meets; neither prints anything on stderr
+    (no numpy overflow warnings)."""
     for case in _OVERFLOWING_VELOCITIES:
-        cfg = _write(tmp_path / "cfg.json", _BAD_SIMULATE[case])
-        proc = subprocess.run(
-            [sys.executable, "-m", "kinkbound.cli", "simulate", "--config", cfg,
-             "--out", str(tmp_path / "o")], capture_output=True, text=True)
+        proc = _simulate_subprocess(_BAD_SIMULATE[case], tmp_path)
         assert proc.returncode == 2, case
         assert proc.stderr == "", case
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "non_finite"
         assert not (tmp_path / "o").exists()
+    # 1e10 apart, closing at 2e-300: contact at 5e309, beyond the float range
+    proc = _simulate_subprocess({"scenario": {
+        "generator": "explicit", "n": 1, "a": 0.01, "positions": [[0.0], [1e10]],
+        "velocities": [[1e-300], [-1e-300]]}}, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    summary = json.loads(proc.stdout)
+    assert (summary["events"], summary["termination"]) == (0, "queue_empty")
 
 
 @functools.cache

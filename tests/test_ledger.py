@@ -1,5 +1,6 @@
 """Kink ledger, bulk invariants, bound reports and hodograph summaries."""
 
+import csv
 import math
 
 import numpy as np
@@ -152,10 +153,10 @@ def test_bound_report_empty_ledger():
     records = ledger.build_ledger(log)
     assert len(records) == 0
     inv = ledger.bulk_invariants(log.initial.velocity)
-    rep = ledger.bound_report(records, inv, 2)
+    rep = ledger.bound_report(records, inv)
     assert rep.S1 == rep.S2 == rep.S_st == 0.0
     assert rep.ratio1 == rep.ratio2 == rep.ratio_st == 0.0
-    assert rep.ratio2_defined
+    assert (rep.strong, rep.weak) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [1, 3, 5])
@@ -166,33 +167,42 @@ def test_bound_report_line_sharpness(p):
     assert len(log.events) == p * p
     inv = ledger.bulk_invariants(log.initial.velocity)
     assert (inv.v_bar, inv.v_dev) == (1.0, 1.0)
-    rep = ledger.bound_report(ledger.build_ledger(log), inv, N)
+    rep = ledger.bound_report(ledger.build_ledger(log), inv)
     assert rep.S2 == pytest.approx(N * N, rel=1e-12)
     assert rep.ratio2 == pytest.approx(1.0, rel=1e-12)
-    assert rep.ratio2_defined
 
 
-def test_bound_report_undefined_ratio2_flag():
+def test_bound_report_undefined_ratio2_is_none():
     # nonzero jump sum but zero velocity spread: ratio2 has no value
     inv = ledger.bulk_invariants(np.array([[3.0, 4.0]]))
     one_kink = ledger.Ledger(
         time=np.array([1.0]), particle=np.array([0]), partner=np.array([1]),
         v=np.array([[1.0, 0.0]]), v_post=np.array([[-1.0, 0.0]]),
         dv_norm=np.array([2.0]), wedge=np.array([0.0]), st_wedge=np.array([2.0]))
-    rep = ledger.bound_report(one_kink, inv, 1)
-    assert not rep.ratio2_defined
-    assert math.isinf(rep.ratio2)
+    rep = ledger.bound_report(one_kink, inv)
+    assert rep.ratio2 is None
+    assert rep.S2 == 2.0 and math.isfinite(rep.ratio1)
 
 
 def test_bound_report_random_gas_ratios_finite():
     log = _gas(17)
     inv = ledger.bulk_invariants(log.initial.velocity)
-    rep = ledger.bound_report(ledger.build_ledger(log), inv, log.config.N)
+    rep = ledger.bound_report(ledger.build_ledger(log), inv)
     for val in (rep.S1, rep.ratio1, rep.S2, rep.ratio2, rep.S_st, rep.ratio_st):
         assert math.isfinite(val) and val > 0
 
 
-# -- classification -----------------------------------------------------------
+def test_bound_report_normalizes_by_particle_count():
+    """N is inv.M: the ratios are the sums over M^2 times their scales."""
+    log = _gas(19)
+    inv = ledger.bulk_invariants(log.initial.velocity)
+    rep = ledger.bound_report(ledger.build_ledger(log), inv)
+    N = len(log.initial)
+    assert rep.ratio1 == rep.S1 / (float(N) * float(N) * inv.v_bar**2)
+    assert rep.ratio2 == rep.S2 / (float(N) * float(N) * inv.v_dev)
+
+
+# -- strong/weak split ----------------------------------------------------------
 
 
 def test_classify_head_on_all_strong():
@@ -200,28 +210,28 @@ def test_classify_head_on_all_strong():
         2, 0.5, [[-2.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
     inv = ledger.bulk_invariants(log.initial.velocity)
     recs = ledger.build_ledger(log)
-    cls = ledger.classify_kinks(recs, inv, 2.0)
-    assert (cls.strong, cls.weak) == (2, 0)
+    rep = ledger.bound_report(recs, inv, 2.0)
+    assert (rep.strong, rep.weak) == (2, 0)
     # Markov bound is tight here: S2/(eps*v_bar) = 4/2 = strong count
-    assert cls.markov_bound == pytest.approx(2.0)
-    assert ledger.classify_kinks(recs, inv, 100.0).strong == 0
+    assert rep.S2 / (2.0 * inv.v_bar) == pytest.approx(2.0)
+    assert ledger.bound_report(recs, inv, 100.0).strong == 0
 
 
 @pytest.mark.parametrize("p", [2, 4])
 def test_classify_line_sharpness(p):
     log = harness.simulate_scenario(harness.gen_line_1d(p))
     inv = ledger.bulk_invariants(log.initial.velocity)
-    cls = ledger.classify_kinks(ledger.build_ledger(log), inv, 1.0)
-    assert cls.strong == 2 * p * p
-    assert cls.weak == 0
+    rep = ledger.bound_report(ledger.build_ledger(log), inv, 1.0)
+    assert rep.strong == 2 * p * p
+    assert rep.weak == 0
 
 
 def test_classify_rejects_bad_epsilon():
     inv = ledger.bulk_invariants(np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        ledger.classify_kinks([], inv, 0.0)
-    with pytest.raises(ValueError):
-        ledger.classify_kinks([], inv, -1.0)
+    empty = ledger.build_ledger(_simulate(1, 0.1, [[0.0]], [[1.0]]))
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ledger.bound_report(empty, inv, eps)
 
 
 def test_strong_count_obeys_markov_bound_on_gas():
@@ -229,9 +239,10 @@ def test_strong_count_obeys_markov_bound_on_gas():
     inv = ledger.bulk_invariants(log.initial.velocity)
     recs = ledger.build_ledger(log)
     for eps in (0.25, 0.5, 1.0, 2.0):
-        cls = ledger.classify_kinks(recs, inv, eps)
-        assert cls.strong + cls.weak == len(recs)
-        assert cls.strong <= cls.markov_bound + 1e-12
+        rep = ledger.bound_report(recs, inv, eps)
+        assert rep.strong + rep.weak == len(recs) == 2 * len(log.events)
+        # first-moment (Markov) bound: each strong kink adds >= eps*v_bar to S2
+        assert rep.strong <= rep.S2 / (eps * inv.v_bar) + 1e-12
 
 
 # -- hodographs ---------------------------------------------------------------
@@ -244,7 +255,6 @@ def test_hodograph_collisionless_particle():
     for h in ledger.hodograph_summaries(log):
         assert h.ell == 0.0 and h.area == 0.0 and h.scatter == 0.0
         assert np.array_equal(h.v_plus, h.v0)
-        assert np.array_equal(h.v_minus, h.v0)
 
 
 def test_hodograph_two_head_on_rods():
@@ -307,8 +317,8 @@ def test_jump_magnitudes_boost_invariant():
     recb = ledger.build_ledger(logb)
     for r0, rb in zip(rec0, recb):
         assert rb.dv_norm == pytest.approx(r0.dv_norm, rel=1e-10)
-    rep0 = ledger.bound_report(rec0, inv0, log0.config.N)
-    repb = ledger.bound_report(recb, invb, logb.config.N)
+    rep0 = ledger.bound_report(rec0, inv0)
+    repb = ledger.bound_report(recb, invb)
     assert repb.ratio2 == pytest.approx(rep0.ratio2, rel=1e-10)
 
 
@@ -331,25 +341,22 @@ def test_time_scale_covariance_of_strengths():
 
 
 def test_ledger_csv_round_trip(tmp_path):
+    """ledger.csv parses with the csv module back to the exact columns."""
     recs = ledger.build_ledger(_gas(47))
     path = tmp_path / "ledger.csv"
     ledger.write_ledger_csv(recs, path)
-    rows = ledger.read_ledger_csv(path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ledger.LEDGER_COLUMNS
+        rows = list(reader)
     assert len(rows) == len(recs)
     for r, row in zip(recs, rows):
-        assert row["t"] == r.time
-        assert row["particle"] == r.particle
-        assert row["partner"] == r.partner
-        assert row["dv_norm"] == r.dv_norm
-        assert row["wedge"] == r.wedge
-        assert row["st_wedge"] == r.st_wedge
-
-
-def test_ledger_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        ledger.read_ledger_csv(path)
+        assert float(row["t"]) == r.time
+        assert int(row["particle"]) == r.particle
+        assert int(row["partner"]) == r.partner
+        assert float(row["dv_norm"]) == r.dv_norm
+        assert float(row["wedge"]) == r.wedge
+        assert float(row["st_wedge"]) == r.st_wedge
 
 
 def test_build_report_schema():
