@@ -17,12 +17,12 @@ measured by tests rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsonio import read_list, read_number, read_object
-from .kernel import wedge_norm
 
 __all__ = [
     "AngularMeasure",
@@ -231,8 +231,9 @@ def dm_kink(V, V2, b: float, n: int | None = None,
     kappa = 1/4 under convention="paper" (the three-line normalization),
     kappa = 1/2 under convention="area" (the enclosed-area oracle).
     """
-    V = np.asarray(V, dtype=np.float64)
-    V2 = np.asarray(V2, dtype=np.float64)
+    # contiguous: BLAS adds a strided vector in another order
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    V2 = np.ascontiguousarray(V2, dtype=np.float64)
     if V.shape != V2.shape or V.ndim != 1 or V.size < 3:
         raise ValueError("V and V2 must be equal-length vectors in R^(1+n), n >= 2")
     if n is None:
@@ -249,8 +250,17 @@ def dm_kink(V, V2, b: float, n: int | None = None,
         kappa = 0.5
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    wedge = wedge_norm(V, V2)
-    scale = float(np.linalg.norm(V) * np.linalg.norm(V2))
+    # one pass over the two vectors, with the bits of kernel.wedge_norm and
+    # np.linalg.norm: the 2x2 minors squared and added in (a, b) order, and
+    # each norm the root of a BLAS dot
+    x, y = V.tolist(), V2.tolist()
+    total = 0.0
+    for a in range(n + 1):
+        for c in range(a + 1, n + 1):
+            minor = x[a] * y[c] - x[c] * y[a]
+            total += minor * minor
+    wedge = math.sqrt(total)
+    scale = math.sqrt(V.dot(V)) * math.sqrt(V2.dot(V2))
     if wedge <= 1e-14 * scale:
         raise ValueError("V and V2 are parallel: degenerate kink")
     return (kappa * wedge) ** (1.0 / n) * b ** ((n - 1.0) / n)

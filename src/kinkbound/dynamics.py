@@ -191,6 +191,9 @@ class ValidationReport:
     detail: dict = field(default_factory=dict)
 
 
+_BLOCK = 1 << 12  # pairs per pass of the overlap check and the initial scan
+
+
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
     """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap.
 
@@ -198,7 +201,10 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
     velocities from where the running sum of the squares of twice them
     does (the engine squares differences, up to twice as large; the
     ledger sums the energy).  Overlap means center distance <= 2a: spheres
-    must be strictly apart (and points distinct when a == 0).
+    must be strictly apart (and points distinct when a == 0).  The overlap
+    report names the first row i with any overlap and its nearest later
+    row j, at the distance np.linalg.norm gives; the search takes blocks of
+    rows against all later rows, at most _BLOCK pairs a block.
     """
     def bad(reason, **detail):
         return ValidationReport(False, reason, detail)
@@ -228,12 +234,29 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
                   & np.isfinite(np.cumsum(np.sum((2.0 * vel) ** 2, axis=1))))
     if not finite.all():
         return bad("non_finite", id=int(ids[np.argmin(finite)]))
-    for i in range(len(states) - 1):
-        d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
-        k = int(np.argmin(d))
-        if d[k] <= 2.0 * config.a:
-            return bad("overlap", pair=(int(ids[i]), int(ids[i + 1 + k])),
-                       distance=float(d[k]), contact=2.0 * config.a)
+    # blocks of rows i against every later row j > i (sq[q, c] is row
+    # i0 + q against j = i0 + 1 + c; c < q is masked off) find the rows
+    # that may overlap, from squared distances summed column by column;
+    # np.linalg.norm adds the same squares in another order, within n ulps,
+    # so a 1e-9 margin misses no overlap.  Each such row, in order, is
+    # then checked with np.linalg.norm's distances.
+    N, contact = len(states), 2.0 * config.a
+    reach = contact * (1.0 + 1e-9)
+    reach *= reach  # +inf, not OverflowError, past the float range
+    rows = max(1, _BLOCK // N)
+    for i0 in range(0, N - 1, rows):
+        r = min(rows, N - 1 - i0)
+        sq = np.zeros((r, N - 1 - i0))
+        for col in pos.T:
+            diff = col[i0 + 1:] - col[i0:i0 + r, None]
+            sq += diff * diff
+        sq[np.tri(r, N - 1 - i0, -1, dtype=bool)] = np.inf
+        for i in (i0 + np.flatnonzero((sq <= reach).any(axis=1))).tolist():
+            d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
+            k = int(np.argmin(d))
+            if d[k] <= contact:
+                return bad("overlap", pair=(int(ids[i]), int(ids[i + 1 + k])),
+                           distance=float(d[k]), contact=contact)
     return ValidationReport(True)
 
 
@@ -254,8 +277,6 @@ class _Engine:
     prediction was part of the minimum that made some live entry, and
     every entry pushed at a pop is keyed no earlier than it.
     """
-
-    _BLOCK = 1 << 12  # pairs per initial-scan call: small temporaries
 
     def __init__(self, states: StateBlock, config: SimConfig):
         self.config = config
@@ -278,7 +299,7 @@ class _Engine:
                     np.empty((16, 2, config.n)), np.empty((16, 2, config.n)),
                     np.empty((16, 2, config.n)))
         self.idx = np.arange(N, dtype=np.int64)
-        rows_per_call = max(1, self._BLOCK // N)
+        rows_per_call = max(1, _BLOCK // N)
         for r0 in range(0, N, rows_per_call):
             rows = self.idx[r0:r0 + rows_per_call]
             out = np.empty((rows.size, N))

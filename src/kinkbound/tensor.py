@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._columns import Columns
-from .kernel import lift, norms, running_sum, squared_norms
+from .kernel import norms, running_sum, squared_norms
 from .ledger import bulk_invariants
 
 __all__ = [
@@ -363,69 +363,127 @@ def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
                       mass=mass)
 
 
+_BLOCK = 1 << 13  # kink x support pairs per augmentation pass: small temporaries
+
+
 def complement_basis(V, V2, n: int) -> np.ndarray:
     """Deterministic orthonormal basis of Span(V, V2)^perp in R^(1+n).
 
     Coordinate axes are orthogonalized against Span(V, V2), then taken in
     decreasing residual-norm order (stable) and orthonormalized against
-    each other until n-1 directions are found.
+    each other until n-1 directions are found.  Returns
+    _complement_bases(V[None], V2[None], n)[0], so one kink and many take
+    one code path.  build_augmented takes the bases of all K kinks in one
+    pass of O(K (1+n)^2 n) work; its cost is the clearance scan's
+    O(K (K+M)) kink x support pairs, in blocks of bounded size.
+    """
+    return _complement_bases(np.asarray(V, dtype=np.float64)[None],
+                             np.asarray(V2, dtype=np.float64)[None], n)[0]
+
+
+def _complement_bases(V, V2, n: int) -> np.ndarray:
+    """complement_basis of each row of V with the same row of V2, both
+    (K, 1+n): the bases as a (K, n-1, 1+n) array.
+
+    Gram-Schmidt runs for all K kinks at once, in O(K (1+n)^2 n) work with
+    no loop over kinks.  Every dot product is np.vecdot of two rows, so a
+    kink gets the bits that np.dot gives row by row (resid @ u, a BLAS
+    matrix-vector product, may differ in the last bit).  The candidate
+    axes go in np.argsort order (stable) of their residual norms; each
+    kink counts the directions it has found, orthogonalizes a candidate
+    against those only, skips it when its norm is <= 1e-10 and takes no
+    more once it has n-1, as a loop over one kink's candidates does.  The
+    first failing kink in row order names the error.
     """
     V = np.asarray(V, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
-    u1 = V / np.linalg.norm(V)
-    r = V2 - np.dot(V2, u1) * u1
-    nr = np.linalg.norm(r)
-    if nr <= 1e-14 * np.linalg.norm(V2):
-        raise ValueError("V and V2 are parallel: no 2-plane to complement")
-    u2 = r / nr
-    d = 1 + n
-    resid = np.eye(d)
-    resid -= np.outer(resid @ u1, u1)
-    resid -= np.outer(resid @ u2, u2)
-    order = np.argsort(-np.linalg.norm(resid, axis=1), kind="stable")
-    basis = []
-    for idx in order:
-        w = resid[idx].copy()
-        for z in basis:
-            w -= np.dot(w, z) * z
-        nw = np.linalg.norm(w)
-        if nw > 1e-10:
-            basis.append(w / nw)
-        if len(basis) == n - 1:
+    K, d = len(V), 1 + n
+    u1 = V / norms(V)[:, None]
+    r = V2 - np.vecdot(V2, u1)[:, None] * u1
+    nr = norms(r)
+    parallel = nr <= 1e-14 * norms(V2)
+    u2 = np.divide(r, nr[:, None], out=np.zeros_like(r), where=~parallel[:, None])
+    resid = np.broadcast_to(np.eye(d), (K, d, d)).copy()
+    for u in (u1[:, None], u2[:, None]):
+        resid -= np.vecdot(resid, u)[..., None] * u
+    order = np.argsort(-norms(resid), axis=1, kind="stable")
+    basis = np.zeros((K, n - 1, d))
+    found = np.zeros(K, dtype=np.int64)
+    rows = np.arange(K)
+    for slot in range(d):
+        wanting = found < n - 1
+        if not wanting.any():
             break
-    if len(basis) != n - 1:
+        w = resid[rows, order[:, slot]]
+        for j in range(n - 1):
+            z = basis[:, j]
+            np.subtract(w, np.vecdot(w, z)[:, None] * z, out=w,
+                        where=(found > j)[:, None])
+        nw = norms(w)
+        take = wanting & (nw > 1e-10)
+        basis[rows[take], found[take]] = w[take] / nw[take, None]
+        found += take
+    failed = parallel | (found != n - 1)
+    if failed.any():
+        if parallel[np.argmax(failed)]:
+            raise ValueError("V and V2 are parallel: no 2-plane to complement")
         raise ValueError("failed to complete orthonormal complement")
-    return np.array(basis)
+    return basis
+
+
+def _coincide(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(rows, M) mask, True at [r, m] where P[m] equals x[r, 0] in every
+    coordinate.
+
+    The np.all(P == x, axis=-1) test, one coordinate column at a time:
+    a reduction over the short last axis is the slow way to take it."""
+    out = P[:, 0] == x[..., 0]
+    for c in range(1, P.shape[1]):
+        out &= P[:, c] == x[..., c]
+    return out
 
 
 def _default_eps(T: GraphTensor, sites: KinkBlock) -> np.ndarray:
     """0.49 x clearance: nearest support away from the kink, window walls.
 
     The support is every other kink site (coincident ones excluded) and
-    every edge without an endpoint equal to the kink.  For each kink, one
-    pass over all of them gives the distances that np.linalg.norm and the
-    scalar point-to-segment distance (clamped projection) give one at a
-    time, to the bit: the same operations, and dot products through
-    np.vecdot (see kernel.norms).
+    every edge without an endpoint equal to the kink.  Blocks of kinks meet
+    all of it in one set of (rows, K or M, 1+n) passes, at most _BLOCK
+    kink x support pairs a block: O(K (K+M)) pairs for K kinks and M edges,
+    in temporaries of bounded size.  Each distance is the one that
+    np.linalg.norm or the scalar point-to-segment distance (clamped
+    projection) gives, to the bit: the same operations, and dot products
+    through np.vecdot (see kernel.norms).  A kink's clearance is Python's
+    min over its window walls, nearest site and nearest edge, in that
+    order; the first kink in order without room raises ValueError.
     """
     t_lo, t_hi = T.window
     X = sites.vertex
     A, B = T.edges.x_start, T.edges.x_end
     D = B - A
     L2 = squared_norms(D)
+    segment = L2 > 0.0
     eps = np.empty(len(X))
-    for k, x in enumerate(X):
+    rows = max(1, _BLOCK // (len(X) + len(A)))
+    for k0 in range(0, len(X), rows):
+        x = X[k0:k0 + rows, None]  # (rows, 1, 1+n)
         to_sites = norms(X - x)
-        s = np.clip(np.divide(np.vecdot(x - A, D), L2, out=np.zeros(len(L2)),
-                              where=L2 > 0.0), 0.0, 1.0)
-        to_edges = norms(x - (A + s[:, None] * D))
-        incident = np.all(A == x, axis=1) | np.all(B == x, axis=1)
-        best = min(x[0] - t_lo, t_hi - x[0],
-                   to_sites[to_sites > 0.0].min(initial=np.inf),
-                   to_edges[~incident].min(initial=np.inf))
-        if best <= 0.0:
-            raise ValueError(f"no room for segments at kink {x}")
-        eps[k] = 0.49 * best
+        s = np.clip(np.divide(np.vecdot(x - A, D), L2,
+                              out=np.zeros((len(x), len(L2))), where=segment),
+                    0.0, 1.0)
+        to_edges = norms(x - (A + s[..., None] * D))
+        incident = _coincide(A, x) | _coincide(B, x)
+        best = x[:, 0, 0] - t_lo
+        for far in (t_hi - x[:, 0, 0],
+                    np.where(to_sites > 0.0, to_sites, np.inf).min(axis=1),
+                    np.where(incident, np.inf, to_edges).min(axis=1,
+                                                             initial=np.inf)):
+            best = np.where(far < best, far, best)  # min(...) keeps the first
+        none = best <= 0.0
+        if none.any():
+            raise ValueError(
+                f"no room for segments at kink {X[k0 + np.argmax(none)]}")
+        eps[k0:k0 + rows] = 0.49 * best
     return eps
 
 
@@ -438,7 +496,10 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
     b, with {z_j} an orthonormal basis of Span(V, V')^perp; the +/- pairing
     keeps the kink balanced while each far endpoint carries divergence b,
     for a total added divergence mass of exactly 2(n-1) * sum(b).  eps is
-    0.49 times the kink's clearance (_default_eps).
+    0.49 times the kink's clearance (_default_eps), and the bases come from
+    _complement_bases.  Both are array passes over all kinks; the cost is
+    the clearance scan's O(K (K+M)) kink x support pairs for K kinks and M
+    edges, taken in blocks of bounded size.
     """
     if T.n < 2:
         raise ValueError("augmentation needs n >= 2 (empty complement on the line)")
@@ -453,8 +514,9 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
 
     # per site, per complement direction z: the half-edges toward +z and
     # -z, their tips numbered after the existing vertices
-    Z = np.array([complement_basis(lift(v), lift(v_post), T.n)
-                  for v, v_post in zip(sites.v, sites.v_post)])
+    ones = np.ones((K, 1))
+    Z = _complement_bases(np.concatenate((ones, sites.v), axis=1),
+                          np.concatenate((ones, sites.v_post), axis=1), T.n)
     Z = np.stack((Z, -Z), axis=2).reshape(-1, 1 + T.n)
     per = 2 * (T.n - 1)
     x = np.repeat(sites.vertex, per, axis=0)

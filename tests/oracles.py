@@ -8,9 +8,11 @@ and the tensor audits from plain per-edge and per-vertex loops.  Agreement
 between these and the package is the point of the tests that import them.
 
 The exceptions are bitwise oracles: HeapEngine, the engine's earlier
-all-pairs scheduler, for the event calendar that replaced it, and the
-per-event loops at the end of this file, for the array passes over the
-packed event log (serialization, ledger, report, tensor construction).
+all-pairs scheduler, for the event calendar that replaced it;
+overlap_report, the per-particle overlap check, for validate_configuration's
+row blocks; and the per-event and per-kink loops at the end of this file,
+for the array passes over the packed event log (serialization, ledger,
+report, tensor construction and augmentation).
 """
 
 import bisect
@@ -26,7 +28,7 @@ from kinkbound._pykern import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
 from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
                                 EventLog, GenericityViolation, SimulationBug,
-                                validate_configuration)
+                                ValidationReport, validate_configuration)
 from kinkbound.ledger import (BoundReport, HodographSummary, KinkRecord,
                               LEDGER_COLUMNS, bulk_invariants)
 from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
@@ -284,6 +286,21 @@ class HeapEngine:
             for p in (i, j):
                 self._predict(p, others)
         return self.events, termination
+
+
+def overlap_report(states, config):
+    """validate_configuration's overlap check one particle at a time: the
+    first row i with a later row within 2a, with its nearest later row (the
+    first of equal distances)."""
+    pos, ids = states.position, states.id
+    for i in range(len(states) - 1):
+        d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
+        k = int(np.argmin(d))
+        if d[k] <= 2.0 * config.a:
+            return ValidationReport(False, "overlap", {
+                "pair": (int(ids[i]), int(ids[i + 1 + k])),
+                "distance": float(d[k]), "contact": 2.0 * config.a})
+    return ValidationReport(True)
 
 
 def heap_simulation(states, config):
@@ -889,19 +906,55 @@ def build_tensor(log, window):
                        mass_energy=inv.M + inv.E)
 
 
+def complement_basis(V, V2, n, skipped=None):
+    """Orthonormal basis of Span(V, V2)^perp, one row and one kink at a
+    time: np.linalg.norm for each norm, np.dot of one row with one vector
+    for each dot product, candidate axes in stable order of decreasing
+    residual norm, a candidate of norm <= 1e-10 skipped (its place in that
+    order appended to the list skipped, when one is given)."""
+    V = np.asarray(V, dtype=np.float64)
+    V2 = np.asarray(V2, dtype=np.float64)
+    u1 = V / np.linalg.norm(V)
+    r = V2 - np.dot(V2, u1) * u1
+    nr = np.linalg.norm(r)
+    if nr <= 1e-14 * np.linalg.norm(V2):
+        raise ValueError("V and V2 are parallel: no 2-plane to complement")
+    u2 = r / nr
+    resid = np.eye(1 + n)
+    for u in (u1, u2):
+        for i in range(1 + n):
+            resid[i] = resid[i] - np.dot(resid[i], u) * u
+    order = np.argsort([-np.linalg.norm(row) for row in resid], kind="stable")
+    basis = []
+    for place, idx in enumerate(order):
+        w = resid[idx].copy()
+        for z in basis:
+            w = w - np.dot(w, z) * z
+        nw = np.linalg.norm(w)
+        if nw > 1e-10:
+            basis.append(w / nw)
+        elif skipped is not None:
+            skipped.append(place)
+        if len(basis) == n - 1:
+            break
+    if len(basis) != n - 1:
+        raise ValueError("failed to complete orthonormal complement")
+    return np.array(basis)
+
+
 def build_augmented(T, b=1.0):
     """n-1 balanced segment pairs at every kink, appended one TensorEdge at
-    a time, with the clearance from default_eps."""
-    from kinkbound.kernel import lift
-    from kinkbound.tensor import complement_basis
-
+    a time, with the clearance from default_eps and the basis from
+    complement_basis."""
     sites = list(T.kinks)
     eps = default_eps(T, sites)
     edges = list(T.edges)
     tip = T.vertices
     total_b = 0.0
     for s, ek in zip(sites, eps):
-        for z in complement_basis(lift(s.v), lift(s.v_post), T.n):
+        V = np.concatenate(([1.0], s.v))
+        V2 = np.concatenate(([1.0], s.v_post))
+        for z in complement_basis(V, V2, T.n):
             edges.append(TensorEdge(s.vertex.copy(), s.vertex + ek * z, float(b),
                                     "augmentation", s.vertex_id, tip, z))
             edges.append(TensorEdge(s.vertex.copy(), s.vertex - ek * z, float(b),

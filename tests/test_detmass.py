@@ -8,7 +8,7 @@ import pytest
 
 from kinkbound import detmass
 from kinkbound.detmass import AngularMeasure, ConvexPolygon
-from kinkbound.kernel import lift, spacetime_wedge
+from kinkbound.kernel import lift, spacetime_wedge, wedge_norm
 
 from oracles import kink_product_mass, random_balanced_measure, support_jump
 
@@ -364,6 +364,38 @@ def test_dm_kink_matches_product_body_oracle():
                 want = kink_product_mass(V, V2, b, convention=conv)
                 assert detmass.dm_kink(V, V2, b, convention=conv) == \
                     pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_dm_kink_bits_match_wedge_formula(n):
+    """dm_kink's one pass over its two vectors gives the bits of
+    (kappa |V ^ V2|)^(1/n) b^((n-1)/n) taken with kernel.wedge_norm and
+    np.linalg.norm, and rejects the same nearly parallel pairs; a strided
+    vector gives what its contiguous copy gives."""
+    rng = np.random.default_rng(300 + n)
+    outcomes = set()
+    for k in range(400):
+        V = lift(rng.normal(size=n) * rng.uniform(0.01, 100.0))
+        if k % 2:
+            V2 = lift(rng.normal(size=n) * rng.uniform(0.01, 100.0))
+        else:  # straddle the parallel threshold 1e-14 |V| |V2|
+            V2 = V * rng.uniform(0.5, 2.0) + rng.normal(size=n + 1) * (
+                10.0 ** rng.uniform(-17.0, -11.0) * np.linalg.norm(V))
+        b = float(rng.uniform(0.1, 10.0))
+        conv, kappa = (("paper", 0.25), ("area", 0.5))[k % 3 % 2]
+        wedge = wedge_norm(V, V2)
+        if wedge <= 1e-14 * float(np.linalg.norm(V) * np.linalg.norm(V2)):
+            outcomes.add("parallel")
+            with pytest.raises(ValueError, match="parallel"):
+                detmass.dm_kink(V, V2, b, convention=conv)
+            continue
+        outcomes.add("mass")
+        want = (kappa * wedge) ** (1.0 / n) * b ** ((n - 1.0) / n)
+        assert detmass.dm_kink(V, V2, b, convention=conv) == want
+        strided = np.stack((V, V2), axis=1)
+        assert detmass.dm_kink(strided[:, 0], strided[:, 1], b,
+                               convention=conv) == want
+    assert outcomes == {"parallel", "mass"}
 
 
 # -- CLI-facing helpers -------------------------------------------------------

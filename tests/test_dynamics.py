@@ -4,10 +4,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kinkbound as kb
+from kinkbound import dynamics
 from kinkbound.dynamics import (
     ConfigurationError,
     EVENTS_FORMAT,
@@ -21,7 +25,7 @@ from kinkbound.dynamics import (
     write_events_jsonl,
 )
 
-from oracles import replay_positions
+from oracles import overlap_report, replay_positions
 
 
 def _states(*rows):
@@ -89,6 +93,64 @@ def test_validate_rejects_velocities_whose_doubled_squares_overflow():
         rep = validate_configuration(_states(*fast), cfg)
     assert rep.reason == "non_finite" and rep.detail["id"] == 1
     assert validate_configuration(_states(*fast[:1], *rows[1:]), cfg).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_overlap_check_matches_particle_loop(data):
+    """The overlap check's row blocks, of any size, report the first row
+    with an overlap, its nearest later row and their distance as the loop
+    over particles does, to the bit.  Grid positions give several overlaps
+    and equal distances; float positions give distances near 2a."""
+    n = data.draw(st.integers(1, 4), label="n")
+    N = data.draw(st.integers(1, 12), label="N")
+    a = data.draw(st.sampled_from([0.25, 0.5, 1.0] + [0.0] * (n == 1)), label="a")
+    grid = st.integers(-3, 3).map(lambda k: 0.5 * k)
+    coord = st.one_of(grid, st.floats(-2.0, 2.0, allow_subnormal=False))
+    pos = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                      min_size=N, max_size=N), label="positions"),
+                   dtype=np.float64).reshape(N, n)
+    ids = np.array(data.draw(st.permutations(range(N)), label="ids"), dtype=np.int64)
+    states = StateBlock(ids, pos, np.zeros((N, n)))
+    cfg = SimConfig(n=n, N=N, a=a)
+    block = data.draw(st.sampled_from([1, 5, 13, dynamics._BLOCK]), label="block")
+    with mock.patch.object(dynamics, "_BLOCK", block):
+        got = validate_configuration(states, cfg)
+    assert got == overlap_report(states, cfg)
+
+
+def test_overlap_in_a_later_block_matches_particle_loop():
+    """A 3-D gas of 600 centers spans several row blocks; overlaps placed
+    in the last ones are reported as the per-particle loop reports them."""
+    rng = np.random.default_rng(5)
+    N, n, a = 600, 3, 0.01
+    pos = rng.uniform(0.0, 10.0, size=(N, n))
+    states = StateBlock(np.arange(N, dtype=np.int64), pos, np.zeros((N, n)))
+    cfg = SimConfig(n=n, N=N, a=a)
+    assert N // (dynamics._BLOCK // N) >= 3
+    assert validate_configuration(states, cfg) == overlap_report(states, cfg)
+    for i, j in ((590, 598), (580, 599), (581, 582)):
+        pos[j] = pos[i] + [0.0, 0.015, 0.0]
+    rep = validate_configuration(states, cfg)
+    assert rep == overlap_report(states, cfg)
+    assert rep.reason == "overlap" and rep.detail["pair"] == (580, 599)
+
+
+def test_overlap_check_passes_over_near_misses_and_finds_tiny_overlaps():
+    """A row within the search margin of 2a that does not overlap is passed
+    over for a later one that does; an overlap of spheres whose (2a)^2 is
+    subnormal is still found."""
+    cfg = SimConfig(n=2, N=3, a=0.5)
+    states = _states((0, [0, 0], [0, 0]), (1, [1 + 1e-15, 0], [0, 0]),
+                     (2, [1.5, 0.5], [0, 0]))
+    rep = validate_configuration(states, cfg)
+    assert rep == overlap_report(states, cfg)
+    assert rep.detail["pair"] == (1, 2)
+    cfg = SimConfig(n=2, N=2, a=1e-160)
+    states = _states((0, [0, 0], [0, 0]), (1, [1e-160, 1e-160], [0, 0]))
+    rep = validate_configuration(states, cfg)
+    assert rep == overlap_report(states, cfg)
+    assert rep.reason == "overlap"
 
 
 # -- collision resolution: the engine's impulse rule and free flight ----------

@@ -49,6 +49,15 @@ CASES = {
     "three_body_n3": lambda: _explicit(
         3, 0.25, [[0, 0, 0], [2, 0.1, 0], [4, -0.2, 0.3]],
         [[1, 0, 0], [0, 0, 0.05], [-1, 0.02, 0]]),
+    # head-on along the first axis: both kinks span (e0, e1), so the
+    # residuals of e2 and e3 are exact unit vectors of equal norm
+    "axis_aligned_n3": lambda: _explicit(3, 0.25, [[0, 0, 0], [1, 0, 0]],
+                                         [[1, 0, 0], [0, 0, 0]]),
+    # contact normal (0, 1, 1)/sqrt(2) at exact positions: at the first
+    # kink all four residual norms tie, and the second candidate is
+    # parallel to the first
+    "skip_n3": lambda: _explicit(3, 0.125 ** 0.5, [[0, 0, 0], [-1, -1.5, -1.5]],
+                                 [[-1, -1, -1], [0, 0, 0]]),
 }
 
 
@@ -58,7 +67,8 @@ def log(request):
 
 
 def test_explicit_cases_collide():
-    for name in ("rods_n1", "oblique_n2", "three_body_n3"):
+    for name in ("rods_n1", "oblique_n2", "three_body_n3", "axis_aligned_n3",
+                 "skip_n3"):
         assert len(CASES[name]().events) >= 1
     assert len(CASES["no_events_3d"]().events) == 0
     assert CASES["gas2d_t_max"]().termination == "t_max"
@@ -172,14 +182,64 @@ def test_build_tensor_matches_loop(log):
                 == _jsonio.dumps(oracles.audit_tensor(T)))
 
 
-@pytest.mark.parametrize("case", ["gas2d", "gas3d", "oblique_n2", "three_body_n3"])
-def test_build_augmented_matches_loop(case):
-    log = CASES[case]()
+def _assert_augmented_matches_loop(log):
     T = tensor.build_tensor(log, harness._audit_window(log))
     A = tensor.build_augmented(T, b=0.75)
     want = oracles.build_augmented(oracles.build_tensor(log, T.window), b=0.75)
     _assert_same_tensor(A, want)
     assert _jsonio.dumps(tensor.audit_tensor(A)) == _jsonio.dumps(oracles.audit_tensor(A))
+    assert np.array_equal(tensor._default_eps(T, T.kinks),
+                          oracles.default_eps(T, list(T.kinks)))
+
+
+@pytest.mark.parametrize("case", ["gas2d", "gas3d", "oblique_n2", "three_body_n3",
+                                  "axis_aligned_n3", "skip_n3"])
+def test_build_augmented_matches_loop(case):
+    _assert_augmented_matches_loop(CASES[case]())
+
+
+@pytest.mark.parametrize("case", ["gas2d", "gas3d", "three_body_n3"])
+@pytest.mark.parametrize("block", ["one", "uneven"])
+def test_build_augmented_in_blocks_matches_loop(case, block, monkeypatch):
+    """Blocks of one kink (_BLOCK = 1), and blocks of three kinks that
+    leave a shorter last block, give the loop's bits."""
+    log = CASES[case]()
+    T = tensor.build_tensor(log, harness._audit_window(log))
+    K = len(T.kinks)
+    assert K % 3
+    monkeypatch.setattr(tensor, "_BLOCK",
+                        1 if block == "one" else 3 * (K + len(T.edges)))
+    _assert_augmented_matches_loop(log)
+
+
+def _lifted(site):
+    return np.concatenate(([1.0], site.v)), np.concatenate(([1.0], site.v_post))
+
+
+def test_complement_basis_ties_keep_axis_order():
+    """Equal residual norms go in axis order (the stable argsort): e2 before
+    e3 at both kinks of the head-on pair."""
+    log = CASES["axis_aligned_n3"]()
+    T = tensor.build_tensor(log, harness._audit_window(log))
+    for site in T.kinks:
+        Z = tensor.complement_basis(*_lifted(site), 3)
+        assert np.array_equal(Z, np.eye(4)[2:])
+        assert np.array_equal(Z, oracles.complement_basis(*_lifted(site), 3))
+
+
+def test_complement_basis_skips_a_parallel_candidate():
+    """A candidate whose residual is parallel to a direction already found
+    is skipped and the next one taken, as the loop does (the batched path
+    meets this kink in test_build_augmented_matches_loop[skip_n3]).  The
+    first candidate is never skipped: its squared residual norm is at least
+    (n-1)/(n+1), the mean of the projector's diagonal."""
+    log = CASES["skip_n3"]()
+    T = tensor.build_tensor(log, harness._audit_window(log))
+    skipped = []
+    V, V2 = _lifted(T.kinks[0])
+    want = oracles.complement_basis(V, V2, 3, skipped)
+    assert skipped == [1]
+    assert np.array_equal(tensor.complement_basis(V, V2, 3), want)
 
 
 def test_build_tensor_rejects_boundary_on_collision():

@@ -139,6 +139,19 @@ def test_default_eps_matches_loop(case):
     _assert_same_eps(CASES[case]())
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("block", ["one", "uneven"])
+def test_default_eps_in_blocks_matches_loop(case, block, monkeypatch):
+    """Blocks of one kink (_BLOCK = 1), and blocks of three kinks that
+    leave a shorter last block, give the same clearances or the same first
+    error."""
+    T = CASES[case]()
+    assert len(T.kinks) % 3
+    monkeypatch.setattr(tensor, "_BLOCK",
+                        1 if block == "one" else 3 * (len(T.kinks) + len(T.edges)))
+    _assert_same_eps(T)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**16), st.sampled_from([2, 3]), st.integers(2, 16))
 def test_small_gases_match_loops(seed, n, N):
