@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Time the event engine's steps per collision on two fixed scenes.
+
+    PYTHONPATH=src python3 benchmarks/engine_costs.py [--runs K]
+
+Each scene runs K times (default 5) through dynamics._Engine, with timing
+wrappers installed by this script around dynamics.contact_times_scan (the
+name the engine calls the kernel by) and the engine's _collide, _rescan
+and _repredict.  No file of the program changes.  Prints one JSON object
+per scene:
+
+* collisions, repredictions (entries whose partner had collided since,
+  each re-predicted with a one-row kernel call), and the kernel calls of
+  the initial scan, of the re-predictions (one row each) and of the
+  rescans after collisions (two rows each);
+* whole_us, kernel_us, collide_us and rescan_rest_us: microseconds per
+  collision of the whole run (engine set-up with its initial scan, and
+  the event loop), of every kernel call, of _collide, and of _rescan
+  outside its kernel call; each is the best of the K runs, taken on its
+  own.
+
+The scenes:
+
+* "line1d_p50": line_1d with p=50 (100 point rods, 2,500 collisions),
+  the benchmark's line1d_dense scene;
+* "gas3d_n256": the 3-D Maxwell gas of the benchmark's sweep3d workload
+  at N=256, seed 48, a=0.01, covering fraction 0.2, t_max=1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+from collections import Counter
+from time import perf_counter
+
+from kinkbound import dynamics, harness
+
+
+def scenes() -> dict:
+    base = {"generator": "random_gas", "n": 3, "a": 0.01,
+            "box_policy": {"kind": "fixed_fraction", "value": 0.2}}
+    return {"line1d_p50": harness.gen_line_1d(50),
+            "gas3d_n256": harness._sweep_scenario(base, 256, 48, 1.0)}
+
+
+class Costs:
+    """Seconds and calls per wrapped step while installed.  Kernel calls
+    are also kept by the step that made them: "init" (the initial scan),
+    "_rescan" or "_repredict"."""
+
+    def __init__(self):
+        self.seconds: Counter = Counter()
+        self.calls: Counter = Counter()
+        self.step = "init"
+        self._saved: list = []
+
+    def _patch(self, owner, attr: str, value) -> None:
+        self._saved.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, value)
+
+    def install(self) -> None:
+        scan = dynamics.contact_times_scan
+
+        def kernel(*args):
+            start = perf_counter()
+            try:
+                return scan(*args)
+            finally:
+                dt = perf_counter() - start
+                self.seconds["kernel"] += dt
+                self.seconds["kernel", self.step] += dt
+                self.calls["kernel", self.step] += 1
+
+        self._patch(dynamics, "contact_times_scan", kernel)
+        for name in ("_collide", "_rescan", "_repredict"):
+            self._patch(dynamics._Engine, name, self._timed(
+                name, getattr(dynamics._Engine, name)))
+
+    def _timed(self, name: str, method):
+        def step(engine, *args):
+            start = perf_counter()
+            outer, self.step = self.step, name
+            try:
+                return method(engine, *args)
+            finally:
+                self.step = outer
+                self.seconds[name] += perf_counter() - start
+                self.calls[name] += 1
+        return step
+
+    def uninstall(self) -> None:
+        while self._saved:
+            owner, attr, original = self._saved.pop()
+            setattr(owner, attr, original)
+
+
+def one_run(scenario) -> tuple:
+    costs = Costs()
+    costs.install()
+    try:
+        start = perf_counter()
+        block, _ = dynamics._Engine(scenario.states, scenario.config).run()
+        whole = perf_counter() - start
+    finally:
+        costs.uninstall()
+    return len(block), whole, costs
+
+
+def measure(name: str, scenario, runs: int) -> dict:
+    best: dict = {}
+    for _ in range(runs):
+        E, whole, costs = one_run(scenario)
+        s = costs.seconds
+        us = {"whole_us": whole, "kernel_us": s["kernel"],
+              "collide_us": s["_collide"],
+              "rescan_rest_us": s["_rescan"] - s["kernel", "_rescan"]}
+        for key, value in us.items():
+            best[key] = min(best.get(key, math.inf), 1e6 * value / max(E, 1))
+    calls = costs.calls
+    return {"scene": name, "N": scenario.config.N, "n": scenario.config.n,
+            "runs": runs, "collisions": E,
+            "repredictions": calls["_repredict"],
+            "kernel_calls": {"initial": calls["kernel", "init"],
+                             "one_row": calls["kernel", "_repredict"],
+                             "two_row": calls["kernel", "_rescan"]},
+            **{key: round(value, 1) for key, value in best.items()}}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=5,
+                        help="runs per scene; each time is the best of them")
+    args = parser.parse_args()
+    for name, scenario in scenes().items():
+        print(json.dumps(measure(name, scenario, max(1, args.runs))))
+
+
+if __name__ == "__main__":
+    main()

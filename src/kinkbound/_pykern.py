@@ -1,9 +1,19 @@
 """The contact-time kernel: one numpy pass over a block of particle pairs.
 
 Each pair's time is computed from the two stored states alone, with the
-reductions accumulated component by component in a fixed order (never
-np.sum / np.dot), so the result is the same bit pattern whichever of the
-two is the row, and whichever block the pair is scanned in.
+reductions accumulated component by component in a fixed order (never a
+pairwise or BLAS sum), so the result is the same bit pattern whichever of
+the two is the row, and whichever block the pair is scanned in.
+
+The components are stacked on a leading axis, so that each step is one
+numpy call over all of them, whatever n is (a loop over the components
+makes about 12 calls per component).  The dot products are np.add.reduce
+over that axis.  A reduction over the leading axis of a C-ordered array
+adds whole slices, x[0] + x[1], then + x[2] and so on: the additions of
+the loop, in its order.  numpy sums pairwise only along the innermost
+axis, which the reduced axis becomes when a slice holds a single value, a
+block of one pair; from n = 8 on that order differs, so _sum adds such a
+block slice by slice itself.
 """
 
 from __future__ import annotations
@@ -15,13 +25,17 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
                        gap=None):
     """Earliest contact times of the row particle(s) i against each js.
 
-    i is one index (out has shape (m,)) or an array of r row indices (out
-    has shape (r, m)); js holds the m column indices.
+    i is one index (out has shape (m,)) or a sequence of r row indices
+    (out has shape (r, m)); js holds the m column indices.
 
     States are lazy: row k of pos is the position at time tupd[k].  Each
     pair is referred to ref = max(tupd[i], tupd[j]) before solving, which
     makes the result a pure function of the stored state (no dependence on
-    the caller's "now", hence on when the pair was scheduled).
+    the caller's "now", hence on when the pair was scheduled).  When the
+    rows share one update time that no column is later than (a rescan
+    after a collision, the initial scan), the columns are moved to it once
+    for all rows; the rows' own move, by 0 * v, is skipped, which changes
+    at most the sign of a zero difference, never an output.
 
     out receives the absolute contact time of each pair, or +inf when the
     pair never reaches center distance sqrt(four_a2) while approaching, or
@@ -37,19 +51,30 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     m = js.shape[0]
     if m == 0:
         return
-    # component-major gathers: pi[k] is (1,) or (r, 1), pj[k] is (m,)
+    # component-major gathers: the rows are (n, 1) or (n, r, 1), the
+    # columns (n, m) or (n, 1, m), and every array below that has a
+    # leading n holds one slice per component
     rows = np.asarray(i)[..., None]
-    pi = pos.T.take(rows, axis=1)
+    cols = js if rows.ndim == 1 else js[None]
     vi = vel.T.take(rows, axis=1)
-    pj = pos.T.take(js, axis=1)
-    vj = vel.T.take(js, axis=1)
+    vj = vel.T.take(cols, axis=1)
+    pi = pos.T.take(rows, axis=1)
+    pj = pos.T.take(cols, axis=1)
     ti = tupd.take(rows)
     tj = tupd.take(js)
-    ref = np.maximum(ti, tj)
-    dti = ref - ti
-    dtj = ref - tj
-    b, A, c = _dots(pi, vi, pj, vj, dti, dtj)
-    c = c - four_a2
+    t_rows = ti.ravel().tolist()
+    ref = t_rows[0]
+    if min(t_rows) == ref == max(t_rows) and tj.max() <= ref:
+        # every pair is referred to the rows' common time (a rescan after
+        # a collision, or the initial scan): the rows stay put, and the
+        # columns are moved once for all rows
+        dy = pi - (pj + (ref - tj) * vj)
+    else:
+        ref = np.maximum(ti, tj)
+        dy = (pi + (ref - ti) * vi) - (pj + (ref - tj) * vj)
+    dv = vi - vj
+    b, A = _sum(dy * dv), _sum(dv * dv)
+    c = _sum(dy * dy) - four_a2
     if gap is not None:
         gap[...] = c
     approach = b < 0.0
@@ -60,20 +85,19 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
         # by 2^shift, an exact power of two that brings their largest
         # component into [0.5, 1), and scale the time back; shift is 0
         # elsewhere, so every other pair keeps its bits
-        top = np.maximum.reduce([np.abs(vi[k] - vj[k])
-                                 for k in range(len(vi))])
-        shift = np.where(slow, -np.frexp(top)[1], 0)
-        b, A, _ = _dots(pi, vi, pj, vj, dti, dtj, shift)
+        shift = np.where(slow, -np.frexp(np.abs(dv).max(axis=0))[1], 0)
+        dv = np.ldexp(dv, shift)
+        b, A = _sum(dy * dv), _sum(dv * dv)
     if four_a2 == 0.0:
         # point particles on the line: approaching points always meet, and
         # the quadratic is a perfect square (disc == 0 up to roundoff)
         ok = approach
         q = -b
     else:
-        disc = b * b - A * c
-        scale = b * b + A * np.abs(c)
-        ok = approach & (disc >= grazing_tol * scale)
-        q = -b + np.sqrt(np.where(ok, disc, 0.0))
+        bb = b * b
+        disc = bb - A * c
+        ok = approach & (disc >= grazing_tol * (bb + A * np.abs(c)))
+        q = np.sqrt(np.where(ok, disc, 0.0)) - b
     # q >= sqrt(A * |c|), so |s| <= sqrt(|c| / A) < 2^1000: no overflow
     s = c / np.where(ok, q, 1.0)
     if shift is not None:
@@ -82,20 +106,11 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     out[...] = np.where(ok & (s >= 0.0), ref + s, np.inf)
 
 
-def _dots(pi, vi, pj, vj, dti, dtj, shift=None) -> tuple:
-    """b = dy.dv, A = dv.dv and |dy|^2 at the reference time, added
-    component by component, with dv scaled by 2^shift when given."""
-    for k in range(len(vi)):
-        dy = (pi[k] + dti * vi[k]) - (pj[k] + dtj * vj[k])
-        dv = vi[k] - vj[k]
-        if shift is not None:
-            dv = np.ldexp(dv, shift)
-        if k == 0:
-            # as if added to 0.0: only b's sign of zero could differ, and
-            # b == 0 is never approaching
-            b, A, c = dy * dv, dv * dv, dy * dy
-        else:
-            b = b + dy * dv
-            A = A + dv * dv
-            c = c + dy * dy
-    return b, A, c
+def _sum(x):
+    """x[0] + x[1] + ... over the leading (component) axis, in that order."""
+    if 1 < len(x) < x.size:
+        return np.add.reduce(x, axis=0)
+    total = x[0]  # one component, or one pair: numpy would sum it pairwise
+    for k in range(1, len(x)):
+        total = total + x[k]
+    return total

@@ -276,6 +276,12 @@ class _Engine:
     the entry is the earliest pending collision: every pair's current
     prediction was part of the minimum that made some live entry, and
     every entry pushed at a pop is keyed no earlier than it.
+
+    Per collision the engine makes one (2, N) kernel call (_rescan) and
+    works on the two rows with scalar indexing (_collide); a re-prediction
+    is one (1, N) call.  Up to a few hundred particles a numpy call costs
+    about the same whatever its size, so these steps are written to make
+    few calls, not to touch few pairs.
     """
 
     def __init__(self, states: StateBlock, config: SimConfig):
@@ -310,20 +316,20 @@ class _Engine:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push_earliest(self, rows: list, out: np.ndarray) -> None:
-        """Push each row's earliest contact; out[r, q] is row r vs particle q.
+    def _push_earliest(self, rows, out: np.ndarray) -> None:
+        """Push each row's earliest contact; out[r, q] is rows[r] vs particle q.
 
         argmin takes the first of equal times, which is the smallest
         partner index and hence the smallest (lo, hi) of the row.
         """
-        first = out.argmin(axis=1)
-        times = out[np.arange(len(rows)), first].tolist()
-        cc = self.cc
+        cc, heap = self.cc, self.heap
         # plain floats and ints: heap comparisons stay in C
-        for p, q, t in zip(rows, first.tolist(), times):
+        for r, q in enumerate(out.argmin(axis=1).tolist()):
+            t = out.item(r, q)
             if t != np.inf:
+                p = rows[r]
                 lo, hi = (p, q) if p < q else (q, p)
-                heapq.heappush(self.heap, (t, lo, hi, p, cc[p], cc[q]))
+                heapq.heappush(heap, (t, lo, hi, p, cc[p], cc[q]))
 
     def _repredict(self, p: int) -> None:
         """New earliest contact of p, whose predicted partner has collided.
@@ -339,18 +345,31 @@ class _Engine:
         q = self.last[p]
         if q >= 0 and self.last[q] == p:
             out[0, q] = np.inf
-        self._push_earliest([p], out)
+        self._push_earliest((p,), out)
 
     # -- event processing ---------------------------------------------------
 
-    def _collide(self, t: float, pair: np.ndarray) -> None:
-        """Advance the pair (i, j) to t, swap their normal velocity
-        components, and log the event."""
-        i, j = pair.tolist()
-        V = self.vel.take(pair, axis=0)
-        Y = self.pos.take(pair, axis=0) + (t - self.tupd.take(pair))[:, None] * V
-        self.pos[pair] = Y
-        self.tupd[pair] = t
+    def _collide(self, t: float, i: int, j: int) -> None:
+        """Advance particles i and j to t, swap their normal velocity
+        components, and log the event.
+
+        The two rows are worked on one at a time, and the event goes
+        straight into its slot of the record columns: the centers at
+        contact, the velocities before and after, whose rows are then
+        copied back into pos and vel.
+        """
+        k = self.count
+        if k == len(self.recorded[0]):
+            self.recorded = tuple(np.concatenate((c, np.empty_like(c)))
+                                  for c in self.recorded)
+        times, pairs, Y, V, V_post = self.recorded
+        Y, V, V_post = Y[k], V[k], V_post[k]
+        pos, vel, tupd = self.pos, self.vel, self.tupd
+        V[0] = vel[i]
+        V[1] = vel[j]
+        vi, vj = V
+        Y[0] = pos[i] + (t - tupd[i]) * vi
+        Y[1] = pos[j] + (t - tupd[j]) * vj
         yi, yj = Y
         dy = yj - yi
         dist = float(np.linalg.norm(dy))
@@ -361,56 +380,70 @@ class _Engine:
                 f"contact distance {dist!r} vs 2a={2 * a!r} at t={t!r} "
                 f"for pair ({i}, {j})"
             )
-        vi, vj = V
         if a > 0.0:
             u = dy / dist
             impulse = float(np.dot(vj - vi, u)) * u
-            V_post = np.array([vi + impulse, vj - impulse])
+            V_post[0] = vi + impulse
+            V_post[1] = vj - impulse
         else:
             # point particles on the line swap velocities exactly; the
             # normal is the approach direction (centers coincide at contact)
             u = np.array([1.0 if vi[0] > vj[0] else -1.0])
-            V_post = V[::-1].copy()
+            V_post[0] = vj
+            V_post[1] = vi
         vi_post, vj_post = V_post
         if float(np.dot(vj_post - vi_post, u)) <= 0.0:
             raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
-        self.vel[pair] = V_post
-        self.speed[pair] = np.sqrt(np.add.reduce(V_post * V_post, axis=1))
+        pos[i] = yi
+        pos[j] = yj
+        tupd[i] = tupd[j] = t
+        vel[i] = vi_post
+        vel[j] = vj_post
+        self.speed[i], self.speed[j] = np.sqrt(
+            np.add.reduce(V_post * V_post, axis=1)).tolist()
         self.cc[i] += 1
         self.cc[j] += 1
         self.last[i] = j
         self.last[j] = i
-        k = self.count
-        if k == len(self.recorded[0]):
-            self.recorded = tuple(np.concatenate((c, np.empty_like(c)))
-                                  for c in self.recorded)
-        for column, value in zip(self.recorded, (t, pair, Y, V, V_post)):
-            column[k] = value
+        times[k] = t
+        pairs[k] = i, j
         self.count = k + 1
 
-    def _rescan(self, t: float, pair: np.ndarray) -> None:
+    def _rescan(self, t: float, i: int, j: int) -> None:
         """Re-predict both partners of the collision at t in one kernel call.
 
         Both rows were just advanced to t, and every other particle was
         last updated no later, so the scan refers every pair to t: its gap
         c = |dy|^2 - 4a^2 is the third bodies' distance from i and j at
-        the collision.  A third body within contact distance plus
-        time_tie_tol * (sum of the two speeds) aborts the run.
+        the collision.  A third body k within contact distance plus
+        tau = time_tie_tol * (speed of k + speed of the partner) aborts the
+        run.
+
+        The reach tau * (4a + tau) grows with |tau|, in floating point too,
+        so the test first takes the least gap against the reach of the
+        largest |tau| (the largest speed of all plus the larger partner's):
+        a least gap beyond it clears every third body, and only one within
+        it runs the test pair by pair.
         """
         N = self.config.N
         out = np.empty((2, N))
         gap = np.empty((2, N))
-        contact_times_scan(self.pos, self.vel, self.tupd, pair, self.idx,
+        contact_times_scan(self.pos, self.vel, self.tupd, (i, j), self.idx,
                            self.four_a2, self.config.grazing_tol, out, gap)
-        out[:, pair] = np.inf  # self, and the partner it just left
+        for row in (out, gap):  # self, and the partner it just left
+            row[:, i] = np.inf
+            row[:, j] = np.inf
+        speed, tie = self.speed, self.config.time_tie_tol
         # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
-        tau = self.config.time_tie_tol * (self.speed + self.speed.take(pair)[:, None])
-        near = gap <= tau * (self.four_a + tau)
-        near[:, pair] = False
-        if near.any():
-            culprits = tuple(self.ids[near[0] if near[0].any() else near[1]].tolist())
-            raise GenericityViolation(t, tuple(self.ids[pair].tolist()) + culprits)
-        self._push_earliest(pair.tolist(), out)
+        top = abs(tie) * (speed.max() + max(speed.item(i), speed.item(j)))
+        if not gap.min() > top * (self.four_a + top):
+            tau = tie * (speed + speed[[i, j]][:, None])
+            near = gap <= tau * (self.four_a + tau)
+            near[:, [i, j]] = False
+            if near.any():
+                culprits = tuple(self.ids[near[0] if near[0].any() else near[1]].tolist())
+                raise GenericityViolation(t, (int(self.ids[i]), int(self.ids[j])) + culprits)
+        self._push_earliest((i, j), out)
 
     def run(self) -> tuple:
         t_max = self.config.t_max
@@ -432,9 +465,8 @@ class _Engine:
                     f"event at t={t!r} for pair ({lo}, {hi}) precedes the "
                     f"previous event at t={t_prev!r}")
             t_prev = t
-            pair = np.array((lo, hi))
-            self._collide(t, pair)
-            self._rescan(t, pair)
+            self._collide(t, lo, hi)
+            self._rescan(t, lo, hi)
         t, pairs, y, v, v_post = (c[:self.count] for c in self.recorded)
         i, j = self.ids.take(pairs.T)
         return EventBlock(t, i, j, y, v, v_post), termination

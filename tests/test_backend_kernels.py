@@ -3,6 +3,7 @@ transliteration and against a bisection oracle that knows nothing of
 quadratics, and a block of rows bit for bit equal to one row at a time,
 including the gap it reports."""
 
+import itertools
 import math
 
 import numpy as np
@@ -31,8 +32,15 @@ def _random_scan_case(rng, n, m):
     return pos, vel, tupd, js
 
 
+# component counts: the common ones, and 9, past numpy's 8-wide pairwise
+# summation block, where an in-order sum and a pairwise one part ways
+DIMENSIONS = (1, 2, 3, 4, 9)
+
+
 def test_python_scan_matches_scalar_reference():
-    """The vectorized python kernel against a one-pair transliteration."""
+    """The vectorized python kernel against a one-pair transliteration,
+    with the row the latest-updated particle on every other draw (the
+    pairs are then referred to the row's time, as in a rescan)."""
     rng = np.random.default_rng(7)
 
     def scalar_one(pos, vel, tupd, i, j, four_a2, grazing_tol):
@@ -56,15 +64,17 @@ def test_python_scan_matches_scalar_reference():
         s = c / (-b + np.sqrt(disc))
         return ref + s if s >= 0.0 else np.inf  # already past contact
 
-    for n in (1, 2, 3):
-        for _ in range(100):
+    for n in DIMENSIONS:
+        for trial in range(100):
             pos, vel, tupd, js = _random_scan_case(rng, n, 6)
+            if trial % 2:
+                tupd[0] = tupd.max() + 0.05
             a = float(rng.uniform(0.0, 0.2)) if n == 1 else float(rng.uniform(0.01, 0.2))
             out = np.empty(js.size)
             py_scan(pos, vel, tupd, 0, js, 4 * a * a, 1e-14, out)
             for m, j in enumerate(js):
                 want = scalar_one(pos, vel, tupd, 0, int(j), 4 * a * a, 1e-14)
-                assert (np.isinf(out[m]) and np.isinf(want)) or out[m] == want
+                assert (np.isinf(out[m]) and np.isinf(want)) or out[m] == want, (n, trial)
 
 
 def test_grazing_contact_filtered_out():
@@ -81,29 +91,48 @@ def test_grazing_contact_filtered_out():
 def test_row_block_matches_single_rows_bitwise():
     """The engine rescans both partners of a collision in one (2, m) call
     and the initial state in blocks of rows; each row must come out as the
-    one-row call would give it, and gap must be |dy|^2 - 4a^2 at ref."""
+    one-row call and as one-pair calls would give it, gap included, and
+    gap must be |dy|^2 - 4a^2 at ref.  The second pass over each dimension
+    gives the rows the latest update time, the shape of a rescan: every
+    pair is then referred to it.  Every other column is aimed at a row,
+    so that pairs meet in R^9 too."""
     rng = np.random.default_rng(31)
-    for n in (1, 2, 3):
+    for n, latest in itertools.product(DIMENSIONS, (False, True)):
+        hits = 0
         for trial in range(50):
             pos, vel, tupd, _ = _random_scan_case(rng, n, 9)
             a = 0.0 if n == 1 and trial % 2 else float(rng.uniform(0.01, 0.3))
-            rows = np.array([0, 4, 7])
+            rows = np.array([0, 4, 7]) if trial % 3 else np.array([2, 5])
+            for q in range(1, 10, 2):
+                i = rows[q % len(rows)]
+                vel[q] = vel[i] + (pos[i] - pos[q]) + rng.normal(0, 0.05, n)
+            if latest:
+                tupd[rows] = tupd.max() + 0.05
             js = np.arange(10, dtype=np.int64)
-            out = np.empty((3, 10))
-            gap = np.empty((3, 10))
+            out = np.empty((len(rows), 10))
+            gap = np.empty((len(rows), 10))
             py_scan(pos, vel, tupd, rows, js, 4 * a * a, 1e-14, out, gap)
             assert not np.isnan(out).any()
+            hits += int(np.isfinite(out).sum())
+            one, one_gap, pair, pair_gap = (np.empty(10), np.empty(10),
+                                            np.empty(1), np.empty(1))
             for r, i in enumerate(rows):
-                one = np.empty(10)
-                py_scan(pos, vel, tupd, int(i), js, 4 * a * a, 1e-14, one)
-                assert out[r].tobytes() == one.tobytes(), (n, trial, i)
+                py_scan(pos, vel, tupd, int(i), js, 4 * a * a, 1e-14, one, one_gap)
+                assert out[r].tobytes() == one.tobytes(), (n, latest, trial, i)
+                assert gap[r].tobytes() == one_gap.tobytes(), (n, latest, trial, i)
+                for q in range(10):
+                    py_scan(pos, vel, tupd, int(i), js[q:q + 1], 4 * a * a, 1e-14,
+                            pair, pair_gap)
+                    assert pair.tobytes() == out[r, q:q + 1].tobytes(), (n, latest, trial, i, q)
+                    assert pair_gap.tobytes() == gap[r, q:q + 1].tobytes(), (n, latest, trial, i, q)
                 ref = np.maximum(tupd[i], tupd)
                 dy = (pos[i] + (ref - tupd[i])[:, None] * vel[i]) - (
                     pos + (ref - tupd)[:, None] * vel)
                 np.testing.assert_allclose(gap[r], (dy * dy).sum(axis=1) - 4 * a * a,
                                            rtol=1e-12, atol=1e-12)
             # a pair's time does not depend on which of the two is the row
-            np.testing.assert_array_equal(out[:, 0], out[0, rows])
+            np.testing.assert_array_equal(out[:, rows[0]], out[0, rows])
+        assert hits > 50, (n, latest, hits)  # the draw exercises the colliding branch
 
 
 def test_scan_head_on():

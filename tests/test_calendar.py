@@ -66,21 +66,58 @@ def test_calendar_matches_heap_oracle_bytes(name):
     assert events_jsonl_bytes(log) == events_jsonl_bytes(expected)
 
 
-@pytest.mark.parametrize("n, a, positions, velocities", [
-    (1, 0.0, [[-1.0], [0.0], [1.0]], [[1.0], [0.0], [-1.0]]),  # one point
-    (2, 0.5, [[-2.0, 0.0], [0.0, 0.0], [0.0, 2.0]],
-     [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]),  # A and C touch B at t = 1
-    (1, 0.0, [[-6.0], [-4.0], [0.0], [4.0], [6.0]],
-     [[1.0], [0.0], [0.0], [0.0], [-1.0]]),  # two swaps at t = 2, triple at 6
-])
+# A moves into B at t = 1 and stops; C, passing over B at speed 10, stands
+# off B by 2a + delta then, where the tie tolerance is
+# tau = time_tie_tol * (|v_B| + |v_C|) = 1.1e-11.  D, far away and faster
+# than all, makes the engine's largest-speed bound (tau up to about
+# 1e-12 * 1001) loose, so the pair-by-pair test decides; without D, C is
+# the fastest particle and the bound is tau itself.
+_INSIDE, _OUTSIDE, _JUST_INSIDE = 0.5 * 1.1e-11, 2 * 1.1e-11, 0.95 * 1.1e-11
+
+
+def _third_body(delta, bystander=True):
+    positions = [[-2.0, 0.0], [0.0, 0.0], [-10.0, 1.0 + delta], [100.0, 100.0]]
+    velocities = [[1.0, 0.0], [0.0, 0.0], [10.0, 0.0], [1000.0, 0.0]]
+    keep = 4 if bystander else 3
+    return 2, 0.5, positions[:keep], velocities[:keep]
+
+
+def _outcome(simulate, sc):
+    """("raises", time, particles) or ("runs", events.jsonl bytes)."""
+    try:
+        log = simulate(sc.states, sc.config)
+    except GenericityViolation as exc:
+        return ("raises", exc.time, exc.particles)
+    return ("runs", events_jsonl_bytes(log))
+
+
+# (scene, whether the oracle raises GenericityViolation on it)
+_GENERICITY_CASES = [
+    ((1, 0.0, [[-1.0], [0.0], [1.0]], [[1.0], [0.0], [-1.0]]), True),  # one point
+    ((2, 0.5, [[-2.0, 0.0], [0.0, 0.0], [0.0, 2.0]],
+      [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]), True),  # A and C touch B at t = 1
+    ((1, 0.0, [[-6.0], [-4.0], [0.0], [4.0], [6.0]],
+      [[1.0], [0.0], [0.0], [0.0], [-1.0]]), True),  # two swaps at t = 2, triple at 6
+    (_third_body(_INSIDE), True),
+    (_third_body(_OUTSIDE), False),
+    (_third_body(_JUST_INSIDE, bystander=False), True),
+]
+
+
+@pytest.mark.parametrize("n, a, positions, velocities",
+                         [scene for scene, _ in _GENERICITY_CASES])
 def test_calendar_raises_where_heap_oracle_raises(n, a, positions, velocities):
     sc = kb.gen_explicit(n, a, positions, velocities)
-    with pytest.raises(GenericityViolation) as want:
-        heap_simulation(sc.states, sc.config)
-    with pytest.raises(GenericityViolation) as got:
-        run_simulation(sc.states, sc.config)
-    assert (got.value.time, got.value.particles) == \
-        (want.value.time, want.value.particles)
+    assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc)
+
+
+def test_genericity_cases_raise_as_meant():
+    """The oracle raises on the scenes meant to raise, naming the pair and
+    at least one third body, and runs the others."""
+    for scene, raises in _GENERICITY_CASES:
+        kind, *detail = _outcome(heap_simulation, kb.gen_explicit(*scene))
+        assert kind == ("raises" if raises else "runs"), scene
+        assert not raises or len(detail[1]) >= 3
 
 
 def _counting_heapq(counts):
@@ -121,6 +158,65 @@ def test_event_earlier_than_previous_is_a_bug(monkeypatch):
         heappush=heapq.heappush, heappop=early_pop))
     with pytest.raises(SimulationBug, match="precedes"):
         run_simulation(sc.states, sc.config)
+
+
+@pytest.mark.parametrize("name", ["line_p5", "gas3d_t_max"])
+def test_kernel_calls_keep_the_layout_the_tracer_reads(name, monkeypatch):
+    """perfbench's tracer wraps dynamics.contact_times_scan and reads the
+    columns at args[4] and out at args[7], and swaps dynamics.heapq for a
+    counting one.  Wrapped the same way, every call passes all N columns;
+    after the initial scan, the two-row calls are the collisions and the
+    one-row calls the re-predictions, which the popped entries show
+    (owner's counter current, partner's not) when the counters are
+    replayed from the events."""
+    if name == "line_p5":
+        sc = kb.gen_line_1d(5)
+    else:  # 15 collisions and 4 re-predictions before t_max
+        sc = kb.gen_random_gas(3, 40, [1.0] * 3, 0.07,
+                               {"kind": "maxwell", "sigma": 1.0}, 0)
+        sc = replace(sc, config=replace(sc.config, t_max=0.5))
+    trail = []
+    scan = dynamics.contact_times_scan
+
+    def traced_scan(*args):
+        result = scan(*args)
+        js, out = args[4], args[7]
+        trail.append(("scan", len(js), out.shape))
+        return result
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        trail.append(("pop", entry))
+        return entry
+
+    monkeypatch.setattr(dynamics, "contact_times_scan", traced_scan)
+    monkeypatch.setattr(dynamics, "heapq", types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=heappop))
+    log = run_simulation(sc.states, sc.config)
+    assert log.termination == ("t_max" if sc.config.t_max else "queue_empty")
+    N = sc.config.N
+    assert all(call[1] == N for call in trail if call[0] == "scan")
+    first_pop = next(k for k, call in enumerate(trail) if call[0] == "pop")
+    assert sum(call[2][0] for call in trail[:first_pop]) == N  # every row once
+    rows = iter(log.rows().tolist())
+    cc = [0] * N
+    collisions = repredictions = one_row = 0
+    for call in trail[first_pop:]:
+        if call[0] == "pop":
+            t, lo, hi, owner, c_owner, c_partner = call[1]
+            partner = hi if owner == lo else lo
+            if cc[owner] == c_owner and cc[partner] != c_partner:
+                repredictions += 1
+        elif call[2] == (2, N):
+            i, j = next(rows)
+            cc[i] += 1
+            cc[j] += 1
+            collisions += 1
+        else:
+            assert call[2] == (1, N)
+            one_row += 1
+    assert collisions == len(log.events) > 0
+    assert one_row == repredictions > 0
 
 
 # -- fuzzing against the eager reference ---------------------------------------
