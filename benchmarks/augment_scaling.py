@@ -4,12 +4,14 @@
     PYTHONPATH=src python3 benchmarks/augment_scaling.py
 
 Prints one JSON object per tensor: its kink count K, edge count M, the
-kinks per block of the clearance scan, and the best of several runs, in
-seconds, of the clearances (tensor._default_eps), the complement bases
+kinks per block of the clearance scan, the fraction of the K x M
+kink x edge pairs whose exact distance the scan takes (the rest are pruned
+by their bounding-box gaps), and the best of several runs, in seconds, of
+the clearances (tensor._default_eps), the complement bases
 (tensor._complement_bases) and the whole augmentation
-(tensor.build_augmented).  A block holds at most tensor._BLOCK
-kink x support pairs, so a large tensor runs blocks of a few kinks; its
-times per kink show what that costs.
+(tensor.build_augmented).  A block holds at most tensor._BLOCK kink x edge
+pairs, so a large tensor runs blocks of a few kinks; its times per kink
+show what that costs.
 
 The tensors, both of a 2-D Maxwell gas with a=0.01 at covering fraction
 0.3 and seed 12:
@@ -59,6 +61,25 @@ def best_of(repeats: int, fn) -> float:
     return best
 
 
+def kept_fraction(T) -> float:
+    """Share of the K x M pairs kept for exact distances.  _default_eps
+    calls _distances twice a block: first for each kink's least-gap edge,
+    then for the pairs that the bound keeps; the second calls are counted."""
+    sizes = []
+    distances = tensor._distances
+
+    def counted(x, *args):
+        sizes.append(len(x))
+        return distances(x, *args)
+
+    tensor._distances = counted
+    try:
+        tensor._default_eps(T, T.kinks)
+    finally:
+        tensor._distances = distances
+    return sum(sizes[1::2]) / (len(T.kinks) * len(T.edges))
+
+
 def measure(name: str, T, repeats: int) -> dict:
     sites = T.kinks
     ones = np.ones((len(sites), 1))
@@ -67,7 +88,8 @@ def measure(name: str, T, repeats: int) -> dict:
     K, M = len(sites), len(T.edges)
     return {
         "tensor": name, "kinks": K, "edges": M,
-        "kinks_per_block": max(1, tensor._BLOCK // (K + M)),
+        "kinks_per_block": max(1, tensor._BLOCK // M),
+        "kept_pairs": round(kept_fraction(T), 4),
         "default_eps_s": best_of(repeats, lambda: tensor._default_eps(T, sites)),
         "bases_s": best_of(repeats, lambda: tensor._complement_bases(V, V2, T.n)),
         "build_augmented_s": best_of(repeats, lambda: tensor.build_augmented(T)),

@@ -159,6 +159,9 @@ class EventBlock(Columns):
                               j=int(self.j[k]), yi=y[0], yj=y[1], vi=v[0],
                               vj=v[1], vi_post=vp[0], vj_post=vp[1])
 
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
 
 @dataclass
 class EventLog:
@@ -195,7 +198,8 @@ _BLOCK = 1 << 12  # pairs per pass of the overlap check and the initial scan
 
 
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
-    """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap.
+    """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap,
+    and the engine tolerances (finite and >= 0).
 
     Positions count as not finite when the square of twice one overflows,
     velocities from where the running sum of the squares of twice them
@@ -222,6 +226,10 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
                    note="zero radius is only meaningful on the line")
     if config.t_max is not None and not config.t_max > 0:
         return bad("t_max", t_max=config.t_max)
+    for name in ("grazing_tol", "overlap_tol", "time_tie_tol"):
+        tol = getattr(config, name)
+        if not 0.0 <= tol < np.inf:
+            return bad("tolerance", **{name: tol})
 
     ids, pos, vel = states.id, states.position, states.velocity
     if len(np.unique(ids)) != len(ids):

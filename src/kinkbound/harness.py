@@ -43,6 +43,7 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-philox4x64"
 _PACKING_ATTEMPT_CAP = 100_000
+_PLACE_BLOCK = 1 << 12  # candidate x sphere pairs per placement batch
 
 
 class PackingError(ValueError):
@@ -111,13 +112,28 @@ def _velocity_draw(gen, dist: dict, N: int, n: int) -> np.ndarray:
     raise ValueError(f"unknown velocity distribution {kind!r}")
 
 
+def _apart(P: np.ndarray, Q: np.ndarray, min_dist: float) -> np.ndarray:
+    """(len(P), len(Q)) mask, True where P[p] and Q[q] are more than
+    min_dist apart.  Each distance is np.linalg.norm of one row of a
+    (len(P) * len(Q), n) array, the bits a test of one candidate against
+    an (i, n) array gets; one that overflows is infinite, far enough."""
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm((P[:, None] - Q).reshape(-1, P.shape[1]), axis=1)
+    return (d > min_dist).reshape(len(P), len(Q))
+
+
 def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
                    seed: int) -> Scenario:
     """Uniform non-overlapping spheres in [0, box] with drawn velocities.
 
     Placement is rejection sampling with a global attempt cap; packings
-    too dense to place raise PackingError.  A distance that overflows is
-    an infinite one, far enough; run_simulation rejects such positions.
+    too dense to place raise PackingError.  Candidates are drawn and tested
+    in batches of at most _PLACE_BLOCK candidate x sphere pairs; they are
+    placed as one candidate at a time would place them, and the generator
+    is left where that loop leaves it (the Philox stream gives the same
+    values for random((k, n)) as for k draws of random(n)), so the
+    velocities drawn next are the same too.  Overflowing positions are
+    left to run_simulation, which rejects them.
     """
     box = np.broadcast_to(np.asarray(box, dtype=np.float64), (n,))
     if np.any(box <= 0):
@@ -125,22 +141,32 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
     gen = _rng(seed)
     placed = np.empty((N, n))
     min_dist = 2.0 * a * (1.0 + 1e-9)  # strict separation for clean starts
-    attempts = 0
-    for i in range(N):
-        while True:
-            attempts += 1
-            if attempts > _PACKING_ATTEMPT_CAP:
-                raise PackingError(
-                    f"could not place sphere {i} of {N} within "
-                    f"{_PACKING_ATTEMPT_CAP} attempts (box {box.tolist()}, a={a})"
-                )
-            cand = gen.random(n) * box
-            with np.errstate(over="ignore"):
-                apart = i == 0 or np.all(
-                    np.linalg.norm(placed[:i] - cand, axis=1) > min_dist)
-            if apart:
-                placed[i] = cand
-                break
+    batch = max(1, min(N, _PLACE_BLOCK // max(N, 1)))
+    i = attempts = 0
+    while i < N:
+        k = min(batch, _PACKING_ATTEMPT_CAP - attempts)
+        if not k:
+            raise PackingError(
+                f"could not place sphere {i} of {N} within "
+                f"{_PACKING_ATTEMPT_CAP} attempts (box {box.tolist()}, a={a})"
+            )
+        state = gen.bit_generator.state
+        cand = gen.random((k, n)) * box
+        # candidate j is placed when it is apart from every sphere placed
+        # before it: those of earlier batches, and the earlier candidates
+        # of this batch that were placed (clash[j, l], l < j)
+        take = _apart(placed[:i], cand, min_dist).all(axis=0)
+        clash = np.tril(~_apart(cand, cand, min_dist), -1)
+        for j in np.flatnonzero(take & clash.any(axis=1)).tolist():
+            take[j] = not (take[:j] & clash[j, :j]).any()
+        rows = np.flatnonzero(take)[:N - i]
+        used = k if len(rows) < N - i else int(rows[-1]) + 1
+        if used < k:  # one at a time stops drawing at sphere N
+            gen.bit_generator.state = state
+            gen.random((used, n))
+        placed[i:i + len(rows)] = cand[rows]
+        i += len(rows)
+        attempts += used
     vel = _draw_velocities(gen, velocity_dist, N, n)
     states = StateBlock(np.arange(N, dtype=np.int64), placed, vel)
     config = SimConfig(n=n, N=N, a=a)

@@ -363,7 +363,7 @@ def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
                       mass=mass)
 
 
-_BLOCK = 1 << 13  # kink x support pairs per augmentation pass: small temporaries
+_BLOCK = 1 << 13  # kink x edge pairs per augmentation pass: small temporaries
 
 
 def complement_basis(V, V2, n: int) -> np.ndarray:
@@ -375,7 +375,7 @@ def complement_basis(V, V2, n: int) -> np.ndarray:
     _complement_bases(V[None], V2[None], n)[0], so one kink and many take
     one code path.  build_augmented takes the bases of all K kinks in one
     pass of O(K (1+n)^2 n) work; its cost is the clearance scan's
-    O(K (K+M)) kink x support pairs, in blocks of bounded size.
+    box gaps of K x M kink x edge pairs, in blocks of bounded size.
     """
     return _complement_bases(np.asarray(V, dtype=np.float64)[None],
                              np.asarray(V2, dtype=np.float64)[None], n)[0]
@@ -431,54 +431,88 @@ def _complement_bases(V, V2, n: int) -> np.ndarray:
     return basis
 
 
-def _coincide(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(rows, M) mask, True at [r, m] where P[m] equals x[r, 0] in every
-    coordinate.
+def _distances(x: np.ndarray, A: np.ndarray, D: np.ndarray,
+               L2: np.ndarray) -> np.ndarray:
+    """Distance from each row of x to the segment A + [0, 1] D in the same
+    row (L2 its squared length), as the scalar point-to-segment distance
+    (clamped projection) gives it: the same operations, and dot products of
+    contiguous rows through np.vecdot (see kernel.norms)."""
+    s = np.clip(np.divide(np.vecdot(x - A, D), L2, out=np.zeros(len(L2)),
+                          where=L2 > 0.0), 0.0, 1.0)
+    return norms(x - (A + s[:, None] * D))
 
-    The np.all(P == x, axis=-1) test, one coordinate column at a time:
-    a reduction over the short last axis is the slow way to take it."""
-    out = P[:, 0] == x[..., 0]
-    for c in range(1, P.shape[1]):
-        out &= P[:, c] == x[..., c]
-    return out
+
+def _box_gaps(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(rows, M) squared gaps between each row of x and each box
+    [lo[:, m], hi[:, m]] (lo and hi (1+n, M) columns), one coordinate at a
+    time; 0 inside a box.  Each is within a few ulps of the exact squared
+    distance to the box, which no point of the box's segment is nearer."""
+    gap = np.zeros((len(x), lo.shape[1]))
+    for c in range(lo.shape[0]):
+        xc = x[:, c, None]
+        g = np.maximum(lo[c] - xc, xc - hi[c])
+        np.maximum(g, 0.0, out=g)
+        gap += np.multiply(g, g, out=g)
+    return gap
 
 
 def _default_eps(T: GraphTensor, sites: KinkBlock) -> np.ndarray:
-    """0.49 x clearance: nearest support away from the kink, window walls.
+    """0.49 x clearance: nearest edge away from the kink, window walls.
 
-    The support is every other kink site (coincident ones excluded) and
-    every edge without an endpoint equal to the kink.  Blocks of kinks meet
-    all of it in one set of (rows, K or M, 1+n) passes, at most _BLOCK
-    kink x support pairs a block: O(K (K+M)) pairs for K kinks and M edges,
-    in temporaries of bounded size.  Each distance is the one that
-    np.linalg.norm or the scalar point-to-segment distance (clamped
-    projection) gives, to the bit: the same operations, and dot products
-    through np.vecdot (see kernel.norms).  A kink's clearance is Python's
-    min over its window walls, nearest site and nearest edge, in that
-    order; the first kink in order without room raises ValueError.
+    The support is every edge without an endpoint equal to the kink.  The
+    other kink sites add no term: each is an exact endpoint of an edge that
+    does not meet the kink (its particle's next trajectory edge starts
+    there, its event's colliton ends there), and the clamped projection
+    onto that edge is the site itself or nearer.  Blocks of kinks, at most
+    _BLOCK kink x edge pairs a block, take two stages:
+
+    * the squared gap between the kink and each edge's bounding box
+      (_box_gaps), +inf for incident edges: a lower bound on the distance.
+      The exact distance to the edge of least gap, or the walls where
+      nearer, bounds the clearance from above;
+    * the exact distances (_distances), on flat gathered rows, of the
+      pairs whose gap is within that bound, widened by 1e-9 of it and by a
+      few ulps of the largest coordinate to cover the rounding of both.
+
+    A pruned edge is farther than the bound, so each clearance is the
+    minimum over every kink x edge pair, to the bit.  A kink's clearance is
+    Python's min over its window walls and nearest edge, in that order;
+    the first kink in order without room raises ValueError.
     """
     t_lo, t_hi = T.window
     X = sites.vertex
     A, B = T.edges.x_start, T.edges.x_end
     D = B - A
     L2 = squared_norms(D)
-    segment = L2 > 0.0
+    lo = np.ascontiguousarray(np.minimum(A, B).T)
+    hi = np.ascontiguousarray(np.maximum(A, B).T)
+    # a computed distance may fall short of the box gap by a few ulps of
+    # the largest coordinate: an end point comes back as A + (B - A)
+    slack = 4 * len(lo) * np.finfo(float).eps * max(
+        np.abs(X).max(initial=0.0), np.abs(lo).max(initial=0.0),
+        np.abs(hi).max(initial=0.0))
     eps = np.empty(len(X))
-    rows = max(1, _BLOCK // (len(X) + len(A)))
+    rows = max(1, _BLOCK // max(1, len(A)))
     for k0 in range(0, len(X), rows):
-        x = X[k0:k0 + rows, None]  # (rows, 1, 1+n)
-        to_sites = norms(X - x)
-        s = np.clip(np.divide(np.vecdot(x - A, D), L2,
-                              out=np.zeros((len(x), len(L2))), where=segment),
-                    0.0, 1.0)
-        to_edges = norms(x - (A + s[..., None] * D))
-        incident = _coincide(A, x) | _coincide(B, x)
-        best = x[:, 0, 0] - t_lo
-        for far in (t_hi - x[:, 0, 0],
-                    np.where(to_sites > 0.0, to_sites, np.inf).min(axis=1),
-                    np.where(incident, np.inf, to_edges).min(axis=1,
-                                                             initial=np.inf)):
-            best = np.where(far < best, far, best)  # min(...) keeps the first
+        x = X[k0:k0 + rows]
+        gap = _box_gaps(lo, hi, x)
+        # an incident edge has x in its box: only zero gaps need the test
+        r, m = np.nonzero(gap == 0.0)
+        touch = (A[m] == x[r]).all(axis=1) | (B[m] == x[r]).all(axis=1)
+        gap[r[touch], m[touch]] = np.inf
+        walls = x[:, 0] - t_lo
+        far = t_hi - x[:, 0]
+        walls = np.where(far < walls, far, walls)  # min(...) keeps the first
+        near = np.full(len(x), np.inf)
+        if len(A):
+            least = gap.argmin(axis=1)
+            some = np.flatnonzero(np.isfinite(gap[np.arange(len(x)), least]))
+            m = least[some]
+            near[some] = _distances(x[some], A[m], D[m], L2[m])
+        reach = np.where(near < walls, near, walls) * (1.0 + 1e-9) + slack
+        r, m = np.nonzero(gap <= (reach * reach)[:, None])
+        np.minimum.at(near, r, _distances(x[r], A[m], D[m], L2[m]))
+        best = np.where(near < walls, near, walls)
         none = best <= 0.0
         if none.any():
             raise ValueError(
@@ -498,8 +532,9 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
     for a total added divergence mass of exactly 2(n-1) * sum(b).  eps is
     0.49 times the kink's clearance (_default_eps), and the bases come from
     _complement_bases.  Both are array passes over all kinks; the cost is
-    the clearance scan's O(K (K+M)) kink x support pairs for K kinks and M
-    edges, taken in blocks of bounded size.
+    the clearance scan: box gaps of all K x M kink x edge pairs for K kinks
+    and M edges, in blocks of bounded size, and exact distances of the few
+    pairs they keep.
     """
     if T.n < 2:
         raise ValueError("augmentation needs n >= 2 (empty complement on the line)")

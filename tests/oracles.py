@@ -10,9 +10,10 @@ between these and the package is the point of the tests that import them.
 The exceptions are bitwise oracles: HeapEngine, the engine's earlier
 all-pairs scheduler, for the event calendar that replaced it;
 overlap_report, the per-particle overlap check, for validate_configuration's
-row blocks; and the per-event and per-kink loops at the end of this file,
-for the array passes over the packed event log (serialization, ledger,
-report, tensor construction and augmentation).
+row blocks; place_spheres, one placement attempt at a time, for
+gen_random_gas's candidate batches; and the per-event and per-kink loops at
+the end of this file, for the array passes over the packed event log
+(serialization, ledger, report, tensor construction and augmentation).
 """
 
 import bisect
@@ -29,6 +30,7 @@ from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_are
 from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
                                 EventLog, GenericityViolation, SimulationBug,
                                 ValidationReport, validate_configuration)
+from kinkbound.harness import PackingError
 from kinkbound.ledger import (BoundReport, HodographSummary, KinkRecord,
                               LEDGER_COLUMNS, bulk_invariants)
 from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
@@ -301,6 +303,32 @@ def overlap_report(states, config):
                 "pair": (int(ids[i]), int(ids[i + 1 + k])),
                 "distance": float(d[k]), "contact": 2.0 * config.a})
     return ValidationReport(True)
+
+
+def place_spheres(gen, N, n, box, a, cap):
+    """gen_random_gas's placement one candidate at a time: each attempt
+    draws gen.random(n) * box and keeps it when np.linalg.norm puts it more
+    than 2a (1 + 1e-9) from every sphere placed so far.  Returns the (N, n)
+    centers, or raises PackingError naming the sphere that attempt cap + 1
+    was for."""
+    placed = np.empty((N, n))
+    min_dist = 2.0 * a * (1.0 + 1e-9)
+    attempts = 0
+    for i in range(N):
+        while True:
+            attempts += 1
+            if attempts > cap:
+                raise PackingError(
+                    f"could not place sphere {i} of {N} within "
+                    f"{cap} attempts (box {box.tolist()}, a={a})")
+            cand = gen.random(n) * box
+            with np.errstate(over="ignore"):
+                apart = i == 0 or np.all(
+                    np.linalg.norm(placed[:i] - cand, axis=1) > min_dist)
+            if apart:
+                placed[i] = cand
+                break
+    return placed
 
 
 def heap_simulation(states, config):

@@ -3,14 +3,17 @@
 import copy
 import functools
 import json
+import math
 import pickle
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from kinkbound import cli, harness
 from kinkbound.dynamics import (ConfigurationError, GenericityViolation,
                                 events_jsonl_bytes, read_events_jsonl)
@@ -67,6 +70,70 @@ def test_gen_random_gas_packing_error():
     with pytest.raises(harness.PackingError):
         harness.gen_random_gas(
             2, 60, [0.1, 0.1], 0.05, {"kind": "maxwell", "sigma": 1.0}, 0)
+
+
+def _gas_outcome(gen_random_gas, n, N, a, seed):
+    """Positions and velocities of a maxwell gas in the unit box, or the
+    PackingError message, with the generator's state at the end."""
+    gens = []
+    make = harness._rng
+
+    def rng(seed):
+        gens.append(make(seed))
+        return gens[-1]
+
+    with mock.patch.object(harness, "_rng", rng):
+        try:
+            scn = gen_random_gas(n, N, [1.0] * n, a,
+                                 {"kind": "maxwell", "sigma": 1.0}, seed)
+            out = (scn.states.position.tobytes(), scn.states.velocity.tobytes())
+        except harness.PackingError as exc:
+            out = str(exc)
+    return out, json.dumps(gens[0].bit_generator.state, default=np.ndarray.tolist)
+
+
+def _one_at_a_time(n, N, box, a, velocity_dist, seed):
+    gen = harness._rng(seed)
+    box = np.asarray(box, dtype=np.float64)
+    placed = oracles.place_spheres(gen, N, n, box, a, harness._PACKING_ATTEMPT_CAP)
+    vel = harness._draw_velocities(gen, velocity_dist, N, n)
+    return harness.Scenario(None, harness.StateBlock(np.arange(N), placed, vel))
+
+
+def _radius(n, N, fraction):
+    """Radius at which N spheres cover `fraction` of the unit box."""
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    return 0.5 * (fraction / (N * ball / 2 ** n)) ** (1 / n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), N=st.integers(1, 40),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_batched_placement_matches_one_at_a_time(n, N, seed, data):
+    """Candidate batches place the spheres that one attempt at a time
+    places, leave the generator where it does (the velocities drawn next
+    agree), and run out of attempts at the same sphere; batches of one
+    candidate, of a few (the last one drawn beyond sphere N) and of the
+    default size, with caps that a dense packing hits."""
+    fraction = data.draw(st.sampled_from([0.05, 0.3, 0.6]), label="fraction")
+    caps = [25, 60, 400] + ([harness._PACKING_ATTEMPT_CAP] if fraction < 0.5 else [])
+    cap = data.draw(st.sampled_from(caps), label="cap")
+    block = data.draw(st.sampled_from([1, 7, 64, harness._PLACE_BLOCK]), label="block")
+    a = _radius(n, N, fraction)
+    with mock.patch.object(harness, "_PACKING_ATTEMPT_CAP", cap), \
+            mock.patch.object(harness, "_PLACE_BLOCK", block):
+        assert (_gas_outcome(harness.gen_random_gas, n, N, a, seed)
+                == _gas_outcome(_one_at_a_time, n, N, a, seed))
+
+
+def test_batched_placement_hits_the_cap_where_one_at_a_time_does():
+    """A packing too dense to finish: the same sphere index and attempt
+    count in the message, the same generator state after the last draw."""
+    with mock.patch.object(harness, "_PACKING_ATTEMPT_CAP", 5_003):
+        got = _gas_outcome(harness.gen_random_gas, 2, 60, 0.3, 0)
+        want = _gas_outcome(_one_at_a_time, 2, 60, 0.3, 0)
+    assert got == want
+    assert got[0].startswith("could not place sphere 4 of 60 within 5003 attempts")
 
 
 def test_gen_random_gas_velocity_kinds():
@@ -401,6 +468,13 @@ _BAD_SIMULATE = {
         "generator": "explicit", "n": 2, "a": 0.01,
         "positions": [[0, 0], [1, 0]], "velocities": [[1e100, 0], [-1e100, 0]]},
         "time_scale": 1e300},
+    # a negative grazing_tol lets pairs with a negative discriminant
+    # through (numpy warns in sqrt); a negative overlap_tol trips the
+    # engine's own contact check
+    "negative_grazing_tol": {"scenario": _GAS,
+                             "sim": {"grazing_tol": -1.0, "t_max": 1.0}},
+    "negative_overlap_tol": {"scenario": _GAS, "sim": {"overlap_tol": -1}},
+    "negative_time_tie_tol": {"scenario": _GAS, "sim": {"time_tie_tol": -1e-12}},
 }
 
 # the _BAD_SIMULATE cases whose velocities overflow
@@ -537,6 +611,20 @@ def _simulate_subprocess(doc, tmp_path):
          "--out", str(tmp_path / "o")], capture_output=True, text=True)
 
 
+def test_cli_negative_tolerance_subprocess(tmp_path):
+    """A 2-D gas with grazing_tol -1 or overlap_tol -1 exits 2 with one
+    "tolerance" object on stdout and nothing on stderr."""
+    for tol in ("grazing_tol", "overlap_tol"):
+        proc = _simulate_subprocess({
+            "scenario": {"generator": "random_gas", "n": 2, "N": 64,
+                         "a": 0.01, "seed": 0},
+            "sim": {tol: -1.0, "t_max": 1.0}}, tmp_path)
+        assert (proc.returncode, proc.stderr) == (2, ""), tol
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "tolerance"
+        assert not (tmp_path / "o").exists()
+
+
 def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
     """Explicit velocities that overflow, as given or after boost or
     time_scale, exit 2 with one JSON object on stdout, and a pair whose
@@ -573,6 +661,7 @@ _BAD_HEADERS = {
     "zero_a_off_the_line": ("a", 0),
     "N_not_the_state_count": ("N", 7),
     "negative_t_max": ("t_max", -3),
+    "negative_grazing_tol": ("grazing_tol", -1e-14),
 }
 
 

@@ -207,8 +207,7 @@ def test_build_augmented_in_blocks_matches_loop(case, block, monkeypatch):
     T = tensor.build_tensor(log, harness._audit_window(log))
     K = len(T.kinks)
     assert K % 3
-    monkeypatch.setattr(tensor, "_BLOCK",
-                        1 if block == "one" else 3 * (K + len(T.edges)))
+    monkeypatch.setattr(tensor, "_BLOCK", 1 if block == "one" else 3 * len(T.edges))
     _assert_augmented_matches_loop(log)
 
 
