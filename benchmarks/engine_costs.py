@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the event engine's steps per collision on two fixed scenes.
+"""Time the event engine's steps per collision on three fixed scenes.
 
     PYTHONPATH=src python3 benchmarks/engine_costs.py [--runs K]
 
@@ -12,7 +12,9 @@ per scene:
 * collisions, repredictions (entries whose partner had collided since,
   each re-predicted with a one-row kernel call), and the kernel calls of
   the initial scan, of the re-predictions (one row each) and of the
-  rescans after collisions (two rows each);
+  rescans of the collisions (two rows a collision; one call rescans the
+  collisions that share one time, up to max(2, dynamics._BLOCK // N)
+  rows), with the mean rows per rescan call;
 * whole_us, kernel_us, collide_us and rescan_rest_us: microseconds per
   collision of the whole run (engine set-up with its initial scan, and
   the event loop), of every kernel call, of _collide, and of _rescan
@@ -24,7 +26,10 @@ The scenes:
 * "line1d_p50": line_1d with p=50 (100 point rods, 2,500 collisions),
   the benchmark's line1d_dense scene;
 * "gas3d_n256": the 3-D Maxwell gas of the benchmark's sweep3d workload
-  at N=256, seed 48, a=0.01, covering fraction 0.2, t_max=1.
+  at N=256, seed 48, a=0.01, covering fraction 0.2, t_max=1;
+* "rows2d_p20": 20 right-movers at x = -1, ..., -20 and 20 left-movers
+  at x = 1, ..., 20 on the first axis of R^2, speeds +-1, a=0.01 (400
+  collisions at 39 times).
 """
 
 from __future__ import annotations
@@ -35,20 +40,33 @@ import math
 from collections import Counter
 from time import perf_counter
 
+import numpy as np
+
 from kinkbound import dynamics, harness
+
+
+def rows(n: int, p: int, a: float):
+    """p right-movers and p left-movers on the first axis, spacing 1."""
+    x = np.r_[-np.arange(1.0, p + 1), np.arange(1.0, p + 1)]
+    pos = np.zeros((2 * p, n))
+    vel = np.zeros((2 * p, n))
+    pos[:, 0] = x
+    vel[:, 0] = -np.sign(x)
+    return harness.gen_explicit(n, a, pos, vel)
 
 
 def scenes() -> dict:
     base = {"generator": "random_gas", "n": 3, "a": 0.01,
             "box_policy": {"kind": "fixed_fraction", "value": 0.2}}
     return {"line1d_p50": harness.gen_line_1d(50),
-            "gas3d_n256": harness._sweep_scenario(base, 256, 48, 1.0)}
+            "gas3d_n256": harness._sweep_scenario(base, 256, 48, 1.0),
+            "rows2d_p20": rows(2, 20, 0.01)}
 
 
 class Costs:
     """Seconds and calls per wrapped step while installed.  Kernel calls
-    are also kept by the step that made them: "init" (the initial scan),
-    "_rescan" or "_repredict"."""
+    and their rows are also kept by the step that made them: "init" (the
+    initial scan), "_rescan" or "_repredict"."""
 
     def __init__(self):
         self.seconds: Counter = Counter()
@@ -72,6 +90,7 @@ class Costs:
                 self.seconds["kernel"] += dt
                 self.seconds["kernel", self.step] += dt
                 self.calls["kernel", self.step] += 1
+                self.calls["rows", self.step] += np.size(args[3])
 
         self._patch(dynamics, "contact_times_scan", kernel)
         for name in ("_collide", "_rescan", "_repredict"):
@@ -124,7 +143,9 @@ def measure(name: str, scenario, runs: int) -> dict:
             "repredictions": calls["_repredict"],
             "kernel_calls": {"initial": calls["kernel", "init"],
                              "one_row": calls["kernel", "_repredict"],
-                             "two_row": calls["kernel", "_rescan"]},
+                             "rescan": calls["kernel", "_rescan"]},
+            "rows_per_rescan_call": round(
+                calls["rows", "_rescan"] / max(calls["kernel", "_rescan"], 1), 2),
             **{key: round(value, 1) for key, value in best.items()}}
 
 

@@ -18,6 +18,9 @@ The set:
   and the other velocity draw: seed 0 with "boost": [0.5, -0.25] and
   "time_scale": 2.0, and seed 1 with uniform velocities (v0=1);
 * line_1d with p in {1, 5, 50};
+* rows in n=2 and n=3: p=20 right-movers at x = -1, ..., -20 and 20
+  left-movers at x = 1, ..., 20 on the first axis, speeds +-1, a=0.01
+  (400 collisions, up to 20 at one time);
 * two explicit scenes at the edge shapes of the event log: two spheres
   in R^3 flying apart (no collision) and a head-on pair in R^2 (one);
 * the configs of the benchmark's gas2d_pipeline (2-D gas, N=256) and
@@ -68,9 +71,20 @@ def line_config(p: int) -> dict:
     return {"scenario": {"generator": "line_1d", "p": p}}
 
 
-def explicit_config(n: int, positions: list, velocities: list) -> dict:
-    return {"scenario": {"generator": "explicit", "n": n, "a": 0.125,
+def explicit_config(n: int, positions: list, velocities: list,
+                    a: float = 0.125) -> dict:
+    return {"scenario": {"generator": "explicit", "n": n, "a": a,
                          "positions": positions, "velocities": velocities}}
+
+
+def rows_config(n: int, p: int) -> dict:
+    """p right-movers and p left-movers on the first axis, spacing 1,
+    speeds +-1, a=0.01."""
+    x = [-(k + 1.0) for k in range(p)] + [k + 1.0 for k in range(p)]
+    rest = [0.0] * (n - 1)
+    return explicit_config(n, [[xk] + rest for xk in x],
+                           [[1.0 if xk < 0 else -1.0] + rest for xk in x],
+                           a=0.01)
 
 
 def scenarios() -> dict:
@@ -86,6 +100,8 @@ def scenarios() -> dict:
     out["gas2d_N64_s1_uniform"] = uniform
     for p in (1, 5, 50):
         out[f"line1d_p{p}"] = line_config(p)
+    for n in (2, 3):
+        out[f"rows{n}d_p20"] = rows_config(n, 20)
     out["explicit3d_no_events"] = explicit_config(
         3, [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]],
         [[-1.0, 0.25, 0.0], [1.0, 0.0, 0.5]])

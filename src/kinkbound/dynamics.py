@@ -10,9 +10,10 @@ The event calendar keeps one pending prediction per particle (Lubachevsky
 1991; Marin, Risso & Cordero 1993): a heap of each particle's earliest
 contact over all others, keyed (time, lo, hi, ...), with entries checked at
 pop time against per-particle collision counters.  The initial states are
-scanned in blocks of rows; after each collision one kernel call rescans
-both partners against every particle, and the gaps it returns at the
-collision time are the third-body check.
+scanned in blocks of rows.  The collisions that share one time are made
+one by one, and then rescanned together: one kernel call re-predicts the
+partners of all of them against every particle (in blocks, on a large
+system), and the gaps it returns at that time are the third-body check.
 """
 
 from __future__ import annotations
@@ -194,12 +195,13 @@ class ValidationReport:
     detail: dict = field(default_factory=dict)
 
 
-_BLOCK = 1 << 12  # pairs per pass of the overlap check and the initial scan
+_BLOCK = 1 << 12  # pairs per pass of the overlap check and of a kernel call
 
 
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
     """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap,
-    and the engine tolerances (finite and >= 0).
+    and the engine tolerances (finite and >= 0; overlap_tol > 0, since a
+    contact distance computed at 0 tolerance is off by rounding).
 
     Positions count as not finite when the square of twice one overflows,
     velocities from where the running sum of the squares of twice them
@@ -228,7 +230,8 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
         return bad("t_max", t_max=config.t_max)
     for name in ("grazing_tol", "overlap_tol", "time_tie_tol"):
         tol = getattr(config, name)
-        if not 0.0 <= tol < np.inf:
+        above = tol > 0.0 if name == "overlap_tol" else tol >= 0.0
+        if not (above and tol < np.inf):
             return bad("tolerance", **{name: tol})
 
     ids, pos, vel = states.id, states.position, states.velocity
@@ -285,11 +288,30 @@ class _Engine:
     prediction was part of the minimum that made some live entry, and
     every entry pushed at a pop is keyed no earlier than it.
 
-    Per collision the engine makes one (2, N) kernel call (_rescan) and
-    works on the two rows with scalar indexing (_collide); a re-prediction
+    A valid entry is collided at once, working on the two rows with scalar
+    indexing (_collide).  Its rescan waits until the heap's top is later:
+    the k collisions of one time (line_1d makes up to p at once) are then
+    re-predicted in one (2k, N) kernel call (_rescan), and a lone
+    collision, every event of a gas, in one (2, N) call.  A re-prediction
     is one (1, N) call.  Up to a few hundred particles a numpy call costs
     about the same whatever its size, so these steps are written to make
-    few calls, not to touch few pairs.
+    few calls, not to touch few pairs.  A kernel call takes at most
+    rows_per_call = max(2, _BLOCK // N) rows, so its arrays stay near
+    _BLOCK pairs.
+
+    Deferring the rescans changes no event.  A pair's time is a pure
+    function of the two stored states, and only _collide changes those;
+    while the rescans of time t wait, their particles have no live entry,
+    and no contact of theirs is earlier than t.  So the collisions come in
+    the same order as when each is rescanned at once, and a particle
+    rescanned after later collisions of its time gets the time that the
+    re-prediction it would then have needed gets.  The one difference: a
+    contact that a rescan finds at t itself (the third-body test lets it
+    through only where the spacing of floats at t exceeds the tie
+    tolerance: past t ~ 1e4 at the default time_tie_tol, or at 0) comes
+    after the other collisions at t, not among them in pair order.  A
+    particle that meets a second partner at t (such a contact, found by a
+    re-prediction) has its first pair rescanned before that collision.
     """
 
     def __init__(self, states: StateBlock, config: SimConfig):
@@ -313,9 +335,9 @@ class _Engine:
                     np.empty((16, 2, config.n)), np.empty((16, 2, config.n)),
                     np.empty((16, 2, config.n)))
         self.idx = np.arange(N, dtype=np.int64)
-        rows_per_call = max(1, _BLOCK // N)
-        for r0 in range(0, N, rows_per_call):
-            rows = self.idx[r0:r0 + rows_per_call]
+        self.rows_per_call = max(2, _BLOCK // N)
+        for r0 in range(0, N, self.rows_per_call):
+            rows = self.idx[r0:r0 + self.rows_per_call]
             out = np.empty((rows.size, N))
             # a particle against itself has b == 0 exactly, hence +inf
             contact_times_scan(self.pos, self.vel, self.tupd, rows, self.idx,
@@ -417,48 +439,83 @@ class _Engine:
         pairs[k] = i, j
         self.count = k + 1
 
-    def _rescan(self, t: float, i: int, j: int) -> None:
-        """Re-predict both partners of the collision at t in one kernel call.
+    def _rescan(self, t: float, rows: list, pre: dict) -> None:
+        """Re-predict the particles of the collisions at t, and check them
+        for third bodies.
 
-        Both rows were just advanced to t, and every other particle was
-        last updated no later, so the scan refers every pair to t: its gap
-        c = |dy|^2 - 4a^2 is the third bodies' distance from i and j at
+        rows holds the two particles of each of these collisions, pair by
+        pair in the order they were made, and no particle twice; pre holds
+        the speeds before t of the particles of the second and later
+        pairs.  A kernel call takes the rows of as many whole pairs as
+        rows_per_call allows (all of them, up to _BLOCK // N rows).
+
+        Every row was advanced to t, and every other particle was last
+        updated no later, so the scan refers every pair to t: its gap
+        c = |dy|^2 - 4a^2 is the third bodies' distance from the pair at
         the collision.  A third body k within contact distance plus
         tau = time_tie_tol * (speed of k + speed of the partner) aborts the
-        run.
+        run.  Each pair's test takes the speeds that a rescan made right
+        after its collision would take: the particles of later pairs at
+        their speeds before t.  Positions at t have the same bits either
+        way (_collide and the kernel move a particle to t alike), so the
+        run raises for the same pair, naming the same third bodies.
 
         The reach tau * (4a + tau) grows with |tau|, in floating point too,
-        so the test first takes the least gap against the reach of the
-        largest |tau| (the largest speed of all plus the larger partner's):
-        a least gap beyond it clears every third body, and only one within
-        it runs the test pair by pair.
+        so the test first takes the least gap of a call against the reach
+        of the largest |tau| (the largest speed of all, before t or now,
+        plus the largest of its rows'): a least gap beyond it clears every
+        third body, and only one within it runs the test pair by pair.
         """
         N = self.config.N
-        out = np.empty((2, N))
-        gap = np.empty((2, N))
-        contact_times_scan(self.pos, self.vel, self.tupd, (i, j), self.idx,
-                           self.four_a2, self.config.grazing_tol, out, gap)
-        for row in (out, gap):  # self, and the partner it just left
-            row[:, i] = np.inf
-            row[:, j] = np.inf
         speed, tie = self.speed, self.config.time_tie_tol
-        # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
-        top = abs(tie) * (speed.max() + max(speed.item(i), speed.item(j)))
-        if not gap.min() > top * (self.four_a + top):
-            tau = tie * (speed + speed[[i, j]][:, None])
-            near = gap <= tau * (self.four_a + tau)
+        fastest = max([speed.max(), *pre.values()])
+        step = self.rows_per_call & -2  # pairs stay whole
+        for r0 in range(0, len(rows), step):
+            part = rows[r0:r0 + step]
+            both = np.empty((2, len(part), N))
+            out, gap = both[0], both[1]
+            contact_times_scan(self.pos, self.vel, self.tupd, part, self.idx,
+                               self.four_a2, self.config.grazing_tol, out, gap)
+            for r in range(0, len(part), 2):  # self, and the partner it just left
+                both[:, r:r + 2, part[r]] = np.inf
+                both[:, r:r + 2, part[r + 1]] = np.inf
+            # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
+            top = abs(tie) * (fastest + max(map(speed.item, part)))
+            if not gap.min() > top * (self.four_a + top):
+                self._check_third_bodies(t, rows, r0, gap, pre)
+            self._push_earliest(part, out)
+
+    def _check_third_bodies(self, t: float, rows: list, r0: int,
+                            gap: np.ndarray, pre: dict) -> None:
+        """The third-body test of _rescan, pair by pair in pop order, on
+        the gaps of the rows r0, r0 + 1, ... of rows; each pair's test
+        takes the particles of the later pairs at their speeds before t."""
+        speed = self.speed
+        s = speed.copy()
+        later = rows[r0 + 2:]
+        s[later] = [pre[p] for p in later]
+        for r in range(0, len(gap), 2):
+            i, j = rows[r0 + r], rows[r0 + r + 1]
+            s[[i, j]] = speed[[i, j]]  # collided: its speeds after t
+            tau = self.config.time_tie_tol * (s + s[[i, j]][:, None])
+            near = gap[r:r + 2] <= tau * (self.four_a + tau)
             near[:, [i, j]] = False
             if near.any():
                 culprits = tuple(self.ids[near[0] if near[0].any() else near[1]].tolist())
                 raise GenericityViolation(t, (int(self.ids[i]), int(self.ids[j])) + culprits)
-        self._push_earliest((i, j), out)
 
     def run(self) -> tuple:
         t_max = self.config.t_max
-        heap, cc = self.heap, self.cc
+        heap, cc, speed, tupd = self.heap, self.cc, self.speed, self.tupd
         termination = "queue_empty"
         t_prev = 0.0
-        while heap:
+        rows: list = []  # the pairs collided at t_prev, not yet rescanned
+        pre: dict = {}  # speeds before t_prev of the particles of rows[2:]
+        while heap or rows:
+            if rows and (not heap or heap[0][0] > t_prev):
+                self._rescan(t_prev, rows, pre)
+                rows, pre = [], {}
+                continue
             t, lo, hi, owner, c_owner, c_partner = heapq.heappop(heap)
             if cc[owner] != c_owner:
                 continue  # the owner collided since and was re-predicted then
@@ -466,6 +523,7 @@ class _Engine:
                 self._repredict(owner)
                 continue
             if t_max is not None and t > t_max:
+                # rows is empty: rows wait only while the top is at t_prev
                 termination = "t_max"
                 break
             if t < t_prev:
@@ -473,8 +531,16 @@ class _Engine:
                     f"event at t={t!r} for pair ({lo}, {hi}) precedes the "
                     f"previous event at t={t_prev!r}")
             t_prev = t
+            if rows:  # a further collision at t
+                if tupd.item(lo) == t or tupd.item(hi) == t:
+                    # one of the two has collided at t already: its row is
+                    # rescanned before it collides again
+                    self._rescan(t, rows, pre)
+                    rows, pre = [], {}
+                else:
+                    pre[lo], pre[hi] = speed.item(lo), speed.item(hi)
             self._collide(t, lo, hi)
-            self._rescan(t, lo, hi)
+            rows += lo, hi
         t, pairs, y, v, v_post = (c[:self.count] for c in self.recorded)
         i, j = self.ids.take(pairs.T)
         return EventBlock(t, i, j, y, v, v_post), termination

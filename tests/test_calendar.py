@@ -46,8 +46,23 @@ def _gas(n, N, seed, t_max=None):
     return replace(sc, config=replace(sc.config, t_max=t_max))
 
 
+def _rows(n, p, a=0.01):
+    """p right-movers at x = -1, ..., -p and p left-movers at 1, ..., p on
+    the first axis, speeds +-1: p^2 collisions, up to p at one time."""
+    x = np.r_[-np.arange(1.0, p + 1), np.arange(1.0, p + 1)]
+    pos = np.zeros((2 * p, n))
+    vel = np.zeros((2 * p, n))
+    pos[:, 0] = x
+    vel[:, 0] = -np.sign(x)
+    return kb.gen_explicit(n, a, pos, vel)
+
+
 _SCENES = {
     **{f"line_p{p}": (lambda p=p: kb.gen_line_1d(p)) for p in (1, 5, 50)},
+    # line_p50 has N = 100: one pair per rescan call, and three (the cap
+    # of 7 rows is odd, and a pair must not be split)
+    **{f"line_p50_block{b}": (lambda: kb.gen_line_1d(50)) for b in (300, 700)},
+    **{f"rows{n}d_p12": (lambda n=n: _rows(n, 12)) for n in (2, 3)},
     **{f"gas2d_s{s}": (lambda s=s: _gas(2, 24, s)) for s in range(4)},
     **{f"gas3d_s{s}": (lambda s=s: _gas(3, 20, s)) for s in range(4)},
     "gas2d_t_max": lambda: _gas(2, 40, 7, t_max=0.3),
@@ -58,8 +73,14 @@ _SCENES = {
 }
 
 
+def _block(name):
+    """The dynamics._BLOCK a scene runs with: its name's "_block" suffix."""
+    return int(name.rpartition("_block")[2]) if "_block" in name else dynamics._BLOCK
+
+
 @pytest.mark.parametrize("name", sorted(_SCENES))
-def test_calendar_matches_heap_oracle_bytes(name):
+def test_calendar_matches_heap_oracle_bytes(name, monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK", _block(name))
     sc = _SCENES[name]()
     log = run_simulation(sc.states, sc.config)
     expected = heap_simulation(sc.states, sc.config)
@@ -91,6 +112,45 @@ def _outcome(simulate, sc):
     return ("runs", events_jsonl_bytes(log))
 
 
+# Two collisions at t = 1, in pop order: A (moving right) into B, and C
+# into D, where C stands off B by 2a + delta at (0, 1 + delta).  C's speed
+# changes at its collision: from 0 to 1 (C stands, and D comes down onto
+# it and stops), from 1 to 0 (C moves right into D, which stands), or from
+# sqrt(2) to 1 (C comes down and right, and keeps the downward part).  A
+# and B's rescan must see C at its speed before t: with
+# tau = 1e-12 * (|v_C| + |v_B|), 2^-40 is within tau at every speed, and
+# 2^-39 and 2^-39 + 2^-41 only at the speed before t.  At sqrt(2), C is
+# faster before t than any particle after it, so the least-gap bound must
+# count speeds before t too.  The rescan of C and D sees B at its speed
+# after t.
+def _same_time(delta, vc):
+    c = [-vc[0], 1.0 + delta - vc[1]]  # at (0, 1 + delta) at t = 1
+    if vc == (0.0, 0.0):
+        d, vd = [0.0, 3.0 + delta], [0.0, -1.0]
+    else:
+        d, vd = [1.0, 1.0 + delta], [0.0, 0.0]
+    return (2, 0.5, [[-2.0, 0.0], [0.0, 0.0], c, d],
+            [[1.0, 0.0], [0.0, 0.0], list(vc), vd])
+
+
+# (delta, C's velocity before t): the particles the run's
+# GenericityViolation at t = 1 names
+_SAME_TIME = {
+    (2.0 ** -40, (0.0, 0.0)): (0, 1, 2),  # A and B's rescan: C
+    (2.0 ** -39, (0.0, 0.0)): (2, 3, 1),  # C and D's rescan: B
+    (2.0 ** -39, (1.0, 0.0)): (0, 1, 2),
+    (2.0 ** -39 + 2.0 ** -41, (1.0, -1.0)): (0, 1, 2),
+}
+
+
+def _third_body_then_t_max():
+    """_third_body(_INSIDE) and a far pair meeting at t = 3, past t_max = 2:
+    the run stops at t_max after the t = 1 collision's rescan raised."""
+    n, a, positions, velocities = _third_body(_INSIDE)
+    return (n, a, positions + [[0.0, 50.0], [7.0, 50.0]],
+            velocities + [[1.0, 0.0], [-1.0, 0.0]], 2.0)
+
+
 # (scene, whether the oracle raises GenericityViolation on it)
 _GENERICITY_CASES = [
     ((1, 0.0, [[-1.0], [0.0], [1.0]], [[1.0], [0.0], [-1.0]]), True),  # one point
@@ -103,6 +163,13 @@ _GENERICITY_CASES = [
     (_third_body(_JUST_INSIDE, bystander=False), True),
 ]
 
+# scenes whose raise comes from one time's rescan (the arguments of
+# kb.gen_explicit); the oracle raises on each
+_ONE_TIME_CASES = {
+    "third_body_then_t_max": _third_body_then_t_max(),
+    **{f"same_time_{k}": _same_time(*key) for k, key in enumerate(_SAME_TIME)},
+}
+
 
 @pytest.mark.parametrize("n, a, positions, velocities",
                          [scene for scene, _ in _GENERICITY_CASES])
@@ -111,13 +178,55 @@ def test_calendar_raises_where_heap_oracle_raises(n, a, positions, velocities):
     assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc)
 
 
+@pytest.mark.parametrize("name", sorted(_ONE_TIME_CASES))
+def test_one_time_rescan_raises_where_heap_oracle_raises(name):
+    sc = kb.gen_explicit(*_ONE_TIME_CASES[name])
+    assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc)
+
+
 def test_genericity_cases_raise_as_meant():
     """The oracle raises on the scenes meant to raise, naming the pair and
     at least one third body, and runs the others."""
-    for scene, raises in _GENERICITY_CASES:
+    cases = _GENERICITY_CASES + [(scene, True) for scene in _ONE_TIME_CASES.values()]
+    for scene, raises in cases:
         kind, *detail = _outcome(heap_simulation, kb.gen_explicit(*scene))
         assert kind == ("raises" if raises else "runs"), scene
         assert not raises or len(detail[1]) >= 3
+
+
+def test_same_time_scenes_raise_for_the_pair_meant():
+    """Each _same_time scene's two collisions are one time's rescan, and
+    the oracle raises for the pair and third body _SAME_TIME names."""
+    for key, particles in _SAME_TIME.items():
+        sc = kb.gen_explicit(*_same_time(*key))
+        assert _outcome(heap_simulation, sc) == ("raises", 1.0, particles)
+        sc.config.time_tie_tol = 0.0  # no third body: two collisions at t = 1
+        log = run_simulation(sc.states, sc.config)
+        assert log.events.t[:2].tolist() == [1.0, 1.0]
+        assert log.events.i[:2].tolist() == [0, 2]
+
+
+def test_particle_colliding_twice_at_one_time_is_rescanned_between(monkeypatch):
+    """Rods A, B and C at -1, 0 and 1 + 2^-52, the outer two moving in at
+    speed 1, with no tie tolerance: A hits B at t = 1, and C, re-predicted
+    against B's new state, meets B at t = 1 too (within rounding).  A and
+    B are rescanned before B collides again, so that no kernel call holds
+    a row twice, and the run raises as the oracle does, for B and C with
+    A."""
+    sc = kb.gen_explicit(1, 0.0, [[-1.0], [0.0], [1.0 + 2.0 ** -52]],
+                         [[1.0], [0.0], [-1.0]])
+    sc.config.time_tie_tol = 0.0
+    rows = []
+    scan = dynamics.contact_times_scan
+
+    def traced_scan(*args):
+        rows.append(np.ravel(args[3]).tolist())
+        return scan(*args)
+
+    monkeypatch.setattr(dynamics, "contact_times_scan", traced_scan)
+    assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc) \
+        == ("raises", 1.0, (1, 2, 0))
+    assert rows[-2:] == [[0, 1], [1, 2]]
 
 
 def _counting_heapq(counts):
@@ -160,28 +269,31 @@ def test_event_earlier_than_previous_is_a_bug(monkeypatch):
         run_simulation(sc.states, sc.config)
 
 
-@pytest.mark.parametrize("name", ["line_p5", "gas3d_t_max"])
+@pytest.mark.parametrize("name", ["line_p5", "gas3d_t_max", "line_p50_block700"])
 def test_kernel_calls_keep_the_layout_the_tracer_reads(name, monkeypatch):
     """perfbench's tracer wraps dynamics.contact_times_scan and reads the
     columns at args[4] and out at args[7], and swaps dynamics.heapq for a
-    counting one.  Wrapped the same way, every call passes all N columns;
-    after the initial scan, the two-row calls are the collisions and the
-    one-row calls the re-predictions, which the popped entries show
+    counting one.  Wrapped the same way, every call passes all N columns
+    and at most max(2, _BLOCK // N) rows.  After the initial scan, the
+    one-row calls are the re-predictions, which the popped entries show
     (owner's counter current, partner's not) when the counters are
-    replayed from the events."""
-    if name == "line_p5":
-        sc = kb.gen_line_1d(5)
-    else:  # 15 collisions and 4 re-predictions before t_max
+    replayed from the events.  Every other call rescans collisions of one
+    time: the oldest ones not rescanned yet, two rows a pair in pop
+    order, as many whole pairs as the cap allows."""
+    monkeypatch.setattr(dynamics, "_BLOCK", _block(name))
+    if name == "gas3d_t_max":  # 15 collisions and 4 re-predictions before t_max
         sc = kb.gen_random_gas(3, 40, [1.0] * 3, 0.07,
                                {"kind": "maxwell", "sigma": 1.0}, 0)
         sc = replace(sc, config=replace(sc.config, t_max=0.5))
+    else:
+        sc = _SCENES[name]()
     trail = []
     scan = dynamics.contact_times_scan
 
     def traced_scan(*args):
         result = scan(*args)
         js, out = args[4], args[7]
-        trail.append(("scan", len(js), out.shape))
+        trail.append(("scan", np.ravel(args[3]).tolist(), len(js), out.shape))
         return result
 
     def heappop(heap):
@@ -195,28 +307,48 @@ def test_kernel_calls_keep_the_layout_the_tracer_reads(name, monkeypatch):
     log = run_simulation(sc.states, sc.config)
     assert log.termination == ("t_max" if sc.config.t_max else "queue_empty")
     N = sc.config.N
-    assert all(call[1] == N for call in trail if call[0] == "scan")
+    cap = max(2, dynamics._BLOCK // N)
+    for call in trail:
+        if call[0] == "scan":
+            _, rows, columns, shape = call
+            assert columns == N and shape == (len(rows), N) and len(rows) <= cap
     first_pop = next(k for k, call in enumerate(trail) if call[0] == "pop")
-    assert sum(call[2][0] for call in trail[:first_pop]) == N  # every row once
-    rows = iter(log.rows().tolist())
+    assert sorted(r for call in trail[:first_pop] for r in call[1]) == list(range(N))
+    events = log.rows().tolist()
     cc = [0] * N
-    collisions = repredictions = one_row = 0
+    made = []  # (t, lo, hi) of the collisions not rescanned yet
+    repredictions = one_row = 0
+    rescans = []  # pairs per rescan call
     for call in trail[first_pop:]:
         if call[0] == "pop":
             t, lo, hi, owner, c_owner, c_partner = call[1]
             partner = hi if owner == lo else lo
-            if cc[owner] == c_owner and cc[partner] != c_partner:
+            if cc[owner] != c_owner:
+                continue
+            if cc[partner] != c_partner:
                 repredictions += 1
-        elif call[2] == (2, N):
-            i, j = next(rows)
-            cc[i] += 1
-            cc[j] += 1
-            collisions += 1
-        else:
-            assert call[2] == (1, N)
+            elif sum(rescans) + len(made) < len(events):  # else: past t_max
+                assert [lo, hi] == events[sum(rescans) + len(made)]
+                cc[lo] += 1
+                cc[hi] += 1
+                made.append((t, lo, hi))
+        elif len(call[1]) == 1:
             one_row += 1
-    assert collisions == len(log.events) > 0
+        else:
+            rows = call[1]
+            pairs, made = made[:len(rows) // 2], made[len(rows) // 2:]
+            assert rows == [p for _, lo, hi in pairs for p in (lo, hi)]
+            assert len({t for t, _, _ in pairs}) == 1
+            rescans.append(len(pairs))
+    assert not made and sum(rescans) == len(events) > 0
     assert one_row == repredictions > 0
+    per_time = np.unique(log.events.t, return_counts=True)[1]
+    per_call = cap // 2
+    assert len(rescans) == sum(-(-k // per_call) for k in per_time.tolist())
+    if name == "line_p5":
+        assert len(rescans) == len(per_time) == 9
+    if name == "gas3d_t_max":
+        assert rescans == [1] * len(events)
 
 
 # -- fuzzing against the eager reference ---------------------------------------

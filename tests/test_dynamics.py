@@ -97,17 +97,21 @@ def test_validate_rejects_velocities_whose_doubled_squares_overflow():
 
 @pytest.mark.parametrize("name", ["grazing_tol", "overlap_tol", "time_tie_tol"])
 def test_run_simulation_rejects_tolerances_out_of_range(name):
-    """Each engine tolerance must be finite and >= 0: NaN, inf and a
-    negative value stop run_simulation before the engine starts (a NaN
-    grazing_tol used to run the gas to 0 events); 0 passes the check."""
+    """Each engine tolerance must be finite and >= 0, and overlap_tol > 0:
+    NaN, inf and a negative value stop run_simulation before the engine
+    starts (a NaN grazing_tol used to run the gas to 0 events); 0 passes
+    the check, except as overlap_tol (a head-on pair then met at a contact
+    distance 1.1e-15 short of 2a, and the run ended in SimulationBug)."""
     states = _states((0, [0, 0], [1, 0]), (1, [1, 0], [-1, 0]))
     cfg = SimConfig(n=2, N=2, a=0.01)
-    for bad in (np.nan, np.inf, -1.0, -1e-300):
+    zero_passes = name != "overlap_tol"
+    for bad in (np.nan, np.inf, -1.0, -1e-300) + (() if zero_passes else (0.0,)):
         with pytest.raises(ConfigurationError) as info:
             run_simulation(states, replace(cfg, **{name: bad}))
         assert info.value.report.reason == "tolerance"
         assert list(info.value.report.detail) == [name]
-    assert validate_configuration(states, replace(cfg, **{name: 0.0})).ok
+    assert validate_configuration(states, replace(cfg, **{name: 0.0})).ok == zero_passes
+    assert validate_configuration(states, replace(cfg, **{name: 5e-324})).ok
 
 
 @settings(max_examples=200, deadline=None)

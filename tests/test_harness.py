@@ -474,6 +474,7 @@ _BAD_SIMULATE = {
     "negative_grazing_tol": {"scenario": _GAS,
                              "sim": {"grazing_tol": -1.0, "t_max": 1.0}},
     "negative_overlap_tol": {"scenario": _GAS, "sim": {"overlap_tol": -1}},
+    "zero_overlap_tol": {"scenario": _GAS, "sim": {"overlap_tol": 0}},
     "negative_time_tie_tol": {"scenario": _GAS, "sim": {"time_tie_tol": -1e-12}},
 }
 
@@ -623,6 +624,23 @@ def test_cli_negative_tolerance_subprocess(tmp_path):
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "tolerance"
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_zero_overlap_tol_subprocess(tmp_path):
+    """overlap_tol 0 exits 2 with one "tolerance" object on stdout and
+    nothing on stderr: the engine's contact check would trip on rounding
+    (this head-on pair meets at distance 0.019999999999998908, not 0.02)."""
+    proc = _simulate_subprocess({
+        "scenario": {"generator": "explicit", "n": 2, "a": 0.01,
+                     "positions": [[0, 0], [1, 0]],
+                     "velocities": [[1, 0], [-1, 0]]},
+        "sim": {"overlap_tol": 0}}, tmp_path)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "tolerance", "detail": "tolerance: {'overlap_tol': 0.0}"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
