@@ -15,6 +15,11 @@ per scene:
   rescans of the collisions (two rows a collision; one call rescans the
   collisions that share one time, up to max(2, dynamics._BLOCK // N)
   rows), with the mean rows per rescan call;
+* collide_calls and pairs_per_collide_call: the calls of _collide(t, rows)
+  and the mean collisions a call makes (rows holds the two particles of
+  each pair; one call makes the collisions of one time that wait, all of
+  them unless a re-prediction or a particle colliding twice at that time
+  comes between);
 * whole_us, kernel_us, collide_us and rescan_rest_us: microseconds per
   collision of the whole run (engine set-up with its initial scan, and
   the event loop), of every kernel call, of _collide, and of _rescan
@@ -55,11 +60,14 @@ def rows(n: int, p: int, a: float):
     return harness.gen_explicit(n, a, pos, vel)
 
 
+# the base spec of the benchmark's sweep3d workload
+GAS3D = {"generator": "random_gas", "n": 3, "a": 0.01,
+         "box_policy": {"kind": "fixed_fraction", "value": 0.2}}
+
+
 def scenes() -> dict:
-    base = {"generator": "random_gas", "n": 3, "a": 0.01,
-            "box_policy": {"kind": "fixed_fraction", "value": 0.2}}
     return {"line1d_p50": harness.gen_line_1d(50),
-            "gas3d_n256": harness._sweep_scenario(base, 256, 48, 1.0),
+            "gas3d_n256": harness._sweep_scenario(GAS3D, 256, 48, 1.0),
             "rows2d_p20": rows(2, 20, 0.01)}
 
 
@@ -146,6 +154,8 @@ def measure(name: str, scenario, runs: int) -> dict:
                              "rescan": calls["kernel", "_rescan"]},
             "rows_per_rescan_call": round(
                 calls["rows", "_rescan"] / max(calls["kernel", "_rescan"], 1), 2),
+            "collide_calls": calls["_collide"],
+            "pairs_per_collide_call": round(E / max(calls["_collide"], 1), 2),
             **{key: round(value, 1) for key, value in best.items()}}
 
 

@@ -11,15 +11,17 @@ The event calendar keeps one pending prediction per particle (Lubachevsky
 contact over all others, keyed (time, lo, hi, ...), with entries checked at
 pop time against per-particle collision counters.  The initial states are
 scanned in blocks of rows.  The collisions that share one time are made
-one by one, and then rescanned together: one kernel call re-predicts the
-partners of all of them against every particle (in blocks, on a large
-system), and the gaps it returns at that time are the third-body check.
+together, in one step on stacked arrays, and then rescanned together: one
+kernel call re-predicts the partners of all of them against every particle
+(in blocks, on a large system), and the gaps it returns at that time are
+the third-body check.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -288,52 +290,70 @@ class _Engine:
     prediction was part of the minimum that made some live entry, and
     every entry pushed at a pop is keyed no earlier than it.
 
-    A valid entry is collided at once, working on the two rows with scalar
-    indexing (_collide).  Its rescan waits until the heap's top is later:
-    the k collisions of one time (line_1d makes up to p at once) are then
-    re-predicted in one (2k, N) kernel call (_rescan), and a lone
-    collision, every event of a gas, in one (2, N) call.  A re-prediction
-    is one (1, N) call.  Up to a few hundred particles a numpy call costs
-    about the same whatever its size, so these steps are written to make
-    few calls, not to touch few pairs.  A kernel call takes at most
-    rows_per_call = max(2, _BLOCK // N) rows, so its arrays stay near
-    _BLOCK pairs.
+    A valid entry's pair joins the collisions of its time, and its two
+    counters and partners (cc, last) are set at once, since later pops at
+    that time read them.  The pairs that wait are collided together, in
+    one _collide call on stacked arrays, just before whichever comes first:
+    the rescan of their time, when the heap's top is later; a
+    re-prediction, which must see their new states; or a split (below).
+    The rescan re-predicts all the collisions of the time in one (2k, N)
+    kernel call (_rescan).  A lone collision, every event of a gas, is
+    k = 1 of the same two calls.  A re-prediction is one (1, N) call.  Up
+    to a few hundred particles a numpy call costs about the same whatever
+    its size, so these steps are written to make few calls, not to touch
+    few pairs.  A kernel call takes at most rows_per_call =
+    max(2, _BLOCK // N) rows, so its arrays stay near _BLOCK pairs.
 
-    Deferring the rescans changes no event.  A pair's time is a pure
-    function of the two stored states, and only _collide changes those;
-    while the rescans of time t wait, their particles have no live entry,
-    and no contact of theirs is earlier than t.  So the collisions come in
-    the same order as when each is rescanned at once, and a particle
-    rescanned after later collisions of its time gets the time that the
-    re-prediction it would then have needed gets.  The one difference: a
-    contact that a rescan finds at t itself (the third-body test lets it
-    through only where the spacing of floats at t exceeds the tie
-    tolerance: past t ~ 1e4 at the default time_tie_tol, or at 0) comes
-    after the other collisions at t, not among them in pair order.  A
-    particle that meets a second partner at t (such a contact, found by a
-    re-prediction) has its first pair rescanned before that collision.
+    Deferring the collisions and their rescans changes no event.  A pair's
+    time is a pure function of the two stored states, and only _collide
+    changes those, with the same bits whether it makes one pair or many.
+    A waiting pair's particles have no live entry and no contact earlier
+    than t, and every kernel call reads collided states.  So the
+    collisions come in the same order as when each is made and rescanned
+    at once, and a particle rescanned after later collisions of its time
+    gets the time that the re-prediction it would then have needed gets.
+    The one difference: a contact that a rescan finds at t itself (the
+    third-body test lets it through only where the spacing of floats at t
+    exceeds the tie tolerance: past t ~ 1e4 at the default time_tie_tol,
+    or at 0) comes after the other collisions at t, not among them in pair
+    order.  A particle that meets a second partner at t (such a contact,
+    found by a re-prediction) splits the time: the pairs before it are
+    collided and rescanned first.
     """
 
     def __init__(self, states: StateBlock, config: SimConfig):
         self.config = config
-        N = config.N
+        N, n = config.N, config.n
         self.ids = states.id
-        # copies: the run moves these, and the caller's states stay as given
-        self.pos = np.array(states.position, dtype=np.float64, order="C")
-        self.vel = np.array(states.velocity, dtype=np.float64, order="C")
+        # positions (at tupd) and velocities, stacked and component-major:
+        # _collide gathers and writes back both for its rows in one call,
+        # and the kernel's gathers (pos.T.take) read state[0] and state[1]
+        # in place; copies, since the run moves them
+        self.state = np.empty((2, n, N))
+        self.state[0] = states.position.T
+        self.state[1] = states.velocity.T
+        self.pos, self.vel = self.state[0].T, self.state[1].T
         self.tupd = np.zeros(N)
-        self.speed = np.linalg.norm(self.vel, axis=1)
         self.cc = [0] * N
         self.last = [-1] * N  # partner of each particle's latest collision
         self.four_a2 = 4.0 * config.a * config.a
         self.four_a = 4.0 * config.a
+        # no particle is ever faster than sqrt(E), E the sum of the squared
+        # speeds, since collisions keep E (up to rounding: a relative few
+        # ulps a collision, which the factor 2 on E covers); the reach of
+        # the third-body test at twice that speed bounds the reach of every
+        # pair's test (see _rescan)
+        energy = float(np.sum(self.state[1] * self.state[1]))
+        top = abs(config.time_tie_tol) * 2.0 * math.sqrt(2.0 * energy)
+        self.reach = top * (self.four_a + top)
         self.heap: list = []
-        # the event block, grown by doubling: times, pairs of rows, and the
-        # (2, n) centers and velocities of each collision
+        # the event block: times and pairs of rows as lists, and one plane
+        # each of centers at contact, velocities before and after, two rows
+        # a collision (particle i, then j); grown by doubling
+        self.times: list = []
+        self.pairs: list = []
         self.count = 0
-        self.recorded = (np.empty(16), np.empty((16, 2), dtype=np.int64),
-                    np.empty((16, 2, config.n)), np.empty((16, 2, config.n)),
-                    np.empty((16, 2, config.n)))
+        self.recorded = np.empty((3, 32, n))
         self.idx = np.arange(N, dtype=np.int64)
         self.rows_per_call = max(2, _BLOCK // N)
         for r0 in range(0, N, self.rows_per_call):
@@ -379,124 +399,135 @@ class _Engine:
 
     # -- event processing ---------------------------------------------------
 
-    def _collide(self, t: float, i: int, j: int) -> None:
-        """Advance particles i and j to t, swap their normal velocity
-        components, and log the event.
+    def _collide(self, t: float, rows: np.ndarray) -> None:
+        """Advance the particles of k disjoint pairs to t and swap each
+        pair's normal velocity components.
 
-        The two rows are worked on one at a time, and the event goes
-        straight into its slot of the record columns: the centers at
-        contact, the velocities before and after, whose rows are then
-        copied back into pos and vel.
+        rows holds the two particles of each pair, pair by pair in pop
+        order (i0, j0, i1, j1, ...).  Their positions and velocities are
+        gathered into the next 2k rows of the record's planes, where the
+        positions are moved on to the centers at contact and the
+        velocities after are worked out, and both are written back to
+        state.  _close logs the times and pairs.
+
+        Each pair gets the bits it would get alone: every step is
+        elementwise or a reduction within one pair's row, and the row
+        reductions are those of a single pair (np.vecdot of contiguous
+        rows is np.dot of each, and the root of that is np.linalg.norm).
+        The two guards are taken for every pair; the run raises for the
+        first pair in pop order that fails one, for the first check it
+        fails (the pairs before a contact-distance failure are made, as
+        when they are made one by one, and may fail separation).
         """
-        k = self.count
-        if k == len(self.recorded[0]):
-            self.recorded = tuple(np.concatenate((c, np.empty_like(c)))
-                                  for c in self.recorded)
-        times, pairs, Y, V, V_post = self.recorded
-        Y, V, V_post = Y[k], V[k], V_post[k]
-        pos, vel, tupd = self.pos, self.vel, self.tupd
-        V[0] = vel[i]
-        V[1] = vel[j]
-        vi, vj = V
-        Y[0] = pos[i] + (t - tupd[i]) * vi
-        Y[1] = pos[j] + (t - tupd[j]) * vj
-        yi, yj = Y
-        dy = yj - yi
-        dist = float(np.linalg.norm(dy))
+        c, m = self.count, len(rows)
+        while 2 * c + m > self.recorded.shape[1]:
+            self.recorded = np.concatenate(
+                (self.recorded, np.empty_like(self.recorded)), axis=1)
+        slot = self.recorded[:, 2 * c:2 * c + m]
+        y, v, v_post = slot[0], slot[1], slot[2]
+        self.state.take(rows, axis=2, out=slot[:2].transpose(0, 2, 1), mode="clip")
+        y += (t - self.tupd.take(rows))[:, None] * v  # pos + (t - tupd) * v
+        dy = y[1::2] - y[::2]
+        dist = np.sqrt(np.vecdot(dy, dy))
         a = self.config.a
         tol = self.config.overlap_tol * max(a, 1.0)
-        if abs(dist - 2.0 * a) > tol:
-            raise SimulationBug(
-                f"contact distance {dist!r} vs 2a={2 * a!r} at t={t!r} "
-                f"for pair ({i}, {j})"
-            )
+        for p, d in enumerate(dist.tolist()):
+            if abs(d - 2.0 * a) > tol:
+                if p:
+                    self._collide(t, rows[:2 * p])
+                i, j = rows[2 * p:2 * p + 2].tolist()
+                raise SimulationBug(
+                    f"contact distance {d!r} vs 2a={2 * a!r} at t={t!r} "
+                    f"for pair ({i}, {j})"
+                )
         if a > 0.0:
-            u = dy / dist
-            impulse = float(np.dot(vj - vi, u)) * u
-            V_post[0] = vi + impulse
-            V_post[1] = vj - impulse
+            u = dy / dist[:, None]
+            impulse = np.vecdot(v[1::2] - v[::2], u)[:, None] * u
+            np.add(v[::2], impulse, out=v_post[::2])
+            np.subtract(v[1::2], impulse, out=v_post[1::2])
         else:
             # point particles on the line swap velocities exactly; the
             # normal is the approach direction (centers coincide at contact)
-            u = np.array([1.0 if vi[0] > vj[0] else -1.0])
-            V_post[0] = vj
-            V_post[1] = vi
-        vi_post, vj_post = V_post
-        if float(np.dot(vj_post - vi_post, u)) <= 0.0:
-            raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
-        pos[i] = yi
-        pos[j] = yj
-        tupd[i] = tupd[j] = t
-        vel[i] = vi_post
-        vel[j] = vj_post
-        self.speed[i], self.speed[j] = np.sqrt(
-            np.add.reduce(V_post * V_post, axis=1)).tolist()
-        self.cc[i] += 1
-        self.cc[j] += 1
-        self.last[i] = j
-        self.last[j] = i
-        times[k] = t
-        pairs[k] = i, j
-        self.count = k + 1
+            u = np.where(v[::2] > v[1::2], 1.0, -1.0)
+            v_post[::2] = v[1::2]
+            v_post[1::2] = v[::2]
+        for p, sep in enumerate(np.vecdot(v_post[1::2] - v_post[::2], u).tolist()):
+            if sep <= 0.0:
+                i, j = rows[2 * p:2 * p + 2].tolist()
+                raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
+        self.state[:, :, rows] = slot[::2].transpose(0, 2, 1)
+        self.tupd[rows] = t
+        self.count = c + (m >> 1)
 
-    def _rescan(self, t: float, rows: list, pre: dict) -> None:
+    def _close(self, t: float, rows: list, done: int) -> None:
+        """Collide the pairs at t that still wait, rows[done:], rescan all
+        of rows, and log their times and pairs."""
+        index = np.array(rows)
+        if done < len(rows):
+            self._collide(t, index[done:])
+        self._rescan(t, rows, index)
+        self.times += [t] * (len(rows) >> 1)
+        self.pairs += rows
+
+    def _rescan(self, t: float, rows: list, index: np.ndarray) -> None:
         """Re-predict the particles of the collisions at t, and check them
         for third bodies.
 
         rows holds the two particles of each of these collisions, pair by
-        pair in the order they were made, and no particle twice; pre holds
-        the speeds before t of the particles of the second and later
-        pairs.  A kernel call takes the rows of as many whole pairs as
-        rows_per_call allows (all of them, up to _BLOCK // N rows).
+        pair in the order they were made, and no particle twice; index
+        holds them as an array.  They are the latest collisions made.  A
+        kernel call takes the rows of as many whole pairs as rows_per_call
+        allows (all of them, up to _BLOCK // N rows).
 
         Every row was advanced to t, and every other particle was last
         updated no later, so the scan refers every pair to t: its gap
         c = |dy|^2 - 4a^2 is the third bodies' distance from the pair at
         the collision.  A third body k within contact distance plus
         tau = time_tie_tol * (speed of k + speed of the partner) aborts the
-        run.  Each pair's test takes the speeds that a rescan made right
-        after its collision would take: the particles of later pairs at
-        their speeds before t.  Positions at t have the same bits either
-        way (_collide and the kernel move a particle to t alike), so the
-        run raises for the same pair, naming the same third bodies.
-
-        The reach tau * (4a + tau) grows with |tau|, in floating point too,
-        so the test first takes the least gap of a call against the reach
-        of the largest |tau| (the largest speed of all, before t or now,
-        plus the largest of its rows'): a least gap beyond it clears every
-        third body, and only one within it runs the test pair by pair.
+        run (_check_third_bodies).  The reach tau * (4a + tau) grows with
+        |tau|, in floating point too, so a call's least gap beyond
+        self.reach, the reach at twice the largest speed any particle can
+        have, clears every third body, and only a least gap within it runs
+        the test pair by pair.
         """
         N = self.config.N
-        speed, tie = self.speed, self.config.time_tie_tol
-        fastest = max([speed.max(), *pre.values()])
         step = self.rows_per_call & -2  # pairs stay whole
         for r0 in range(0, len(rows), step):
             part = rows[r0:r0 + step]
             both = np.empty((2, len(part), N))
             out, gap = both[0], both[1]
-            contact_times_scan(self.pos, self.vel, self.tupd, part, self.idx,
-                               self.four_a2, self.config.grazing_tol, out, gap)
+            contact_times_scan(self.pos, self.vel, self.tupd, index[r0:r0 + step],
+                               self.idx, self.four_a2, self.config.grazing_tol,
+                               out, gap)
             for r in range(0, len(part), 2):  # self, and the partner it just left
                 both[:, r:r + 2, part[r]] = np.inf
                 both[:, r:r + 2, part[r + 1]] = np.inf
             # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
-            top = abs(tie) * (fastest + max(map(speed.item, part)))
-            if not gap.min() > top * (self.four_a + top):
-                self._check_third_bodies(t, rows, r0, gap, pre)
+            if not gap.min() > self.reach:
+                self._check_third_bodies(t, rows, r0, gap)
             self._push_earliest(part, out)
 
     def _check_third_bodies(self, t: float, rows: list, r0: int,
-                            gap: np.ndarray, pre: dict) -> None:
+                            gap: np.ndarray) -> None:
         """The third-body test of _rescan, pair by pair in pop order, on
-        the gaps of the rows r0, r0 + 1, ... of rows; each pair's test
-        takes the particles of the later pairs at their speeds before t."""
-        speed = self.speed
-        s = speed.copy()
+        the gaps of the rows r0, r0 + 1, ... of rows.
+
+        Each pair's test takes the speeds that a rescan made right after
+        its collision would take: the particles of the later pairs at
+        their speeds before t, read off the record.  Positions at t have
+        the same bits either way (_collide and the kernel move a particle
+        to t alike), so the run raises for the same pair, naming the same
+        third bodies.  A speed is np.linalg.norm of a contiguous row of
+        velocities, as a collision of the particle alone would take it.
+        """
+        now = np.linalg.norm(np.ascontiguousarray(self.vel), axis=1)
+        made = self.recorded[1, 2 * self.count - len(rows):2 * self.count]
+        s = now.copy()
         later = rows[r0 + 2:]
-        s[later] = [pre[p] for p in later]
+        s[later] = np.linalg.norm(made[r0 + 2:], axis=1)
         for r in range(0, len(gap), 2):
             i, j = rows[r0 + r], rows[r0 + r + 1]
-            s[[i, j]] = speed[[i, j]]  # collided: its speeds after t
+            s[[i, j]] = now[[i, j]]  # collided: its speeds after t
             tau = self.config.time_tie_tol * (s + s[[i, j]][:, None])
             near = gap[r:r + 2] <= tau * (self.four_a + tau)
             near[:, [i, j]] = False
@@ -506,20 +537,23 @@ class _Engine:
 
     def run(self) -> tuple:
         t_max = self.config.t_max
-        heap, cc, speed, tupd = self.heap, self.cc, self.speed, self.tupd
+        heap, cc, last, tupd = self.heap, self.cc, self.last, self.tupd
         termination = "queue_empty"
         t_prev = 0.0
-        rows: list = []  # the pairs collided at t_prev, not yet rescanned
-        pre: dict = {}  # speeds before t_prev of the particles of rows[2:]
+        rows: list = []  # the pairs popped at t_prev, not yet rescanned
+        done = 0  # rows[:done] are collided; the rest wait for _collide
         while heap or rows:
             if rows and (not heap or heap[0][0] > t_prev):
-                self._rescan(t_prev, rows, pre)
-                rows, pre = [], {}
+                self._close(t_prev, rows, done)
+                rows, done = [], 0
                 continue
             t, lo, hi, owner, c_owner, c_partner = heapq.heappop(heap)
             if cc[owner] != c_owner:
                 continue  # the owner collided since and was re-predicted then
             if cc[hi if owner == lo else lo] != c_partner:
+                if done < len(rows):  # the scan reads the collided states
+                    self._collide(t_prev, np.array(rows[done:]))
+                    done = len(rows)
                 self._repredict(owner)
                 continue
             if t_max is not None and t > t_max:
@@ -531,19 +565,24 @@ class _Engine:
                     f"event at t={t!r} for pair ({lo}, {hi}) precedes the "
                     f"previous event at t={t_prev!r}")
             t_prev = t
-            if rows:  # a further collision at t
-                if tupd.item(lo) == t or tupd.item(hi) == t:
-                    # one of the two has collided at t already: its row is
-                    # rescanned before it collides again
-                    self._rescan(t, rows, pre)
-                    rows, pre = [], {}
-                else:
-                    pre[lo], pre[hi] = speed.item(lo), speed.item(hi)
-            self._collide(t, lo, hi)
+            # A particle that collided at t already splits the time: its
+            # row is rescanned before it collides again.  It has been
+            # collided, so tupd == t: a waiting particle has no valid
+            # entry (its counter went up at its pop, and every entry pushed
+            # since came from a scan, made after the waiting pairs were).
+            if rows and (tupd.item(lo) == t or tupd.item(hi) == t):
+                self._close(t, rows, done)
+                rows, done = [], 0
+            cc[lo] += 1
+            cc[hi] += 1
+            last[lo] = hi
+            last[hi] = lo
             rows += lo, hi
-        t, pairs, y, v, v_post = (c[:self.count] for c in self.recorded)
-        i, j = self.ids.take(pairs.T)
-        return EventBlock(t, i, j, y, v, v_post), termination
+        E, n = self.count, self.config.n
+        i, j = self.ids.take(np.array(self.pairs, dtype=np.int64).reshape(E, 2).T)
+        y, v, v_post = (plane[:2 * E].reshape(E, 2, n) for plane in self.recorded)
+        return EventBlock(np.array(self.times, dtype=np.float64), i, j,
+                          y, v, v_post), termination
 
 
 def run_simulation(states: StateBlock, config: SimConfig) -> EventLog:

@@ -89,10 +89,10 @@ def test_calendar_matches_heap_oracle_bytes(name, monkeypatch):
 
 # A moves into B at t = 1 and stops; C, passing over B at speed 10, stands
 # off B by 2a + delta then, where the tie tolerance is
-# tau = time_tie_tol * (|v_B| + |v_C|) = 1.1e-11.  D, far away and faster
-# than all, makes the engine's largest-speed bound (tau up to about
-# 1e-12 * 1001) loose, so the pair-by-pair test decides; without D, C is
-# the fastest particle and the bound is tau itself.
+# tau = time_tie_tol * (|v_B| + |v_C|) = 1.1e-11.  The engine's least-gap
+# bound takes twice the largest speed the energy allows (tau up to about
+# 1e-12 * 2 * sqrt(2) * 1000 with D, far away and faster than all, and
+# 1e-12 * 2 * sqrt(2) * 10 without it), so the pair-by-pair test decides.
 _INSIDE, _OUTSIDE, _JUST_INSIDE = 0.5 * 1.1e-11, 2 * 1.1e-11, 0.95 * 1.1e-11
 
 
@@ -227,6 +227,56 @@ def test_particle_colliding_twice_at_one_time_is_rescanned_between(monkeypatch):
     assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc) \
         == ("raises", 1.0, (1, 2, 0))
     assert rows[-2:] == [[0, 1], [1, 2]]
+
+
+# Two collisions at t = 1 in R^2, a = 0.5: A at x0 - 2 moving right at
+# speed 1 into B at rest at x0 (y = 0), and C into D the same way at
+# x1 (y = 10).  At x = 0 the contact distance comes out exactly 1; at
+# x = 0.1 the center of the mover at contact, 0.1 - 2 + 1, rounds, and the
+# distance comes out 1 - 2^-53.  Both pairs are made in one step, and with
+# a tiny overlap_tol the run raises for the first pair in pop order that
+# misses, with the message a run making them one by one gives.
+def _two_contacts(x0, x1):
+    return kb.gen_explicit(2, 0.5, [[x0 - 2.0, 0.0], [x0, 0.0],
+                                    [x1 - 2.0, 10.0], [x1, 10.0]],
+                           [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("x0, x1, pair", [(0.0, 0.1, "(2, 3)"),  # only C-D
+                                          (0.1, 0.1, "(0, 1)")])  # both
+def test_contact_guard_names_first_pair_of_a_time_off_contact(x0, x1, pair):
+    sc = _two_contacts(x0, x1)
+    log = run_simulation(sc.states, sc.config)  # the default tolerance
+    assert log.events.t.tolist() == [1.0, 1.0]
+    assert log.events.i.tolist() == [0, 2]
+    sc.config.overlap_tol = 1e-300
+    with pytest.raises(SimulationBug) as exc:
+        run_simulation(sc.states, sc.config)
+    assert str(exc.value) == ("contact distance 0.9999999999999999 vs "
+                              f"2a=1.0 at t=1.0 for pair {pair}")
+
+
+def test_pair_waiting_at_a_split_is_collided_and_rescanned_first(monkeypatch):
+    """The rods of the test above as particles 0, 3 and 4, and a pair of
+    rods at 10 and 12 (particles 1 and 2) meeting at t = 1 as well.  The
+    entries at t = 1 pop as: A-B, C's entry (stale: it predicted C meeting
+    A), which makes A-B collide before C's re-prediction, then the far pair,
+    which waits, and then B-C, which splits the time.  The far pair is
+    collided and rescanned with A and B, before B collides again."""
+    sc = kb.gen_explicit(1, 0.0, [[-1.0], [10.0], [12.0], [0.0], [1.0 + 2.0 ** -52]],
+                         [[1.0], [1.0], [-1.0], [0.0], [-1.0]])
+    sc.config.time_tie_tol = 0.0
+    rows = []
+    scan = dynamics.contact_times_scan
+
+    def traced_scan(*args):
+        rows.append(np.ravel(args[3]).tolist())
+        return scan(*args)
+
+    monkeypatch.setattr(dynamics, "contact_times_scan", traced_scan)
+    assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc) \
+        == ("raises", 1.0, (3, 4, 0))
+    assert rows[-3:] == [[4], [0, 3, 1, 2], [3, 4]]
 
 
 def _counting_heapq(counts):
