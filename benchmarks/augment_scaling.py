@@ -8,7 +8,7 @@ kinks per block of the clearance scan, the fraction of the K x M
 kink x edge pairs whose exact distance the scan takes (the rest are pruned
 by their bounding-box gaps), and the best of several runs, in seconds, of
 the clearances (tensor._default_eps), the complement bases
-(tensor._complement_bases) and the whole augmentation
+(tensor.complement_basis) and the whole augmentation
 (tensor.build_augmented).  A block holds at most tensor._BLOCK kink x edge
 pairs, so a large tensor runs blocks of a few kinks; its times per kink
 show what that costs.
@@ -91,7 +91,7 @@ def measure(name: str, T, repeats: int) -> dict:
         "kinks_per_block": max(1, tensor._BLOCK // M),
         "kept_pairs": round(kept_fraction(T), 4),
         "default_eps_s": best_of(repeats, lambda: tensor._default_eps(T, sites)),
-        "bases_s": best_of(repeats, lambda: tensor._complement_bases(V, V2, T.n)),
+        "bases_s": best_of(repeats, lambda: tensor.complement_basis(V, V2, T.n)),
         "build_augmented_s": best_of(repeats, lambda: tensor.build_augmented(T)),
     }
 

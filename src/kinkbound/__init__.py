@@ -18,15 +18,15 @@ from .harness import (PackingError, Scenario, SweepSpec, apply_boost,
                       apply_time_scale, gen_explicit, gen_line_1d,
                       gen_random_gas, run_experiment, scenario_from_config,
                       simulate_scenario, sweep)
-from .kernel import lift, spacetime_wedge, wedge_norm
-from .ledger import (BulkInvariants, HodographSummary, KinkRecord, Ledger,
-                     bound_report, build_ledger, build_report,
-                     bulk_invariants, hodograph_summaries, write_ledger_csv)
-from .tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite, TensorEdge,
-                     VertexBalance, audit_tensor, build_augmented,
-                     build_tensor, complement_basis, slice_trace,
-                     vertex_balances, weak_divergence)
+from .ledger import (BulkInvariants, Hodographs, Ledger, bound_report,
+                     build_ledger, build_report, bulk_invariants,
+                     hodograph_summaries, write_ledger_csv)
+from .tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite, VertexBlock,
+                     audit_tensor, build_augmented, build_tensor,
+                     complement_basis, slice_trace, vertex_balances,
+                     weak_divergence)
 
 __version__ = "0.1.0"
-# the contact kernel is numpy only; benchmark records carry this name
+# the contact kernel is numpy only; kept for the benchmark records, which
+# carry this name
 kernel_backend = "python"

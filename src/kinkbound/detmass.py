@@ -250,7 +250,7 @@ def dm_kink(V, V2, b: float, n: int | None = None,
         kappa = 0.5
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    # one pass over the two vectors, with the bits of kernel.wedge_norm and
+    # one pass over the two vectors, with the bits of kernel.wedge_norms and
     # np.linalg.norm: the 2x2 minors squared and added in (a, b) order, and
     # each norm the root of a BLAS dot
     x, y = V.tolist(), V2.tolist()

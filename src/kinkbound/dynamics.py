@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _jsonio
-from ._columns import Columns
+from ._columns import Rows
 from ._jsonio import read_array, read_int, read_list, read_number, read_object
 from ._pykern import contact_times_scan
 
@@ -114,7 +114,7 @@ class ParticleState:
 
 
 @dataclass(eq=False)
-class StateBlock(Columns):
+class StateBlock(Rows):
     """Initial states packed in arrays, read as a sequence of ParticleState:
     id (N,) int64, and position and velocity (N, n) float64 at time 0."""
 
@@ -141,7 +141,7 @@ class CollisionEvent:
 
 
 @dataclass(eq=False)
-class EventBlock(Columns):
+class EventBlock(Rows):
     """Collision events packed in arrays, read as a sequence of CollisionEvent.
 
     t (E,) holds the collision times, i and j (E,) int64 the particle ids,

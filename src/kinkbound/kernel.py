@@ -8,17 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_vector", "squared_norms", "norms", "wedge_norms",
-           "spacetime_wedges", "wedge_norm", "spacetime_wedge", "running_sum",
-           "lift"]
-
-
-def as_vector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array (copies only when needed)."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    return arr
+__all__ = ["squared_norms", "norms", "wedge_norms", "spacetime_wedges",
+           "running_sum"]
 
 
 def squared_norms(X) -> np.ndarray:
@@ -62,8 +53,8 @@ def wedge_norms(U, U2) -> np.ndarray:
 
 
 def spacetime_wedges(V, V2) -> np.ndarray:
-    """|lift(v) ^ lift(v2)| = sqrt(|v2 - v|^2 + wedge_norm(v, v2)^2) for
-    each row v of V and v2 of V2.
+    """|(1, v) ^ (1, v2)| = sqrt(|v2 - v|^2 + |v ^ v2|^2) for each row v of
+    V and v2 of V2.
 
     Wedge-norm of the lifted velocities (1, v) and (1, v2); the identity
     above avoids forming the (1+n)-dimensional Gram matrix.
@@ -72,26 +63,8 @@ def spacetime_wedges(V, V2) -> np.ndarray:
     return np.sqrt(squared_norms(np.subtract(V2, V, dtype=np.float64)) + w * w)
 
 
-def wedge_norm(u, u2) -> float:
-    """wedge_norms of two vectors."""
-    return float(wedge_norms(as_vector(u), as_vector(u2)))
-
-
-def spacetime_wedge(v, v2) -> float:
-    """spacetime_wedges of two vectors."""
-    return float(spacetime_wedges(as_vector(v), as_vector(v2)))
-
-
 def running_sum(values) -> float:
     """Sum of values added left to right, as a loop adds them (np.sum adds
     pairwise, np.cumsum in order); 0.0 when there are none."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
-
-def lift(v) -> np.ndarray:
-    """Lifted velocity (1, v) in R^(1+n)."""
-    v = as_vector(v)
-    out = np.empty(v.size + 1)
-    out[0] = 1.0
-    out[1:] = v
-    return out

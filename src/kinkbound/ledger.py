@@ -24,9 +24,8 @@ from .kernel import norms, running_sum, spacetime_wedges, wedge_norms
 
 __all__ = [
     "BulkInvariants",
-    "KinkRecord",
     "Ledger",
-    "HodographSummary",
+    "Hodographs",
     "BoundReport",
     "bulk_invariants",
     "build_ledger",
@@ -53,29 +52,15 @@ class BulkInvariants:
     v_dev: float
 
 
-@dataclass
-class KinkRecord:
-    time: float
-    particle: int
-    partner: int
-    v: np.ndarray
-    v_post: np.ndarray
-    dv_norm: float
-    wedge: float
-    st_wedge: float
-
-
 @dataclass(eq=False)
 class Ledger(Columns):
-    """build_ledger's kink records as columns, read as a sequence of
-    KinkRecord.
+    """build_ledger's kink records as columns.
 
     Two rows per collision, its participants i then j, in event order:
     time, particle, partner, dv_norm, wedge and st_wedge have shape (2E,),
     v and v_post (2E, n).
     """
 
-    record = KinkRecord
     time: np.ndarray
     particle: np.ndarray
     partner: np.ndarray
@@ -86,16 +71,20 @@ class Ledger(Columns):
     st_wedge: np.ndarray
 
 
-@dataclass
-class HodographSummary:
-    """Per-particle polygonal chain of velocity values (in the w-frame)."""
+@dataclass(eq=False)
+class Hodographs(Columns):
+    """Each particle's polygonal chain of velocity values (in the w-frame),
+    one row per particle in the order of the initial states: particle,
+    ell (chain length: sum of jump magnitudes), area (swept sector area
+    about the origin) and scatter (|v_plus - v0|) have shape (N,), v0 and
+    v_plus (N, n)."""
 
-    particle: int
-    ell: float          # chain length: sum of jump magnitudes
-    area: float         # swept sector area about the origin
+    particle: np.ndarray
+    ell: np.ndarray
+    area: np.ndarray
     v0: np.ndarray
     v_plus: np.ndarray
-    scatter: float      # |v_plus - v(0)|
+    scatter: np.ndarray
 
 
 @dataclass
@@ -170,7 +159,7 @@ def bound_report(ledger: Ledger, inv: BulkInvariants,
                        weak=len(dv) - strong)
 
 
-def hodograph_summaries(log) -> list:
+def hodograph_summaries(log) -> Hodographs:
     """Chain length, swept area and limit velocities per particle.
 
     The chain is the sequence of velocity values in the mean-velocity
@@ -195,12 +184,8 @@ def hodograph_summaries(log) -> list:
     v_plus = V0.copy()
     kinked = last >= 0
     v_plus[kinked] = v_post[last[kinked]]
-    scatter = norms(v_plus - V0)
-    return [HodographSummary(particle=pid, ell=length, area=swept, v0=v0,
-                             v_plus=vp, scatter=sc)
-            for pid, length, swept, v0, vp, sc in zip(
-                log.initial.id.tolist(), ell.tolist(), area.tolist(), V0,
-                v_plus, scatter.tolist())]
+    return Hodographs(particle=log.initial.id, ell=ell, area=area, v0=V0,
+                      v_plus=v_plus, scatter=norms(v_plus - V0))
 
 
 # -- serialization ----------------------------------------------------------
@@ -223,6 +208,7 @@ def build_report(log, ledger, epsilon: float = 1.0) -> dict:
     build_ledger(log)."""
     inv = bulk_invariants(log.initial.velocity)
     rep = bound_report(ledger, inv, epsilon)
+    h = hodograph_summaries(log)
     return {
         "M": inv.M,
         "E": inv.E,
@@ -238,7 +224,8 @@ def build_report(log, ledger, epsilon: float = 1.0) -> dict:
         "strong_count": rep.strong,
         "weak_count": rep.weak,
         "per_particle": [
-            {"id": h.particle, "ell": h.ell, "area": h.area, "scatter": h.scatter}
-            for h in hodograph_summaries(log)
+            {"id": pid, "ell": ell, "area": area, "scatter": scatter}
+            for pid, ell, area, scatter in zip(*(
+                c.tolist() for c in (h.particle, h.ell, h.area, h.scatter)))
         ],
     }

@@ -23,17 +23,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._columns import Columns
+from ._columns import Columns, Rows
 from .kernel import norms, running_sum, squared_norms
 from .ledger import bulk_invariants
 
 __all__ = [
-    "TensorEdge",
     "KinkSite",
     "EdgeBlock",
     "KinkBlock",
     "GraphTensor",
-    "VertexBalance",
+    "VertexBlock",
     "SliceTrace",
     "build_tensor",
     "vertex_balances",
@@ -43,29 +42,6 @@ __all__ = [
     "complement_basis",
     "audit_tensor",
 ]
-
-
-@dataclass
-class TensorEdge:
-    """Weighted segment in spacetime; kind: trajectory | colliton | augmentation.
-
-    start and end are the vertex ids of the endpoints, assigned where the
-    edge is built: endpoints that meet at one vertex share its id even when
-    their float coordinates differ by rounding.
-
-    direction is stored rather than recomputed from the endpoints: a short
-    segment far from the origin loses ~eps*|x|/|x_end - x_start| relative
-    accuracy to cancellation, which is exactly the quantity the balance
-    audits need at full precision.
-    """
-
-    x_start: np.ndarray
-    x_end: np.ndarray
-    weight: float
-    kind: str
-    start: int
-    end: int
-    direction: np.ndarray
 
 
 @dataclass
@@ -80,11 +56,20 @@ class KinkSite:
 
 @dataclass(eq=False)
 class EdgeBlock(Columns):
-    """Edges packed in columns, read as a sequence of TensorEdge: x_start,
-    x_end and direction (M, 1+n), weight (M,), kind (M,) str, start and
-    end (M,) int64."""
+    """Weighted segments in spacetime, one row per edge: x_start, x_end and
+    direction (M, 1+n), weight (M,), kind (M,) str (trajectory, colliton
+    or augmentation), start and end (M,) int64.
 
-    record = TensorEdge
+    start and end are the vertex ids of the endpoints, assigned where the
+    edge is built: endpoints that meet at one vertex share its id even when
+    their float coordinates differ by rounding.
+
+    direction is stored rather than recomputed from the endpoints: a short
+    segment far from the origin loses ~eps*|x|/|x_end - x_start| relative
+    accuracy to cancellation, which is exactly the quantity the balance
+    audits need at full precision.
+    """
+
     x_start: np.ndarray
     x_end: np.ndarray
     weight: np.ndarray
@@ -95,7 +80,7 @@ class EdgeBlock(Columns):
 
 
 @dataclass(eq=False)
-class KinkBlock(Columns):
+class KinkBlock(Rows):
     """Kink sites packed in columns, read as a sequence of KinkSite: vertex
     (K, 1+n), v and v_post (K, n), vertex_id (K,) int64."""
 
@@ -120,18 +105,25 @@ class GraphTensor:
     div_mass: float = 0.0              # added by augmentation, 0 for plain tensors
 
 
-@dataclass
-class VertexBalance:
+@dataclass(eq=False)
+class VertexBlock(Columns):
+    """Vertices with their divergence atoms, one row per vertex id: x and
+    m (V, 1+n), weight_scale (V,) (the sum of incident edge weights),
+    degree (V,) int64 and category (V,) str (interior, boundary or
+    augment_tip)."""
+
     x: np.ndarray
     m: np.ndarray
-    weight_scale: float       # sum of incident edge weights
-    degree: int
-    category: str             # interior | boundary | augment_tip
+    weight_scale: np.ndarray
+    degree: np.ndarray
+    category: np.ndarray
 
 
 @dataclass
 class SliceTrace:
-    """Crossing vectors of a constant-time slice.
+    """Crossings of a constant-time slice, one row per crossing edge in
+    edge order: points (C, 1+n) where each edge meets the slice, vectors
+    (C, 1+n) what it deposits there.
 
     Each trajectory edge crossing deposits a_J eta_J = V = (1, v): its time
     component is the particle's unit mass, its spatial part the momentum.
@@ -139,7 +131,8 @@ class SliceTrace:
     the time components (= particle count, constant across slices).
     """
 
-    crossings: list            # (point, vector) pairs
+    points: np.ndarray
+    vectors: np.ndarray
     total: float
     mass: float
 
@@ -241,15 +234,21 @@ def build_tensor(log, window) -> GraphTensor:
                        mass_energy=inv.M + inv.E)
 
 
-def _vertices(T: GraphTensor) -> tuple:
-    """Vertices of T with their divergence atoms, one array row per vertex
-    id, each at the coordinates of its first endpoint.
+def vertex_balances(T: GraphTensor) -> VertexBlock:
+    """Divergence atom m(x*) per vertex id, in id order (the order of first
+    endpoint occurrence), each vertex at the coordinates of its first
+    endpoint: each edge with an endpoint id at the vertex contributes its
+    weight times its direction oriented toward the vertex (+a_J eta_J for
+    an arriving edge, -a_J eta_J for a departing one).
+
+    Interior vertices of a conservative tensor balance to zero; a free edge
+    crossing the window reports m = -V at the lower boundary and m = +V at
+    the upper one, so the time components of the boundary balances recover
+    the slice mass.
 
     The ids come from construction (build_tensor, build_augmented), so no
     coordinates are compared.  Each sum adds its vertex's terms in endpoint
     order: edge by edge, start before end.
-
-    Returns (x, m, weight_scale, degree, category).
     """
     B = T.edges
     count = T.vertices
@@ -258,15 +257,14 @@ def _vertices(T: GraphTensor) -> tuple:
     raw[1::2] = B.x_end
     vertex = np.stack((B.start, B.end), axis=1).reshape(-1)
 
-    weights = B.weight
-    u = weights[:, None] * B.direction
+    u = B.weight[:, None] * B.direction
     signed = np.empty_like(raw)
     signed[0::2] = -u  # a departing edge contributes -a_J eta_J
     signed[1::2] = u
     m = np.zeros((count, 1 + T.n))
     np.add.at(m, vertex, signed)
     scale = np.zeros(count)
-    np.add.at(scale, vertex, np.repeat(weights, 2))
+    np.add.at(scale, vertex, np.repeat(B.weight, 2))
     degree = np.bincount(vertex, minlength=count)
 
     first = np.full(count, len(vertex))
@@ -279,24 +277,7 @@ def _vertices(T: GraphTensor) -> tuple:
     tip = (degree == 1) & (np.bincount(vertex[augment], minlength=count) == 1)
     category = np.where(boundary, "boundary",
                         np.where(tip, "augment_tip", "interior"))
-    return x, m, scale, degree, category
-
-
-def vertex_balances(T: GraphTensor) -> list:
-    """Divergence atom m(x*) per vertex id, in id order (the order of first
-    endpoint occurrence): each edge with an endpoint id at the vertex
-    contributes its weight times its direction oriented toward the vertex
-    (+a_J eta_J for an arriving edge, -a_J eta_J for a departing one).
-
-    Interior vertices of a conservative tensor balance to zero; a free edge
-    crossing the window reports m = -V at the lower boundary and m = +V at
-    the upper one, so the time components of the boundary balances recover
-    the slice mass.
-    """
-    x, m, scale, degree, category = _vertices(T)
-    return [VertexBalance(x=xv, m=mv, weight_scale=s, degree=d, category=c)
-            for xv, mv, s, d, c in zip(x, m, scale.tolist(), degree.tolist(),
-                                        category.tolist())]
+    return VertexBlock(x, m, scale, degree, category)
 
 
 def weak_divergence(T: GraphTensor, phi) -> np.ndarray:
@@ -359,41 +340,29 @@ def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
     starts, ends, _, vecs = trajectories
     ts, te = starts[rows, 0], ends[rows, 0]
     points = starts[rows] + ((t - ts) / (te - ts))[:, None] * (ends[rows] - starts[rows])
-    return SliceTrace(crossings=list(zip(points, vecs[rows])), total=total,
-                      mass=mass)
+    return SliceTrace(points=points, vectors=vecs[rows], total=total, mass=mass)
 
 
 _BLOCK = 1 << 13  # kink x edge pairs per augmentation pass: small temporaries
 
 
 def complement_basis(V, V2, n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of Span(V, V2)^perp in R^(1+n).
+    """Deterministic orthonormal basis of Span(V, V2)^perp in R^(1+n) for
+    each row of V with the same row of V2, both (K, 1+n): the bases as a
+    (K, n-1, 1+n) array.
 
     Coordinate axes are orthogonalized against Span(V, V2), then taken in
     decreasing residual-norm order (stable) and orthonormalized against
-    each other until n-1 directions are found.  Returns
-    _complement_bases(V[None], V2[None], n)[0], so one kink and many take
-    one code path.  build_augmented takes the bases of all K kinks in one
-    pass of O(K (1+n)^2 n) work; its cost is the clearance scan's
-    box gaps of K x M kink x edge pairs, in blocks of bounded size.
-    """
-    return _complement_bases(np.asarray(V, dtype=np.float64)[None],
-                             np.asarray(V2, dtype=np.float64)[None], n)[0]
-
-
-def _complement_bases(V, V2, n: int) -> np.ndarray:
-    """complement_basis of each row of V with the same row of V2, both
-    (K, 1+n): the bases as a (K, n-1, 1+n) array.
-
-    Gram-Schmidt runs for all K kinks at once, in O(K (1+n)^2 n) work with
-    no loop over kinks.  Every dot product is np.vecdot of two rows, so a
-    kink gets the bits that np.dot gives row by row (resid @ u, a BLAS
-    matrix-vector product, may differ in the last bit).  The candidate
-    axes go in np.argsort order (stable) of their residual norms; each
-    kink counts the directions it has found, orthogonalizes a candidate
-    against those only, skips it when its norm is <= 1e-10 and takes no
-    more once it has n-1, as a loop over one kink's candidates does.  The
-    first failing kink in row order names the error.
+    each other until n-1 directions are found.  Gram-Schmidt runs for all
+    K kinks at once, in O(K (1+n)^2 n) work with no loop over kinks.  Every
+    dot product is np.vecdot of two rows, so a kink gets the bits that
+    np.dot gives row by row (resid @ u, a BLAS matrix-vector product, may
+    differ in the last bit).  The candidate axes go in np.argsort order
+    (stable) of their residual norms; each kink counts the directions it
+    has found, orthogonalizes a candidate against those only, skips it
+    when its norm is <= 1e-10 and takes no more once it has n-1, as a loop
+    over one kink's candidates does.  The first failing kink in row order
+    names the error.
     """
     V = np.asarray(V, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
@@ -531,7 +500,7 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
     keeps the kink balanced while each far endpoint carries divergence b,
     for a total added divergence mass of exactly 2(n-1) * sum(b).  eps is
     0.49 times the kink's clearance (_default_eps), and the bases come from
-    _complement_bases.  Both are array passes over all kinks; the cost is
+    complement_basis.  Both are array passes over all kinks; the cost is
     the clearance scan: box gaps of all K x M kink x edge pairs for K kinks
     and M edges, in blocks of bounded size, and exact distances of the few
     pairs they keep.
@@ -550,8 +519,8 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
     # per site, per complement direction z: the half-edges toward +z and
     # -z, their tips numbered after the existing vertices
     ones = np.ones((K, 1))
-    Z = _complement_bases(np.concatenate((ones, sites.v), axis=1),
-                          np.concatenate((ones, sites.v_post), axis=1), T.n)
+    Z = complement_basis(np.concatenate((ones, sites.v), axis=1),
+                         np.concatenate((ones, sites.v_post), axis=1), T.n)
     Z = np.stack((Z, -Z), axis=2).reshape(-1, 1 + T.n)
     per = 2 * (T.n - 1)
     x = np.repeat(sites.vertex, per, axis=0)
@@ -564,36 +533,36 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
                    div_mass=T.div_mass + 2.0 * (T.n - 1) * running_sum(bs))
 
 
-def _max_interior_balance(m, scale, category) -> float:
-    """max |m| / weight_scale over interior vertices with weight; each
-    norm is np.linalg.norm's (kernel.norms), and NaN ratios are skipped as
-    max(worst, ratio) in a loop from 0.0 skips them."""
-    rows = (category == "interior") & (scale > 0)
-    return float(np.fmax.reduce(norms(m[rows]) / scale[rows], initial=0.0))
+_SLICES = 10  # audit_tensor's slice times
 
 
-def audit_tensor(T: GraphTensor, n_slices: int = 10) -> dict:
+def audit_tensor(T: GraphTensor) -> dict:
     """Summary audit: worst normalized interior balance, slice traces at
-    n_slices deterministic times (both the conserved mass row and the total
+    _SLICES deterministic times (both the conserved mass row and the total
     crossing weight), and the recorded divergence mass.
 
     Array passes compute the same document, bit for bit, as loops over the
     vertices of vertex_balances and over slice_trace at each time would.
-    Balances are summed in the fixed member order described in _vertices;
-    each slice's mass and total add the crossing edges in edge order with a
+    Balances are summed in the order vertex_balances describes; each
+    slice's mass and total add the crossing edges in edge order with a
     running sum (np.cumsum), all slices from one selection of the
-    trajectory edges.
+    trajectory edges, through _slice (slice_trace without its crossings).
     """
-    _, m, scale, _, category = _vertices(T)
-    worst = _max_interior_balance(m, scale, category)
+    # max |m| / weight_scale over interior vertices with weight; each norm
+    # is np.linalg.norm's (kernel.norms), and NaN ratios are skipped as
+    # max(worst, ratio) in a loop from 0.0 skips them
+    V = vertex_balances(T)
+    rows = (V.category == "interior") & (V.weight_scale > 0)
+    worst = float(np.fmax.reduce(norms(V.m[rows]) / V.weight_scale[rows],
+                                 initial=0.0))
     t_lo, t_hi = T.window
     all_kink_times = T.kinks.vertex[:, 0]
     kink_times = sorted(set(all_kink_times.tolist()))
     trajectories = _trajectories(T)
     traces = []
     totals = []
-    for k in range(n_slices):
-        t = t_lo + (k + 0.5) * (t_hi - t_lo) / n_slices
+    for k in range(_SLICES):
+        t = t_lo + (k + 0.5) * (t_hi - t_lo) / _SLICES
         if kink_times:
             # nudge off any collision time: midpoint of the surrounding gap
             pos = bisect.bisect_left(kink_times, t)

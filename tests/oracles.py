@@ -21,6 +21,7 @@ import csv
 import heapq
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,15 +32,29 @@ from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
                                 EventLog, GenericityViolation, SimulationBug,
                                 ValidationReport, validate_configuration)
 from kinkbound.harness import PackingError
-from kinkbound.ledger import (BoundReport, HodographSummary, KinkRecord,
-                              LEDGER_COLUMNS, bulk_invariants)
+from kinkbound.ledger import BoundReport, LEDGER_COLUMNS, bulk_invariants
 from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
-                              SliceTrace, TensorEdge, VertexBalance, _time_tol)
+                              SliceTrace, _time_tol)
 
 
 # -- blocks of per-record lists -------------------------------------------------
 # the package's logs and tensors hold their records packed in columns; the
-# loops below build lists of records and pack them here
+# loops below build lists of records and pack them here, or read a block's
+# rows through edge_rows
+
+TensorEdge = namedtuple("TensorEdge",
+                        "x_start x_end weight kind start end direction")
+KinkRecord = namedtuple("KinkRecord", "time particle partner v v_post dv_norm "
+                        "wedge st_wedge")
+HodographSummary = namedtuple("HodographSummary",
+                              "particle ell area v0 v_plus scatter")
+VertexBalance = namedtuple("VertexBalance",
+                           "x m weight_scale degree category")
+
+
+def lift(v):
+    """The lifted velocity (1, v)."""
+    return np.concatenate(([1.0], np.asarray(v, dtype=np.float64)))
 
 
 def event_block(events, n):
@@ -67,6 +82,13 @@ def edge_block(edges, n):
                      np.array([e.start for e in edges], dtype=np.int64),
                      np.array([e.end for e in edges], dtype=np.int64),
                      rows("direction"))
+
+
+def edge_rows(B):
+    """The TensorEdges of an EdgeBlock, in order."""
+    return [TensorEdge(*row) for row in zip(
+        B.x_start, B.x_end, B.weight.tolist(), B.kind.tolist(),
+        B.start.tolist(), B.end.tolist(), B.direction)]
 
 
 def kink_block(sites, n):
@@ -388,12 +410,20 @@ class ReferenceEngine:
                     # a perfect square: |dy|^2 / -(dy . dv)
                     s[p] = c[p] / -b[p]
                     continue
-                disc = b[p] ** 2 - A[p] * c[p]
-                if disc >= self.grazing_tol * (b[p] ** 2 + A[p] * abs(c[p])):
+                bp, Ap, shift = b[p], A[p], 0
+                if Ap < 2.0 ** -900:
+                    # b^2 and A would underflow: solve with dv scaled by an
+                    # exact power of two, and scale the time back
+                    shift = -math.frexp(float(np.abs(dv[p]).max()))[1]
+                    dvp = np.ldexp(dv[p], shift)
+                    bp, Ap = float(dy[p] @ dvp), float(dvp @ dvp)
+                disc = bp ** 2 - Ap * c[p]
+                if disc >= self.grazing_tol * (bp ** 2 + Ap * abs(c[p])):
                     # the smaller root, in the form that survives A
                     # underflowing; an approaching pair at contact distance
                     # up to rounding (root < 0) meets now
-                    s[p] = max(0.0, c[p] / (-b[p] + math.sqrt(disc)))
+                    s[p] = np.ldexp(max(0.0, c[p] / (-bp + math.sqrt(disc))),
+                                    shift)
         return s
 
     def run(self):
@@ -584,7 +614,7 @@ def grouped_vertices(T):
     """Deduplicate edge endpoints; exact float match first, then a
     tolerance sweep (1e-12 * coordinate scale) merging stragglers."""
     raw = []
-    for e in T.edges:
+    for e in edge_rows(T.edges):
         raw.append(e.x_start)
         raw.append(e.x_end)
     scale = max(1.0, max(float(np.max(np.abs(x))) for x in raw))
@@ -622,6 +652,7 @@ def vertex_balances(T):
     """Per-vertex loop over grouped endpoints: m accumulates +/- a_J eta_J
     in member order, weight_scale the incident weights."""
     raw, groups, _ = grouped_vertices(T)
+    edges = edge_rows(T.edges)
     t_lo, t_hi = T.window
     tol_t = _time_tol(t_lo, t_hi)
     out = []
@@ -631,7 +662,7 @@ def vertex_balances(T):
         scale = 0.0
         kinds = set()
         for idx in members:
-            e = T.edges[idx // 2]
+            e = edges[idx // 2]
             u = e.weight * e.direction
             m += -u if idx % 2 == 0 else u  # even index = edge start (departing)
             scale += e.weight
@@ -658,7 +689,7 @@ def slice_trace(T, t):
     crossings = []
     total = 0.0
     mass = 0.0
-    for e in T.edges:
+    for e in edge_rows(T.edges):
         if e.kind != "trajectory":
             continue
         ts, te = e.x_start[0], e.x_end[0]
@@ -672,7 +703,9 @@ def slice_trace(T, t):
     if T.mass_energy is not None and total > T.mass_energy + 1e-12:
         raise AssertionError(
             f"slice mass {total} exceeds M+E={T.mass_energy}")
-    return SliceTrace(crossings=crossings, total=total, mass=mass)
+    points = np.array([p for p, _ in crossings]).reshape(-1, 1 + T.n)
+    vectors = np.array([v for _, v in crossings]).reshape(-1, 1 + T.n)
+    return SliceTrace(points=points, vectors=vectors, total=total, mass=mass)
 
 
 def _point_segment_distance(p, a, b):
@@ -689,6 +722,7 @@ def default_eps(T, sites):
     """0.49 x clearance, every kink against every vertex and edge."""
     t_lo, t_hi = T.window
     verts = [s.vertex for s in sites]
+    edges = edge_rows(T.edges)
     eps = np.empty(len(sites))
     for k, s in enumerate(sites):
         x = s.vertex
@@ -697,7 +731,7 @@ def default_eps(T, sites):
             dd = float(np.linalg.norm(other - x))
             if dd > 0.0:
                 best = min(best, dd)
-        for e in T.edges:
+        for e in edges:
             # skip edges incident to this kink: they meet it at distance 0
             if (np.array_equal(e.x_start, x) or np.array_equal(e.x_end, x)):
                 continue
@@ -976,7 +1010,7 @@ def build_augmented(T, b=1.0):
     complement_basis."""
     sites = list(T.kinks)
     eps = default_eps(T, sites)
-    edges = list(T.edges)
+    edges = edge_rows(T.edges)
     tip = T.vertices
     total_b = 0.0
     for s, ek in zip(sites, eps):

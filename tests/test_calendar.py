@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import kinkbound as kb
@@ -535,6 +535,11 @@ def _three_body(draw):
 @given(scene=st.one_of(_gas_scene(), _lattice_gas(), _lattice_gas(),
                        _point_rods(), _head_on_rows(), _equal_spacings(),
                        _near_grazing(), _three_body()))
+# a speed so small that b^2 and A underflow: the pair never meets
+@example(scene=(3, 0.03125,
+                np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0.5], [0, 1, 0]], float),
+                np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, -7.96e-230, 0]]),
+                0.7))
 def test_calendar_agrees_with_eager_reference(scene):
     n, a, pos, vel, t_max = scene
     sc = kb.gen_explicit(n, a, pos, vel, t_max=t_max)

@@ -8,9 +8,10 @@ import pytest
 
 from kinkbound import detmass
 from kinkbound.detmass import AngularMeasure, ConvexPolygon
-from kinkbound.kernel import lift, spacetime_wedge, wedge_norm
+from kinkbound.kernel import spacetime_wedges, wedge_norms
 
-from oracles import kink_product_mass, random_balanced_measure, support_jump
+from oracles import (kink_product_mass, lift, random_balanced_measure,
+                     support_jump)
 
 SQ3 = math.sqrt(3.0)
 
@@ -314,7 +315,7 @@ def test_dm_cross_matches_polygon_oracle_at_d2():
 def test_dm_kink_examples():
     V = np.array([1.0, 0.0, 0.0, 0.0])       # lifted rest velocity, n=3
     V2 = np.array([1.0, 1.0, 0.0, 0.0])
-    assert spacetime_wedge(V[1:], V2[1:]) == pytest.approx(1.0)
+    assert spacetime_wedges(V[1:], V2[1:]) == pytest.approx(1.0)
     assert detmass.dm_kink(V, V2, 1.0) == pytest.approx(
         0.25 ** (1.0 / 3.0), rel=1e-14)
     V = np.array([1.0, 0.0, 0.0])             # n=2
@@ -369,7 +370,7 @@ def test_dm_kink_matches_product_body_oracle():
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_dm_kink_bits_match_wedge_formula(n):
     """dm_kink's one pass over its two vectors gives the bits of
-    (kappa |V ^ V2|)^(1/n) b^((n-1)/n) taken with kernel.wedge_norm and
+    (kappa |V ^ V2|)^(1/n) b^((n-1)/n) taken with kernel.wedge_norms and
     np.linalg.norm, and rejects the same nearly parallel pairs; a strided
     vector gives what its contiguous copy gives."""
     rng = np.random.default_rng(300 + n)
@@ -383,7 +384,7 @@ def test_dm_kink_bits_match_wedge_formula(n):
                 10.0 ** rng.uniform(-17.0, -11.0) * np.linalg.norm(V))
         b = float(rng.uniform(0.1, 10.0))
         conv, kappa = (("paper", 0.25), ("area", 0.5))[k % 3 % 2]
-        wedge = wedge_norm(V, V2)
+        wedge = float(wedge_norms(V, V2))
         if wedge <= 1e-14 * float(np.linalg.norm(V) * np.linalg.norm(V2)):
             outcomes.add("parallel")
             with pytest.raises(ValueError, match="parallel"):

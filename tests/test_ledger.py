@@ -94,14 +94,13 @@ def test_build_ledger_head_on_2d():
     )
     recs = ledger.build_ledger(log)
     assert len(recs) == 2
-    for r in recs:
-        assert r.dv_norm == pytest.approx(2.0, abs=1e-12)
-        assert r.wedge == pytest.approx(0.0, abs=1e-12)
-        assert r.st_wedge == pytest.approx(2.0, abs=1e-12)
+    assert recs.dv_norm == pytest.approx([2.0, 2.0], abs=1e-12)
+    assert recs.wedge == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert recs.st_wedge == pytest.approx([2.0, 2.0], abs=1e-12)
     # participant order: i's record first, then j's
-    assert (recs[0].particle, recs[0].partner) == (0, 1)
-    assert (recs[1].particle, recs[1].partner) == (1, 0)
-    assert recs[0].time == recs[1].time
+    assert recs.particle.tolist() == [0, 1]
+    assert recs.partner.tolist() == [1, 0]
+    assert recs.time[0] == recs.time[1]
 
 
 def test_build_ledger_oblique_glancing_half_jump():
@@ -116,32 +115,29 @@ def test_build_ledger_oblique_glancing_half_jump():
     )
     recs = ledger.build_ledger(log)
     assert len(recs) == 2
-    np.testing.assert_allclose(recs[0].v_post, [0.5, -0.5], atol=1e-12)
-    assert recs[0].dv_norm == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-    assert recs[0].wedge == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(recs.v_post[0], [0.5, -0.5], atol=1e-12)
+    assert recs.dv_norm[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+    assert recs.wedge[0] == pytest.approx(0.5, abs=1e-12)
     # the partner picks up the complementary jump, same magnitude
-    assert recs[1].dv_norm == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-    assert recs[1].wedge == pytest.approx(0.0, abs=1e-12)
+    assert recs.dv_norm[1] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+    assert recs.wedge[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_build_ledger_1d_swap():
     log = _simulate(1, 0.0, [[0.0], [1.0]], [[2.0], [-1.0]])
     recs = ledger.build_ledger(log)
     assert len(recs) == 2
-    for r in recs:
-        assert r.dv_norm == 3.0
-        assert r.wedge == 0.0
-        assert r.st_wedge == pytest.approx(3.0, rel=1e-15)
+    assert recs.dv_norm.tolist() == [3.0, 3.0]
+    assert recs.wedge.tolist() == [0.0, 0.0]
+    assert recs.st_wedge == pytest.approx([3.0, 3.0], rel=1e-15)
 
 
 def test_st_wedge_identity_on_every_record():
     recs = ledger.build_ledger(_gas(3))
     assert recs
-    for r in recs:
-        lhs = r.st_wedge**2
-        rhs = r.dv_norm**2 + r.wedge**2
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert r.dv_norm > 0
+    assert recs.st_wedge**2 == pytest.approx(recs.dv_norm**2 + recs.wedge**2,
+                                             rel=1e-12)
+    assert (recs.dv_norm > 0).all()
 
 
 # -- bound reports ------------------------------------------------------------
@@ -252,17 +248,17 @@ def test_hodograph_collisionless_particle():
     log = _simulate(2, 0.1, [[0.0, 0.0], [5.0, 0.0]],
                     [[-1.0, 0.0], [1.0, 0.0]])
     assert not log.events
-    for h in ledger.hodograph_summaries(log):
-        assert h.ell == 0.0 and h.area == 0.0 and h.scatter == 0.0
-        assert np.array_equal(h.v_plus, h.v0)
+    h = ledger.hodograph_summaries(log)
+    assert len(h) == 2
+    assert h.ell.tolist() == h.area.tolist() == h.scatter.tolist() == [0.0, 0.0]
+    assert np.array_equal(h.v_plus, h.v0)
 
 
 def test_hodograph_two_head_on_rods():
     log = harness.simulate_scenario(harness.gen_line_1d(1))
     summ = ledger.hodograph_summaries(log)
-    assert sum(h.ell for h in summ) == pytest.approx(4.0, abs=1e-15)
-    for h in summ:
-        assert h.scatter == pytest.approx(2.0, abs=1e-15)
+    assert sum(summ.ell.tolist()) == pytest.approx(4.0, abs=1e-15)
+    assert summ.scatter == pytest.approx([2.0, 2.0], abs=1e-15)
 
 
 def test_hodograph_single_symmetric_2d_kink():
@@ -278,18 +274,18 @@ def test_hodograph_single_symmetric_2d_kink():
     np.testing.assert_allclose(log.events[0].vi_post, [0.0, 1.0], atol=1e-12)
     w = ledger.bulk_invariants(log.initial.velocity).w
     np.testing.assert_allclose(w, [0.0, 0.0], atol=1e-15)
-    for h in ledger.hodograph_summaries(log):
-        assert h.ell == pytest.approx(math.sqrt(2), rel=1e-12)
-        assert h.area == pytest.approx(0.5, rel=1e-12)
-        assert h.scatter == pytest.approx(math.sqrt(2), rel=1e-12)
+    h = ledger.hodograph_summaries(log)
+    assert h.ell == pytest.approx([math.sqrt(2)] * 2, rel=1e-12)
+    assert h.area == pytest.approx([0.5] * 2, rel=1e-12)
+    assert h.scatter == pytest.approx([math.sqrt(2)] * 2, rel=1e-12)
 
 
 def test_chain_length_sum_equals_jump_sum():
     log = _gas(29)
     recs = ledger.build_ledger(log)
     summ = ledger.hodograph_summaries(log)
-    lhs = math.fsum(h.ell for h in summ)
-    rhs = math.fsum(r.dv_norm for r in recs)
+    lhs = math.fsum(summ.ell.tolist())
+    rhs = math.fsum(recs.dv_norm.tolist())
     # same multiset of jumps; per-particle accumulation rounds once per
     # kink before the outer sum, so allow a few ulps
     assert abs(lhs - rhs) <= 8 * np.finfo(float).eps * rhs
@@ -297,8 +293,8 @@ def test_chain_length_sum_equals_jump_sum():
 
 def test_scatter_bounded_by_chain_length():
     for seed in (31, 37):
-        for h in ledger.hodograph_summaries(_gas(seed)):
-            assert h.scatter <= h.ell + 1e-12
+        h = ledger.hodograph_summaries(_gas(seed))
+        assert (h.scatter <= h.ell + 1e-12).all()
 
 
 # -- transform behaviour ------------------------------------------------------
@@ -315,8 +311,7 @@ def test_jump_magnitudes_boost_invariant():
     assert invb.v_dev == pytest.approx(inv0.v_dev, rel=1e-10)
     rec0 = ledger.build_ledger(log0)
     recb = ledger.build_ledger(logb)
-    for r0, rb in zip(rec0, recb):
-        assert rb.dv_norm == pytest.approx(r0.dv_norm, rel=1e-10)
+    assert recb.dv_norm == pytest.approx(rec0.dv_norm, rel=1e-10)
     rep0 = ledger.bound_report(rec0, inv0)
     repb = ledger.bound_report(recb, invb)
     assert repb.ratio2 == pytest.approx(rep0.ratio2, rel=1e-10)
@@ -331,10 +326,9 @@ def test_time_scale_covariance_of_strengths():
     assert [(e.i, e.j) for e in log0.events] == [(e.i, e.j) for e in logm.events]
     rec0 = ledger.build_ledger(log0)
     recm = ledger.build_ledger(logm)
-    for r0, rm in zip(rec0, recm):
-        assert rm.time == pytest.approx(r0.time / mu, rel=1e-10)
-        assert rm.dv_norm == pytest.approx(mu * r0.dv_norm, rel=1e-10)
-        assert rm.wedge == pytest.approx(mu * mu * r0.wedge, rel=1e-9)
+    assert recm.time == pytest.approx(rec0.time / mu, rel=1e-10)
+    assert recm.dv_norm == pytest.approx(mu * rec0.dv_norm, rel=1e-10)
+    assert recm.wedge == pytest.approx(mu * mu * rec0.wedge, rel=1e-9)
 
 
 # -- serialization ------------------------------------------------------------
@@ -350,13 +344,13 @@ def test_ledger_csv_round_trip(tmp_path):
         assert reader.fieldnames == ledger.LEDGER_COLUMNS
         rows = list(reader)
     assert len(rows) == len(recs)
-    for r, row in zip(recs, rows):
-        assert float(row["t"]) == r.time
-        assert int(row["particle"]) == r.particle
-        assert int(row["partner"]) == r.partner
-        assert float(row["dv_norm"]) == r.dv_norm
-        assert float(row["wedge"]) == r.wedge
-        assert float(row["st_wedge"]) == r.st_wedge
+    for name, column, parse in (("t", recs.time, float),
+                                ("particle", recs.particle, int),
+                                ("partner", recs.partner, int),
+                                ("dv_norm", recs.dv_norm, float),
+                                ("wedge", recs.wedge, float),
+                                ("st_wedge", recs.st_wedge, float)):
+        assert [parse(row[name]) for row in rows] == column.tolist()
 
 
 def test_build_report_schema():

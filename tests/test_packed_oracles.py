@@ -113,13 +113,20 @@ def test_read_events_matches_loop(log, tmp_path):
     assert dynamics.events_jsonl_bytes(read) == path.read_bytes()
 
 
-def _assert_same_records(got, want):
+def _assert_same_rows(got, want, scalars, vectors):
+    """A block's columns equal a list of records field by field: each
+    scalar column as Python values, each vector column as bytes."""
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.time, g.particle, g.partner) == (w.time, w.particle, w.partner)
-        assert g.v.tobytes() == w.v.tobytes()
-        assert g.v_post.tobytes() == w.v_post.tobytes()
-        assert (g.dv_norm, g.wedge, g.st_wedge) == (w.dv_norm, w.wedge, w.st_wedge)
+    for name in scalars:
+        assert getattr(got, name).tolist() == [getattr(w, name) for w in want], name
+    for name in vectors:
+        assert getattr(got, name).tobytes() == b"".join(
+            getattr(w, name).tobytes() for w in want), name
+
+
+def _assert_same_records(got, want):
+    _assert_same_rows(got, want, ("time", "particle", "partner", "dv_norm",
+                                  "wedge", "st_wedge"), ("v", "v_post"))
 
 
 def _assert_ledger_layers(log, tmp_path):
@@ -130,14 +137,9 @@ def _assert_ledger_layers(log, tmp_path):
     for eps in (0.5, 1.0):
         assert (ledger.bound_report(records, inv, eps)
                 == oracles.bound_report(want, inv, eps))
-    got = ledger.hodograph_summaries(log)
-    loop = oracles.hodograph_summaries(log)
-    assert len(got) == len(loop)
-    for g, w in zip(got, loop):
-        assert (g.particle, g.ell, g.area, g.scatter) == \
-            (w.particle, w.ell, w.area, w.scatter)
-        for name in ("v0", "v_plus"):
-            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    _assert_same_rows(ledger.hodograph_summaries(log),
+                      oracles.hodograph_summaries(log),
+                      ("particle", "ell", "area", "scatter"), ("v0", "v_plus"))
     ledger.write_ledger_csv(records, tmp_path / "packed.csv")
     oracles.write_ledger_csv(want, tmp_path / "loop.csv")
     assert (tmp_path / "packed.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
@@ -152,16 +154,11 @@ def test_ledger_layers_match_loops(log, tmp_path):
 def _assert_same_tensor(got, want):
     assert (got.window, got.n, got.vertices, got.mass_energy, got.div_mass) == \
         (want.window, want.n, want.vertices, want.mass_energy, want.div_mass)
-    assert len(got.edges) == len(want.edges)
-    for g, w in zip(got.edges, want.edges):
-        assert (g.weight, g.kind, g.start, g.end) == (w.weight, w.kind, w.start, w.end)
-        for name in ("x_start", "x_end", "direction"):
-            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
-    assert len(got.kinks) == len(want.kinks)
-    for g, w in zip(got.kinks, want.kinks):
-        assert g.vertex_id == w.vertex_id
-        for name in ("vertex", "v", "v_post"):
-            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    _assert_same_rows(got.edges, oracles.edge_rows(want.edges),
+                      ("weight", "kind", "start", "end"),
+                      ("x_start", "x_end", "direction"))
+    _assert_same_rows(got.kinks, list(want.kinks), ("vertex_id",),
+                      ("vertex", "v", "v_post"))
 
 
 def _windows(log):
@@ -211,8 +208,11 @@ def test_build_augmented_in_blocks_matches_loop(case, block, monkeypatch):
     _assert_augmented_matches_loop(log)
 
 
-def _lifted(site):
-    return np.concatenate(([1.0], site.v)), np.concatenate(([1.0], site.v_post))
+def _lifted(sites):
+    """The lifted velocities (1, v) and (1, v_post) of a KinkBlock's rows."""
+    ones = np.ones((len(sites), 1))
+    return (np.concatenate((ones, sites.v), axis=1),
+            np.concatenate((ones, sites.v_post), axis=1))
 
 
 def test_complement_basis_ties_keep_axis_order():
@@ -220,10 +220,11 @@ def test_complement_basis_ties_keep_axis_order():
     e3 at both kinks of the head-on pair."""
     log = CASES["axis_aligned_n3"]()
     T = tensor.build_tensor(log, harness._audit_window(log))
-    for site in T.kinks:
-        Z = tensor.complement_basis(*_lifted(site), 3)
+    bases = tensor.complement_basis(*_lifted(T.kinks), 3)
+    assert len(bases) == 2
+    for Z, V, V2 in zip(bases, *_lifted(T.kinks)):
         assert np.array_equal(Z, np.eye(4)[2:])
-        assert np.array_equal(Z, oracles.complement_basis(*_lifted(site), 3))
+        assert np.array_equal(Z, oracles.complement_basis(V, V2, 3))
 
 
 def test_complement_basis_skips_a_parallel_candidate():
@@ -235,10 +236,10 @@ def test_complement_basis_skips_a_parallel_candidate():
     log = CASES["skip_n3"]()
     T = tensor.build_tensor(log, harness._audit_window(log))
     skipped = []
-    V, V2 = _lifted(T.kinks[0])
-    want = oracles.complement_basis(V, V2, 3, skipped)
+    V, V2 = _lifted(T.kinks[:1])
+    want = oracles.complement_basis(V[0], V2[0], 3, skipped)
     assert skipped == [1]
-    assert np.array_equal(tensor.complement_basis(V, V2, 3), want)
+    assert np.array_equal(tensor.complement_basis(V, V2, 3)[0], want)
 
 
 def test_build_tensor_rejects_boundary_on_collision():
@@ -270,7 +271,7 @@ def test_row_norms_and_wedges_match_scalar_forms(n):
         [oracles.wedge_norm(x, y) for x, y in zip(X, Y)]
     assert kernel.spacetime_wedges(X, Y).tolist() == \
         [oracles.spacetime_wedge(x, y) for x, y in zip(X, Y)]
-    assert kernel.wedge_norm(X[0], Y[0]) == oracles.wedge_norm(X[0], Y[0])
+    assert kernel.wedge_norms(X[0], Y[0]) == oracles.wedge_norm(X[0], Y[0])
 
 
 @settings(max_examples=25, deadline=None,
