@@ -5,15 +5,17 @@
 
 Each scene runs K times (default 5) through dynamics._Engine, with timing
 wrappers installed by this script around dynamics.contact_times_scan (the
-name the engine calls the kernel by) and the engine's _collide, _rescan
-and _repredict.  No file of the program changes.  Prints one JSON object
-per scene:
+name the engine calls the kernel by) and the engine's _collide and
+_predict.  _predict makes every prediction, told apart by its arguments:
+the initial scan (all N rows), a re-prediction (one row) and a rescan
+(the rows of the collisions at the time t it is given).  No file of the
+program changes.  Prints one JSON object per scene:
 
 * collisions, repredictions (entries whose partner had collided since,
   each re-predicted with a one-row kernel call), and the kernel calls of
   the initial scan, of the re-predictions (one row each) and of the
   rescans of the collisions (two rows a collision; one call rescans the
-  collisions that share one time, up to max(2, dynamics._BLOCK // N)
+  collisions that share one time, up to max(2, dynamics._BLOCK // N) & -2
   rows), with the mean rows per rescan call;
 * collide_calls and pairs_per_collide_call: the calls of _collide(t, rows)
   and the mean collisions a call makes (rows holds the two particles of
@@ -22,9 +24,9 @@ per scene:
   comes between);
 * whole_us, kernel_us, collide_us and rescan_rest_us: microseconds per
   collision of the whole run (engine set-up with its initial scan, and
-  the event loop), of every kernel call, of _collide, and of _rescan
-  outside its kernel call; each is the best of the K runs, taken on its
-  own.
+  the event loop), of every kernel call, of _collide, and of the rescans
+  outside their kernel calls; each is the best of the K runs, taken on
+  its own.
 
 The scenes:
 
@@ -74,7 +76,7 @@ def scenes() -> dict:
 class Costs:
     """Seconds and calls per wrapped step while installed.  Kernel calls
     and their rows are also kept by the step that made them: "init" (the
-    initial scan), "_rescan" or "_repredict"."""
+    initial scan), "rescan" or "repredict"."""
 
     def __init__(self):
         self.seconds: Counter = Counter()
@@ -100,10 +102,19 @@ class Costs:
                 self.calls["kernel", self.step] += 1
                 self.calls["rows", self.step] += np.size(args[3])
 
+        predict = {name: self._timed(name, dynamics._Engine._predict)
+                   for name in ("init", "rescan", "repredict")}
+
+        def by_arguments(engine, rows, t=None):
+            if t is not None:
+                return predict["rescan"](engine, rows, t)
+            name = "init" if len(rows) == engine.config.N else "repredict"
+            return predict[name](engine, rows)
+
         self._patch(dynamics, "contact_times_scan", kernel)
-        for name in ("_collide", "_rescan", "_repredict"):
-            self._patch(dynamics._Engine, name, self._timed(
-                name, getattr(dynamics._Engine, name)))
+        self._patch(dynamics._Engine, "_predict", by_arguments)
+        self._patch(dynamics._Engine, "_collide", self._timed(
+            "_collide", dynamics._Engine._collide))
 
     def _timed(self, name: str, method):
         def step(engine, *args):
@@ -142,18 +153,18 @@ def measure(name: str, scenario, runs: int) -> dict:
         s = costs.seconds
         us = {"whole_us": whole, "kernel_us": s["kernel"],
               "collide_us": s["_collide"],
-              "rescan_rest_us": s["_rescan"] - s["kernel", "_rescan"]}
+              "rescan_rest_us": s["rescan"] - s["kernel", "rescan"]}
         for key, value in us.items():
             best[key] = min(best.get(key, math.inf), 1e6 * value / max(E, 1))
     calls = costs.calls
     return {"scene": name, "N": scenario.config.N, "n": scenario.config.n,
             "runs": runs, "collisions": E,
-            "repredictions": calls["_repredict"],
+            "repredictions": calls["repredict"],
             "kernel_calls": {"initial": calls["kernel", "init"],
-                             "one_row": calls["kernel", "_repredict"],
-                             "rescan": calls["kernel", "_rescan"]},
+                             "one_row": calls["kernel", "repredict"],
+                             "rescan": calls["kernel", "rescan"]},
             "rows_per_rescan_call": round(
-                calls["rows", "_rescan"] / max(calls["kernel", "_rescan"], 1), 2),
+                calls["rows", "rescan"] / max(calls["kernel", "rescan"], 1), 2),
             "collide_calls": calls["_collide"],
             "pairs_per_collide_call": round(E / max(calls["_collide"], 1), 2),
             **{key: round(value, 1) for key, value in best.items()}}

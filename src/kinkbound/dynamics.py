@@ -9,12 +9,12 @@ of its own collisions is processed).
 The event calendar keeps one pending prediction per particle (Lubachevsky
 1991; Marin, Risso & Cordero 1993): a heap of each particle's earliest
 contact over all others, keyed (time, lo, hi, ...), with entries checked at
-pop time against per-particle collision counters.  The initial states are
-scanned in blocks of rows.  The collisions that share one time are made
-together, in one step on stacked arrays, and then rescanned together: one
-kernel call re-predicts the partners of all of them against every particle
-(in blocks, on a large system), and the gaps it returns at that time are
-the third-body check.
+pop time against per-particle collision counters.  Every prediction is
+one blocked scan of some rows against every particle: the initial states,
+a particle whose predicted partner has collided, and the partners of the
+collisions that share one time, which are made together in one step on
+stacked arrays and then rescanned together, the gaps of that scan at that
+time being the third-body check.
 """
 
 from __future__ import annotations
@@ -296,12 +296,13 @@ class _Engine:
     one _collide call on stacked arrays, just before whichever comes first:
     the rescan of their time, when the heap's top is later; a
     re-prediction, which must see their new states; or a split (below).
-    The rescan re-predicts all the collisions of the time in one (2k, N)
-    kernel call (_rescan).  A lone collision, every event of a gas, is
-    k = 1 of the same two calls.  A re-prediction is one (1, N) call.  Up
-    to a few hundred particles a numpy call costs about the same whatever
-    its size, so these steps are written to make few calls, not to touch
-    few pairs.  A kernel call takes at most rows_per_call =
+    Every prediction is one step, _predict: the initial scan of all N
+    particles, a re-prediction of one, and the rescan of the 2k particles
+    of the collisions of one time, which alone takes the third-body test.
+    A lone collision, every event of a gas, is k = 1 of the same two
+    calls.  Up to a few hundred particles a numpy call costs about the
+    same whatever its size, so these steps are written to make few calls,
+    not to touch few pairs.  A kernel call takes at most rows_per_call =
     max(2, _BLOCK // N) rows, so its arrays stay near _BLOCK pairs.
 
     Deferring the collisions and their rescans changes no event.  A pair's
@@ -342,7 +343,7 @@ class _Engine:
         # speeds, since collisions keep E (up to rounding: a relative few
         # ulps a collision, which the factor 2 on E covers); the reach of
         # the third-body test at twice that speed bounds the reach of every
-        # pair's test (see _rescan)
+        # pair's test (see _predict)
         energy = float(np.sum(self.state[1] * self.state[1]))
         top = abs(config.time_tie_tol) * 2.0 * math.sqrt(2.0 * energy)
         self.reach = top * (self.four_a + top)
@@ -356,46 +357,63 @@ class _Engine:
         self.recorded = np.empty((3, 32, n))
         self.idx = np.arange(N, dtype=np.int64)
         self.rows_per_call = max(2, _BLOCK // N)
-        for r0 in range(0, N, self.rows_per_call):
-            rows = self.idx[r0:r0 + self.rows_per_call]
-            out = np.empty((rows.size, N))
-            # a particle against itself has b == 0 exactly, hence +inf
-            contact_times_scan(self.pos, self.vel, self.tupd, rows, self.idx,
-                               self.four_a2, config.grazing_tol, out)
-            self._push_earliest(rows.tolist(), out)
+        self._predict(list(range(N)))
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push_earliest(self, rows, out: np.ndarray) -> None:
-        """Push each row's earliest contact; out[r, q] is rows[r] vs particle q.
+    def _predict(self, rows: list, t: float | None = None) -> None:
+        """Push the earliest contact of each particle of rows, scanned
+        against every particle, and check the rows for third bodies at t
+        when t is given.
 
-        argmin takes the first of equal times, which is the smallest
-        partner index and hence the smallest (lo, hi) of the row.
+        A kernel call takes at most rows_per_call & -2 rows: pairs stay
+        whole.  Each row leaves out itself (against itself b == 0 exactly,
+        hence +inf; its gap is blanked) and the partner of its latest
+        collision while neither of the two has collided since: separating
+        partners in free flight never meet again, and predicting the pair
+        finds only rounding-level contacts (point rods: distance 0).
+        argmin takes the first of equal times, the smallest partner index
+        and hence the smallest (lo, hi) of the row.
+
+        With t, rows holds the two particles of each collision at t, pair
+        by pair in the order they were made, and no particle twice; they
+        are the latest collisions made, so each row's left-out partner is
+        the other particle of its pair.  Every row was advanced to t, and
+        every other particle was last updated no later, so the scan refers
+        every pair to t: its gap c = |dy|^2 - 4a^2 is the third bodies'
+        distance from the pair at the collision.  A third body k within
+        contact distance plus tau = time_tie_tol * (speed of k + speed of
+        the partner) aborts the run (_check_third_bodies).  The reach
+        tau * (4a + tau) grows with |tau|, in floating point too, so a
+        call's least gap beyond self.reach, the reach at twice the largest
+        speed any particle can have, clears every third body, and only a
+        least gap within it runs the test pair by pair.
         """
-        cc, heap = self.cc, self.heap
-        # plain floats and ints: heap comparisons stay in C
-        for r, q in enumerate(out.argmin(axis=1).tolist()):
-            t = out.item(r, q)
-            if t != np.inf:
-                p = rows[r]
-                lo, hi = (p, q) if p < q else (q, p)
-                heapq.heappush(heap, (t, lo, hi, p, cc[p], cc[q]))
-
-    def _repredict(self, p: int) -> None:
-        """New earliest contact of p, whose predicted partner has collided.
-
-        The partner of p's latest collision stays out while neither of the
-        two has collided since: separating partners in free flight never
-        meet again, and predicting the pair finds only rounding-level
-        contacts (point rods: distance 0).
-        """
-        out = np.empty((1, self.config.N))
-        contact_times_scan(self.pos, self.vel, self.tupd, (p,), self.idx,
-                           self.four_a2, self.config.grazing_tol, out)
-        q = self.last[p]
-        if q >= 0 and self.last[q] == p:
-            out[0, q] = np.inf
-        self._push_earliest((p,), out)
+        N = self.config.N
+        cc, last, heap = self.cc, self.last, self.heap
+        step = self.rows_per_call & -2
+        for r0 in range(0, len(rows), step):
+            part = rows[r0:r0 + step]
+            both = np.empty((2, len(part), N))
+            out, gap = both[0], both[1]
+            contact_times_scan(self.pos, self.vel, self.tupd, part, self.idx,
+                               self.four_a2, self.config.grazing_tol, out, gap)
+            # scalar setitems: a fancy-indexed one costs more for a lone pair
+            for r, p in enumerate(part):
+                gap[r, p] = np.inf
+                q = last[p]
+                if q >= 0 and last[q] == p:
+                    out[r, q] = gap[r, q] = np.inf
+            # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
+            if t is not None and not gap.min() > self.reach:
+                self._check_third_bodies(t, rows, r0, gap)
+            # plain floats and ints: heap comparisons stay in C
+            for r, q in enumerate(out.argmin(axis=1).tolist()):
+                s = out.item(r, q)
+                if s != np.inf:
+                    p = part[r]
+                    lo, hi = (p, q) if p < q else (q, p)
+                    heapq.heappush(heap, (s, lo, hi, p, cc[p], cc[q]))
 
     # -- event processing ---------------------------------------------------
 
@@ -462,54 +480,15 @@ class _Engine:
     def _close(self, t: float, rows: list, done: int) -> None:
         """Collide the pairs at t that still wait, rows[done:], rescan all
         of rows, and log their times and pairs."""
-        index = np.array(rows)
         if done < len(rows):
-            self._collide(t, index[done:])
-        self._rescan(t, rows, index)
+            self._collide(t, np.array(rows[done:]))
+        self._predict(rows, t)
         self.times += [t] * (len(rows) >> 1)
         self.pairs += rows
 
-    def _rescan(self, t: float, rows: list, index: np.ndarray) -> None:
-        """Re-predict the particles of the collisions at t, and check them
-        for third bodies.
-
-        rows holds the two particles of each of these collisions, pair by
-        pair in the order they were made, and no particle twice; index
-        holds them as an array.  They are the latest collisions made.  A
-        kernel call takes the rows of as many whole pairs as rows_per_call
-        allows (all of them, up to _BLOCK // N rows).
-
-        Every row was advanced to t, and every other particle was last
-        updated no later, so the scan refers every pair to t: its gap
-        c = |dy|^2 - 4a^2 is the third bodies' distance from the pair at
-        the collision.  A third body k within contact distance plus
-        tau = time_tie_tol * (speed of k + speed of the partner) aborts the
-        run (_check_third_bodies).  The reach tau * (4a + tau) grows with
-        |tau|, in floating point too, so a call's least gap beyond
-        self.reach, the reach at twice the largest speed any particle can
-        have, clears every third body, and only a least gap within it runs
-        the test pair by pair.
-        """
-        N = self.config.N
-        step = self.rows_per_call & -2  # pairs stay whole
-        for r0 in range(0, len(rows), step):
-            part = rows[r0:r0 + step]
-            both = np.empty((2, len(part), N))
-            out, gap = both[0], both[1]
-            contact_times_scan(self.pos, self.vel, self.tupd, index[r0:r0 + step],
-                               self.idx, self.four_a2, self.config.grazing_tol,
-                               out, gap)
-            for r in range(0, len(part), 2):  # self, and the partner it just left
-                both[:, r:r + 2, part[r]] = np.inf
-                both[:, r:r + 2, part[r + 1]] = np.inf
-            # |dy| <= 2a + tau  <=>  c <= tau * (4a + tau)
-            if not gap.min() > self.reach:
-                self._check_third_bodies(t, rows, r0, gap)
-            self._push_earliest(part, out)
-
     def _check_third_bodies(self, t: float, rows: list, r0: int,
                             gap: np.ndarray) -> None:
-        """The third-body test of _rescan, pair by pair in pop order, on
+        """The third-body test of _predict, pair by pair in pop order, on
         the gaps of the rows r0, r0 + 1, ... of rows.
 
         Each pair's test takes the speeds that a rescan made right after
@@ -554,7 +533,7 @@ class _Engine:
                 if done < len(rows):  # the scan reads the collided states
                     self._collide(t_prev, np.array(rows[done:]))
                     done = len(rows)
-                self._repredict(owner)
+                self._predict([owner])
                 continue
             if t_max is not None and t > t_max:
                 # rows is empty: rows wait only while the top is at t_prev

@@ -228,8 +228,8 @@ def apply_time_scale(scenario: Scenario, mu: float) -> Scenario:
 
     Collision times map to t/mu and every velocity jump scales by mu.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:  # mu = inf would make inf * 0 = nan
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
     with np.errstate(over="ignore"):  # run_simulation rejects an overflow
         states = replace(scenario.states, velocity=mu * scenario.states.velocity)
     prov = dict(scenario.provenance)

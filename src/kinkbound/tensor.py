@@ -18,7 +18,6 @@ tensor balance to roundoff.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -306,6 +305,13 @@ def _trajectories(T: GraphTensor) -> tuple:
             weights[:, None] * B.direction[traj])
 
 
+def _hit(t: float, kink_times: np.ndarray) -> float | None:
+    """The first kink time k with |t - k| <= _time_tol(t, k), or None."""
+    hits = np.abs(t - kink_times) <= 1e-12 * np.maximum(max(1.0, abs(t)),
+                                                       np.abs(kink_times))
+    return float(kink_times[np.argmax(hits)]) if hits.any() else None
+
+
 def _slice(T: GraphTensor, trajectories: tuple, kink_times: np.ndarray,
            t: float) -> tuple:
     """(crossing mask, total, mass) of the slice at t, from trajectories
@@ -314,11 +320,8 @@ def _slice(T: GraphTensor, trajectories: tuple, kink_times: np.ndarray,
     t_lo, t_hi = T.window
     if not t_lo < t < t_hi:
         raise ValueError(f"slice time {t} outside window ({t_lo}, {t_hi})")
-    # _time_tol(t, k) for every kink time k at once
-    hits = np.abs(t - kink_times) <= 1e-12 * np.maximum(max(1.0, abs(t)),
-                                                       np.abs(kink_times))
-    if hits.any():
-        k = kink_times[np.argmax(hits)]
+    k = _hit(t, kink_times)
+    if k is not None:
         raise ValueError(f"slice time {t} hits a collision at {k!r}")
     starts, ends, weights, vecs = trajectories
     rows = (starts[:, 0] < t) & (t < ends[:, 0])
@@ -557,24 +560,22 @@ def audit_tensor(T: GraphTensor) -> dict:
                                  initial=0.0))
     t_lo, t_hi = T.window
     all_kink_times = T.kinks.vertex[:, 0]
-    kink_times = sorted(set(all_kink_times.tolist()))
+    kink_times = np.unique(all_kink_times)
+    bounds = np.concatenate(([t_lo], kink_times, [t_hi]))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])  # of the gaps between kinks
     trajectories = _trajectories(T)
     traces = []
     totals = []
     for k in range(_SLICES):
         t = t_lo + (k + 0.5) * (t_hi - t_lo) / _SLICES
-        if kink_times:
-            # nudge off any collision time: midpoint of the surrounding gap
-            pos = bisect.bisect_left(kink_times, t)
-            near = min(
-                (abs(t - kink_times[p]) for p in (pos - 1, pos)
-                 if 0 <= p < len(kink_times)),
-                default=np.inf,
-            )
-            if near <= _time_tol(t, t_lo, t_hi):
-                left = kink_times[pos - 1] if pos > 0 else t_lo
-                right = kink_times[pos] if pos < len(kink_times) else t_hi
-                t = 0.5 * (left + right)
+        if _hit(t, kink_times) is not None:
+            # off the collision time, to the midpoint of the gap around t,
+            # or, if that still hits a kink, of the nearest gap whose
+            # midpoint clears every kink
+            around = int(np.searchsorted(kink_times, t))
+            nearest = np.argsort(np.abs(mids - t), kind="stable").tolist()
+            t = next((float(mids[g]) for g in [around] + nearest
+                      if _hit(mids[g], kink_times) is None), float(mids[around]))
         _, total, mass = _slice(T, trajectories, all_kink_times, t)
         traces.append(mass)
         totals.append(total)

@@ -685,7 +685,8 @@ def slice_trace(T, t):
         raise ValueError(f"slice time {t} outside window ({t_lo}, {t_hi})")
     for k in T.kinks:
         if abs(t - k.vertex[0]) <= _time_tol(t, k.vertex[0]):
-            raise ValueError(f"slice time {t} hits a collision at {k.vertex[0]!r}")
+            raise ValueError(f"slice time {t} hits a collision at "
+                             f"{float(k.vertex[0])!r}")
     crossings = []
     total = 0.0
     mass = 0.0
@@ -750,21 +751,23 @@ def audit_tensor(T, n_slices=10):
             worst = max(worst, float(np.linalg.norm(vb.m)) / vb.weight_scale)
     t_lo, t_hi = T.window
     kink_times = sorted({float(k.vertex[0]) for k in T.kinks})
+    bounds = [t_lo] + kink_times + [t_hi]
+    mids = [0.5 * (left + right) for left, right in zip(bounds, bounds[1:])]
+
+    def clear(s):
+        return all(abs(s - k) > _time_tol(s, k) for k in kink_times)
+
     traces = []
     totals = []
     for k in range(n_slices):
         t = t_lo + (k + 0.5) * (t_hi - t_lo) / n_slices
-        if kink_times:
-            pos = bisect.bisect_left(kink_times, t)
-            near = min(
-                (abs(t - kink_times[p]) for p in (pos - 1, pos)
-                 if 0 <= p < len(kink_times)),
-                default=np.inf,
-            )
-            if near <= _time_tol(t, t_lo, t_hi):
-                left = kink_times[pos - 1] if pos > 0 else t_lo
-                right = kink_times[pos] if pos < len(kink_times) else t_hi
-                t = 0.5 * (left + right)
+        if not clear(t):
+            # the midpoint of the gap around t, else of the nearest gap
+            # whose midpoint clears every kink
+            around = bisect.bisect_left(kink_times, t)
+            nearest = sorted(range(len(mids)), key=lambda g: abs(mids[g] - t))
+            t = next((mids[g] for g in [around] + nearest if clear(mids[g])),
+                     mids[around])
         st = slice_trace(T, t)
         traces.append(st.mass)
         totals.append(st.total)

@@ -1,11 +1,11 @@
 """Smoke runs of the benchmark scripts on tiny inputs: augment_scaling.py's
-measurement of one tensor, and golden_artifacts.py's digests of one
-scenario and one sweep."""
+measurement of one tensor, engine_costs.py's of one scene, and
+golden_artifacts.py's digests of one scenario and one sweep."""
 
 import importlib.util
 from pathlib import Path
 
-from kinkbound import tensor
+from kinkbound import dynamics, harness, tensor
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -26,6 +26,24 @@ def test_augment_scaling_measures_a_small_tensor():
     assert row["kinks_per_block"] == max(1, tensor._BLOCK // len(T.edges))
     assert 0.0 < row["kept_pairs"] <= 1.0
     for key in ("default_eps_s", "bases_s", "build_augmented_s"):
+        assert row[key] > 0.0
+
+
+def test_engine_costs_measures_a_small_line():
+    """line_1d p=5: 25 collisions at 9 times, 4 re-predictions; every
+    prediction step is counted, and the wrappers come off again."""
+    script = _load("engine_costs")
+    original = (dynamics.contact_times_scan, dynamics._Engine._predict,
+                dynamics._Engine._collide)
+    row = script.measure("tiny", harness.gen_line_1d(5), runs=1)
+    assert original == (dynamics.contact_times_scan, dynamics._Engine._predict,
+                        dynamics._Engine._collide)
+    assert (row["scene"], row["N"], row["n"], row["collisions"]) == ("tiny", 10, 1, 25)
+    assert row["repredictions"] == 4
+    assert row["kernel_calls"] == {"initial": 1, "one_row": 4, "rescan": 9}
+    assert row["rows_per_rescan_call"] == round(50 / 9, 2)
+    assert row["collide_calls"] >= 9
+    for key in ("whole_us", "kernel_us", "collide_us", "rescan_rest_us"):
         assert row[key] > 0.0
 
 

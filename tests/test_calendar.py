@@ -70,6 +70,10 @@ _SCENES = {
     "stale_t_max_4.5": lambda: _stale_scene(4.5),
     "stale_no_t_max": lambda: _stale_scene(None),
     **{f"rods_s{s}": (lambda s=s: _rods(s)) for s in (0, 5, 11)},
+    # two rows a kernel call: the initial scan is split into 12 calls
+    # (N = 24) or 4 (N = 8), and a rescan takes one call a pair
+    "gas2d_s0_block48": lambda: _gas(2, 24, 0),
+    "rods_s5_block16": lambda: _rods(5),
 }
 
 

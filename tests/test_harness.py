@@ -427,6 +427,25 @@ def test_cli_simulate_ok(tmp_path, capsys):
     assert (tmp_path / "out" / "events.jsonl").exists()
 
 
+def test_cli_simulate_audits_a_gap_narrower_than_the_slice_tolerance(
+        tmp_path, capsys):
+    """Three disjoint head-on pairs meet at 1 - 1e-13, 1 + 1e-13 and 9.
+    The audit's slice time 1 hits the first two, and the gap between them
+    is narrower than the slice tolerance, so the slice moves to the
+    nearest gap that clears every collision: all six spheres cross it."""
+    near, far = 1.0099999999998999, 1.0100000000001
+    cfg = _write(tmp_path / "cfg.json", {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.01,
+        "positions": [[-near, 0.0], [near, 0.0], [-far, 10.0], [far, 10.0],
+                      [-9.01, 20.0], [9.01, 20.0]],
+        "velocities": [[1.0, 0.0], [-1.0, 0.0]] * 3}})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["events"] == 3
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["trace_masses"] == [6] * 10
+
+
 def test_cli_rejects_overlapping_start(tmp_path, capsys):
     cfg = _write(tmp_path / "bad.json", {
         "scenario": {"generator": "explicit", "n": 2, "a": 0.02,
@@ -483,6 +502,10 @@ _OVERFLOWING_VELOCITIES = ("overflowing_explicit_velocities",
                            "time_scale_overflows_velocities",
                            "boost_overflows_velocities",
                            "time_scale_overflows_to_inf")
+
+# scale-check --mu values that the time scaling refuses; the config's
+# velocities have zero components, which an infinite mu would make NaN
+_BAD_MU = {"scale_check_inf_mu": "inf", "scale_check_overflowing_mu": "1e400"}
 
 _BAD_USAGE = {
     "no_command": [],
@@ -591,10 +614,16 @@ def _assert_one_json_object(capsys) -> None:
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
 @pytest.mark.parametrize(
-    "case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE) + sorted(_BAD_FIELDS))
+    "case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE) + sorted(_BAD_FIELDS)
+    + sorted(_BAD_MU))
 def test_cli_invalid_input_is_one_json_object(case, tmp_path, capsys):
     if case in _BAD_USAGE:
         argv = _BAD_USAGE[case]
+    elif case in _BAD_MU:
+        cfg = _write(tmp_path / "cfg.json", {"scenario": {
+            "generator": "explicit", "n": 2, "a": 0.01,
+            "positions": [[0, 0], [1, 0]], "velocities": [[1, 0], [-1, 0]]}})
+        argv = ["scale-check", "--config", cfg, "--mu", _BAD_MU[case]]
     elif case in _BAD_SIMULATE:
         argv = _argv("simulate", _BAD_SIMULATE[case], tmp_path)
     else:
