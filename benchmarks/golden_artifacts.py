@@ -10,6 +10,14 @@ refactor changed:
 
     PYTHONPATH=src python3 benchmarks/golden_artifacts.py > golden.json
 
+tests/golden_digests.json is the map of the committed sources, and
+tests/test_benchmark_scripts.py checks its fast scenes in tier-1.  A
+change that alters artifacts on purpose writes the new map there,
+
+    KINKBOUND_THREADS=1 PYTHONPATH=src python3 benchmarks/golden_artifacts.py > tests/golden_digests.json
+
+and names the digests that changed.
+
 The set:
 
 * 24 Maxwell gases, a=0.01, t_max=1: n=2 at covering fraction 0.3 and
@@ -31,8 +39,10 @@ The set:
 
 Sweeps run in worker processes; KINKBOUND_THREADS caps their number.
 
-Digests depend on the floating-point library build (BLAS, libm), so compare
-maps made on the same machine.
+Every dot product and norm on the artifact path adds its components in
+index order (kinkbound/kernel.py), so the BLAS build does not enter the
+digests; libm still can, where the scenario generators call it (the tail
+of the Maxwell draws, the cube roots of box sides).
 """
 
 from __future__ import annotations

@@ -1,24 +1,17 @@
 """The contact-time kernel: one numpy pass over a block of particle pairs.
 
 Each pair's time is computed from the two stored states alone, with the
-reductions accumulated component by component in a fixed order (never a
-pairwise or BLAS sum), so the result is the same bit pattern whichever of
-the two is the row, and whichever block the pair is scanned in.
-
-The components are stacked on a leading axis, so that each step is one
-numpy call over all of them, whatever n is (a loop over the components
-makes about 12 calls per component).  The dot products are np.add.reduce
-over that axis.  A reduction over the leading axis of a C-ordered array
-adds whole slices, x[0] + x[1], then + x[2] and so on: the additions of
-the loop, in its order.  numpy sums pairwise only along the innermost
-axis, which the reduced axis becomes when a slice holds a single value, a
-block of one pair; from n = 8 on that order differs, so _sum adds such a
-block slice by slice itself.
+reductions those of kernel.component_sum, so the result is the same bit
+pattern whichever of the two is the row, and whichever block the pair is
+scanned in.  The components are stacked on a leading axis, so that each
+step is one numpy call over all of them, whatever n is.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .kernel import component_sum
 
 
 def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
@@ -73,8 +66,8 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
         ref = np.maximum(ti, tj)
         dy = (pi + (ref - ti) * vi) - (pj + (ref - tj) * vj)
     dv = vi - vj
-    b, A = _sum(dy * dv), _sum(dv * dv)
-    c = _sum(dy * dy) - four_a2
+    b, A = component_sum(dy * dv), component_sum(dv * dv)
+    c = component_sum(dy * dy) - four_a2
     if gap is not None:
         gap[...] = c
     approach = b < 0.0
@@ -87,7 +80,7 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
         # elsewhere, so every other pair keeps its bits
         shift = np.where(slow, -np.frexp(np.abs(dv).max(axis=0))[1], 0)
         dv = np.ldexp(dv, shift)
-        b, A = _sum(dy * dv), _sum(dv * dv)
+        b, A = component_sum(dy * dv), component_sum(dv * dv)
     if four_a2 == 0.0:
         # point particles on the line: approaching points always meet, and
         # the quadratic is a perfect square (disc == 0 up to roundoff)
@@ -105,12 +98,3 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
             s = np.ldexp(s, shift)
     out[...] = np.where(ok & (s >= 0.0), ref + s, np.inf)
 
-
-def _sum(x):
-    """x[0] + x[1] + ... over the leading (component) axis, in that order."""
-    if 1 < len(x) < x.size:
-        return np.add.reduce(x, axis=0)
-    total = x[0]  # one component, or one pair: numpy would sum it pairwise
-    for k in range(1, len(x)):
-        total = total + x[k]
-    return total

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import read_list, read_number, read_object
+from .kernel import dots, norms
 
 __all__ = [
     "AngularMeasure",
@@ -100,7 +101,7 @@ def check_balance(mu: AngularMeasure) -> np.ndarray:
 
 
 def is_balanced(mu: AngularMeasure) -> bool:
-    return float(np.linalg.norm(check_balance(mu))) <= 1e-12 * mu.total
+    return float(norms(check_balance(mu))) <= 1e-12 * mu.total
 
 
 def dm_closed_formula(mu: AngularMeasure) -> float:
@@ -161,7 +162,7 @@ def support_function(P: ConvexPolygon, phi: float) -> float:
     each edge-normal angle (discrete h + h'' = mu).
     """
     e = np.array([np.cos(phi), np.sin(phi)])
-    return float(np.max(P.vertices @ e))
+    return float(np.max(dots(P.vertices, e)))
 
 
 def dm_triple(V, W, Z) -> float:
@@ -172,10 +173,10 @@ def dm_triple(V, W, Z) -> float:
     Z = np.asarray(Z, dtype=np.float64)
     if V.shape != (2,) or W.shape != (2,) or Z.shape != (2,):
         raise ValueError("dm_triple takes three 2-D vectors")
-    scale = max(np.linalg.norm(V), np.linalg.norm(W), np.linalg.norm(Z))
+    scale = float(norms(np.stack((V, W, Z))).max())
     if scale == 0.0:
         raise ValueError("zero vectors")
-    if np.linalg.norm(V + W + Z) > 1e-12 * scale:
+    if norms(V + W + Z) > 1e-12 * scale:
         raise ValueError(f"triple is unbalanced: V+W+Z = {V + W + Z}")
     return 0.25 * abs(float(V[0] * W[1] - V[1] * W[0]))
 
@@ -231,9 +232,8 @@ def dm_kink(V, V2, b: float, n: int | None = None,
     kappa = 1/4 under convention="paper" (the three-line normalization),
     kappa = 1/2 under convention="area" (the enclosed-area oracle).
     """
-    # contiguous: BLAS adds a strided vector in another order
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    V2 = np.ascontiguousarray(V2, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    V2 = np.asarray(V2, dtype=np.float64)
     if V.shape != V2.shape or V.ndim != 1 or V.size < 3:
         raise ValueError("V and V2 must be equal-length vectors in R^(1+n), n >= 2")
     if n is None:
@@ -250,17 +250,19 @@ def dm_kink(V, V2, b: float, n: int | None = None,
         kappa = 0.5
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    # one pass over the two vectors, with the bits of kernel.wedge_norms and
-    # np.linalg.norm: the 2x2 minors squared and added in (a, b) order, and
-    # each norm the root of a BLAS dot
+    # one pass over the two vectors in Python floats, with the bits of
+    # kernel.wedge_norms and kernel.norms: the 2x2 minors squared and added
+    # in (a, b) order, and the squares of each vector in index order
     x, y = V.tolist(), V2.tolist()
-    total = 0.0
+    total = xx = yy = 0.0
     for a in range(n + 1):
+        xx += x[a] * x[a]
+        yy += y[a] * y[a]
         for c in range(a + 1, n + 1):
             minor = x[a] * y[c] - x[c] * y[a]
             total += minor * minor
     wedge = math.sqrt(total)
-    scale = math.sqrt(V.dot(V)) * math.sqrt(V2.dot(V2))
+    scale = math.sqrt(xx) * math.sqrt(yy)
     if wedge <= 1e-14 * scale:
         raise ValueError("V and V2 are parallel: degenerate kink")
     return (kappa * wedge) ** (1.0 / n) * b ** ((n - 1.0) / n)

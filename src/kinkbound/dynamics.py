@@ -30,6 +30,7 @@ from . import _jsonio
 from ._columns import Rows
 from ._jsonio import read_array, read_int, read_list, read_number, read_object
 from ._pykern import contact_times_scan
+from .kernel import component_sum, dots, norms, squared_norms
 
 __all__ = [
     "ConfigurationError",
@@ -211,8 +212,8 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
     ledger sums the energy).  Overlap means center distance <= 2a: spheres
     must be strictly apart (and points distinct when a == 0).  The overlap
     report names the first row i with any overlap and its nearest later
-    row j, at the distance np.linalg.norm gives; the search takes blocks of
-    rows against all later rows, at most _BLOCK pairs a block.
+    row j, at their distance (the bits of kernel.norms); the search takes
+    blocks of rows against all later rows, at most _BLOCK pairs a block.
     """
     def bad(reason, **detail):
         return ValidationReport(False, reason, detail)
@@ -243,33 +244,27 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
         return bad("dimension_mismatch", n=config.n, position=pos.shape,
                    velocity=vel.shape)
     with np.errstate(over="ignore"):
-        finite = (np.isfinite(np.sum((2.0 * pos) ** 2, axis=1))
-                  & np.isfinite(np.cumsum(np.sum((2.0 * vel) ** 2, axis=1))))
+        finite = (np.isfinite(squared_norms(2.0 * pos))
+                  & np.isfinite(np.cumsum(squared_norms(2.0 * vel))))
     if not finite.all():
         return bad("non_finite", id=int(ids[np.argmin(finite)]))
-    # blocks of rows i against every later row j > i (sq[q, c] is row
-    # i0 + q against j = i0 + 1 + c; c < q is masked off) find the rows
-    # that may overlap, from squared distances summed column by column;
-    # np.linalg.norm adds the same squares in another order, within n ulps,
-    # so a 1e-9 margin misses no overlap.  Each such row, in order, is
-    # then checked with np.linalg.norm's distances.
+    # blocks of rows i against every later row j > i (d[q, c] is row
+    # i0 + q against j = i0 + 1 + c; c < q is masked off), the differences
+    # component-major, the layout component_sum reduces in one call
     N, contact = len(states), 2.0 * config.a
-    reach = contact * (1.0 + 1e-9)
-    reach *= reach  # +inf, not OverflowError, past the float range
+    cols = pos.T.copy()
     rows = max(1, _BLOCK // N)
     for i0 in range(0, N - 1, rows):
         r = min(rows, N - 1 - i0)
-        sq = np.zeros((r, N - 1 - i0))
-        for col in pos.T:
-            diff = col[i0 + 1:] - col[i0:i0 + r, None]
-            sq += diff * diff
-        sq[np.tri(r, N - 1 - i0, -1, dtype=bool)] = np.inf
-        for i in (i0 + np.flatnonzero((sq <= reach).any(axis=1))).tolist():
-            d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
-            k = int(np.argmin(d))
-            if d[k] <= contact:
-                return bad("overlap", pair=(int(ids[i]), int(ids[i + 1 + k])),
-                           distance=float(d[k]), contact=contact)
+        diff = cols[:, None, i0 + 1:] - cols[:, i0:i0 + r, None]
+        d = np.sqrt(component_sum(diff * diff))
+        d[np.tri(r, N - 1 - i0, -1, dtype=bool)] = np.inf
+        hit = (d <= contact).any(axis=1)
+        if hit.any():
+            q = int(np.argmax(hit))
+            c = int(np.argmin(d[q]))
+            return bad("overlap", pair=(int(ids[i0 + q]), int(ids[i0 + 1 + c])),
+                       distance=float(d[q, c]), contact=contact)
     return ValidationReport(True)
 
 
@@ -429,10 +424,8 @@ class _Engine:
         state.  _close logs the times and pairs.
 
         Each pair gets the bits it would get alone: every step is
-        elementwise or a reduction within one pair's row, and the row
-        reductions are those of a single pair (np.vecdot of contiguous
-        rows is np.dot of each, and the root of that is np.linalg.norm).
-        The two guards are taken for every pair; the run raises for the
+        elementwise or a reduction within one pair's row.  The two guards
+        are taken for every pair; the run raises for the
         first pair in pop order that fails one, for the first check it
         fails (the pairs before a contact-distance failure are made, as
         when they are made one by one, and may fail separation).
@@ -445,35 +438,36 @@ class _Engine:
         y, v, v_post = slot[0], slot[1], slot[2]
         self.state.take(rows, axis=2, out=slot[:2].transpose(0, 2, 1), mode="clip")
         y += (t - self.tupd.take(rows))[:, None] * v  # pos + (t - tupd) * v
-        dy = y[1::2] - y[::2]
-        dist = np.sqrt(np.vecdot(dy, dy))
+        d = slot[:2, 1::2] - slot[:2, ::2]  # yj - yi and vj - vi of each pair
+        dy = d[0]
+        dist = np.sqrt(dots(dy, dy))
         a = self.config.a
         tol = self.config.overlap_tol * max(a, 1.0)
-        for p, d in enumerate(dist.tolist()):
-            if abs(d - 2.0 * a) > tol:
+        for p, r in enumerate(dist.tolist()):
+            if abs(r - 2.0 * a) > tol:
                 if p:
                     self._collide(t, rows[:2 * p])
                 i, j = rows[2 * p:2 * p + 2].tolist()
                 raise SimulationBug(
-                    f"contact distance {d!r} vs 2a={2 * a!r} at t={t!r} "
+                    f"contact distance {r!r} vs 2a={2 * a!r} at t={t!r} "
                     f"for pair ({i}, {j})"
                 )
         if a > 0.0:
             u = dy / dist[:, None]
-            impulse = np.vecdot(v[1::2] - v[::2], u)[:, None] * u
+            impulse = dots(d[1], u)[:, None] * u
             np.add(v[::2], impulse, out=v_post[::2])
             np.subtract(v[1::2], impulse, out=v_post[1::2])
         else:
             # point particles on the line swap velocities exactly; the
             # normal is the approach direction (centers coincide at contact)
-            u = np.where(v[::2] > v[1::2], 1.0, -1.0)
+            u = np.where(d[1] < 0.0, 1.0, -1.0)
             v_post[::2] = v[1::2]
             v_post[1::2] = v[::2]
-        for p, sep in enumerate(np.vecdot(v_post[1::2] - v_post[::2], u).tolist()):
+        for p, sep in enumerate(dots(v_post[1::2] - v_post[::2], u).tolist()):
             if sep <= 0.0:
                 i, j = rows[2 * p:2 * p + 2].tolist()
                 raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
-        self.state[:, :, rows] = slot[::2].transpose(0, 2, 1)
+        self.state[..., rows] = slot[::2].transpose(0, 2, 1)
         self.tupd[rows] = t
         self.count = c + (m >> 1)
 
@@ -496,14 +490,12 @@ class _Engine:
         their speeds before t, read off the record.  Positions at t have
         the same bits either way (_collide and the kernel move a particle
         to t alike), so the run raises for the same pair, naming the same
-        third bodies.  A speed is np.linalg.norm of a contiguous row of
-        velocities, as a collision of the particle alone would take it.
+        third bodies.
         """
-        now = np.linalg.norm(np.ascontiguousarray(self.vel), axis=1)
+        now = norms(self.vel)
         made = self.recorded[1, 2 * self.count - len(rows):2 * self.count]
         s = now.copy()
-        later = rows[r0 + 2:]
-        s[later] = np.linalg.norm(made[r0 + 2:], axis=1)
+        s[rows[r0 + 2:]] = norms(made[r0 + 2:])
         for r in range(0, len(gap), 2):
             i, j = rows[r0 + r], rows[r0 + r + 1]
             s[[i, j]] = now[[i, j]]  # collided: its speeds after t

@@ -22,6 +22,7 @@ from . import _jsonio
 from ._jsonio import read_array, read_int, read_number, read_object
 from .dynamics import (EventLog, SimConfig, StateBlock, run_simulation,
                        write_events_jsonl)
+from .kernel import norms
 from .ledger import (bound_report, build_ledger, build_report, bulk_invariants,
                      write_ledger_csv)
 from .tensor import audit_tensor, build_tensor
@@ -114,12 +115,10 @@ def _velocity_draw(gen, dist: dict, N: int, n: int) -> np.ndarray:
 
 def _apart(P: np.ndarray, Q: np.ndarray, min_dist: float) -> np.ndarray:
     """(len(P), len(Q)) mask, True where P[p] and Q[q] are more than
-    min_dist apart.  Each distance is np.linalg.norm of one row of a
-    (len(P) * len(Q), n) array, the bits a test of one candidate against
-    an (i, n) array gets; one that overflows is infinite, far enough."""
+    min_dist apart (kernel.norms); one that overflows is infinite, far
+    enough."""
     with np.errstate(over="ignore"):
-        d = np.linalg.norm((P[:, None] - Q).reshape(-1, P.shape[1]), axis=1)
-    return (d > min_dist).reshape(len(P), len(Q))
+        return norms(P[:, None] - Q) > min_dist
 
 
 def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,

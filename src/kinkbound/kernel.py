@@ -2,30 +2,55 @@
 
 Velocities live in R^n.  A "lifted" velocity is the spacetime tangent
 (1, v) in R^(1+n); index 0 is always the time component.
+
+Every dot product, norm and sum of squares in the package adds its
+components in index order, x0*y0 + x1*y1 + ..., through component_sum.
+Each + and * is correctly rounded (IEEE 754), so the bits depend on the
+data alone: not on the CPU, whose model picks the BLAS kernel behind
+numpy's dot products and norms, nor on numpy's pairwise summation.  In
+n = 2, x0*y0 + x1*y1 is symmetric under a swap of the two axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["squared_norms", "norms", "wedge_norms", "spacetime_wedges",
-           "running_sum"]
+__all__ = ["component_sum", "dots", "squared_norms", "norms", "wedge_norms",
+           "spacetime_wedges", "running_sum"]
+
+
+def component_sum(x) -> np.ndarray:
+    """x[0] + x[1] + ... over the leading (component) axis, in that order.
+
+    np.add.reduce over the leading axis of C-ordered data with more than
+    one value a slice adds whole slices, x[0] + x[1], then + x[2] and so
+    on.  When a slice holds one value (a vector, a block of one pair), or
+    the data are laid out otherwise (the transposed rows of dots), numpy
+    would sum along the reduced axis pairwise from 8 values on, so the
+    slices are added one by one.
+    """
+    if 1 < len(x) < x.size and x.flags.c_contiguous:
+        return np.add.reduce(x, axis=0)
+    total = x[0]
+    for k in range(1, len(x)):
+        total = total + x[k]
+    return total
+
+
+def dots(X, Y) -> np.ndarray:
+    """Dot product of each row of X with the same row of Y (their last
+    axis, broadcast against each other)."""
+    # .T puts the last axis first, and after the sum turns the rest back
+    return component_sum(np.multiply(X, Y).T).T
 
 
 def squared_norms(X) -> np.ndarray:
-    """Squared Euclidean norm of each row of X (its last axis).
-
-    Each is the same float as np.dot of that row with itself, which
-    np.linalg.norm takes the root of: np.vecdot of a contiguous row calls
-    the same BLAS dot, whereas einsum or a sum of squares adds in another
-    order and differs in the last bit on some rows.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    return np.vecdot(X, X)
+    """Squared Euclidean norm of each row of X (its last axis)."""
+    return dots(X, X)
 
 
 def norms(X) -> np.ndarray:
-    """Euclidean norm of each row of X: np.linalg.norm of the row."""
+    """Euclidean norm of each row of X (its last axis)."""
     return np.sqrt(squared_norms(X))
 
 
@@ -44,12 +69,10 @@ def wedge_norms(U, U2) -> np.ndarray:
     if U.shape != U2.shape:
         raise ValueError(f"dimension mismatch: {U.shape} vs {U2.shape}")
     n = U.shape[-1]
-    total = np.zeros(U.shape[:-1])
-    for a in range(n):
-        for b in range(a + 1, n):
-            minor = U[..., a] * U2[..., b] - U[..., b] * U2[..., a]
-            total = total + minor * minor
-    return np.sqrt(total)
+    minors = [U[..., a] * U2[..., b] - U[..., b] * U2[..., a]
+              for a in range(n) for b in range(a + 1, n)]
+    # after a zero, the sum of no minors on the line
+    return np.sqrt(component_sum(np.square([np.zeros(U.shape[:-1])] + minors)))
 
 
 def spacetime_wedges(V, V2) -> np.ndarray:

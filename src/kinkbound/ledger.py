@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._columns import Columns
-from .kernel import norms, running_sum, spacetime_wedges, wedge_norms
+from .kernel import (norms, running_sum, spacetime_wedges, squared_norms,
+                     wedge_norms)
 
 __all__ = [
     "BulkInvariants",
@@ -112,7 +113,7 @@ def bulk_invariants(V: np.ndarray) -> BulkInvariants:
     Q = V.sum(axis=0)
     w = Q / M
     v_bar = float(np.sqrt(2.0 * E / M))
-    dev2 = v_bar * v_bar - float(np.dot(w, w))
+    dev2 = v_bar * v_bar - float(squared_norms(w))
     v_dev = float(np.sqrt(dev2 if dev2 > 0.0 else 0.0))
     return BulkInvariants(M=M, E=E, Q_total=Q, w=w, v_bar=v_bar, v_dev=v_dev)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._columns import Columns, Rows
-from .kernel import norms, running_sum, squared_norms
+from .kernel import dots, norms, running_sum, squared_norms
 from .ledger import bulk_invariants
 
 __all__ = [
@@ -357,27 +357,25 @@ def complement_basis(V, V2, n: int) -> np.ndarray:
     Coordinate axes are orthogonalized against Span(V, V2), then taken in
     decreasing residual-norm order (stable) and orthonormalized against
     each other until n-1 directions are found.  Gram-Schmidt runs for all
-    K kinks at once, in O(K (1+n)^2 n) work with no loop over kinks.  Every
-    dot product is np.vecdot of two rows, so a kink gets the bits that
-    np.dot gives row by row (resid @ u, a BLAS matrix-vector product, may
-    differ in the last bit).  The candidate axes go in np.argsort order
-    (stable) of their residual norms; each kink counts the directions it
-    has found, orthogonalizes a candidate against those only, skips it
-    when its norm is <= 1e-10 and takes no more once it has n-1, as a loop
-    over one kink's candidates does.  The first failing kink in row order
-    names the error.
+    K kinks at once, in O(K (1+n)^2 n) work with no loop over kinks, and
+    every kink gets the bits of a loop over its own rows.  The candidate
+    axes go in np.argsort order (stable) of their residual norms; each
+    kink counts the directions it has found, orthogonalizes a candidate
+    against those only, skips it when its norm is <= 1e-10 and takes no
+    more once it has n-1, as a loop over one kink's candidates does.  The
+    first failing kink in row order names the error.
     """
     V = np.asarray(V, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
     K, d = len(V), 1 + n
     u1 = V / norms(V)[:, None]
-    r = V2 - np.vecdot(V2, u1)[:, None] * u1
+    r = V2 - dots(V2, u1)[:, None] * u1
     nr = norms(r)
     parallel = nr <= 1e-14 * norms(V2)
     u2 = np.divide(r, nr[:, None], out=np.zeros_like(r), where=~parallel[:, None])
     resid = np.broadcast_to(np.eye(d), (K, d, d)).copy()
     for u in (u1[:, None], u2[:, None]):
-        resid -= np.vecdot(resid, u)[..., None] * u
+        resid -= dots(resid, u)[..., None] * u
     order = np.argsort(-norms(resid), axis=1, kind="stable")
     basis = np.zeros((K, n - 1, d))
     found = np.zeros(K, dtype=np.int64)
@@ -389,7 +387,7 @@ def complement_basis(V, V2, n: int) -> np.ndarray:
         w = resid[rows, order[:, slot]]
         for j in range(n - 1):
             z = basis[:, j]
-            np.subtract(w, np.vecdot(w, z)[:, None] * z, out=w,
+            np.subtract(w, dots(w, z)[:, None] * z, out=w,
                         where=(found > j)[:, None])
         nw = norms(w)
         take = wanting & (nw > 1e-10)
@@ -407,9 +405,8 @@ def _distances(x: np.ndarray, A: np.ndarray, D: np.ndarray,
                L2: np.ndarray) -> np.ndarray:
     """Distance from each row of x to the segment A + [0, 1] D in the same
     row (L2 its squared length), as the scalar point-to-segment distance
-    (clamped projection) gives it: the same operations, and dot products of
-    contiguous rows through np.vecdot (see kernel.norms)."""
-    s = np.clip(np.divide(np.vecdot(x - A, D), L2, out=np.zeros(len(L2)),
+    (clamped projection) gives it, with the same operations."""
+    s = np.clip(np.divide(dots(x - A, D), L2, out=np.zeros(len(L2)),
                           where=L2 > 0.0), 0.0, 1.0)
     return norms(x - (A + s[:, None] * D))
 
@@ -551,9 +548,8 @@ def audit_tensor(T: GraphTensor) -> dict:
     running sum (np.cumsum), all slices from one selection of the
     trajectory edges, through _slice (slice_trace without its crossings).
     """
-    # max |m| / weight_scale over interior vertices with weight; each norm
-    # is np.linalg.norm's (kernel.norms), and NaN ratios are skipped as
-    # max(worst, ratio) in a loop from 0.0 skips them
+    # max |m| / weight_scale over interior vertices with weight; NaN
+    # ratios are skipped as max(worst, ratio) in a loop from 0.0 skips them
     V = vertex_balances(T)
     rows = (V.category == "interior") & (V.weight_scale > 0)
     worst = float(np.fmax.reduce(norms(V.m[rows]) / V.weight_scale[rows],

@@ -7,6 +7,10 @@ linear system, the kink mass from an explicit product-body construction,
 and the tensor audits from plain per-edge and per-vertex loops.  Agreement
 between these and the package is the point of the tests that import them.
 
+Norms and dot products add their products in index order, the package's
+reduction rule, through inorder_dot, written out here without the
+package's code.
+
 The exceptions are bitwise oracles: HeapEngine, the engine's earlier
 all-pairs scheduler, for the event calendar that replaced it;
 overlap_report, the per-particle overlap check, for validate_configuration's
@@ -50,6 +54,21 @@ HodographSummary = namedtuple("HodographSummary",
                               "particle ell area v0 v_plus scatter")
 VertexBalance = namedtuple("VertexBalance",
                            "x m weight_scale degree category")
+
+
+def inorder_dot(x, y):
+    """Dot product of x and y over their last axis, the products added
+    x0*y0 + x1*y1 + ... in that order."""
+    prod = np.multiply(x, y, dtype=np.float64)
+    total = prod[..., 0]
+    for k in range(1, prod.shape[-1]):
+        total = total + prod[..., k]
+    return total
+
+
+def inorder_norm(x):
+    """Euclidean norm over the last axis, from inorder_dot."""
+    return np.sqrt(inorder_dot(x, x))
 
 
 def lift(v):
@@ -224,8 +243,8 @@ class HeapEngine:
         N = config.N
         self.N = N
         self.ids = np.array([s.id for s in states], dtype=np.int64)
-        self.pos = np.ascontiguousarray([s.position for s in states], dtype=np.float64)
-        self.vel = np.ascontiguousarray([s.velocity for s in states], dtype=np.float64)
+        self.pos = np.array([s.position for s in states], dtype=np.float64)
+        self.vel = np.array([s.velocity for s in states], dtype=np.float64)
         self.tupd = np.zeros(N)
         self.cc = [0] * N
         self.four_a2 = 4.0 * config.a * config.a
@@ -252,11 +271,11 @@ class HeapEngine:
         if self.N <= 2:
             return
         P = self.pos + (t - self.tupd)[:, None] * self.vel
-        speeds = np.linalg.norm(self.vel, axis=1)
+        speeds = inorder_norm(self.vel)
         twoa = 2.0 * self.config.a
         tie = self.config.time_tie_tol
         for p in (i, j):
-            d = np.linalg.norm(P - P[p], axis=1)
+            d = inorder_norm(P - P[p])
             near = d <= twoa + tie * (speeds + speeds[p])
             near[i] = near[j] = False
             if near.any():
@@ -268,7 +287,7 @@ class HeapEngine:
         self._advance(i, t)
         self._advance(j, t)
         dy = self.pos[j] - self.pos[i]
-        dist = float(np.linalg.norm(dy))
+        dist = float(inorder_norm(dy))
         a = self.config.a
         if abs(dist - 2.0 * a) > self.config.overlap_tol * max(a, 1.0):
             raise SimulationBug(f"contact distance {dist!r} at t={t!r}")
@@ -276,14 +295,14 @@ class HeapEngine:
         vj = self.vel[j].copy()
         if a > 0.0:
             u = dy / dist
-            impulse = float(np.dot(vj - vi, u)) * u
+            impulse = float(inorder_dot(vj - vi, u)) * u
             vi_post = vi + impulse
             vj_post = vj - impulse
         else:
             u = np.array([1.0 if vi[0] > vj[0] else -1.0])
             vi_post = vj.copy()
             vj_post = vi.copy()
-        if float(np.dot(vj_post - vi_post, u)) <= 0.0:
+        if float(inorder_dot(vj_post - vi_post, u)) <= 0.0:
             raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
         self.vel[i] = vi_post
         self.vel[j] = vj_post
@@ -318,7 +337,7 @@ def overlap_report(states, config):
     first of equal distances)."""
     pos, ids = states.position, states.id
     for i in range(len(states) - 1):
-        d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
+        d = inorder_norm(pos[i + 1:] - pos[i])
         k = int(np.argmin(d))
         if d[k] <= 2.0 * config.a:
             return ValidationReport(False, "overlap", {
@@ -329,7 +348,7 @@ def overlap_report(states, config):
 
 def place_spheres(gen, N, n, box, a, cap):
     """gen_random_gas's placement one candidate at a time: each attempt
-    draws gen.random(n) * box and keeps it when np.linalg.norm puts it more
+    draws gen.random(n) * box and keeps it when inorder_norm puts it more
     than 2a (1 + 1e-9) from every sphere placed so far.  Returns the (N, n)
     centers, or raises PackingError naming the sphere that attempt cap + 1
     was for."""
@@ -346,7 +365,7 @@ def place_spheres(gen, N, n, box, a, cap):
             cand = gen.random(n) * box
             with np.errstate(over="ignore"):
                 apart = i == 0 or np.all(
-                    np.linalg.norm(placed[:i] - cand, axis=1) > min_dist)
+                    inorder_norm(placed[:i] - cand) > min_dist)
             if apart:
                 placed[i] = cand
                 break
@@ -394,9 +413,9 @@ class ReferenceEngine:
         """Time from now to each pair's contact (inf when none)."""
         dy = self.pos[self.jj] - self.pos[self.ii]
         dv = self.vel[self.jj] - self.vel[self.ii]
-        b = np.einsum("pk,pk->p", dy, dv)
-        A = np.einsum("pk,pk->p", dv, dv)
-        c = np.einsum("pk,pk->p", dy, dy) - 4.0 * self.a ** 2
+        b = inorder_dot(dy, dv)
+        A = inorder_dot(dv, dv)
+        c = inorder_dot(dy, dy) - 4.0 * self.a ** 2
         s = np.full(b.shape, np.inf)
         # a time beyond the float range is +inf: never
         with np.errstate(over="ignore"):
@@ -416,7 +435,7 @@ class ReferenceEngine:
                     # exact power of two, and scale the time back
                     shift = -math.frexp(float(np.abs(dv[p]).max()))[1]
                     dvp = np.ldexp(dv[p], shift)
-                    bp, Ap = float(dy[p] @ dvp), float(dvp @ dvp)
+                    bp, Ap = float(inorder_dot(dy[p], dvp)), float(inorder_dot(dvp, dvp))
                 disc = bp ** 2 - Ap * c[p]
                 if disc >= self.grazing_tol * (bp ** 2 + Ap * abs(c[p])):
                     # the smaller root, in the form that survives A
@@ -453,15 +472,15 @@ class ReferenceEngine:
             self.vel[[i, j]] = self.vel[[j, i]]
             return
         u = self.pos[j] - self.pos[i]
-        u /= np.linalg.norm(u)
-        impulse = np.dot(self.vel[j] - self.vel[i], u) * u
+        u /= inorder_norm(u)
+        impulse = inorder_dot(self.vel[j] - self.vel[i], u) * u
         self.vel[i] += impulse
         self.vel[j] -= impulse
 
     def _check_third_bodies(self, i, j):
-        speed = np.linalg.norm(self.vel, axis=1)
+        speed = inorder_norm(self.vel)
         for p in (i, j):
-            d = np.linalg.norm(self.pos - self.pos[p], axis=1)
+            d = inorder_norm(self.pos - self.pos[p])
             near = d <= 2.0 * self.a + self.tie * (speed + speed[p])
             near[[i, j]] = False
             if near.any():
@@ -711,12 +730,12 @@ def slice_trace(T, t):
 
 def _point_segment_distance(p, a, b):
     d = b - a
-    L2 = float(np.dot(d, d))
+    L2 = float(inorder_dot(d, d))
     if L2 == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float(np.dot(p - a, d)) / L2
+        return float(inorder_norm(p - a))
+    s = float(inorder_dot(p - a, d)) / L2
     s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(p - (a + s * d)))
+    return float(inorder_norm(p - (a + s * d)))
 
 
 def default_eps(T, sites):
@@ -729,7 +748,7 @@ def default_eps(T, sites):
         x = s.vertex
         best = min(x[0] - t_lo, t_hi - x[0])
         for other in verts:
-            dd = float(np.linalg.norm(other - x))
+            dd = float(inorder_norm(other - x))
             if dd > 0.0:
                 best = min(best, dd)
         for e in edges:
@@ -748,7 +767,7 @@ def audit_tensor(T, n_slices=10):
     worst = 0.0
     for vb in vertex_balances(T):
         if vb.category == "interior" and vb.weight_scale > 0:
-            worst = max(worst, float(np.linalg.norm(vb.m)) / vb.weight_scale)
+            worst = max(worst, float(inorder_norm(vb.m)) / vb.weight_scale)
     t_lo, t_hi = T.window
     kink_times = sorted({float(k.vertex[0]) for k in T.kinks})
     bounds = [t_lo] + kink_times + [t_hi]
@@ -832,7 +851,7 @@ def wedge_norm(u, u2):
 def spacetime_wedge(v, v2):
     d = np.asarray(v2, dtype=np.float64) - np.asarray(v, dtype=np.float64)
     w = wedge_norm(v, v2)
-    return float(np.sqrt(np.dot(d, d) + w * w))
+    return float(np.sqrt(inorder_dot(d, d) + w * w))
 
 
 def build_ledger(log):
@@ -843,7 +862,7 @@ def build_ledger(log):
                                     (ev.j, ev.i, ev.vj, ev.vj_post)):
             records.append(KinkRecord(
                 time=ev.t, particle=pid, partner=partner, v=v, v_post=vp,
-                dv_norm=float(np.linalg.norm(vp - v)),
+                dv_norm=float(inorder_norm(vp - v)),
                 wedge=wedge_norm(v, vp), st_wedge=spacetime_wedge(v, vp)))
     return records
 
@@ -879,13 +898,13 @@ def hodograph_summaries(log):
     area = {s.id: 0.0 for s in log.initial}
     for ev in log.events:
         for pid, v, vp in ((ev.i, ev.vi, ev.vi_post), (ev.j, ev.vj, ev.vj_post)):
-            ell[pid] += float(np.linalg.norm(vp - v))
+            ell[pid] += float(inorder_norm(vp - v))
             area[pid] += 0.5 * wedge_norm(v - w, vp - w)
             vel[pid] = vp
     return [HodographSummary(
         particle=s.id, ell=ell[s.id], area=area[s.id], v0=s.velocity,
         v_plus=vel[s.id],
-        scatter=float(np.linalg.norm(vel[s.id] - s.velocity)))
+        scatter=float(inorder_norm(vel[s.id] - s.velocity)))
         for s in log.initial]
 
 
@@ -947,7 +966,7 @@ def build_tensor(log, window):
             x0 = np.concatenate(([lo], yk + (lo - tk) * vk))
             x1 = np.concatenate(([hi], yk + (hi - tk) * vk))
             V = np.concatenate(([1.0], vk))
-            w = float(np.linalg.norm(V))
+            w = float(inorder_norm(V))
             start = vertex(kink(ek, s.id) if lo == ts else ("lo", s.id))
             end = vertex(kink(chain[k + 1][3], s.id) if hi == te else ("hi", s.id))
             edges.append(TensorEdge(x0, x1, w, "trajectory", start, end, V / w))
@@ -955,13 +974,13 @@ def build_tensor(log, window):
     for e, ev in enumerate(log.events):
         if not t_lo < ev.t < t_hi:
             continue
-        dv = float(np.linalg.norm(ev.vi_post - ev.vi))
+        dv = float(inorder_norm(ev.vi_post - ev.vi))
         ki, kj = vertex(kink(e, ev.i)), vertex(kink(e, ev.j))
         if a > 0.0:
             u = np.concatenate(([0.0], ev.yj - ev.yi))
             edges.append(TensorEdge(
                 np.concatenate(([ev.t], ev.yi)), np.concatenate(([ev.t], ev.yj)),
-                dv, "colliton", ki, kj, u / np.linalg.norm(u)))
+                dv, "colliton", ki, kj, u / inorder_norm(u)))
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
     inv = bulk_invariants(log.initial.velocity)
@@ -973,29 +992,29 @@ def build_tensor(log, window):
 
 def complement_basis(V, V2, n, skipped=None):
     """Orthonormal basis of Span(V, V2)^perp, one row and one kink at a
-    time: np.linalg.norm for each norm, np.dot of one row with one vector
+    time: inorder_norm for each norm, inorder_dot of one row with one vector
     for each dot product, candidate axes in stable order of decreasing
     residual norm, a candidate of norm <= 1e-10 skipped (its place in that
     order appended to the list skipped, when one is given)."""
     V = np.asarray(V, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
-    u1 = V / np.linalg.norm(V)
-    r = V2 - np.dot(V2, u1) * u1
-    nr = np.linalg.norm(r)
-    if nr <= 1e-14 * np.linalg.norm(V2):
+    u1 = V / inorder_norm(V)
+    r = V2 - inorder_dot(V2, u1) * u1
+    nr = inorder_norm(r)
+    if nr <= 1e-14 * inorder_norm(V2):
         raise ValueError("V and V2 are parallel: no 2-plane to complement")
     u2 = r / nr
     resid = np.eye(1 + n)
     for u in (u1, u2):
         for i in range(1 + n):
-            resid[i] = resid[i] - np.dot(resid[i], u) * u
-    order = np.argsort([-np.linalg.norm(row) for row in resid], kind="stable")
+            resid[i] = resid[i] - inorder_dot(resid[i], u) * u
+    order = np.argsort([-inorder_norm(row) for row in resid], kind="stable")
     basis = []
     for place, idx in enumerate(order):
         w = resid[idx].copy()
         for z in basis:
-            w = w - np.dot(w, z) * z
-        nw = np.linalg.norm(w)
+            w = w - inorder_dot(w, z) * z
+        nw = inorder_norm(w)
         if nw > 1e-10:
             basis.append(w / nw)
         elif skipped is not None:

@@ -1,13 +1,17 @@
 """Smoke runs of the benchmark scripts on tiny inputs: augment_scaling.py's
 measurement of one tensor, engine_costs.py's of one scene, and
-golden_artifacts.py's digests of one scenario and one sweep."""
+golden_artifacts.py's digests of one scenario and one sweep; and the
+committed golden map, golden_digests.json, against the digests of the
+map's fast scenes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from kinkbound import dynamics, harness, tensor
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+GOLDEN = Path(__file__).resolve().with_name("golden_digests.json")
 
 
 def _load(name):
@@ -65,3 +69,34 @@ def test_golden_digests_of_a_line_and_a_one_size_sweep(tmp_path, monkeypatch):
         [f"line1d_p5/{a}" for a in script.ARTIFACTS] + ["sweep_line1d/ratios.csv"])
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in maps[0].values())
     assert maps[0] == maps[1]
+
+
+# the scenes of golden_artifacts.py that run in about a second together
+FAST_SCENES = (
+    [f"line1d_p{p}" for p in (1, 5, 50)]
+    + [f"rows{n}d_p20" for n in (2, 3)]
+    + ["explicit3d_no_events", "explicit2d_one_event"]
+    + [f"gas{n}d_N64_s{seed}" for n in (2, 3) for seed in range(4)]
+    + ["gas2d_N64_s0_boost_time_scale", "gas2d_N64_s1_uniform"])
+
+
+def test_fast_scenes_reproduce_the_committed_golden_map(tmp_path, monkeypatch):
+    """Every artifact of the fast scenes, and of the line_1d sweep, has the
+    digest committed in golden_digests.json, which
+    benchmarks/golden_artifacts.py printed for the whole set."""
+    monkeypatch.setenv("KINKBOUND_THREADS", "1")
+    script = _load("golden_artifacts")
+    committed = json.loads(GOLDEN.read_text())
+    assert sorted(committed) == sorted(
+        [f"{name}/{a}" for name in script.scenarios() for a in script.ARTIFACTS]
+        + [f"{name}/ratios.csv" for name in script.sweeps()])
+    scenarios = script.scenarios()
+    digests = {}
+    for name in FAST_SCENES:
+        digests.update(script.digests("simulate", name, scenarios[name],
+                                      script.ARTIFACTS, tmp_path))
+    digests.update(script.digests("sweep", "sweep_line1d",
+                                  script.sweeps()["sweep_line1d"],
+                                  ("ratios.csv",), tmp_path))
+    assert len(digests) == 4 * len(FAST_SCENES) + 1
+    assert digests == {key: committed[key] for key in digests}

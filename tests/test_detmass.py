@@ -10,8 +10,8 @@ from kinkbound import detmass
 from kinkbound.detmass import AngularMeasure, ConvexPolygon
 from kinkbound.kernel import spacetime_wedges, wedge_norms
 
-from oracles import (kink_product_mass, lift, random_balanced_measure,
-                     support_jump)
+from oracles import (inorder_norm, kink_product_mass, lift,
+                     random_balanced_measure, support_jump)
 
 SQ3 = math.sqrt(3.0)
 
@@ -371,7 +371,7 @@ def test_dm_kink_matches_product_body_oracle():
 def test_dm_kink_bits_match_wedge_formula(n):
     """dm_kink's one pass over its two vectors gives the bits of
     (kappa |V ^ V2|)^(1/n) b^((n-1)/n) taken with kernel.wedge_norms and
-    np.linalg.norm, and rejects the same nearly parallel pairs; a strided
+    in-order norms, and rejects the same nearly parallel pairs; a strided
     vector gives what its contiguous copy gives."""
     rng = np.random.default_rng(300 + n)
     outcomes = set()
@@ -385,7 +385,7 @@ def test_dm_kink_bits_match_wedge_formula(n):
         b = float(rng.uniform(0.1, 10.0))
         conv, kappa = (("paper", 0.25), ("area", 0.5))[k % 3 % 2]
         wedge = float(wedge_norms(V, V2))
-        if wedge <= 1e-14 * float(np.linalg.norm(V) * np.linalg.norm(V2)):
+        if wedge <= 1e-14 * float(inorder_norm(V) * inorder_norm(V2)):
             outcomes.add("parallel")
             with pytest.raises(ValueError, match="parallel"):
                 detmass.dm_kink(V, V2, b, convention=conv)

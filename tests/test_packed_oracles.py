@@ -3,8 +3,9 @@ oracles.py.
 
 The engine and read_events_jsonl fill one EventBlock; serialization, the
 ledger, the report, the tensor construction and its augmentation are
-array passes over packed columns that keep every summation order and use
-norms that equal np.linalg.norm row by row.  Agreement is required bit for bit: artifacts as bytes, other
+array passes over packed columns that keep every summation order, with
+each norm and dot product added in index order, as oracles.inorder_dot
+adds it.  Agreement is required bit for bit: artifacts as bytes, other
 results field by field with tobytes() or ==.
 """
 
@@ -262,9 +263,8 @@ def test_row_norms_and_wedges_match_scalar_forms(n):
     Y = X + rng.normal(size=(4000, n)) * 1e-3  # nearly parallel rows too
     Y[::2] = rng.normal(size=(2000, n))
     norms = kernel.norms(X)
-    assert norms.tolist() == [float(np.linalg.norm(x)) for x in X]
-    # rows that are not contiguous are copied first: BLAS adds a strided
-    # vector in another order
+    assert norms.tolist() == [float(oracles.inorder_norm(x)) for x in X]
+    # rows that are not contiguous give the same bits
     assert kernel.norms(np.asfortranarray(X)).tobytes() == norms.tobytes()
     assert kernel.norms(np.stack((Y, X), axis=1)[:, 1]).tobytes() == norms.tobytes()
     assert kernel.wedge_norms(X, Y).tolist() == \
