@@ -91,7 +91,7 @@ def measure(name: str, T, repeats: int) -> dict:
         "kinks_per_block": max(1, tensor._BLOCK // M),
         "kept_pairs": round(kept_fraction(T), 4),
         "default_eps_s": best_of(repeats, lambda: tensor._default_eps(T, sites)),
-        "bases_s": best_of(repeats, lambda: tensor.complement_basis(V, V2, T.n)),
+        "bases_s": best_of(repeats, lambda: tensor.complement_basis(V, V2)),
         "build_augmented_s": best_of(repeats, lambda: tensor.build_augmented(T)),
     }
 

@@ -218,8 +218,7 @@ def dm_cross(d: int, c: float) -> float:
     return float(c) ** (d / (d - 1.0))
 
 
-def dm_kink(V, V2, b: float, n: int | None = None,
-            convention: str = "paper") -> float:
+def dm_kink(V, V2, b: float, convention: str = "paper") -> float:
     """Determinantal mass at an augmented kink vertex.
 
     V, V2 are the lifted pre/post velocities in R^(1+n); the vertex joins
@@ -236,12 +235,7 @@ def dm_kink(V, V2, b: float, n: int | None = None,
     V2 = np.asarray(V2, dtype=np.float64)
     if V.shape != V2.shape or V.ndim != 1 or V.size < 3:
         raise ValueError("V and V2 must be equal-length vectors in R^(1+n), n >= 2")
-    if n is None:
-        n = V.size - 1
-    elif n != V.size - 1:
-        raise ValueError(f"n={n} inconsistent with vectors in R^{V.size}")
-    if n < 2:
-        raise ValueError("kink mass needs n >= 2")
+    n = V.size - 1
     if not b > 0:
         raise ValueError("segment weight b must be positive")
     if convention == "paper":

@@ -29,8 +29,8 @@ import numpy as np
 from . import _jsonio
 from ._columns import Rows
 from ._jsonio import read_array, read_int, read_list, read_number, read_object
-from ._pykern import contact_times_scan
-from .kernel import component_sum, dots, norms, squared_norms
+from .kernel import (component_sum, contact_times_scan, dots, norms,
+                     squared_norms)
 
 __all__ = [
     "ConfigurationError",
@@ -53,6 +53,7 @@ __all__ = [
 EVENTS_FORMAT = "kinkbound-events-v1"
 _EVENT_ARRAYS = ("yi", "yj", "vi", "vj", "vi_post", "vj_post")
 _EVENT_FIELDS = ("t", "i", "j") + _EVENT_ARRAYS
+_EVENT_VELOCITIES = _EVENT_ARRAYS[2:]
 
 class ConfigurationError(ValueError):
     """Initial data violates the engine's preconditions."""
@@ -101,8 +102,18 @@ class SimConfig:
     overlap_tol: float = 1e-9
     time_tie_tol: float = 1e-12
 
-    def header_dict(self) -> dict:
-        return asdict(self)
+
+TOLERANCES = ("grazing_tol", "overlap_tol", "time_tie_tol")
+
+
+def read_run_fields(doc: dict, name: str, defaults: SimConfig | None = None) -> dict:
+    """t_max (a number or null) and the TOLERANCES of doc, as SimConfig
+    keyword arguments, named name.<field> in an error.  A field missing
+    from doc is taken from defaults; without them it raises KeyError."""
+    got = {k: doc[k] if defaults is None else doc.get(k, getattr(defaults, k))
+           for k in ("t_max",) + TOLERANCES}
+    return {k: None if k == "t_max" and v is None else read_number(v, f"{name}.{k}")
+            for k, v in got.items()}
 
 
 @dataclass
@@ -201,6 +212,13 @@ class ValidationReport:
 _BLOCK = 1 << 12  # pairs per pass of the overlap check and of a kernel call
 
 
+def _squares_fit(X) -> np.ndarray:
+    """Whether the squared norm of twice each row of X (its last axis) is
+    finite: the engine and the tensor square differences of two vectors."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(squared_norms(2.0 * X))
+
+
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
     """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap,
     and the engine tolerances (finite and >= 0; overlap_tol > 0, since a
@@ -231,10 +249,9 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
                    note="zero radius is only meaningful on the line")
     if config.t_max is not None and not config.t_max > 0:
         return bad("t_max", t_max=config.t_max)
-    for name in ("grazing_tol", "overlap_tol", "time_tie_tol"):
+    for name in TOLERANCES:
         tol = getattr(config, name)
-        above = tol > 0.0 if name == "overlap_tol" else tol >= 0.0
-        if not (above and tol < np.inf):
+        if not (0.0 <= tol < np.inf) or (tol == 0.0 and name == "overlap_tol"):
             return bad("tolerance", **{name: tol})
 
     ids, pos, vel = states.id, states.position, states.velocity
@@ -244,8 +261,7 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
         return bad("dimension_mismatch", n=config.n, position=pos.shape,
                    velocity=vel.shape)
     with np.errstate(over="ignore"):
-        finite = (np.isfinite(squared_norms(2.0 * pos))
-                  & np.isfinite(np.cumsum(squared_norms(2.0 * vel))))
+        finite = _squares_fit(pos) & np.isfinite(np.cumsum(squared_norms(2.0 * vel)))
     if not finite.all():
         return bad("non_finite", id=int(ids[np.argmin(finite)]))
     # blocks of rows i against every later row j > i (d[q, c] is row
@@ -605,7 +621,7 @@ def events_jsonl_bytes(log: EventLog) -> bytes:
     header = _jsonio.dumps({
         "kind": "header",
         "format": EVENTS_FORMAT,
-        "config": log.config.header_dict(),
+        "config": asdict(log.config),
         "provenance": log.provenance,
     })
     PV = np.concatenate((states.position, states.velocity), axis=1)
@@ -645,7 +661,8 @@ def _initial_state(value, name: str) -> tuple:
 
 def _check_event(doc, line: int, n: int, ids: set) -> None:
     """Raise ValueError naming the line unless the event line doc has a
-    finite t, particle ids i and j, and six vectors of n finite numbers."""
+    finite t, particle ids i and j, and six vectors of n finite numbers,
+    the doubled squares of the four velocities finite."""
     name = f"event log line {line}"
     if not isinstance(doc, dict) or not doc.keys() >= set(_EVENT_FIELDS):
         raise ValueError(f"{name} is not a collision event: {doc!r}")
@@ -655,9 +672,12 @@ def _check_event(doc, line: int, n: int, ids: set) -> None:
         raise ValueError(f"{name}: i={i!r}, j={j!r} are not particle ids "
                          "of the header")
     for key in _EVENT_ARRAYS:
-        if read_array(doc[key], f"{name} {key}").shape != (n,):
+        vector = read_array(doc[key], f"{name} {key}")
+        if vector.shape != (n,):
             raise ValueError(f"{name}: {key} must be {n} numbers, "
                              f"got {doc[key]!r}")
+        if key in _EVENT_VELOCITIES and not _squares_fit(vector):
+            raise ValueError(f"{name}: twice {key} squared overflows: {doc[key]!r}")
 
 
 def _decode_lines(body: list) -> list:
@@ -682,10 +702,12 @@ def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
     checks each line.
 
     The columns are converted without a dtype and tested once: numeric
-    and not bool, of the right shape, finite, ids among the header's.  A
+    and not bool, of the right shape, finite (velocities to their doubled
+    squares, see _squares_fit), ids among the header's.  A
     boolean mixed into numbers promotes to a number, so a line whose text
     holds "true" or "false" counts as failing too.  On any failure the
     lines are checked one by one, and the first bad one is reported.
+    Then the first line whose t is below the line before it is reported.
     """
     docs = _decode_lines(body)
     E = len(docs)
@@ -696,6 +718,7 @@ def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
             cols[key].shape == shape
             and cols[key].dtype.kind in ("i" if key in ("i", "j") else "if")
             and (key in ("i", "j") or np.isfinite(cols[key]).all())
+            and (key not in _EVENT_VELOCITIES or _squares_fit(cols[key]).all())
             for key, shape in shapes.items()))
         ok = ok and np.isin(cols["i"], ids).all() and np.isin(cols["j"], ids).all()
     except (TypeError, KeyError, ValueError, OverflowError):
@@ -709,8 +732,13 @@ def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
     def pair(a, b):
         return np.stack((cols[a], cols[b]), axis=1).astype(np.float64).reshape(E, 2, n)
 
-    return EventBlock(cols["t"].astype(np.float64).reshape(E),
-                      cols["i"].astype(np.int64).reshape(E),
+    t = cols["t"].astype(np.float64).reshape(E)
+    back = np.flatnonzero(t[1:] < t[:-1])
+    if len(back):  # event k + 1 is on line k + 3
+        k = back[0]
+        raise ValueError(f"event log line {k + 3}: t={t[k + 1]:.17g} is before "
+                         f"the t={t[k]:.17g} of the line before it")
+    return EventBlock(t, cols["i"].astype(np.int64).reshape(E),
                       cols["j"].astype(np.int64).reshape(E),
                       pair("yi", "yj"), pair("vi", "vj"), pair("vi_post", "vj_post"))
 
@@ -737,13 +765,9 @@ def read_events_jsonl(path) -> EventLog:
     if header.get("format") != EVENTS_FORMAT:
         raise ValueError(f"unknown event log format {header.get('format')!r}")
     cfg = read_object(header.get("config"), "config")
-    t_max = cfg["t_max"]
     config = SimConfig(
         n=read_int(cfg["n"], "config.n"), N=read_int(cfg["N"], "config.N"),
-        a=read_number(cfg["a"], "config.a"),
-        t_max=None if t_max is None else read_number(t_max, "config.t_max"),
-        **{k: read_number(cfg[k], f"config.{k}")
-           for k in ("grazing_tol", "overlap_tol", "time_tie_tol")})
+        a=read_number(cfg["a"], "config.a"), **read_run_fields(cfg, "config"))
     states = read_list(header.get("initial"), "initial", _initial_state)
     ids, y, v = zip(*states) if states else ((), (), ())
     try:  # an id beyond int64, or vectors of unequal lengths

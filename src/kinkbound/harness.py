@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import read_array, read_int, read_number, read_object
-from .dynamics import (EventLog, SimConfig, StateBlock, run_simulation,
-                       write_events_jsonl)
+from .dynamics import (EventLog, SimConfig, StateBlock, read_run_fields,
+                       run_simulation, write_events_jsonl)
 from .kernel import norms
 from .ledger import (bound_report, build_ledger, build_report, bulk_invariants,
                      write_ledger_csv)
@@ -257,18 +257,15 @@ def _fixed_fraction_box(n: int, N: int, a: float, fraction: float):
 
 
 def _box(sc: dict, n: int, N: int, a: float):
-    """Box sides of a random_gas scenario: box_policy, if given, wins over
-    box (default 1.0)."""
+    """Box sides of a random_gas scenario: a box_policy, if given, wins
+    over box (default 1.0); its one kind is fixed_fraction."""
     if "box_policy" not in sc:
         return read_array(sc.get("box", 1.0), "scenario.box")
     policy = read_object(sc["box_policy"], "scenario.box_policy")
-    kind = policy.get("kind")
-    if kind == "fixed_fraction":
-        fraction = read_number(policy["value"], "scenario.box_policy.value")
-        return _fixed_fraction_box(n, N, a, fraction)
-    if kind == "fixed_box":
-        return read_array(policy["sides"], "scenario.box_policy.sides")
-    raise ValueError(f"unknown box policy {kind!r}")
+    if policy.get("kind") != "fixed_fraction":
+        raise ValueError(f"unknown box policy {policy.get('kind')!r}")
+    return _fixed_fraction_box(
+        n, N, a, read_number(policy["value"], "scenario.box_policy.value"))
 
 
 def scenario_from_config(doc: dict) -> tuple:
@@ -308,14 +305,8 @@ def scenario_from_config(doc: dict) -> tuple:
         scenario = apply_time_scale(
             scenario, read_number(doc["time_scale"], "time_scale"))
 
-    sim = read_object(doc.get("sim", {}), "sim")
-    cfg = scenario.config
-    tols = {k: read_number(sim.get(k, getattr(cfg, k)), f"sim.{k}")
-            for k in ("grazing_tol", "overlap_tol", "time_tie_tol")}
-    t_max = sim.get("t_max", cfg.t_max)
-    scenario.config = replace(
-        cfg, t_max=None if t_max is None else read_number(t_max, "sim.t_max"),
-        **tols)
+    scenario.config = replace(scenario.config, **read_run_fields(
+        read_object(doc.get("sim", {}), "sim"), "sim", scenario.config))
     epsilon = read_object(doc.get("ledger", {}), "ledger").get("epsilon", 1.0)
     return scenario, {"epsilon": read_number(epsilon, "ledger.epsilon")}
 

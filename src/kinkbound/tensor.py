@@ -327,8 +327,7 @@ def _slice(T: GraphTensor, trajectories: tuple, kink_times: np.ndarray,
     rows = (starts[:, 0] < t) & (t < ends[:, 0])
     total = running_sum(weights[rows])
     if T.mass_energy is not None and total > T.mass_energy + 1e-12:
-        raise AssertionError(
-            f"slice mass {total} exceeds M+E={T.mass_energy}")
+        raise ValueError(f"slice mass {total} exceeds M+E={T.mass_energy}")
     return rows, total, running_sum(vecs[rows, 0])
 
 
@@ -349,7 +348,7 @@ def slice_trace(T: GraphTensor, t: float) -> SliceTrace:
 _BLOCK = 1 << 13  # kink x edge pairs per augmentation pass: small temporaries
 
 
-def complement_basis(V, V2, n: int) -> np.ndarray:
+def complement_basis(V, V2) -> np.ndarray:
     """Deterministic orthonormal basis of Span(V, V2)^perp in R^(1+n) for
     each row of V with the same row of V2, both (K, 1+n): the bases as a
     (K, n-1, 1+n) array.
@@ -367,7 +366,8 @@ def complement_basis(V, V2, n: int) -> np.ndarray:
     """
     V = np.asarray(V, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
-    K, d = len(V), 1 + n
+    K, d = V.shape
+    n = d - 1
     u1 = V / norms(V)[:, None]
     r = V2 - dots(V2, u1)[:, None] * u1
     nr = norms(r)
@@ -520,7 +520,7 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
     # -z, their tips numbered after the existing vertices
     ones = np.ones((K, 1))
     Z = complement_basis(np.concatenate((ones, sites.v), axis=1),
-                         np.concatenate((ones, sites.v_post), axis=1), T.n)
+                         np.concatenate((ones, sites.v_post), axis=1))
     Z = np.stack((Z, -Z), axis=2).reshape(-1, 1 + T.n)
     per = 2 * (T.n - 1)
     x = np.repeat(sites.vertex, per, axis=0)

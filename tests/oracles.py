@@ -26,11 +26,12 @@ import heapq
 import json
 import math
 from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 
 from kinkbound import _jsonio
-from kinkbound._pykern import contact_times_scan
+from kinkbound.kernel import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
 from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
                                 EventLog, GenericityViolation, SimulationBug,
@@ -721,8 +722,7 @@ def slice_trace(T, t):
         total += e.weight
         mass += vec[0]
     if T.mass_energy is not None and total > T.mass_energy + 1e-12:
-        raise AssertionError(
-            f"slice mass {total} exceeds M+E={T.mass_energy}")
+        raise ValueError(f"slice mass {total} exceeds M+E={T.mass_energy}")
     points = np.array([p for p, _ in crossings]).reshape(-1, 1 + T.n)
     vectors = np.array([v for _, v in crossings]).reshape(-1, 1 + T.n)
     return SliceTrace(points=points, vectors=vectors, total=total, mass=mass)
@@ -811,7 +811,7 @@ def events_jsonl_bytes(log):
     """events.jsonl with every line from _jsonio.dumps."""
     header = {
         "kind": "header", "format": "kinkbound-events-v1",
-        "config": log.config.header_dict(), "provenance": log.provenance,
+        "config": asdict(log.config), "provenance": log.provenance,
         "initial": [{"id": s.id, "y": s.position, "v": s.velocity}
                     for s in log.initial],
     }
@@ -990,7 +990,7 @@ def build_tensor(log, window):
                        mass_energy=inv.M + inv.E)
 
 
-def complement_basis(V, V2, n, skipped=None):
+def complement_basis(V, V2, skipped=None):
     """Orthonormal basis of Span(V, V2)^perp, one row and one kink at a
     time: inorder_norm for each norm, inorder_dot of one row with one vector
     for each dot product, candidate axes in stable order of decreasing
@@ -998,6 +998,7 @@ def complement_basis(V, V2, n, skipped=None):
     order appended to the list skipped, when one is given)."""
     V = np.asarray(V, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
+    n = V.size - 1
     u1 = V / inorder_norm(V)
     r = V2 - inorder_dot(V2, u1) * u1
     nr = inorder_norm(r)
@@ -1038,7 +1039,7 @@ def build_augmented(T, b=1.0):
     for s, ek in zip(sites, eps):
         V = np.concatenate(([1.0], s.v))
         V2 = np.concatenate(([1.0], s.v_post))
-        for z in complement_basis(V, V2, T.n):
+        for z in complement_basis(V, V2):
             edges.append(TensorEdge(s.vertex.copy(), s.vertex + ek * z, float(b),
                                     "augmentation", s.vertex_id, tip, z))
             edges.append(TensorEdge(s.vertex.copy(), s.vertex - ek * z, float(b),

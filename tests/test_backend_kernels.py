@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from kinkbound._pykern import contact_times_scan as py_scan
+from kinkbound.kernel import contact_times_scan as py_scan
 from oracles import contact_time_scan
 
 

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import kinkbound as kb
-from kinkbound import dynamics
+from kinkbound import dynamics, kernel
 from kinkbound.dynamics import (GenericityViolation, SimulationBug,
                                 events_jsonl_bytes, run_simulation)
 
@@ -325,7 +325,8 @@ def test_event_earlier_than_previous_is_a_bug(monkeypatch):
 
 @pytest.mark.parametrize("name", ["line_p5", "gas3d_t_max", "line_p50_block700"])
 def test_kernel_calls_keep_the_layout_the_tracer_reads(name, monkeypatch):
-    """perfbench's tracer wraps dynamics.contact_times_scan and reads the
+    """perfbench's tracer wraps dynamics.contact_times_scan (the kernel's
+    function, which dynamics binds by that name) and reads the
     columns at args[4] and out at args[7], and swaps dynamics.heapq for a
     counting one.  Wrapped the same way, every call passes all N columns
     and at most max(2, _BLOCK // N) rows.  After the initial scan, the
@@ -343,6 +344,7 @@ def test_kernel_calls_keep_the_layout_the_tracer_reads(name, monkeypatch):
         sc = _SCENES[name]()
     trail = []
     scan = dynamics.contact_times_scan
+    assert scan is kernel.contact_times_scan
 
     def traced_scan(*args):
         result = scan(*args)

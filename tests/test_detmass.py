@@ -333,8 +333,6 @@ def test_dm_kink_validation():
     with pytest.raises(ValueError):
         detmass.dm_kink(V, 2.0 * V, 1.0)          # parallel
     with pytest.raises(ValueError):
-        detmass.dm_kink(V, np.array([1.0, 0.0, 0.0]), 1.0, n=5)
-    with pytest.raises(ValueError):
         detmass.dm_kink(np.array([1.0, 2.0]), np.array([1.0, 3.0]), 1.0)
     with pytest.raises(ValueError):
         detmass.dm_kink(V, np.array([1.0, 0.0, 0.0]), 1.0, convention="other")

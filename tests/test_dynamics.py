@@ -337,6 +337,36 @@ def test_jsonl_round_trip(tmp_path):
     assert events_jsonl_bytes(log2) == events_jsonl_bytes(log)
 
 
+def test_event_line_with_an_extra_field_reads_back(tmp_path):
+    """A field that the log does not define is ignored.  Its "true" sends
+    the reader to the line-by-line check, which passes every line, and the
+    columns are then rebuilt from the lines: the log reads back as it was
+    written."""
+    sc = kb.gen_random_gas(2, 16, [1.0, 1.0], 0.03,
+                           {"kind": "maxwell", "sigma": 1.0}, seed=9)
+    log = run_simulation(sc.states, sc.config)
+    lines = events_jsonl_bytes(log).decode().splitlines()
+    lines[1] = lines[1][:-1] + ',"note":true}'
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(dynamics, "_check_event",
+                           wraps=dynamics._check_event) as check:
+        back = read_events_jsonl(path)
+    assert check.call_count == len(log.events) > 0
+    assert events_jsonl_bytes(back) == events_jsonl_bytes(log)
+
+
+def test_read_rejects_event_times_that_decrease(tmp_path):
+    sc = kb.gen_random_gas(2, 16, [1.0, 1.0], 0.03,
+                           {"kind": "maxwell", "sigma": 1.0}, seed=9)
+    lines = events_jsonl_bytes(run_simulation(sc.states, sc.config)).decode().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^event log line 4: t="):
+        read_events_jsonl(path)
+
+
 def test_run_and_transforms_leave_their_input_unchanged():
     """The engine moves copies of the initial states: two runs of one
     scenario give the same bytes, and neither a run nor a transform writes

@@ -847,6 +847,40 @@ def test_cli_verify_tensor(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def _speeds_after(v):
+    return lambda lines: lines[1].update(vi_post=[-v, 0.0], vj_post=[v, 0.0])
+
+
+def _copy_at_half(lines):
+    lines.insert(2, {**lines[1], "t": 0.5})
+    lines[-1]["events"] = 2
+
+
+# edits of the one-event log of two discs meeting head-on
+_BAD_HISTORIES = {
+    "post_speeds_100": _speeds_after(100.0),      # slice mass above M+E
+    "post_speeds_1e200": _speeds_after(1e200),    # squares overflow
+    "earlier_copy_appended": _copy_at_half,       # time runs backwards
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@pytest.mark.parametrize("case", sorted(_BAD_HISTORIES))
+def test_cli_verify_tensor_rejects_bad_history(case, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.1,
+        "positions": [[-1.0, 0.0], [1.0, 0.0]],
+        "velocities": [[1.0, 0.0], [-1.0, 0.0]]}})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "run" / "events.jsonl").read_text()
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert len(lines) == 3
+    _BAD_HISTORIES[case](lines)
+    assert cli.main(_argv("verify-tensor", lines, tmp_path)) == 2
+    _assert_one_json_object(capsys)
+
+
 def test_cli_scale_check(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {
         "scenario": {"generator": "random_gas", "N": 12, "a": 0.03,

@@ -221,11 +221,11 @@ def test_complement_basis_ties_keep_axis_order():
     e3 at both kinks of the head-on pair."""
     log = CASES["axis_aligned_n3"]()
     T = tensor.build_tensor(log, harness._audit_window(log))
-    bases = tensor.complement_basis(*_lifted(T.kinks), 3)
+    bases = tensor.complement_basis(*_lifted(T.kinks))
     assert len(bases) == 2
     for Z, V, V2 in zip(bases, *_lifted(T.kinks)):
         assert np.array_equal(Z, np.eye(4)[2:])
-        assert np.array_equal(Z, oracles.complement_basis(V, V2, 3))
+        assert np.array_equal(Z, oracles.complement_basis(V, V2))
 
 
 def test_complement_basis_skips_a_parallel_candidate():
@@ -238,9 +238,9 @@ def test_complement_basis_skips_a_parallel_candidate():
     T = tensor.build_tensor(log, harness._audit_window(log))
     skipped = []
     V, V2 = _lifted(T.kinks[:1])
-    want = oracles.complement_basis(V[0], V2[0], 3, skipped)
+    want = oracles.complement_basis(V[0], V2[0], skipped)
     assert skipped == [1]
-    assert np.array_equal(tensor.complement_basis(V, V2, 3)[0], want)
+    assert np.array_equal(tensor.complement_basis(V, V2)[0], want)
 
 
 def test_build_tensor_rejects_boundary_on_collision():

