@@ -29,8 +29,7 @@ import numpy as np
 from . import _jsonio
 from ._columns import Rows
 from ._jsonio import read_array, read_int, read_list, read_number, read_object
-from .kernel import (component_sum, contact_times_scan, dots, norms,
-                     squared_norms)
+from .kernel import component_sum, contact_times_scan, norms
 
 __all__ = [
     "ConfigurationError",
@@ -53,7 +52,6 @@ __all__ = [
 EVENTS_FORMAT = "kinkbound-events-v1"
 _EVENT_ARRAYS = ("yi", "yj", "vi", "vj", "vi_post", "vj_post")
 _EVENT_FIELDS = ("t", "i", "j") + _EVENT_ARRAYS
-_EVENT_VELOCITIES = _EVENT_ARRAYS[2:]
 
 class ConfigurationError(ValueError):
     """Initial data violates the engine's preconditions."""
@@ -210,28 +208,47 @@ class ValidationReport:
 
 
 _BLOCK = 1 << 12  # pairs per pass of the overlap check and of a kernel call
+_PLUS_MINUS = np.array([1.0, -1.0])  # v_i + impulse, v_j - impulse, exactly
+
+LOW, HIGH = 2.0 ** -128, 2.0 ** 128
+"""The numeric range: |positions|, times, a, the tolerances and |velocity
+components| are at most HIGH; a and initial velocity components are 0 or
+at least LOW.  With N n <= 2^40 (memory) no speed exceeds 2^149 (energy
+< 2^296, see _Engine), and up to t = HIGH no position exceeds 2^278:
+|dy| <= 2^279, |dv| <= 2^150, so b^2, A |c|, |dy|^2, grazing_tol (b^2 +
+A |c|) and the ledger's squares stay below 2^988.  A nonzero initial dv
+component is >= LOW 2^-53, so A >= 2^-362, and c > 0 means c > 2^-308
+(4 a^2 2^-53): where A c >= 2^-1000 a b^2 that underflows leaves disc < 0,
+also at grazing_tol = 0.  A collision can slow a pair until A c
+underflows, but then |dv| < 2^-346 and its true and computed times both
+exceed c / (3 |dy| |dv|) > 2^160.  At a = 0 dy^2 underflows only within
+2^-511, where points meet at once; the ledger's underflows are < 2^-1022
+against an energy >= LOW^2 / 2.  _Engine.run makes no event after HIGH,
+and run_simulation refuses runs that leave the range (exit 4)."""
 
 
-def _squares_fit(X) -> np.ndarray:
-    """Whether the squared norm of twice each row of X (its last axis) is
-    finite: the engine and the tensor square differences of two vectors."""
-    with np.errstate(over="ignore"):
-        return np.isfinite(squared_norms(2.0 * X))
+def check_range(x, field: str, low: float = 0.0, ids=None) -> None:
+    """Raise ConfigurationError ("range") naming field and the first value of
+    x neither 0 nor in [low, HIGH] in magnitude (and its row's id, given ids)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = ~(np.abs(x) <= HIGH) | ((np.abs(x) < low) & (x != 0.0))
+    if out.any():
+        k = int(np.argmax(out))
+        at = {} if ids is None else {"id": int(ids[k // x.shape[-1]])}
+        raise ConfigurationError(ValidationReport(
+            False, "range", {"field": field, **at, "value": float(x.flat[k])}))
 
 
 def validate_configuration(states, config: SimConfig) -> ValidationReport:
-    """Check initial data (a StateBlock): ids, shapes, finiteness, no overlap,
-    and the engine tolerances (finite and >= 0; overlap_tol > 0, since a
-    contact distance computed at 0 tolerance is off by rounding).
+    """Check initial data (a StateBlock): ids, shapes, the numeric range
+    (LOW), no overlap, and the engine tolerances (>= 0; overlap_tol > 0,
+    since a contact distance computed at 0 tolerance is off by rounding).
 
-    Positions count as not finite when the square of twice one overflows,
-    velocities from where the running sum of the squares of twice them
-    does (the engine squares differences, up to twice as large; the
-    ledger sums the energy).  Overlap means center distance <= 2a: spheres
-    must be strictly apart (and points distinct when a == 0).  The overlap
-    report names the first row i with any overlap and its nearest later
-    row j, at their distance (the bits of kernel.norms); the search takes
-    blocks of rows against all later rows, at most _BLOCK pairs a block.
+    Overlap means center distance <= 2a: spheres must be strictly apart
+    (and points distinct when a == 0).  The overlap report names the first
+    row i with any overlap and its nearest later row j, at their distance
+    (the bits of kernel.norms); the search takes blocks of rows against
+    all later rows, at most _BLOCK pairs a block.
     """
     def bad(reason, **detail):
         return ValidationReport(False, reason, detail)
@@ -242,16 +259,16 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
         return bad("particle_count", N=config.N, given=len(states))
     if len(states) < 1:
         return bad("particle_count", given=0)
-    if config.a < 0 or not np.isfinite(config.a):
+    if not (config.a == 0 or LOW <= config.a <= HIGH):
         return bad("radius", a=config.a)
     if config.a == 0 and config.n != 1:
         return bad("radius", a=config.a, n=config.n,
                    note="zero radius is only meaningful on the line")
-    if config.t_max is not None and not config.t_max > 0:
+    if config.t_max is not None and not 0 < config.t_max <= HIGH:
         return bad("t_max", t_max=config.t_max)
     for name in TOLERANCES:
         tol = getattr(config, name)
-        if not (0.0 <= tol < np.inf) or (tol == 0.0 and name == "overlap_tol"):
+        if not 0.0 <= tol <= HIGH or (tol == 0.0 and name == "overlap_tol"):
             return bad("tolerance", **{name: tol})
 
     ids, pos, vel = states.id, states.position, states.velocity
@@ -260,10 +277,11 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
     if pos.shape != (config.N, config.n) or vel.shape != pos.shape:
         return bad("dimension_mismatch", n=config.n, position=pos.shape,
                    velocity=vel.shape)
-    with np.errstate(over="ignore"):
-        finite = _squares_fit(pos) & np.isfinite(np.cumsum(squared_norms(2.0 * vel)))
-    if not finite.all():
-        return bad("non_finite", id=int(ids[np.argmin(finite)]))
+    try:
+        check_range(pos, "position", ids=ids)
+        check_range(vel, "velocity", LOW, ids)
+    except ConfigurationError as exc:
+        return exc.report
     # blocks of rows i against every later row j > i (d[q, c] is row
     # i0 + q against j = i0 + 1 + c; c < q is masked off), the differences
     # component-major, the layout component_sum reduces in one call
@@ -434,13 +452,12 @@ class _Engine:
 
         rows holds the two particles of each pair, pair by pair in pop
         order (i0, j0, i1, j1, ...).  Their positions and velocities are
-        gathered into the next 2k rows of the record's planes, where the
-        positions are moved on to the centers at contact and the
-        velocities after are worked out, and both are written back to
-        state.  _close logs the times and pairs.
+        gathered into one block, laid out as state, where the positions are
+        moved to the centers at contact and the velocities after are worked
+        out; it goes back to state and to the record; _close logs times and pairs.
 
         Each pair gets the bits it would get alone: every step is
-        elementwise or a reduction within one pair's row.  The two guards
+        elementwise or a reduction within one pair.  The two guards
         are taken for every pair; the run raises for the
         first pair in pop order that fails one, for the first check it
         fails (the pairs before a contact-distance failure are made, as
@@ -451,12 +468,13 @@ class _Engine:
             self.recorded = np.concatenate(
                 (self.recorded, np.empty_like(self.recorded)), axis=1)
         slot = self.recorded[:, 2 * c:2 * c + m]
-        y, v, v_post = slot[0], slot[1], slot[2]
-        self.state.take(rows, axis=2, out=slot[:2].transpose(0, 2, 1), mode="clip")
-        y += (t - self.tupd.take(rows))[:, None] * v  # pos + (t - tupd) * v
-        d = slot[:2, 1::2] - slot[:2, ::2]  # yj - yi and vj - vi of each pair
+        block = self.state.take(rows, axis=2)  # C-ordered, (2, n, m)
+        y, v = block
+        slot[1] = v.T  # the velocities before
+        y += (t - self.tupd.take(rows)) * v  # pos + (t - tupd) * v
+        d = block[:, :, 1::2] - block[:, :, ::2]  # yj - yi and vj - vi
         dy = d[0]
-        dist = np.sqrt(dots(dy, dy))
+        dist = np.sqrt(component_sum(dy * dy))
         a = self.config.a
         tol = self.config.overlap_tol * max(a, 1.0)
         for p, r in enumerate(dist.tolist()):
@@ -469,21 +487,20 @@ class _Engine:
                     f"for pair ({i}, {j})"
                 )
         if a > 0.0:
-            u = dy / dist[:, None]
-            impulse = dots(d[1], u)[:, None] * u
-            np.add(v[::2], impulse, out=v_post[::2])
-            np.subtract(v[1::2], impulse, out=v_post[1::2])
+            u = dy / dist
+            impulse = component_sum(d[1] * u) * u
+            v.reshape(len(v), -1, 2)[...] += impulse[:, :, None] * _PLUS_MINUS
         else:
             # point particles on the line swap velocities exactly; the
             # normal is the approach direction (centers coincide at contact)
             u = np.where(d[1] < 0.0, 1.0, -1.0)
-            v_post[::2] = v[1::2]
-            v_post[1::2] = v[::2]
-        for p, sep in enumerate(dots(v_post[1::2] - v_post[::2], u).tolist()):
+            v[:] = v.reshape(-1, 2)[:, ::-1].reshape(v.shape)
+        for p, sep in enumerate(component_sum((v[:, 1::2] - v[:, ::2]) * u).tolist()):
             if sep <= 0.0:
                 i, j = rows[2 * p:2 * p + 2].tolist()
                 raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
-        self.state[..., rows] = slot[::2].transpose(0, 2, 1)
+        slot[::2] = block.transpose(0, 2, 1)
+        self.state[..., rows] = block
         self.tupd[rows] = t
         self.count = c + (m >> 1)
 
@@ -524,6 +541,7 @@ class _Engine:
 
     def run(self) -> tuple:
         t_max = self.config.t_max
+        t_stop = HIGH if t_max is None else t_max
         heap, cc, last, tupd = self.heap, self.cc, self.last, self.tupd
         termination = "queue_empty"
         t_prev = 0.0
@@ -543,8 +561,9 @@ class _Engine:
                     done = len(rows)
                 self._predict([owner])
                 continue
-            if t_max is not None and t > t_max:
-                # rows is empty: rows wait only while the top is at t_prev
+            if t > t_stop:  # rows is empty: rows wait only while the top is at t_prev
+                if t_max is None:
+                    raise SimulationBug(f"event at t={t!r} is beyond the numeric range")
                 termination = "t_max"
                 break
             if t < t_prev:
@@ -577,12 +596,18 @@ def run_simulation(states: StateBlock, config: SimConfig) -> EventLog:
 
     Raises ConfigurationError on invalid initial data, GenericityViolation
     when a third body touches a colliding pair within tolerance, and
-    SimulationBug if internal guards (overlap, separation, event order) trip.
+    SimulationBug if internal guards (overlap, separation, event order, range) trip.
     """
     report = validate_configuration(states, config)
     if not report.ok:
         raise ConfigurationError(report)
-    block, termination = _Engine(states, config).run()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            block, termination = _Engine(states, config).run()
+        for name in ("y", "v", "v_post"):
+            check_range(getattr(block, name), name)
+    except (FloatingPointError, ConfigurationError) as exc:
+        raise SimulationBug(f"the run left the numeric range: {exc}") from None
     return EventLog(config=config, initial=states, events=block,
                     termination=termination)
 
@@ -660,24 +685,22 @@ def _initial_state(value, name: str) -> tuple:
 
 
 def _check_event(doc, line: int, n: int, ids: set) -> None:
-    """Raise ValueError naming the line unless the event line doc has a
-    finite t, particle ids i and j, and six vectors of n finite numbers,
-    the doubled squares of the four velocities finite."""
+    """Raise ValueError naming the line unless the event line doc has a t and
+    six vectors of n numbers in the numeric range, i and j two header ids."""
     name = f"event log line {line}"
     if not isinstance(doc, dict) or not doc.keys() >= set(_EVENT_FIELDS):
         raise ValueError(f"{name} is not a collision event: {doc!r}")
-    read_number(doc["t"], f"{name} t")
+    check_range(read_number(doc["t"], f"{name} t"), f"{name} t")
     i, j = doc["i"], doc["j"]
-    if not (_is_id(i) and _is_id(j) and i in ids and j in ids):
-        raise ValueError(f"{name}: i={i!r}, j={j!r} are not particle ids "
+    if not (_is_id(i) and _is_id(j) and i != j and i in ids and j in ids):
+        raise ValueError(f"{name}: i={i!r}, j={j!r} are not two particle ids "
                          "of the header")
     for key in _EVENT_ARRAYS:
         vector = read_array(doc[key], f"{name} {key}")
         if vector.shape != (n,):
             raise ValueError(f"{name}: {key} must be {n} numbers, "
                              f"got {doc[key]!r}")
-        if key in _EVENT_VELOCITIES and not _squares_fit(vector):
-            raise ValueError(f"{name}: twice {key} squared overflows: {doc[key]!r}")
+        check_range(vector, f"{name} {key}")
 
 
 def _decode_lines(body: list) -> list:
@@ -702,12 +725,12 @@ def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
     checks each line.
 
     The columns are converted without a dtype and tested once: numeric
-    and not bool, of the right shape, finite (velocities to their doubled
-    squares, see _squares_fit), ids among the header's.  A
-    boolean mixed into numbers promotes to a number, so a line whose text
-    holds "true" or "false" counts as failing too.  On any failure the
-    lines are checked one by one, and the first bad one is reported.
-    Then the first line whose t is below the line before it is reported.
+    and not bool, of the right shape, in the numeric range, i and j two
+    ids of the header's.  A boolean mixed into numbers promotes to a
+    number, so a line whose text holds "true" or "false" counts as failing
+    too.  On any failure the lines are checked one by one, and the first
+    bad one is reported.  Then the first line whose t is below the line
+    before it is reported.
     """
     docs = _decode_lines(body)
     E = len(docs)
@@ -717,10 +740,11 @@ def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
         ok = (E == 0 or all(  # no events: empty columns, shape (0,)
             cols[key].shape == shape
             and cols[key].dtype.kind in ("i" if key in ("i", "j") else "if")
-            and (key in ("i", "j") or np.isfinite(cols[key]).all())
-            and (key not in _EVENT_VELOCITIES or _squares_fit(cols[key]).all())
             for key, shape in shapes.items()))
-        ok = ok and np.isin(cols["i"], ids).all() and np.isin(cols["j"], ids).all()
+        ok = (ok and np.isin(cols["i"], ids).all() and np.isin(cols["j"], ids).all()
+              and not (cols["i"] == cols["j"]).any())
+        for key in ("t",) + _EVENT_ARRAYS:
+            check_range(cols[key], key)
     except (TypeError, KeyError, ValueError, OverflowError):
         ok = False
     if not ok or any("true" in s or "false" in s for s in body):
@@ -782,6 +806,10 @@ def read_events_jsonl(path) -> EventLog:
         raise ConfigurationError(report)
     provenance = read_object(header.get("provenance", {}), "provenance")
     block = _event_block(lines[1:-1], config.n, initial.id)
+    off = np.flatnonzero(np.abs(norms(block.y[:, 1] - block.y[:, 0]) - 2.0 * config.a)
+                         > config.overlap_tol * max(config.a, 1.0))
+    if len(off):  # _Engine._collide's contact check: a colliton is along yj - yi
+        raise ValueError(f"event log line {off[0] + 2}: yi and yj are not 2a apart")
     if read_int(footer.get("events"), "footer events") != len(block):
         raise ValueError("event count mismatch between footer and body")
     termination = footer.get("termination")

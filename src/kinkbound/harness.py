@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import read_array, read_int, read_number, read_object
-from .dynamics import (EventLog, SimConfig, StateBlock, read_run_fields,
-                       run_simulation, write_events_jsonl)
+from .dynamics import (LOW, EventLog, SimConfig, StateBlock, check_range,
+                       read_run_fields, run_simulation, write_events_jsonl)
 from .kernel import norms
 from .ledger import (bound_report, build_ledger, build_report, bulk_invariants,
                      write_ledger_csv)
@@ -87,23 +87,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw_velocities(gen, dist: dict, N: int, n: int) -> np.ndarray:
-    """Velocities of a random gas; a draw that overflows is infinite, and
-    run_simulation rejects it as non_finite."""
+    """Velocities of a random gas, sigma and v0 in the numeric range."""
     dist = read_object(dist, "velocities")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _velocity_draw(gen, dist, N, n)
-    except OverflowError:  # uniform: the range 2 v0 overflows
-        return np.full((N, n), np.inf)
-
-
-def _velocity_draw(gen, dist: dict, N: int, n: int) -> np.ndarray:
     kind = dist.get("kind", "maxwell")
     if kind == "maxwell":
         sigma = read_number(dist.get("sigma", 1.0), "velocities.sigma")
+        check_range(sigma, "velocities.sigma", LOW)
         return gen.normal(0.0, sigma, size=(N, n))
     if kind == "uniform":
         v0 = read_number(dist.get("v0", 1.0), "velocities.v0")
+        check_range(v0, "velocities.v0", LOW)
         return gen.uniform(-v0, v0, size=(N, n))
     if kind == "explicit":
         v = read_array(dist["values"], "velocities.values")
@@ -111,14 +104,6 @@ def _velocity_draw(gen, dist: dict, N: int, n: int) -> np.ndarray:
             raise ValueError(f"explicit velocities must be shape {(N, n)}")
         return v
     raise ValueError(f"unknown velocity distribution {kind!r}")
-
-
-def _apart(P: np.ndarray, Q: np.ndarray, min_dist: float) -> np.ndarray:
-    """(len(P), len(Q)) mask, True where P[p] and Q[q] are more than
-    min_dist apart (kernel.norms); one that overflows is infinite, far
-    enough."""
-    with np.errstate(over="ignore"):
-        return norms(P[:, None] - Q) > min_dist
 
 
 def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
@@ -131,12 +116,12 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
     placed as one candidate at a time would place them, and the generator
     is left where that loop leaves it (the Philox stream gives the same
     values for random((k, n)) as for k draws of random(n)), so the
-    velocities drawn next are the same too.  Overflowing positions are
-    left to run_simulation, which rejects them.
+    velocities drawn next are the same too.
     """
     box = np.broadcast_to(np.asarray(box, dtype=np.float64), (n,))
     if np.any(box <= 0):
         raise ValueError("box sides must be positive")
+    check_range(box, "box")
     gen = _rng(seed)
     placed = np.empty((N, n))
     min_dist = 2.0 * a * (1.0 + 1e-9)  # strict separation for clean starts
@@ -151,11 +136,11 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
             )
         state = gen.bit_generator.state
         cand = gen.random((k, n)) * box
-        # candidate j is placed when it is apart from every sphere placed
-        # before it: those of earlier batches, and the earlier candidates
-        # of this batch that were placed (clash[j, l], l < j)
-        take = _apart(placed[:i], cand, min_dist).all(axis=0)
-        clash = np.tril(~_apart(cand, cand, min_dist), -1)
+        # candidate j is placed when it is more than min_dist from every
+        # sphere placed before it: those of earlier batches, and the earlier
+        # candidates of this batch that were placed (clash[j, l], l < j)
+        take = (norms(placed[:i, None] - cand) > min_dist).all(axis=0)
+        clash = np.tril(norms(cand[:, None] - cand) <= min_dist, -1)
         for j in np.flatnonzero(take & clash.any(axis=1)).tolist():
             take[j] = not (take[:j] & clash[j, :j]).any()
         rows = np.flatnonzero(take)[:N - i]
@@ -213,10 +198,10 @@ def gen_explicit(n: int, a: float, positions, velocities,
 
 
 def apply_boost(scenario: Scenario, w0) -> Scenario:
-    """Shift every velocity by w0 (positions unchanged)."""
+    """Shift every velocity by w0, in the numeric range: v + w0 is finite."""
     w0 = np.broadcast_to(np.asarray(w0, dtype=np.float64), (scenario.config.n,))
-    with np.errstate(over="ignore"):  # run_simulation rejects an overflow
-        states = replace(scenario.states, velocity=scenario.states.velocity + w0)
+    check_range(w0, "boost", LOW)
+    states = replace(scenario.states, velocity=scenario.states.velocity + w0)
     prov = dict(scenario.provenance)
     prov["boost"] = w0.tolist()
     return Scenario(config=scenario.config, states=states, provenance=prov)
@@ -227,10 +212,11 @@ def apply_time_scale(scenario: Scenario, mu: float) -> Scenario:
 
     Collision times map to t/mu and every velocity jump scales by mu.
     """
-    if not 0 < mu < np.inf:  # mu = inf would make inf * 0 = nan
-        raise ValueError(f"mu must be positive and finite, got {mu!r}")
-    with np.errstate(over="ignore"):  # run_simulation rejects an overflow
-        states = replace(scenario.states, velocity=mu * scenario.states.velocity)
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    check_range(mu, "time_scale", LOW)
+    check_range(scenario.states.velocity, "velocity")  # so mu * v is finite
+    states = replace(scenario.states, velocity=mu * scenario.states.velocity)
     prov = dict(scenario.provenance)
     prov["time_scale"] = float(mu)
     return Scenario(config=scenario.config, states=states, provenance=prov)
@@ -282,6 +268,7 @@ def scenario_from_config(doc: dict) -> tuple:
         n = read_int(sc.get("n", 2), "scenario.n")
         N = read_int(sc["N"], "scenario.N")
         a = read_number(sc["a"], "scenario.a")
+        check_range(a, "scenario.a", LOW)  # before it sizes a box
         scenario = gen_random_gas(
             n=n, N=N, box=_box(sc, n, N, a), a=a,
             velocity_dist=sc.get("velocities", {"kind": "maxwell", "sigma": 1.0}),

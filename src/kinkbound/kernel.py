@@ -119,10 +119,8 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     never NaN.  gap, when given, receives c = |dy|^2 - four_a2 at ref, the
     squared-distance gap of each pair at its reference time.
 
-    An approaching pair so slow that |dv|^2 < 2^-900 (whose squares would
-    underflow) is solved with dv scaled by an exact power of two, so its
-    time is as accurate as any other; a time beyond the float range is
-    +inf.
+    Inside the numeric range of dynamics.LOW, which derives it, nothing
+    here overflows, and no underflow changes a time up to dynamics.HIGH.
     """
     m = js.shape[0]
     if m == 0:
@@ -153,31 +151,18 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     c = component_sum(dy * dy) - four_a2
     if gap is not None:
         gap[...] = c
-    approach = b < 0.0
-    slow = approach & (A < 2.0 ** -900)
-    shift = None
-    if slow.any():
-        # |dv|^2 (and b^2) underflow: solve the slow pairs with dv scaled
-        # by 2^shift, an exact power of two that brings their largest
-        # component into [0.5, 1), and scale the time back; shift is 0
-        # elsewhere, so every other pair keeps its bits
-        shift = np.where(slow, -np.frexp(np.abs(dv).max(axis=0))[1], 0)
-        dv = np.ldexp(dv, shift)
-        b, A = component_sum(dy * dv), component_sum(dv * dv)
+    ok = b < 0.0  # approaching
     if four_a2 == 0.0:
         # point particles on the line: approaching points always meet, and
         # the quadratic is a perfect square (disc == 0 up to roundoff)
-        ok = approach
         q = -b
     else:
         bb = b * b
         disc = bb - A * c
-        ok = approach & (disc >= grazing_tol * (bb + A * np.abs(c)))
+        ok &= disc >= grazing_tol * (bb + A * np.abs(c))
         q = np.sqrt(np.where(ok, disc, 0.0)) - b
-    # q >= sqrt(A * |c|), so |s| <= sqrt(|c| / A) < 2^1000: no overflow
-    s = c / np.where(ok, q, 1.0)
-    if shift is not None:
-        with np.errstate(over="ignore"):  # beyond the float range: never
-            s = np.ldexp(s, shift)
+    # kept: a collision can leave |dv| subnormal and s past the float range
+    with np.errstate(over="ignore"):
+        s = c / np.where(ok, q, 1.0)
     out[...] = np.where(ok & (s >= 0.0), ref + s, np.inf)
 

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import kinkbound as kb
 from kinkbound import dynamics, kernel
-from kinkbound.dynamics import (GenericityViolation, SimulationBug,
-                                events_jsonl_bytes, run_simulation)
+from kinkbound.dynamics import (ConfigurationError, GenericityViolation,
+                                SimulationBug, events_jsonl_bytes,
+                                run_simulation)
 
 from oracles import ReferenceEngine, heap_simulation, tie_groups
 
@@ -441,9 +442,9 @@ def _gas_scene(draw):
     vel = np.array(draw(st.lists(st.lists(speed, min_size=n, max_size=n),
                                  min_size=N, max_size=N)))
     assume(_separated(pos, a))
-    # nearly equal velocities meet only at times near 1e300, beyond the
-    # positions either engine resolves and with the kernel's squares of
-    # their difference underflowing: a gas runs to a bounded t_max
+    # nearly equal velocities meet only at huge times, beyond the positions
+    # either engine resolves: a gas runs to a bounded t_max; a speed below
+    # the numeric range (dynamics.LOW) is refused before the run
     return n, a, pos, vel, draw(st.sampled_from([0.7, 2.5, 10.0]))
 
 
@@ -541,7 +542,7 @@ def _three_body(draw):
 @given(scene=st.one_of(_gas_scene(), _lattice_gas(), _lattice_gas(),
                        _point_rods(), _head_on_rows(), _equal_spacings(),
                        _near_grazing(), _three_body()))
-# a speed so small that b^2 and A underflow: the pair never meets
+# a speed below the numeric range, at which b^2 and A underflowed: refused
 @example(scene=(3, 0.03125,
                 np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0.5], [0, 1, 0]], float),
                 np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, -7.96e-230, 0]]),
@@ -549,6 +550,11 @@ def _three_body(draw):
 def test_calendar_agrees_with_eager_reference(scene):
     n, a, pos, vel, t_max = scene
     sc = kb.gen_explicit(n, a, pos, vel, t_max=t_max)
+    if ((vel != 0.0) & (np.abs(vel) < dynamics.LOW)).any():
+        with pytest.raises(ConfigurationError) as info:  # exit 2
+            run_simulation(sc.states, sc.config)
+        assert info.value.report.detail["field"] == "velocity"
+        return
     ref = ReferenceEngine(pos, vel, a, t_max=t_max)
     try:
         want, want_end = ref.run()

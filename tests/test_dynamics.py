@@ -64,35 +64,39 @@ def test_validate_rejects_zero_radius_off_line():
 
 
 def test_validate_rejects_positions_whose_doubled_squares_overflow():
+    """Positions must lie within dynamics.HIGH (the numeric range), where
+    their squares and those of their differences cannot overflow; a
+    position outside fails as "range", naming the first particle's id."""
     cfg = SimConfig(n=2, N=2, a=0.01)
     states = _states((0, [1e308, 0], [-1, 0]), (1, [-1e308, 0], [1, 0]))
     with np.errstate(all="raise"):  # no overflow escapes as a warning
         rep = validate_configuration(states, cfg)
-    assert not rep.ok and rep.reason == "non_finite"
-    assert rep.detail["id"] == 0
-    states = _states((0, [0, 0], [0, 0]), (1, [1e154, 0], [0, 0]))
-    assert validate_configuration(states, cfg).reason == "non_finite"
-    states = _states((0, [0, 0], [0, 0]), (1, [1e153, 0], [0, 0]))
+    assert not rep.ok and rep.reason == "range"
+    assert rep.detail == {"field": "position", "id": 0, "value": 1e308}
+    edge = dynamics.HIGH
+    states = _states((0, [0, 0], [0, 0]), (1, [np.nextafter(edge, np.inf), 0], [0, 0]))
+    assert validate_configuration(states, cfg).detail["id"] == 1
+    states = _states((0, [0, 0], [0, 0]), (1, [edge, -edge], [0, 0]))
     assert validate_configuration(states, cfg).ok
 
 
 def test_validate_rejects_velocities_whose_doubled_squares_overflow():
-    """Velocities fail from the state where the running sum of the squares
-    of twice them overflows; inf and NaN fail too."""
+    """Velocity components must be 0 or of magnitude within [LOW, HIGH]
+    (the numeric range); inf and NaN fail too, as "range" naming the id."""
     cfg = SimConfig(n=2, N=4, a=0.01)
     rows = [(k, [k, 0], [0, 0]) for k in range(4)]
-    for k, v in ((2, [1e154, 0]), (1, [np.inf, 0]), (3, [0, np.nan])):
+    low, high = dynamics.LOW, dynamics.HIGH
+    for k, v in ((2, [1e154, 0]), (1, [np.inf, 0]), (3, [0, np.nan]),
+                 (0, [0, low / 2]), (1, [-np.nextafter(high, np.inf), 1])):
         bad = list(rows)
         bad[k] = (k, [k, 0], v)
         with np.errstate(all="raise"):
             rep = validate_configuration(_states(*bad), cfg)
-        assert rep.reason == "non_finite" and rep.detail["id"] == k
-    # each (2v)^2 = 1e308 is finite; their sum overflows at the second
-    fast = [(k, [k, 0], [5e153, 0]) for k in range(4)]
+        assert rep.reason == "range" and rep.detail["id"] == k
+        assert rep.detail["field"] == "velocity"
+    edge = [(k, [k, 0], [(-1) ** k * high, low]) for k in range(4)]
     with np.errstate(all="raise"):
-        rep = validate_configuration(_states(*fast), cfg)
-    assert rep.reason == "non_finite" and rep.detail["id"] == 1
-    assert validate_configuration(_states(*fast[:1], *rows[1:]), cfg).ok
+        assert validate_configuration(_states(*edge), cfg).ok
 
 
 @pytest.mark.parametrize("name", ["grazing_tol", "overlap_tol", "time_tie_tol"])
@@ -157,19 +161,24 @@ def test_overlap_in_a_later_block_matches_particle_loop():
 
 def test_overlap_check_passes_over_near_misses_and_finds_tiny_overlaps():
     """A row within the search margin of 2a that does not overlap is passed
-    over for a later one that does; an overlap of spheres whose (2a)^2 is
-    subnormal is still found."""
+    over for a later one that does; an overlap of spheres of the least
+    radius in the numeric range (dynamics.LOW) is found, and a radius
+    whose (2a)^2 is subnormal is refused."""
     cfg = SimConfig(n=2, N=3, a=0.5)
     states = _states((0, [0, 0], [0, 0]), (1, [1 + 1e-15, 0], [0, 0]),
                      (2, [1.5, 0.5], [0, 0]))
     rep = validate_configuration(states, cfg)
     assert rep == overlap_report(states, cfg)
     assert rep.detail["pair"] == (1, 2)
-    cfg = SimConfig(n=2, N=2, a=1e-160)
-    states = _states((0, [0, 0], [0, 0]), (1, [1e-160, 1e-160], [0, 0]))
+    low = dynamics.LOW
+    cfg = SimConfig(n=2, N=2, a=low)
+    states = _states((0, [0, 0], [0, 0]), (1, [low, low], [0, 0]))
     rep = validate_configuration(states, cfg)
     assert rep == overlap_report(states, cfg)
     assert rep.reason == "overlap"
+    cfg = SimConfig(n=2, N=2, a=1e-160)
+    states = _states((0, [0, 0], [0, 0]), (1, [1e-160, 1e-160], [0, 0]))
+    assert validate_configuration(states, cfg).reason == "radius"
 
 
 # -- collision resolution: the engine's impulse rule and free flight ----------
@@ -472,12 +481,21 @@ def test_simultaneous_disjoint_pairs_ok():
 @pytest.mark.parametrize("n, speed, t", [(1, 1e-250, 9.375e248),
                                          (2, 1e-200, 9.375e198)])
 def test_tiny_speeds_meet_at_the_exact_time(n, speed, t):
-    """At these speeds |dv|^2 underflows to 0; the pair still meets when
-    its gap 0.25 - 2a closes at 2 * speed."""
+    """These speeds, at which |dv|^2 underflows to 0, are below the numeric
+    range and refused; at its least speed, dynamics.LOW, the pair meets
+    when its gap 0.25 - 2a closes at 2 * LOW, at t * speed / LOW."""
     pad = [0.0] * (n - 1)
-    log = kb.simulate_scenario(kb.gen_explicit(
-        n, 0.03125, [[0.75] + pad, [1.0] + pad], [[speed] + pad, [-speed] + pad]))
-    assert log.events.t.tolist() == [pytest.approx(t, rel=1e-15)]
+
+    def run(v):
+        return kb.simulate_scenario(kb.gen_explicit(
+            n, 0.03125, [[0.75] + pad, [1.0] + pad], [[v] + pad, [-v] + pad]))
+
+    with pytest.raises(ConfigurationError) as info:
+        run(speed)
+    assert info.value.report.detail == {"field": "velocity", "id": 0, "value": speed}
+    log = run(dynamics.LOW)
+    assert log.events.t.tolist() == [0.09375 / dynamics.LOW]
+    assert log.events.t[0] == pytest.approx(t * speed / dynamics.LOW, rel=1e-15)
     assert log.termination == "queue_empty"
 
 

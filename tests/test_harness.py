@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import pickle
+import shutil
 import subprocess
 import sys
 from unittest import mock
@@ -386,13 +387,14 @@ def test_sweep_row_matches_report(base, size, seed, scenario, tmp_path):
 
 def test_sweep_worker_errors_keep_their_type():
     """Engine errors raised in a worker process reach the caller intact
-    (at sigma=1e308, seeds 0 and 2 draw velocities that overflow)."""
+    (sigma=1e308 is outside the numeric range)."""
     spec = harness.SweepSpec(sizes=[8], seeds=[0, 2], base={
         "generator": "random_gas", "a": 0.01, "box": 1.0,
         "velocities": {"sigma": 1e308}})
     with pytest.raises(ConfigurationError) as err:
         harness.sweep(spec, workers=2)
-    assert err.value.report.reason == "non_finite"
+    assert err.value.report.reason == "range"
+    assert err.value.report.detail["field"] == "velocities.sigma"
     exc = pickle.loads(pickle.dumps(GenericityViolation(1.5, (0, 1, 2))))
     assert (exc.time, exc.particles, str(exc)) == \
         (1.5, (0, 1, 2), str(GenericityViolation(1.5, (0, 1, 2))))
@@ -673,24 +675,55 @@ def test_cli_zero_overlap_tol_subprocess(tmp_path):
 
 
 def test_cli_overflowing_explicit_velocities_subprocess(tmp_path):
-    """Explicit velocities that overflow, as given or after boost or
-    time_scale, exit 2 with one JSON object on stdout, and a pair whose
-    contact time overflows never meets; neither prints anything on stderr
-    (no numpy overflow warnings)."""
-    for case in _OVERFLOWING_VELOCITIES:
-        proc = _simulate_subprocess(_BAD_SIMULATE[case], tmp_path)
+    """Explicit velocities outside the numeric range, as given or after
+    boost or time_scale (or a boost or time_scale outside it), exit 2 with
+    one "range" object on stdout, as does a pair closing at 2e-300, below
+    the range; none prints anything on stderr (no numpy warnings)."""
+    slow = {"scenario": {
+        "generator": "explicit", "n": 1, "a": 0.01, "positions": [[0.0], [1e10]],
+        "velocities": [[1e-300], [-1e-300]]}}
+    for case in _OVERFLOWING_VELOCITIES + ("slow",):
+        proc = _simulate_subprocess(_BAD_SIMULATE.get(case, slow), tmp_path)
         assert proc.returncode == 2, case
         assert proc.stderr == "", case
         lines = proc.stdout.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "non_finite"
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "range"
         assert not (tmp_path / "o").exists()
-    # 1e10 apart, closing at 2e-300: contact at 5e309, beyond the float range
-    proc = _simulate_subprocess({"scenario": {
-        "generator": "explicit", "n": 1, "a": 0.01, "positions": [[0.0], [1e10]],
-        "velocities": [[1e-300], [-1e-300]]}}, tmp_path)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    summary = json.loads(proc.stdout)
-    assert (summary["events"], summary["termination"]) == (0, "queue_empty")
+
+
+def test_cli_out_of_range_subprocess(tmp_path):
+    """Under the default warning filters: rods at 0 and 1e153, rods at
+    speeds +-1e-250 (below the numeric range), and an event line at
+    yi = [1e300, 0] exit 2 with one JSON object naming the field and an
+    empty stderr; a run with an event beyond dynamics.HIGH exits 4 the
+    same way."""
+    def explicit(a, positions, velocities, **doc):
+        return {"scenario": {"generator": "explicit", "n": 1, "a": a,
+                             "positions": positions, "velocities": velocities},
+                **doc}
+
+    edge = 2.0 ** 127  # closing at 2^-127 from 2^127 apart: t = 2^254
+    cases = [
+        (explicit(0.01, [[0.0], [1e153]], [[1e153], [-1e153]]), 2, "position"),
+        (explicit(0.03125, [[0.75], [1.0], [5.0]], [[1e-250], [-1e-250], [1.0]]),
+         2, "velocity"),
+        (explicit(0.01, [[0.0], [edge]], [[1 / edge], [-1 / edge]],
+                  sim={"grazing_tol": 0.0}), 4, "beyond the numeric range"),
+    ]
+    for doc, code, word in cases:
+        proc = _simulate_subprocess(doc, tmp_path)
+        assert (proc.returncode, proc.stderr) == (code, ""), doc
+        [line] = proc.stdout.splitlines()
+        assert word in json.loads(line)["detail"]
+    lines = _replaced(list(_head_on_lines()), (1, "yi"), [1e300, 0.0])
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinkbound.cli", "verify-tensor", "--events",
+         str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    [line] = proc.stdout.splitlines()
+    assert "event log line 2 yi" in json.loads(line)["detail"]
 
 
 @functools.cache
@@ -859,7 +892,8 @@ def _copy_at_half(lines):
 # edits of the one-event log of two discs meeting head-on
 _BAD_HISTORIES = {
     "post_speeds_100": _speeds_after(100.0),      # slice mass above M+E
-    "post_speeds_1e200": _speeds_after(1e200),    # squares overflow
+    "post_speeds_1e200": _speeds_after(1e200),    # outside the numeric range
+    "j_equals_i": lambda lines: lines[1].update(j=0),  # 0 collides with 0
     "earlier_copy_appended": _copy_at_half,       # time runs backwards
 }
 
@@ -878,6 +912,79 @@ def test_cli_verify_tensor_rejects_bad_history(case, tmp_path, capsys):
     assert len(lines) == 3
     _BAD_HISTORIES[case](lines)
     assert cli.main(_argv("verify-tensor", lines, tmp_path)) == 2
+    _assert_one_json_object(capsys)
+
+
+# every finite float: 0 and +-[2^-1074, 2^1023], subnormals included
+_ANY_FLOAT = st.floats(-2.0 ** 1023, 2.0 ** 1023, allow_nan=False)
+
+
+@st.composite
+def _numeric_simulate_doc(draw):
+    """A simulate config with every float field drawn from _ANY_FLOAT."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 8))
+
+    def floats(*shape):
+        return draw(st.lists(_ANY_FLOAT, min_size=math.prod(shape),
+                             max_size=math.prod(shape)).map(
+            lambda v: np.reshape(v, shape).tolist()))
+
+    generator = draw(st.sampled_from(["random_gas", "line_1d", "explicit"]))
+    if generator == "random_gas":
+        scenario = {"n": n, "N": N, "a": draw(_ANY_FLOAT), "seed": 0,
+                    "box": floats() if draw(st.booleans()) else floats(n)}
+        if draw(st.booleans()):
+            scenario["box_policy"] = {"kind": "fixed_fraction", "value": draw(_ANY_FLOAT)}
+        kind = draw(st.sampled_from(["maxwell", "uniform", "explicit"]))
+        scenario["velocities"] = {"kind": kind, **(
+            {"values": floats(N, n)} if kind == "explicit"
+            else {"sigma" if kind == "maxwell" else "v0": floats()})}
+    elif generator == "line_1d":
+        n, scenario = 1, {"p": draw(st.integers(1, 8))}
+    else:
+        scenario = {"n": n, "a": draw(_ANY_FLOAT), "positions": floats(N, n),
+                    "velocities": floats(N, n)}
+    doc = {"scenario": {"generator": generator, **scenario},
+           "sim": {key: floats() for key in ("t_max", "grazing_tol", "overlap_tol",
+                                             "time_tie_tol") if draw(st.booleans())},
+           "ledger": {"epsilon": floats()} if draw(st.booleans()) else {}}
+    if draw(st.booleans()):
+        doc["boost"] = floats(n)
+    if draw(st.booleans()):
+        doc["time_scale"] = floats()
+    return doc
+
+
+@st.composite
+def _numeric_event_lines(draw):
+    """The head-on one-event log with every float field of its event line
+    (t and the six vectors) drawn from _ANY_FLOAT, or kept, at random."""
+    lines = copy.deepcopy(list(_head_on_lines()))
+    for key in ("t", "yi", "yj", "vi", "vj", "vi_post", "vj_post"):
+        if draw(st.booleans()):
+            size = 1 if key == "t" else 2
+            value = draw(st.lists(_ANY_FLOAT, min_size=size, max_size=size))
+            lines[1][key] = value[0] if key == "t" else value
+    return lines
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_numeric_simulate_doc() | _numeric_event_lines())
+def test_cli_numeric_fields_fuzz(doc, tmp_path, capsys):
+    """Any finite float in any numeric field of a simulate config or of an
+    event line ends with exit 0, 2, 3 or 4, one JSON object on stdout and
+    nothing on stderr: the numeric range (dynamics.LOW) is checked at the
+    input, and a run that leaves it exits 4.  The packing cap is lowered
+    so that a gas too dense to place fails fast."""
+    command = "verify-tensor" if isinstance(doc, list) else "simulate"
+    shutil.rmtree(tmp_path / "o", ignore_errors=True)
+    capsys.readouterr()
+    with mock.patch.object(harness, "_PACKING_ATTEMPT_CAP", 200):
+        code = cli.main(_argv(command, doc, tmp_path))
+    assert code in (0, 2, 3, 4)
     _assert_one_json_object(capsys)
 
 
