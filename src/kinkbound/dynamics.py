@@ -671,100 +671,95 @@ def write_events_jsonl(log: EventLog, path) -> None:
         fh.write(events_jsonl_bytes(log))
 
 
-def _is_id(value) -> bool:
-    """Particle ids in an event log are JSON integers (not 1.0, not true)."""
-    return type(value) is int
-
-
 def _initial_state(value, name: str) -> tuple:
     rec = read_object(value, name)
-    if not _is_id(rec["id"]):
+    if type(rec["id"]) is not int:  # JSON integers: not 1.0, not true
         raise ValueError(f"{name}.id must be an integer, got {rec['id']!r}")
     return (rec["id"], read_array(rec["y"], f"{name}.y"),
             read_array(rec["v"], f"{name}.v"))
 
 
-def _check_event(doc, line: int, n: int, ids: set) -> None:
-    """Raise ValueError naming the line unless the event line doc has a t and
-    six vectors of n numbers in the numeric range, i and j two header ids."""
-    name = f"event log line {line}"
-    if not isinstance(doc, dict) or not doc.keys() >= set(_EVENT_FIELDS):
-        raise ValueError(f"{name} is not a collision event: {doc!r}")
-    check_range(read_number(doc["t"], f"{name} t"), f"{name} t")
-    i, j = doc["i"], doc["j"]
-    if not (_is_id(i) and _is_id(j) and i != j and i in ids and j in ids):
-        raise ValueError(f"{name}: i={i!r}, j={j!r} are not two particle ids "
-                         "of the header")
-    for key in _EVENT_ARRAYS:
-        vector = read_array(doc[key], f"{name} {key}")
-        if vector.shape != (n,):
-            raise ValueError(f"{name}: {key} must be {n} numbers, "
-                             f"got {doc[key]!r}")
-        check_range(vector, f"{name} {key}")
+def _holds_bool(value) -> bool:
+    """Whether the decoded JSON value is a boolean or an array holding one."""
+    return type(value) is bool or (type(value) is list and any(map(_holds_bool, value)))
 
 
-def _decode_lines(body: list) -> list:
-    """The JSON values of the event lines, decoded as one array; a line
-    that is not JSON is reported by its line number."""
-    try:
-        docs = json.loads("[" + ",".join(body) + "]")
-        if len(docs) == len(body):
-            return docs
-    except ValueError:
-        pass
-    for line, text in enumerate(body, start=2):
-        try:
-            json.loads(text)
-        except ValueError as exc:
-            raise ValueError(f"event log line {line} is not JSON: {exc}") from exc
-    raise ValueError("event log lines are not one JSON value each")
-
-
-def _event_block(body: list, n: int, ids: np.ndarray) -> EventBlock:
-    """The EventBlock of the event lines body, checked as _check_event
-    checks each line.
-
-    The columns are converted without a dtype and tested once: numeric
-    and not bool, of the right shape, in the numeric range, i and j two
-    ids of the header's.  A boolean mixed into numbers promotes to a
-    number, so a line whose text holds "true" or "false" counts as failing
-    too.  On any failure the lines are checked one by one, and the first
-    bad one is reported.  Then the first line whose t is below the line
-    before it is reported.
+def _event_block(docs: list, body: list, config: SimConfig, ids: np.ndarray,
+                 name: str) -> EventBlock:
+    """The EventBlock of the decoded event lines docs (text body); raises,
+    named name, for the first rule they break: JSON objects with every
+    field; numbers, integers for i and j (a boolean converts to a number,
+    so where the text holds "true" or "false" each value is tested); t one
+    number and each vector n; i, j two different header ids; the numeric
+    range; yi, yj 2a apart (_Engine._collide's contact check).  Messages
+    quote the first line: read_events_jsonl runs the block, then each line.
     """
-    docs = _decode_lines(body)
-    E = len(docs)
-    shapes = {"t": (E,), "i": (E,), "j": (E,), **dict.fromkeys(_EVENT_ARRAYS, (E, n))}
+    E, n, first = len(docs), config.n, docs[0] if docs else {}
     try:
-        cols = {key: np.array([d[key] for d in docs]) for key in _EVENT_FIELDS}
-        ok = (E == 0 or all(  # no events: empty columns, shape (0,)
-            cols[key].shape == shape
-            and cols[key].dtype.kind in ("i" if key in ("i", "j") else "if")
-            for key, shape in shapes.items()))
-        ok = (ok and np.isin(cols["i"], ids).all() and np.isin(cols["j"], ids).all()
-              and not (cols["i"] == cols["j"]).any())
-        for key in ("t",) + _EVENT_ARRAYS:
-            check_range(cols[key], key)
-    except (TypeError, KeyError, ValueError, OverflowError):
-        ok = False
-    if not ok or any("true" in s or "false" in s for s in body):
-        id_set = set(ids.tolist())
-        for line, doc in enumerate(docs, start=2):
-            _check_event(doc, line, n, id_set)
-        cols = {key: np.array([d[key] for d in docs]) for key in _EVENT_FIELDS}
+        values = {key: [d[key] for d in docs] for key in _EVENT_FIELDS}
+    except (KeyError, TypeError):
+        raise ValueError(f"{name} is not a collision event: {first!r}") from None
+    tested = any("true" in s or "false" in s for s in body)
+    not_ids = (f"{name}: i={first.get('i')!r}, j={first.get('j')!r} are not two "
+               "particle ids of the header")
+    cols = {}
+    for key, vals in values.items():
+        try:
+            cols[key] = col = np.array(vals)
+        except ValueError:  # ragged
+            number = False
+        else:
+            number = (col.dtype.kind in ("i" if key in ("i", "j") else "iuf")
+                      and not (tested and any(map(_holds_bool, vals))))
+        if E and not (number and col.shape == ((E, n) if key in _EVENT_ARRAYS else (E,))):
+            raise ValueError(
+                not_ids if key in ("i", "j") else
+                f"{name} t must be a finite number, got {first['t']!r}" if key == "t" else
+                f"{name} {key} must be a number or an array of numbers" if not number else
+                f"{name}: {key} must be {n} numbers, got {first[key]!r}")
+    i, j = cols["i"], cols["j"]
+    if not (np.isin(i, ids).all() and np.isin(j, ids).all()) or (i == j).any():
+        raise ValueError(not_ids)
+    for key in ("t",) + _EVENT_ARRAYS:
+        check_range(cols[key], f"{name} {key}")
 
     def pair(a, b):
         return np.stack((cols[a], cols[b]), axis=1).astype(np.float64).reshape(E, 2, n)
 
-    t = cols["t"].astype(np.float64).reshape(E)
-    back = np.flatnonzero(t[1:] < t[:-1])
+    y = pair("yi", "yj")
+    if (np.abs(norms(y[:, 1] - y[:, 0]) - 2.0 * config.a)
+            > config.overlap_tol * max(config.a, 1.0)).any():
+        raise ValueError(f"{name}: yi and yj are not 2a apart")
+    return EventBlock(cols["t"].astype(np.float64), i.astype(np.int64), j.astype(np.int64),
+                      y, pair("vi", "vj"), pair("vi_post", "vj_post"))
+
+
+def _check_history(log: EventLog) -> None:
+    """The rules across event lines: no t is below the line before it, and
+    each event's vi and vj are, bit for bit, that particle's velocity after
+    its previous event or, at its first, in the header."""
+    b, n, N = log.events, log.config.n, len(log.initial)
+    back = np.flatnonzero(b.t[1:] < b.t[:-1])
     if len(back):  # event k + 1 is on line k + 3
         k = back[0]
-        raise ValueError(f"event log line {k + 3}: t={t[k + 1]:.17g} is before "
-                         f"the t={t[k]:.17g} of the line before it")
-    return EventBlock(t, cols["i"].astype(np.int64).reshape(E),
-                      cols["j"].astype(np.int64).reshape(E),
-                      pair("yi", "yj"), pair("vi", "vj"), pair("vi_post", "vj_post"))
+        raise ValueError(f"event log line {k + 3}: t={b.t[k + 1]:.17g} is before "
+                         f"the t={b.t[k]:.17g} of the line before it")
+    # the initial states, then slot 2k + s, particle s (i, j) of event k: a
+    # stable sort by particle puts each slot after its particle's previous
+    # slot or initial state (as build_tensor orders breakpoints)
+    rows = np.concatenate((np.arange(N), log.rows().reshape(-1)))
+    order = np.argsort(rows, kind="stable")
+    prev = np.empty_like(order)
+    prev[order[1:]] = order[:-1]
+    after = np.concatenate((log.initial.velocity, b.v_post.reshape(-1, n)))
+    bad = np.flatnonzero((after[prev[N:]].view(np.int64)
+                          != b.v.reshape(-1, n).view(np.int64)).any(axis=1))
+    if len(bad):
+        s, p = int(bad[0]), int(prev[N + bad[0]]) - N
+        was = ("its header velocity" if p < 0 else
+               f"its {('vi_post', 'vj_post')[p % 2]} on line {p // 2 + 2}")
+        raise ValueError(f"event log line {s // 2 + 2}: {('vi', 'vj')[s % 2]} of "
+                         f"particle {log.initial.id[rows[N + s]]} is not {was}")
 
 
 def read_events_jsonl(path) -> EventLog:
@@ -774,9 +769,9 @@ def read_events_jsonl(path) -> EventLog:
     The header and footer fields are checked one by one, and the header's
     config and initial states as run_simulation checks its input: by
     validate_configuration, raising ConfigurationError (a ValueError).
-    The event lines make up most of the file: they are decoded, packed
-    into an EventBlock and checked column by column (see _event_block), a
-    bad line reported by its line number.
+    The event lines make up most of the file: they are decoded as one
+    array, packed into an EventBlock and checked column by column
+    (_event_block), a bad line named by its number, then across lines.
     """
     with open(path, "rb") as fh:
         lines = fh.read().decode().splitlines()
@@ -805,15 +800,27 @@ def read_events_jsonl(path) -> EventLog:
     if not report.ok:
         raise ConfigurationError(report)
     provenance = read_object(header.get("provenance", {}), "provenance")
-    block = _event_block(lines[1:-1], config.n, initial.id)
-    off = np.flatnonzero(np.abs(norms(block.y[:, 1] - block.y[:, 0]) - 2.0 * config.a)
-                         > config.overlap_tol * max(config.a, 1.0))
-    if len(off):  # _Engine._collide's contact check: a colliton is along yj - yi
-        raise ValueError(f"event log line {off[0] + 2}: yi and yj are not 2a apart")
+    body = lines[1:-1]
+    try:  # the event lines as one JSON array
+        docs = json.loads("[" + ",".join(body) + "]")
+        if len(docs) != len(body):
+            raise ValueError("event log lines are not one JSON value each")
+        block = _event_block(docs, body, config, initial.id, "event log lines")
+    except ValueError:  # name the first line that is not JSON or breaks a rule
+        for k, text in enumerate(body):
+            name = f"event log line {k + 2}"
+            try:
+                doc = json.loads(text)
+            except ValueError as exc:
+                raise ValueError(f"{name} is not JSON: {exc}") from None
+            _event_block([doc], [text], config, initial.id, name)
+        raise
     if read_int(footer.get("events"), "footer events") != len(block):
         raise ValueError("event count mismatch between footer and body")
     termination = footer.get("termination")
     if termination not in ("queue_empty", "t_max"):
         raise ValueError(f"unknown termination {termination!r}")
-    return EventLog(config=config, initial=initial, events=block,
-                    termination=termination, provenance=provenance)
+    log = EventLog(config=config, initial=initial, events=block,
+                   termination=termination, provenance=provenance)
+    _check_history(log)
+    return log

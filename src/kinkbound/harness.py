@@ -112,7 +112,8 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
 
     Placement is rejection sampling with a global attempt cap; packings
     too dense to place raise PackingError.  Candidates are drawn and tested
-    in batches of at most _PLACE_BLOCK candidate x sphere pairs; they are
+    in batches of at most 64 candidates and _PLACE_BLOCK candidate x
+    sphere pairs (their 64 x 64 clash matrix is _PLACE_BLOCK too); they are
     placed as one candidate at a time would place them, and the generator
     is left where that loop leaves it (the Philox stream gives the same
     values for random((k, n)) as for k draws of random(n)), so the
@@ -125,7 +126,7 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
     gen = _rng(seed)
     placed = np.empty((N, n))
     min_dist = 2.0 * a * (1.0 + 1e-9)  # strict separation for clean starts
-    batch = max(1, min(N, _PLACE_BLOCK // max(N, 1)))
+    batch = max(1, min(64, _PLACE_BLOCK // max(N, 1)))
     i = attempts = 0
     while i < N:
         k = min(batch, _PACKING_ATTEMPT_CAP - attempts)

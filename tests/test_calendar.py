@@ -536,7 +536,7 @@ def _three_body(draw):
     return n, a, pos, vel, draw(_T_MAX)
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(scene=st.one_of(_gas_scene(), _lattice_gas(), _lattice_gas(),

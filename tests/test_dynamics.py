@@ -118,7 +118,7 @@ def test_run_simulation_rejects_tolerances_out_of_range(name):
     assert validate_configuration(states, replace(cfg, **{name: 5e-324})).ok
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_overlap_check_matches_particle_loop(data):
     """The overlap check's row blocks, of any size, report the first row
@@ -347,10 +347,9 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_event_line_with_an_extra_field_reads_back(tmp_path):
-    """A field that the log does not define is ignored.  Its "true" sends
-    the reader to the line-by-line check, which passes every line, and the
-    columns are then rebuilt from the lines: the log reads back as it was
-    written."""
+    """A field that the log does not define is ignored.  Its "true" makes
+    the reader test every value for a boolean, which finds none, and the
+    log reads back as it was written."""
     sc = kb.gen_random_gas(2, 16, [1.0, 1.0], 0.03,
                            {"kind": "maxwell", "sigma": 1.0}, seed=9)
     log = run_simulation(sc.states, sc.config)
@@ -358,10 +357,10 @@ def test_event_line_with_an_extra_field_reads_back(tmp_path):
     lines[1] = lines[1][:-1] + ',"note":true}'
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with mock.patch.object(dynamics, "_check_event",
-                           wraps=dynamics._check_event) as check:
+    with mock.patch.object(dynamics, "_holds_bool",
+                           wraps=dynamics._holds_bool) as test:
         back = read_events_jsonl(path)
-    assert check.call_count == len(log.events) > 0
+    assert test.call_count >= len(log.events) > 0
     assert events_jsonl_bytes(back) == events_jsonl_bytes(log)
 
 

@@ -107,7 +107,7 @@ def _radius(n, N, fraction):
     return 0.5 * (fraction / (N * ball / 2 ** n)) ** (1 / n)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(n=st.sampled_from([1, 2, 3]), N=st.integers(1, 40),
        seed=st.integers(0, 2**16), data=st.data())
 def test_batched_placement_matches_one_at_a_time(n, N, seed, data):
@@ -135,6 +135,39 @@ def test_batched_placement_hits_the_cap_where_one_at_a_time_does():
         want = _gas_outcome(_one_at_a_time, 2, 60, 0.3, 0)
     assert got == want
     assert got[0].startswith("could not place sphere 4 of 60 within 5003 attempts")
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts its random() calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self.gen.random(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def test_packing_error_takes_a_bounded_number_of_batches():
+    """Two discs of radius 1 do not fit apart in the unit square: the
+    attempt cap runs out 64 candidates a batch, one random() call each,
+    however few spheres the gas has."""
+    gens = []
+    make = harness._rng
+
+    def rng(seed):
+        gens.append(_CountingGenerator(make(seed)))
+        return gens[-1]
+
+    with mock.patch.object(harness, "_rng", rng), \
+            pytest.raises(harness.PackingError,
+                          match=f"sphere 1 of 2 within {harness._PACKING_ATTEMPT_CAP} "):
+        harness.gen_random_gas(2, 2, [1, 1], 1.0, {}, 0)
+    batches = math.ceil(harness._PACKING_ATTEMPT_CAP / 64)
+    assert batches <= gens[0].calls <= batches + 1
 
 
 def test_gen_random_gas_velocity_kinds():
@@ -815,7 +848,7 @@ _WRONG_TYPES = {
 }
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(field=st.sampled_from(_fuzzed_fields()), data=st.data())
 def test_cli_wrong_json_type_is_one_json_object(field, data, tmp_path, capsys):
@@ -884,9 +917,12 @@ def _speeds_after(v):
     return lambda lines: lines[1].update(vi_post=[-v, 0.0], vj_post=[v, 0.0])
 
 
-def _copy_at_half(lines):
-    lines.insert(2, {**lines[1], "t": 0.5})
-    lines[-1]["events"] = 2
+def _copied(**fields):
+    """Append a copy of the event line, with fields changed."""
+    def edit(lines):
+        lines.insert(2, {**lines[1], **fields})
+        lines[-1]["events"] = 2
+    return edit
 
 
 # edits of the one-event log of two discs meeting head-on
@@ -894,8 +930,13 @@ _BAD_HISTORIES = {
     "post_speeds_100": _speeds_after(100.0),      # slice mass above M+E
     "post_speeds_1e200": _speeds_after(1e200),    # outside the numeric range
     "j_equals_i": lambda lines: lines[1].update(j=0),  # 0 collides with 0
-    "earlier_copy_appended": _copy_at_half,       # time runs backwards
+    "earlier_copy_appended": _copied(t=0.5),      # time runs backwards
+    "copied_line": _copied(),                     # vi is not 0's vi_post
 }
+
+# the line that each history's error names, where it names one
+_NAMED_LINE = {"post_speeds_1e200": 2, "j_equals_i": 2,
+               "earlier_copy_appended": 3, "copied_line": 3}
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
@@ -912,7 +953,55 @@ def test_cli_verify_tensor_rejects_bad_history(case, tmp_path, capsys):
     assert len(lines) == 3
     _BAD_HISTORIES[case](lines)
     assert cli.main(_argv("verify-tensor", lines, tmp_path)) == 2
-    _assert_one_json_object(capsys)
+    out, err = capsys.readouterr()
+    [line] = out.splitlines()
+    assert err == ""
+    detail = json.loads(line)["detail"]
+    if case in _NAMED_LINE:
+        assert f"event log line {_NAMED_LINE[case]}" in detail
+
+
+@functools.cache
+def _rows_lines() -> tuple:
+    """The JSON lines of the log of 3 discs meeting 3 others head-on in
+    R^2, 9 collisions."""
+    k = [1.0, 2.0, 3.0]
+    log = harness.simulate_scenario(harness.gen_explicit(
+        2, 0.01, [[-x, 0.0] for x in k] + [[x, 0.0] for x in k],
+        [[1.0, 0.0]] * 3 + [[-1.0, 0.0]] * 3))
+    return tuple(json.loads(line)
+                 for line in events_jsonl_bytes(log).decode().splitlines())
+
+
+# edits that break one rule of an event line
+_BAD_EVENT_LINES = {
+    "missing_field": lambda ev: ev.pop("vj"),
+    "string_value": lambda ev: ev["vj_post"].__setitem__(0, "0.5"),
+    "true_as_i": lambda ev: ev.update(i=True),
+    "true_in_vi": lambda ev: ev["vi"].__setitem__(1, True),
+    "vector_of_n_plus_1": lambda ev: ev["yi"].append(0.0),
+    "i_equals_j": lambda ev: ev.update(j=ev["i"]),
+    "id_not_in_header": lambda ev: ev.update(j=99),
+    "component_1e300": lambda ev: ev["vi_post"].__setitem__(1, 1e300),
+    "yj_off_contact": lambda ev: ev["yj"].__setitem__(1, ev["yj"][1] + 0.5),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@pytest.mark.parametrize("case", sorted(_BAD_EVENT_LINES))
+def test_cli_verify_tensor_names_the_bad_event_line(case, tmp_path, capsys):
+    """Each rule of an event line, broken on line 7 of a 9-event log, exits
+    2 with one JSON object naming that line and nothing on stderr."""
+    lines = copy.deepcopy(list(_rows_lines()))
+    assert len(lines) == 11
+    _BAD_EVENT_LINES[case](lines[6])
+    assert cli.main(_argv("verify-tensor", lines, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    [line] = out.splitlines()
+    assert err == ""
+    doc = json.loads(line)
+    assert doc["error"] == ("range" if case == "component_1e300" else "invalid_input")
+    assert "event log line 7" in doc["detail"]
 
 
 # every finite float: 0 and +-[2^-1074, 2^1023], subnormals included
@@ -970,7 +1059,7 @@ def _numeric_event_lines(draw):
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_numeric_simulate_doc() | _numeric_event_lines())
 def test_cli_numeric_fields_fuzz(doc, tmp_path, capsys):

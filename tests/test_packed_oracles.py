@@ -274,7 +274,7 @@ def test_row_norms_and_wedges_match_scalar_forms(n):
     assert kernel.wedge_norms(X[0], Y[0]) == oracles.wedge_norm(X[0], Y[0])
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=25,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**16), n=st.sampled_from([1, 2, 3]),
        N=st.integers(1, 14))

@@ -86,7 +86,7 @@ def _check(base, other, vectors, time_scale=1.0, length=1.0):
 gases = dict(seed=st.integers(0, 2**16), N=st.integers(8, 32))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(**gases)
 def test_axis_swap_in_the_plane(seed, N):
     y, v = _gas(2, N, seed)
@@ -95,7 +95,7 @@ def test_axis_swap_in_the_plane(seed, N):
     _check(base, swapped, lambda x: x[..., ::-1])
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.sampled_from([2, 3]), axis=st.integers(0, 2), **gases)
 def test_axis_reflection(n, axis, seed, N):
     axis %= n
@@ -106,7 +106,7 @@ def test_axis_reflection(n, axis, seed, N):
     _check(base, _run(n, A, y * flip, v * flip), lambda x: x * flip)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.sampled_from([2, 3]), k=st.sampled_from([-3, -2, -1, 1, 2, 3]),
        **gases)
 def test_positions_and_radius_times_a_power_of_two(n, k, seed, N):
@@ -117,7 +117,7 @@ def test_positions_and_radius_times_a_power_of_two(n, k, seed, N):
     _check(base, scaled, lambda x: x, time_scale=scale, length=scale)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.sampled_from([2, 3]), k=st.sampled_from([-3, -2, -1, 1, 2, 3]),
        **gases)
 def test_velocities_times_a_power_of_two(n, k, seed, N):

@@ -260,7 +260,7 @@ def _midpoints(t):
             + [t[-1] + 0.1])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**16), st.sampled_from([2, 3]), st.integers(2, 16),
        st.data())
 def test_default_eps_on_windows_and_slices_matches_loop(seed, n, N, data):
@@ -284,7 +284,7 @@ def test_default_eps_on_windows_and_slices_matches_loop(seed, n, N, data):
         assert got == want if isinstance(want, str) else _same_bits(got, want)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**16), st.sampled_from([2, 3]), st.integers(2, 16))
 def test_small_gases_match_loops(seed, n, N):
     log = _gas_log(n, N, seed, a=0.03)
