@@ -11,12 +11,14 @@ each scene of benchmarks/engine_costs.py as a set of its own, and the 12
 scenes of the benchmark's sweep3d workload (3-D gas, a=0.01, covering
 fraction 0.2, N in {64, 128, 256}, seeds 48-51, t_max=1) as one set.
 
-The scenes are built with this tree's kinkbound (engine_costs.py's
-import).  The script first asserts that the two sides give bit-identical
-event blocks and the same termination on every scene.  Then it makes R rounds
-(default 20); a round runs every set once on each side, the side that goes
-first alternating from round to round, so that a drift of the machine's
-speed (20-40 % between runs on a shared VM) falls on both sides alike.
+Each side builds its scenes with its own package, so that each engine
+gets the config type it reads.  The script first asserts that the two
+sides build bit-identical initial states, and that they give
+bit-identical event blocks and the same termination on every scene.  Then
+it makes R rounds (default 20); a round runs every set once on each side,
+the side that goes first alternating from round to round, so that a drift
+of the machine's speed (20-40 % between runs on a shared VM) falls on
+both sides alike.
 It prints one JSON object per set: the quartiles and median over the
 rounds of each side's seconds, and of the ratio change / parent within a
 round.
@@ -39,7 +41,7 @@ from time import perf_counter
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-import engine_costs  # noqa: E402  (the scenes, built with this tree)
+import engine_costs  # noqa: E402  (the scenes)
 
 
 def load(src: Path, name: str):
@@ -53,17 +55,17 @@ def load(src: Path, name: str):
     return module
 
 
-def scene_sets(tiny: bool) -> dict:
+def scene_sets(kb, tiny: bool) -> dict:
     """{set name: [scenario, ...]}: engine_costs.py's scenes, one set
-    each, and the sweep3d scenes."""
-    harness, gas3d = engine_costs.harness, engine_costs.GAS3D
+    each, and the sweep3d scenes, built with the package kb."""
+    harness, gas3d = kb.harness, engine_costs.GAS3D
     if tiny:
         return {"line1d_p5": [harness.gen_line_1d(5)],
-                "rows2d_p3": [engine_costs.rows(2, 3, 0.01)],
+                "rows2d_p3": [engine_costs.rows(harness, 2, 3, 0.01)],
                 "gas3d_n16": [harness._sweep_scenario(gas3d, 16, 48, 1.0)],
                 "sweep3d": [harness._sweep_scenario(gas3d, N, seed, 1.0)
                             for N in (8, 16) for seed in (48, 49)]}
-    return {**{name: [sc] for name, sc in engine_costs.scenes().items()},
+    return {**{name: [sc] for name, sc in engine_costs.scenes(harness).items()},
             "sweep3d": [harness._sweep_scenario(gas3d, N, seed, 1.0)
                         for N in (64, 128, 256) for seed in range(48, 52)]}
 
@@ -75,6 +77,15 @@ def run_set(kb, scenarios) -> tuple:
     for sc in scenarios:
         results.append(kb.dynamics._Engine(sc.states, sc.config).run())
     return perf_counter() - start, results
+
+
+def assert_same_states(name: str, a: list, b: list) -> None:
+    """Bit-identical initial states, scene by scene."""
+    for k, (sa, sb) in enumerate(zip(a, b)):
+        for col in ("id", "position", "velocity"):
+            x, y = getattr(sa.states, col), getattr(sb.states, col)
+            assert x.dtype == y.dtype and x.shape == y.shape \
+                and x.tobytes() == y.tobytes(), (name, k, col)
 
 
 def assert_same(name: str, a: list, b: list) -> None:
@@ -105,17 +116,20 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     sides = {"parent": load(args.parent.resolve() / "src", "kinkbound_parent"),
              "change": load(HERE.parent / "src", "kinkbound_change")}
-    sets = scene_sets(args.tiny)
-    for name, scenarios in sets.items():
-        assert_same(name, run_set(sides["parent"], scenarios)[1],
-                    run_set(sides["change"], scenarios)[1])
-    seconds = {(name, side): [] for name in sets for side in sides}
+    sets = {side: scene_sets(kb, args.tiny) for side, kb in sides.items()}
+    for name in sets["change"]:
+        parent, change = sets["parent"][name], sets["change"][name]
+        assert_same_states(name, parent, change)
+        assert_same(name, run_set(sides["parent"], parent)[1],
+                    run_set(sides["change"], change)[1])
+    seconds = {(name, side): [] for name in sets["change"] for side in sides}
     for r in range(max(1, args.rounds)):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-        for name, scenarios in sets.items():
+        for name in sets["change"]:
             for side in order:
-                seconds[name, side].append(run_set(sides[side], scenarios)[0])
-    for name, scenarios in sets.items():
+                seconds[name, side].append(
+                    run_set(sides[side], sets[side][name])[0])
+    for name, scenarios in sets["change"].items():
         parent, change = seconds[name, "parent"], seconds[name, "change"]
         ratios = [c / p for p, c in zip(parent, change)]
         print(json.dumps({

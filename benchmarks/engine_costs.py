@@ -52,8 +52,9 @@ import numpy as np
 from kinkbound import dynamics, harness
 
 
-def rows(n: int, p: int, a: float):
-    """p right-movers and p left-movers on the first axis, spacing 1."""
+def rows(harness, n: int, p: int, a: float):
+    """p right-movers and p left-movers on the first axis, spacing 1, built
+    with the module harness (of this tree or, in engine_ab.py, another)."""
     x = np.r_[-np.arange(1.0, p + 1), np.arange(1.0, p + 1)]
     pos = np.zeros((2 * p, n))
     vel = np.zeros((2 * p, n))
@@ -67,10 +68,11 @@ GAS3D = {"generator": "random_gas", "n": 3, "a": 0.01,
          "box_policy": {"kind": "fixed_fraction", "value": 0.2}}
 
 
-def scenes() -> dict:
+def scenes(harness) -> dict:
+    """The three scenes, built with the module harness."""
     return {"line1d_p50": harness.gen_line_1d(50),
             "gas3d_n256": harness._sweep_scenario(GAS3D, 256, 48, 1.0),
-            "rows2d_p20": rows(2, 20, 0.01)}
+            "rows2d_p20": rows(harness, 2, 20, 0.01)}
 
 
 class Costs:
@@ -108,7 +110,7 @@ class Costs:
         def by_arguments(engine, rows, t=None):
             if t is not None:
                 return predict["rescan"](engine, rows, t)
-            name = "init" if len(rows) == engine.config.N else "repredict"
+            name = "init" if len(rows) == len(engine.ids) else "repredict"
             return predict[name](engine, rows)
 
         self._patch(dynamics, "contact_times_scan", kernel)
@@ -157,7 +159,8 @@ def measure(name: str, scenario, runs: int) -> dict:
         for key, value in us.items():
             best[key] = min(best.get(key, math.inf), 1e6 * value / max(E, 1))
     calls = costs.calls
-    return {"scene": name, "N": scenario.config.N, "n": scenario.config.n,
+    N, n = scenario.states.position.shape
+    return {"scene": name, "N": N, "n": n,
             "runs": runs, "collisions": E,
             "repredictions": calls["repredict"],
             "kernel_calls": {"initial": calls["kernel", "init"],
@@ -175,7 +178,7 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=5,
                         help="runs per scene; each time is the best of them")
     args = parser.parse_args()
-    for name, scenario in scenes().items():
+    for name, scenario in scenes(harness).items():
         print(json.dumps(measure(name, scenario, max(1, args.runs))))
 
 

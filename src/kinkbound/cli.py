@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
-        _emit({"error": exc.report.reason, "detail": str(exc)})
+        _emit({"error": exc.reason, "detail": str(exc)})
         return EXIT_INVALID
     except GenericityViolation as exc:
         _emit({"error": "genericity", "time": exc.time,

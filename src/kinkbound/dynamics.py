@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "CollisionEvent",
     "EventBlock",
     "EventLog",
-    "ValidationReport",
     "validate_configuration",
     "run_simulation",
     "events_jsonl_bytes",
@@ -54,14 +54,14 @@ _EVENT_ARRAYS = ("yi", "yj", "vi", "vj", "vi_post", "vj_post")
 _EVENT_FIELDS = ("t", "i", "j") + _EVENT_ARRAYS
 
 class ConfigurationError(ValueError):
-    """Initial data violates the engine's preconditions."""
+    """Initial data breaks an engine precondition: rule reason, values detail."""
 
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"{report.reason}: {report.detail}")
+    def __init__(self, reason: str, detail: dict):
+        self.reason, self.detail = reason, detail
+        super().__init__(f"{reason}: {detail}")
 
     def __reduce__(self):  # a sweep worker sends it back pickled
-        return type(self), (self.report,)
+        return type(self), (self.reason, self.detail)
 
 
 class GenericityViolation(RuntimeError):
@@ -84,16 +84,14 @@ class SimulationBug(AssertionError):
 
 @dataclass
 class SimConfig:
-    """Engine parameters.
+    """Engine parameters (n and N are the shape of the initial states).
 
     t_max=None runs until no future event exists.  grazing_tol is relative
     (a contact is discarded when the quadratic discriminant is below
-    grazing_tol * (b^2 + A|c|)); overlap_tol is scaled by max(a, 1) into an
-    absolute length; time_tie_tol feeds the simultaneity detector.
+    grazing_tol * (b^2 + A|c|)); overlap_tol is relative too (see
+    off_contact); time_tie_tol feeds the simultaneity detector.
     """
 
-    n: int
-    N: int
     a: float
     t_max: float | None = None
     grazing_tol: float = 1e-14
@@ -200,13 +198,6 @@ class EventLog:
         return rows
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    reason: str = ""
-    detail: dict = field(default_factory=dict)
-
-
 _BLOCK = 1 << 12  # pairs per pass of the overlap check and of a kernel call
 _PLUS_MINUS = np.array([1.0, -1.0])  # v_i + impulse, v_j - impulse, exactly
 
@@ -235,57 +226,59 @@ def check_range(x, field: str, low: float = 0.0, ids=None) -> None:
     if out.any():
         k = int(np.argmax(out))
         at = {} if ids is None else {"id": int(ids[k // x.shape[-1]])}
-        raise ConfigurationError(ValidationReport(
-            False, "range", {"field": field, **at, "value": float(x.flat[k])}))
+        raise ConfigurationError(
+            "range", {"field": field, **at, "value": float(x.flat[k])})
 
 
-def validate_configuration(states, config: SimConfig) -> ValidationReport:
-    """Check initial data (a StateBlock): ids, shapes, the numeric range
-    (LOW), no overlap, and the engine tolerances (>= 0; overlap_tol > 0,
-    since a contact distance computed at 0 tolerance is off by rounding).
+def check_size(states, N: int, n: int) -> None:
+    """Raise ConfigurationError unless n >= 1 ("dimension") and the
+    StateBlock states holds N >= 1 particles ("particle_count") with (N, n)
+    positions and velocities ("dimension_mismatch")."""
+    pos, vel = states.position, states.velocity
+    if n < 1:
+        raise ConfigurationError("dimension", {"n": n})
+    if N != len(states) or not N:
+        raise ConfigurationError("particle_count", {"N": N, "given": len(states)}
+                                 if N else {"given": 0})
+    if pos.shape != (N, n) or vel.shape != pos.shape:
+        raise ConfigurationError("dimension_mismatch", {
+            "n": n, "position": pos.shape, "velocity": vel.shape})
+
+
+def validate_configuration(states, config: SimConfig) -> None:
+    """Raise ConfigurationError for the first rule that initial data (a
+    StateBlock) and config break: check_size of its own shape, radius,
+    t_max, tolerances (>= 0; overlap_tol > 0, since a contact distance at 0
+    tolerance is off by rounding), distinct ids, check_range, no overlap.
 
     Overlap means center distance <= 2a: spheres must be strictly apart
-    (and points distinct when a == 0).  The overlap report names the first
+    (and points distinct when a == 0).  The overlap error names the first
     row i with any overlap and its nearest later row j, at their distance
     (the bits of kernel.norms); the search takes blocks of rows against
     all later rows, at most _BLOCK pairs a block.
     """
-    def bad(reason, **detail):
-        return ValidationReport(False, reason, detail)
-
-    if config.n < 1:
-        return bad("dimension", n=config.n)
-    if config.N != len(states):
-        return bad("particle_count", N=config.N, given=len(states))
-    if len(states) < 1:
-        return bad("particle_count", given=0)
+    ids, pos, vel = states.id, states.position, states.velocity
+    check_size(states, len(states), pos.shape[-1])
+    N, n = pos.shape
     if not (config.a == 0 or LOW <= config.a <= HIGH):
-        return bad("radius", a=config.a)
-    if config.a == 0 and config.n != 1:
-        return bad("radius", a=config.a, n=config.n,
-                   note="zero radius is only meaningful on the line")
+        raise ConfigurationError("radius", {"a": config.a})
+    if config.a == 0 and n != 1:
+        raise ConfigurationError("radius", {
+            "a": config.a, "n": n, "note": "zero radius is only meaningful on the line"})
     if config.t_max is not None and not 0 < config.t_max <= HIGH:
-        return bad("t_max", t_max=config.t_max)
+        raise ConfigurationError("t_max", {"t_max": config.t_max})
     for name in TOLERANCES:
         tol = getattr(config, name)
         if not 0.0 <= tol <= HIGH or (tol == 0.0 and name == "overlap_tol"):
-            return bad("tolerance", **{name: tol})
-
-    ids, pos, vel = states.id, states.position, states.velocity
-    if len(np.unique(ids)) != len(ids):
-        return bad("duplicate_ids", ids=ids.tolist())
-    if pos.shape != (config.N, config.n) or vel.shape != pos.shape:
-        return bad("dimension_mismatch", n=config.n, position=pos.shape,
-                   velocity=vel.shape)
-    try:
-        check_range(pos, "position", ids=ids)
-        check_range(vel, "velocity", LOW, ids)
-    except ConfigurationError as exc:
-        return exc.report
+            raise ConfigurationError("tolerance", {name: tol})
+    if len(np.unique(ids)) != N:
+        raise ConfigurationError("duplicate_ids", {"ids": ids.tolist()})
+    check_range(pos, "position", ids=ids)
+    check_range(vel, "velocity", LOW, ids)
     # blocks of rows i against every later row j > i (d[q, c] is row
     # i0 + q against j = i0 + 1 + c; c < q is masked off), the differences
     # component-major, the layout component_sum reduces in one call
-    N, contact = len(states), 2.0 * config.a
+    contact = 2.0 * config.a
     cols = pos.T.copy()
     rows = max(1, _BLOCK // N)
     for i0 in range(0, N - 1, rows):
@@ -297,9 +290,18 @@ def validate_configuration(states, config: SimConfig) -> ValidationReport:
         if hit.any():
             q = int(np.argmax(hit))
             c = int(np.argmin(d[q]))
-            return bad("overlap", pair=(int(ids[i0 + q]), int(ids[i0 + 1 + c])),
-                       distance=float(d[q, c]), contact=contact)
-    return ValidationReport(True)
+            raise ConfigurationError("overlap", {
+                "pair": (int(ids[i0 + q]), int(ids[i0 + 1 + c])),
+                "distance": float(d[q, c]), "contact": contact})
+
+
+def off_contact(dist, scale, config: SimConfig):
+    """Whether centers dist apart (floats or arrays) are out of contact:
+    off 2a by more than overlap_tol * max(a, 1, scale), scale the pair's
+    largest |coordinate| (rounding grows with it), or coincident at a > 0."""
+    a, tol = config.a, config.overlap_tol
+    miss = abs(dist - 2.0 * a)
+    return (miss > tol * max(a, 1.0)) & (miss > tol * scale) | (dist == 0.0) & (a > 0.0)
 
 
 class _Engine:
@@ -353,7 +355,7 @@ class _Engine:
 
     def __init__(self, states: StateBlock, config: SimConfig):
         self.config = config
-        N, n = config.N, config.n
+        N, n = states.position.shape
         self.ids = states.id
         # positions (at tupd) and velocities, stacked and component-major:
         # _collide gathers and writes back both for its rows in one call,
@@ -418,12 +420,11 @@ class _Engine:
         speed any particle can have, clears every third body, and only a
         least gap within it runs the test pair by pair.
         """
-        N = self.config.N
         cc, last, heap = self.cc, self.last, self.heap
         step = self.rows_per_call & -2
         for r0 in range(0, len(rows), step):
             part = rows[r0:r0 + step]
-            both = np.empty((2, len(part), N))
+            both = np.empty((2, len(part), len(self.idx)))
             out, gap = both[0], both[1]
             contact_times_scan(self.pos, self.vel, self.tupd, part, self.idx,
                                self.four_a2, self.config.grazing_tol, out, gap)
@@ -476,16 +477,15 @@ class _Engine:
         dy = d[0]
         dist = np.sqrt(component_sum(dy * dy))
         a = self.config.a
-        tol = self.config.overlap_tol * max(a, 1.0)
+        centers = y.T.tolist()
         for p, r in enumerate(dist.tolist()):
-            if abs(r - 2.0 * a) > tol:
+            scale = max(map(abs, centers[2 * p] + centers[2 * p + 1]))
+            if off_contact(r, scale, self.config):
                 if p:
                     self._collide(t, rows[:2 * p])
                 i, j = rows[2 * p:2 * p + 2].tolist()
-                raise SimulationBug(
-                    f"contact distance {r!r} vs 2a={2 * a!r} at t={t!r} "
-                    f"for pair ({i}, {j})"
-                )
+                raise SimulationBug(f"contact distance {r!r} vs 2a={2 * a!r} at "
+                                    f"t={t!r} for pair ({i}, {j})")
         if a > 0.0:
             u = dy / dist
             impulse = component_sum(d[1] * u) * u
@@ -584,7 +584,7 @@ class _Engine:
             last[lo] = hi
             last[hi] = lo
             rows += lo, hi
-        E, n = self.count, self.config.n
+        E, n = self.count, self.state.shape[1]
         i, j = self.ids.take(np.array(self.pairs, dtype=np.int64).reshape(E, 2).T)
         y, v, v_post = (plane[:2 * E].reshape(E, 2, n) for plane in self.recorded)
         return EventBlock(np.array(self.times, dtype=np.float64), i, j,
@@ -598,9 +598,7 @@ def run_simulation(states: StateBlock, config: SimConfig) -> EventLog:
     when a third body touches a colliding pair within tolerance, and
     SimulationBug if internal guards (overlap, separation, event order, range) trip.
     """
-    report = validate_configuration(states, config)
-    if not report.ok:
-        raise ConfigurationError(report)
+    validate_configuration(states, config)
     try:
         with np.errstate(over="raise", invalid="raise"):
             block, termination = _Engine(states, config).run()
@@ -613,16 +611,6 @@ def run_simulation(states: StateBlock, config: SimConfig) -> EventLog:
 
 
 # -- serialization ----------------------------------------------------------
-
-
-def _templates(n: int) -> tuple:
-    """%-templates of one initial state of the header and of one event
-    line in R^n, the text _jsonio.dumps writes for their fields."""
-    vector = "[" + ",".join(["%.17g"] * n) + "]"
-    state = '{"id":%d,"y":' + vector + ',"v":' + vector + "}"
-    event = ('{"t":%.17g,"i":%d,"j":%d'
-             + "".join(f',"{key}":{vector}' for key in _EVENT_ARRAYS) + "}")
-    return state, event
 
 
 def _finite_lists(floats: np.ndarray) -> list:
@@ -641,12 +629,16 @@ def events_jsonl_bytes(log: EventLog) -> bytes:
     state or line over packed columns: the same text as _jsonio.dumps of
     {"id", "y", "v"} per state and of the CollisionEvent fields per event.
     """
-    n, states = log.config.n, log.initial
-    state, event = _templates(n)
+    states = log.initial
+    N, n = states.position.shape
+    vector = "[" + ",".join(["%.17g"] * n) + "]"
+    state = '{"id":%d,"y":' + vector + ',"v":' + vector + "}"
+    event = ('{"t":%.17g,"i":%d,"j":%d'
+             + "".join(f',"{key}":{vector}' for key in _EVENT_ARRAYS) + "}")
     header = _jsonio.dumps({
         "kind": "header",
         "format": EVENTS_FORMAT,
-        "config": asdict(log.config),
+        "config": {"n": n, "N": N, **asdict(log.config)},
         "provenance": log.provenance,
     })
     PV = np.concatenate((states.position, states.velocity), axis=1)
@@ -671,6 +663,13 @@ def write_events_jsonl(log: EventLog, path) -> None:
         fh.write(events_jsonl_bytes(log))
 
 
+def _decode(text: str):
+    """json.loads, but -0, the text of -0.0, is read as -0.0 (json: 0)."""
+    if re.search(r"-0(?![.eE\d])", text) is None:  # parse_int: a call per integer
+        return json.loads(text)
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
 def _initial_state(value, name: str) -> tuple:
     rec = read_object(value, name)
     if type(rec["id"]) is not int:  # JSON integers: not 1.0, not true
@@ -684,17 +683,17 @@ def _holds_bool(value) -> bool:
     return type(value) is bool or (type(value) is list and any(map(_holds_bool, value)))
 
 
-def _event_block(docs: list, body: list, config: SimConfig, ids: np.ndarray,
-                 name: str) -> EventBlock:
+def _event_block(docs: list, body: list, config: SimConfig,
+                 initial: StateBlock, name: str) -> EventBlock:
     """The EventBlock of the decoded event lines docs (text body); raises,
     named name, for the first rule they break: JSON objects with every
     field; numbers, integers for i and j (a boolean converts to a number,
     so where the text holds "true" or "false" each value is tested); t one
-    number and each vector n; i, j two different header ids; the numeric
-    range; yi, yj 2a apart (_Engine._collide's contact check).  Messages
-    quote the first line: read_events_jsonl runs the block, then each line.
+    number and each vector n; i, j two different ids of initial; the
+    numeric range; yi, yj 2a apart (off_contact).  Messages quote the
+    first line: read_events_jsonl runs the block, then each line.
     """
-    E, n, first = len(docs), config.n, docs[0] if docs else {}
+    E, n, first = len(docs), initial.position.shape[1], docs[0] if docs else {}
     try:
         values = {key: [d[key] for d in docs] for key in _EVENT_FIELDS}
     except (KeyError, TypeError):
@@ -718,6 +717,7 @@ def _event_block(docs: list, body: list, config: SimConfig, ids: np.ndarray,
                 f"{name} {key} must be a number or an array of numbers" if not number else
                 f"{name}: {key} must be {n} numbers, got {first[key]!r}")
     i, j = cols["i"], cols["j"]
+    ids = initial.id
     if not (np.isin(i, ids).all() and np.isin(j, ids).all()) or (i == j).any():
         raise ValueError(not_ids)
     for key in ("t",) + _EVENT_ARRAYS:
@@ -727,8 +727,7 @@ def _event_block(docs: list, body: list, config: SimConfig, ids: np.ndarray,
         return np.stack((cols[a], cols[b]), axis=1).astype(np.float64).reshape(E, 2, n)
 
     y = pair("yi", "yj")
-    if (np.abs(norms(y[:, 1] - y[:, 0]) - 2.0 * config.a)
-            > config.overlap_tol * max(config.a, 1.0)).any():
+    if off_contact(norms(y[:, 1] - y[:, 0]), abs(y).max(axis=(1, 2)), config).any():
         raise ValueError(f"{name}: yi and yj are not 2a apart")
     return EventBlock(cols["t"].astype(np.float64), i.astype(np.int64), j.astype(np.int64),
                       y, pair("vi", "vj"), pair("vi_post", "vj_post"))
@@ -738,7 +737,7 @@ def _check_history(log: EventLog) -> None:
     """The rules across event lines: no t is below the line before it, and
     each event's vi and vj are, bit for bit, that particle's velocity after
     its previous event or, at its first, in the header."""
-    b, n, N = log.events, log.config.n, len(log.initial)
+    b, (N, n) = log.events, log.initial.position.shape
     back = np.flatnonzero(b.t[1:] < b.t[:-1])
     if len(back):  # event k + 1 is on line k + 3
         k = back[0]
@@ -766,10 +765,10 @@ def read_events_jsonl(path) -> EventLog:
     """Parse a log written by write_events_jsonl; a malformed log raises
     ValueError (or KeyError for a missing field).
 
-    The header and footer fields are checked one by one, and the header's
-    config and initial states as run_simulation checks its input: by
-    validate_configuration, raising ConfigurationError (a ValueError).
-    The event lines make up most of the file: they are decoded as one
+    The header and footer fields are checked one by one, n and N against
+    the initial states (check_size), and config and states as run_simulation
+    checks its input (validate_configuration): ConfigurationError, a
+    ValueError.  The event lines, most of the file, are decoded as one
     array, packed into an EventBlock and checked column by column
     (_event_block), a bad line named by its number, then across lines.
     """
@@ -777,16 +776,16 @@ def read_events_jsonl(path) -> EventLog:
         lines = fh.read().decode().splitlines()
     if len(lines) < 2:
         raise ValueError("truncated event log")
-    header = read_object(json.loads(lines[0]), "event log header")
+    header = read_object(_decode(lines[0]), "event log header")
     footer = read_object(json.loads(lines[-1]), "event log footer")
     if header.get("kind") != "header" or footer.get("kind") != "footer":
         raise ValueError("malformed event log framing")
     if header.get("format") != EVENTS_FORMAT:
         raise ValueError(f"unknown event log format {header.get('format')!r}")
     cfg = read_object(header.get("config"), "config")
-    config = SimConfig(
-        n=read_int(cfg["n"], "config.n"), N=read_int(cfg["N"], "config.N"),
-        a=read_number(cfg["a"], "config.a"), **read_run_fields(cfg, "config"))
+    n, N = (read_int(cfg[key], f"config.{key}") for key in "nN")
+    config = SimConfig(a=read_number(cfg["a"], "config.a"),
+                       **read_run_fields(cfg, "config"))
     states = read_list(header.get("initial"), "initial", _initial_state)
     ids, y, v = zip(*states) if states else ((), (), ())
     try:  # an id beyond int64, or vectors of unequal lengths
@@ -796,24 +795,23 @@ def read_events_jsonl(path) -> EventLog:
     except (OverflowError, ValueError) as exc:
         raise ValueError(f"initial states need int64 ids and vectors of one "
                          f"length: {exc}") from None
-    report = validate_configuration(initial, config)
-    if not report.ok:
-        raise ConfigurationError(report)
+    check_size(initial, N, n)
+    validate_configuration(initial, config)
     provenance = read_object(header.get("provenance", {}), "provenance")
     body = lines[1:-1]
     try:  # the event lines as one JSON array
-        docs = json.loads("[" + ",".join(body) + "]")
+        docs = _decode("[" + ",".join(body) + "]")
         if len(docs) != len(body):
             raise ValueError("event log lines are not one JSON value each")
-        block = _event_block(docs, body, config, initial.id, "event log lines")
+        block = _event_block(docs, body, config, initial, "event log lines")
     except ValueError:  # name the first line that is not JSON or breaks a rule
         for k, text in enumerate(body):
             name = f"event log line {k + 2}"
             try:
-                doc = json.loads(text)
+                doc = _decode(text)
             except ValueError as exc:
                 raise ValueError(f"{name} is not JSON: {exc}") from None
-            _event_block([doc], [text], config, initial.id, name)
+            _event_block([doc], [text], config, initial, name)
         raise
     if read_int(footer.get("events"), "footer events") != len(block):
         raise ValueError("event count mismatch between footer and body")

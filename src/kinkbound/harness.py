@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import read_array, read_int, read_number, read_object
-from .dynamics import (LOW, EventLog, SimConfig, StateBlock, check_range,
+from .dynamics import (LOW, EventLog, SimConfig, StateBlock, check_range, check_size,
                        read_run_fields, run_simulation, write_events_jsonl)
 from .kernel import norms
 from .ledger import (bound_report, build_ledger, build_report, bulk_invariants,
@@ -154,8 +154,7 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
         attempts += used
     vel = _draw_velocities(gen, velocity_dist, N, n)
     states = StateBlock(np.arange(N, dtype=np.int64), placed, vel)
-    config = SimConfig(n=n, N=N, a=a)
-    return Scenario(config=config, states=states, provenance={
+    return Scenario(config=SimConfig(a=a), states=states, provenance={
         "generator": "random_gas",
         "rng": RNG_ALGORITHM,
         "seed": int(seed),
@@ -177,22 +176,23 @@ def gen_line_1d(p: int) -> Scenario:
     states = StateBlock(np.arange(2 * p, dtype=np.int64),
                         np.concatenate((-k, k))[:, None],
                         np.repeat([1.0, -1.0], p)[:, None])
-    config = SimConfig(n=1, N=2 * p, a=0.0)
-    return Scenario(config=config, states=states, provenance={
+    return Scenario(config=SimConfig(a=0.0), states=states, provenance={
         "generator": "line_1d", "rng": None, "seed": None, "params": {"p": p},
     })
 
 
 def gen_explicit(n: int, a: float, positions, velocities,
                  t_max: float | None = None) -> Scenario:
+    """The given (N, n) positions and velocities, ids 0..N-1; n must be
+    their width (ConfigurationError "dimension_mismatch")."""
     positions = np.array(positions, dtype=np.float64)
     velocities = np.array(velocities, dtype=np.float64)
     if positions.shape != velocities.shape or positions.ndim != 2:
         raise ValueError("positions and velocities must both be (N, n)")
     N = positions.shape[0]
     states = StateBlock(np.arange(N, dtype=np.int64), positions, velocities)
-    config = SimConfig(n=n, N=N, a=a, t_max=t_max)
-    return Scenario(config=config, states=states, provenance={
+    check_size(states, N, n)
+    return Scenario(config=SimConfig(a=a, t_max=t_max), states=states, provenance={
         "generator": "explicit", "rng": None, "seed": None,
         "params": {"n": n, "N": N, "a": a},
     })
@@ -200,9 +200,10 @@ def gen_explicit(n: int, a: float, positions, velocities,
 
 def apply_boost(scenario: Scenario, w0) -> Scenario:
     """Shift every velocity by w0, in the numeric range: v + w0 is finite."""
-    w0 = np.broadcast_to(np.asarray(w0, dtype=np.float64), (scenario.config.n,))
+    v = scenario.states.velocity
+    w0 = np.broadcast_to(np.asarray(w0, dtype=np.float64), v.shape[1:])
     check_range(w0, "boost", LOW)
-    states = replace(scenario.states, velocity=scenario.states.velocity + w0)
+    states = replace(scenario.states, velocity=v + w0)
     prov = dict(scenario.provenance)
     prov["boost"] = w0.tolist()
     return Scenario(config=scenario.config, states=states, provenance=prov)

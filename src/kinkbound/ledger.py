@@ -121,7 +121,7 @@ def bulk_invariants(V: np.ndarray) -> BulkInvariants:
 def build_ledger(log) -> Ledger:
     """Two kink records per collision (participant order: i then j)."""
     b = log.events
-    n = log.config.n
+    n = log.initial.position.shape[1]
     v = b.v.reshape(-1, n)
     v_post = b.v_post.reshape(-1, n)
     return Ledger(
@@ -170,8 +170,8 @@ def hodograph_summaries(log) -> Hodographs:
     particle's length and area add its kinks in event order.
     """
     b = log.events
-    n = log.config.n
     V0 = log.initial.velocity
+    n = V0.shape[1]
     w = bulk_invariants(V0).w
     rows = log.rows().reshape(-1)
     v = b.v.reshape(-1, n)

@@ -166,7 +166,7 @@ def build_tensor(log, window) -> GraphTensor:
         t = float(b.t[np.argmax(hits)])
         raise ValueError(f"window boundary hits collision at t={t!r}")
 
-    n, N, K = log.config.n, len(log.initial), 2 * len(b)
+    (N, n), K = log.initial.position.shape, 2 * len(b)
     # kink k = 2e + (0 for i, 1 for j) is participant k of event e; its
     # vertex key is k, or e when a == 0 (the two centers coincide and the
     # four lines meet at one point).  Boundary keys follow: K + row at

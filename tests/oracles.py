@@ -33,9 +33,9 @@ import numpy as np
 from kinkbound import _jsonio
 from kinkbound.kernel import contact_times_scan
 from kinkbound.detmass import AngularMeasure, polygon_from_measure, enclosed_area
-from kinkbound.dynamics import (CollisionEvent, ConfigurationError, EventBlock,
-                                EventLog, GenericityViolation, SimulationBug,
-                                ValidationReport, validate_configuration)
+from kinkbound.dynamics import (CollisionEvent, EventBlock, EventLog,
+                                GenericityViolation, SimulationBug,
+                                off_contact, validate_configuration)
 from kinkbound.harness import PackingError
 from kinkbound.ledger import BoundReport, LEDGER_COLUMNS, bulk_invariants
 from kinkbound.tensor import (EdgeBlock, GraphTensor, KinkBlock, KinkSite,
@@ -241,7 +241,7 @@ class HeapEngine:
 
     def __init__(self, states, config):
         self.config = config
-        N = config.N
+        N = len(states)
         self.N = N
         self.ids = np.array([s.id for s in states], dtype=np.int64)
         self.pos = np.array([s.position for s in states], dtype=np.float64)
@@ -290,7 +290,8 @@ class HeapEngine:
         dy = self.pos[j] - self.pos[i]
         dist = float(inorder_norm(dy))
         a = self.config.a
-        if abs(dist - 2.0 * a) > self.config.overlap_tol * max(a, 1.0):
+        scale = float(np.abs([self.pos[i], self.pos[j]]).max())
+        if off_contact(dist, scale, self.config):
             raise SimulationBug(f"contact distance {dist!r} at t={t!r}")
         vi = self.vel[i].copy()
         vj = self.vel[j].copy()
@@ -335,16 +336,15 @@ class HeapEngine:
 def overlap_report(states, config):
     """validate_configuration's overlap check one particle at a time: the
     first row i with a later row within 2a, with its nearest later row (the
-    first of equal distances)."""
+    first of equal distances), as ("overlap", detail); None for none."""
     pos, ids = states.position, states.id
     for i in range(len(states) - 1):
         d = inorder_norm(pos[i + 1:] - pos[i])
         k = int(np.argmin(d))
         if d[k] <= 2.0 * config.a:
-            return ValidationReport(False, "overlap", {
-                "pair": (int(ids[i]), int(ids[i + 1 + k])),
-                "distance": float(d[k]), "contact": 2.0 * config.a})
-    return ValidationReport(True)
+            return "overlap", {"pair": (int(ids[i]), int(ids[i + 1 + k])),
+                               "distance": float(d[k]), "contact": 2.0 * config.a}
+    return None
 
 
 def place_spheres(gen, N, n, box, a, cap):
@@ -375,12 +375,11 @@ def place_spheres(gen, N, n, box, a, cap):
 
 def heap_simulation(states, config):
     """run_simulation with HeapEngine in place of the event calendar."""
-    report = validate_configuration(states, config)
-    if not report.ok:
-        raise ConfigurationError(report)
+    validate_configuration(states, config)
     events, termination = HeapEngine(states, config).run()
     return EventLog(config=config, initial=states,
-                    events=event_block(events, config.n), termination=termination)
+                    events=event_block(events, states.position.shape[1]),
+                    termination=termination)
 
 
 class ReferenceEngine:
@@ -811,7 +810,9 @@ def events_jsonl_bytes(log):
     """events.jsonl with every line from _jsonio.dumps."""
     header = {
         "kind": "header", "format": "kinkbound-events-v1",
-        "config": asdict(log.config), "provenance": log.provenance,
+        "config": {"n": log.initial.position.shape[1], "N": len(log.initial),
+                   **asdict(log.config)},
+        "provenance": log.provenance,
         "initial": [{"id": s.id, "y": s.position, "v": s.velocity}
                     for s in log.initial],
     }
@@ -824,12 +825,13 @@ def events_jsonl_bytes(log):
 
 
 def read_events(path):
-    """The CollisionEvents of an events.jsonl file, one line at a time."""
+    """The CollisionEvents of an events.jsonl file, one line at a time; a
+    -0, the text of -0.0, is read as -0.0."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     events = []
     for line in lines[1:-1]:
-        d = json.loads(line)
+        d = json.loads(line, parse_int=lambda s: -0.0 if s == "-0" else int(s))
         events.append(CollisionEvent(
             t=float(d["t"]), i=d["i"], j=d["j"],
             **{k: np.array(d[k], dtype=np.float64)
@@ -984,7 +986,7 @@ def build_tensor(log, window):
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yi)), ev.vi, ev.vi_post, ki))
         kinks.append(KinkSite(np.concatenate(([ev.t], ev.yj)), ev.vj, ev.vj_post, kj))
     inv = bulk_invariants(log.initial.velocity)
-    n = log.config.n
+    n = log.initial.position.shape[1]
     return GraphTensor(edges=edge_block(edges, n), window=(t_lo, t_hi), n=n,
                        vertices=len(ids), kinks=kink_block(kinks, n),
                        mass_energy=inv.M + inv.E)

@@ -35,55 +35,64 @@ def _states(*rows):
                       np.array(v, dtype=np.float64))
 
 
+def _refusal(states, cfg):
+    """(reason, detail) of the ConfigurationError validate_configuration
+    raises, or None when it passes."""
+    try:
+        validate_configuration(states, cfg)
+    except ConfigurationError as exc:
+        return exc.reason, exc.detail
+    return None
+
+
 # -- validation ---------------------------------------------------------------
 
 
 def test_validate_accepts_separated_spheres():
-    cfg = SimConfig(n=2, N=2, a=1.0)
+    cfg = SimConfig(a=1.0)
     states = _states((0, [0, 0], [0, 0]), (1, [3, 0], [0, 0]))
-    assert validate_configuration(states, cfg).ok
+    assert _refusal(states, cfg) is None
 
 
 def test_validate_rejects_overlap():
-    cfg = SimConfig(n=2, N=2, a=1.0)
+    cfg = SimConfig(a=1.0)
     states = _states((0, [0, 0], [0, 0]), (1, [1, 0], [0, 0]))
-    rep = validate_configuration(states, cfg)
-    assert not rep.ok and rep.reason == "overlap"
-    assert rep.detail["pair"] == (0, 1)
+    reason, detail = _refusal(states, cfg)
+    assert reason == "overlap"
+    assert detail["pair"] == (0, 1)
 
 
 def test_validate_rejects_coincident_points_on_line():
-    cfg = SimConfig(n=1, N=2, a=0.0)
+    cfg = SimConfig(a=0.0)
     states = _states((0, [0.0], [1.0]), (1, [0.0], [-1.0]))
-    assert not validate_configuration(states, cfg).ok
+    assert _refusal(states, cfg)[0] == "overlap"
 
 
 def test_validate_rejects_zero_radius_off_line():
-    cfg = SimConfig(n=2, N=1, a=0.0)
-    assert not validate_configuration(_states((0, [0, 0], [0, 0])), cfg).ok
+    cfg = SimConfig(a=0.0)
+    assert _refusal(_states((0, [0, 0], [0, 0])), cfg)[0] == "radius"
 
 
 def test_validate_rejects_positions_whose_doubled_squares_overflow():
     """Positions must lie within dynamics.HIGH (the numeric range), where
     their squares and those of their differences cannot overflow; a
     position outside fails as "range", naming the first particle's id."""
-    cfg = SimConfig(n=2, N=2, a=0.01)
+    cfg = SimConfig(a=0.01)
     states = _states((0, [1e308, 0], [-1, 0]), (1, [-1e308, 0], [1, 0]))
     with np.errstate(all="raise"):  # no overflow escapes as a warning
-        rep = validate_configuration(states, cfg)
-    assert not rep.ok and rep.reason == "range"
-    assert rep.detail == {"field": "position", "id": 0, "value": 1e308}
+        rep = _refusal(states, cfg)
+    assert rep == ("range", {"field": "position", "id": 0, "value": 1e308})
     edge = dynamics.HIGH
     states = _states((0, [0, 0], [0, 0]), (1, [np.nextafter(edge, np.inf), 0], [0, 0]))
-    assert validate_configuration(states, cfg).detail["id"] == 1
+    assert _refusal(states, cfg)[1]["id"] == 1
     states = _states((0, [0, 0], [0, 0]), (1, [edge, -edge], [0, 0]))
-    assert validate_configuration(states, cfg).ok
+    assert _refusal(states, cfg) is None
 
 
 def test_validate_rejects_velocities_whose_doubled_squares_overflow():
     """Velocity components must be 0 or of magnitude within [LOW, HIGH]
     (the numeric range); inf and NaN fail too, as "range" naming the id."""
-    cfg = SimConfig(n=2, N=4, a=0.01)
+    cfg = SimConfig(a=0.01)
     rows = [(k, [k, 0], [0, 0]) for k in range(4)]
     low, high = dynamics.LOW, dynamics.HIGH
     for k, v in ((2, [1e154, 0]), (1, [np.inf, 0]), (3, [0, np.nan]),
@@ -91,12 +100,12 @@ def test_validate_rejects_velocities_whose_doubled_squares_overflow():
         bad = list(rows)
         bad[k] = (k, [k, 0], v)
         with np.errstate(all="raise"):
-            rep = validate_configuration(_states(*bad), cfg)
-        assert rep.reason == "range" and rep.detail["id"] == k
-        assert rep.detail["field"] == "velocity"
+            reason, detail = _refusal(_states(*bad), cfg)
+        assert reason == "range" and detail["id"] == k
+        assert detail["field"] == "velocity"
     edge = [(k, [k, 0], [(-1) ** k * high, low]) for k in range(4)]
     with np.errstate(all="raise"):
-        assert validate_configuration(_states(*edge), cfg).ok
+        assert _refusal(_states(*edge), cfg) is None
 
 
 @pytest.mark.parametrize("name", ["grazing_tol", "overlap_tol", "time_tie_tol"])
@@ -107,15 +116,15 @@ def test_run_simulation_rejects_tolerances_out_of_range(name):
     the check, except as overlap_tol (a head-on pair then met at a contact
     distance 1.1e-15 short of 2a, and the run ended in SimulationBug)."""
     states = _states((0, [0, 0], [1, 0]), (1, [1, 0], [-1, 0]))
-    cfg = SimConfig(n=2, N=2, a=0.01)
+    cfg = SimConfig(a=0.01)
     zero_passes = name != "overlap_tol"
     for bad in (np.nan, np.inf, -1.0, -1e-300) + (() if zero_passes else (0.0,)):
         with pytest.raises(ConfigurationError) as info:
             run_simulation(states, replace(cfg, **{name: bad}))
-        assert info.value.report.reason == "tolerance"
-        assert list(info.value.report.detail) == [name]
-    assert validate_configuration(states, replace(cfg, **{name: 0.0})).ok == zero_passes
-    assert validate_configuration(states, replace(cfg, **{name: 5e-324})).ok
+        assert info.value.reason == "tolerance"
+        assert list(info.value.detail) == [name]
+    assert (_refusal(states, replace(cfg, **{name: 0.0})) is None) == zero_passes
+    assert _refusal(states, replace(cfg, **{name: 5e-324})) is None
 
 
 @settings(max_examples=200)
@@ -135,10 +144,10 @@ def test_overlap_check_matches_particle_loop(data):
                    dtype=np.float64).reshape(N, n)
     ids = np.array(data.draw(st.permutations(range(N)), label="ids"), dtype=np.int64)
     states = StateBlock(ids, pos, np.zeros((N, n)))
-    cfg = SimConfig(n=n, N=N, a=a)
+    cfg = SimConfig(a=a)
     block = data.draw(st.sampled_from([1, 5, 13, dynamics._BLOCK]), label="block")
     with mock.patch.object(dynamics, "_BLOCK", block):
-        got = validate_configuration(states, cfg)
+        got = _refusal(states, cfg)
     assert got == overlap_report(states, cfg)
 
 
@@ -149,14 +158,14 @@ def test_overlap_in_a_later_block_matches_particle_loop():
     N, n, a = 600, 3, 0.01
     pos = rng.uniform(0.0, 10.0, size=(N, n))
     states = StateBlock(np.arange(N, dtype=np.int64), pos, np.zeros((N, n)))
-    cfg = SimConfig(n=n, N=N, a=a)
+    cfg = SimConfig(a=a)
     assert N // (dynamics._BLOCK // N) >= 3
-    assert validate_configuration(states, cfg) == overlap_report(states, cfg)
+    assert _refusal(states, cfg) == overlap_report(states, cfg)
     for i, j in ((590, 598), (580, 599), (581, 582)):
         pos[j] = pos[i] + [0.0, 0.015, 0.0]
-    rep = validate_configuration(states, cfg)
+    rep = _refusal(states, cfg)
     assert rep == overlap_report(states, cfg)
-    assert rep.reason == "overlap" and rep.detail["pair"] == (580, 599)
+    assert rep[0] == "overlap" and rep[1]["pair"] == (580, 599)
 
 
 def test_overlap_check_passes_over_near_misses_and_finds_tiny_overlaps():
@@ -164,21 +173,21 @@ def test_overlap_check_passes_over_near_misses_and_finds_tiny_overlaps():
     over for a later one that does; an overlap of spheres of the least
     radius in the numeric range (dynamics.LOW) is found, and a radius
     whose (2a)^2 is subnormal is refused."""
-    cfg = SimConfig(n=2, N=3, a=0.5)
+    cfg = SimConfig(a=0.5)
     states = _states((0, [0, 0], [0, 0]), (1, [1 + 1e-15, 0], [0, 0]),
                      (2, [1.5, 0.5], [0, 0]))
-    rep = validate_configuration(states, cfg)
+    rep = _refusal(states, cfg)
     assert rep == overlap_report(states, cfg)
-    assert rep.detail["pair"] == (1, 2)
+    assert rep[1]["pair"] == (1, 2)
     low = dynamics.LOW
-    cfg = SimConfig(n=2, N=2, a=low)
+    cfg = SimConfig(a=low)
     states = _states((0, [0, 0], [0, 0]), (1, [low, low], [0, 0]))
-    rep = validate_configuration(states, cfg)
+    rep = _refusal(states, cfg)
     assert rep == overlap_report(states, cfg)
-    assert rep.reason == "overlap"
-    cfg = SimConfig(n=2, N=2, a=1e-160)
+    assert rep[0] == "overlap"
+    cfg = SimConfig(a=1e-160)
     states = _states((0, [0, 0], [0, 0]), (1, [1e-160, 1e-160], [0, 0]))
-    assert validate_configuration(states, cfg).reason == "radius"
+    assert _refusal(states, cfg)[0] == "radius"
 
 
 # -- collision resolution: the engine's impulse rule and free flight ----------
@@ -290,8 +299,7 @@ def test_two_spheres_single_event():
 def test_t_max_termination():
     sc = kb.gen_explicit(2, 1.0, [[0.0, 0.0], [40.0, 0.0]],
                          [[1.0, 0.0], [-1.0, 0.0]])
-    cfg = sc.config
-    cfg = SimConfig(n=cfg.n, N=cfg.N, a=cfg.a, t_max=1.0)
+    cfg = SimConfig(a=sc.config.a, t_max=1.0)
     log = run_simulation(sc.states, cfg)
     assert log.termination == "t_max"
     assert len(log.events) == 0
@@ -315,7 +323,7 @@ def test_invalid_initial_raises_configuration_error():
                          [[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ConfigurationError) as exc:
         run_simulation(sc.states, sc.config)
-    assert exc.value.report.reason == "overlap"
+    assert exc.value.reason == "overlap"
 
 
 def test_determinism_byte_identical():
@@ -491,7 +499,7 @@ def test_tiny_speeds_meet_at_the_exact_time(n, speed, t):
 
     with pytest.raises(ConfigurationError) as info:
         run(speed)
-    assert info.value.report.detail == {"field": "velocity", "id": 0, "value": speed}
+    assert info.value.detail == {"field": "velocity", "id": 0, "value": speed}
     log = run(dynamics.LOW)
     assert log.events.t.tolist() == [0.09375 / dynamics.LOW]
     assert log.events.t[0] == pytest.approx(t * speed / dynamics.LOW, rel=1e-15)

@@ -25,7 +25,7 @@ from kinkbound.dynamics import (ConfigurationError, GenericityViolation,
 
 def test_gen_line_1d_structure():
     scn = harness.gen_line_1d(3)
-    assert scn.config.n == 1 and scn.config.N == 6 and scn.config.a == 0.0
+    assert scn.states.position.shape == (6, 1) and scn.config.a == 0.0
     assert [s.id for s in scn.states] == list(range(6))
     pos = [float(s.position[0]) for s in scn.states]
     vel = [float(s.velocity[0]) for s in scn.states]
@@ -244,11 +244,11 @@ def test_scenario_from_config_explicit_with_transforms():
 def test_scenario_from_config_defaults_and_errors():
     scn, options = harness.scenario_from_config(
         {"scenario": {"generator": "line_1d", "p": 2}})
-    assert scn.config.N == 4
+    assert len(scn.states) == 4
     assert options == {"epsilon": 1.0}
     scn, _ = harness.scenario_from_config(
         {"scenario": {"generator": "line_1d", "p": 2.0}})  # integral float
-    assert scn.config.N == 4
+    assert len(scn.states) == 4
     with pytest.raises(ValueError):
         harness.scenario_from_config({})
     with pytest.raises(ValueError):
@@ -426,8 +426,8 @@ def test_sweep_worker_errors_keep_their_type():
         "velocities": {"sigma": 1e308}})
     with pytest.raises(ConfigurationError) as err:
         harness.sweep(spec, workers=2)
-    assert err.value.report.reason == "range"
-    assert err.value.report.detail["field"] == "velocities.sigma"
+    assert err.value.reason == "range"
+    assert err.value.detail["field"] == "velocities.sigma"
     exc = pickle.loads(pickle.dumps(GenericityViolation(1.5, (0, 1, 2))))
     assert (exc.time, exc.particles, str(exc)) == \
         (1.5, (0, 1, 2), str(GenericityViolation(1.5, (0, 1, 2))))
@@ -768,25 +768,75 @@ def _head_on_lines() -> tuple:
                  for line in events_jsonl_bytes(log).decode().splitlines())
 
 
-# config fields of a header that run_simulation would have refused
+# header fields that run_simulation would have refused, or that disagree
+# with the initial states: (path in the header, value, error)
 _BAD_HEADERS = {
-    "negative_a": ("a", -0.25),
-    "zero_a_off_the_line": ("a", 0),
-    "N_not_the_state_count": ("N", 7),
-    "negative_t_max": ("t_max", -3),
-    "negative_grazing_tol": ("grazing_tol", -1e-14),
+    "negative_a": (("config", "a"), -0.25, "radius"),
+    "zero_a_off_the_line": (("config", "a"), 0, "radius"),
+    "N_not_the_state_count": (("config", "N"), 7, "particle_count"),
+    "n_not_the_vector_width": (("config", "n"), 3, "dimension_mismatch"),
+    "no_initial_states": (("initial",), [], "particle_count"),
+    "negative_t_max": (("config", "t_max"), -3, "t_max"),
+    "negative_grazing_tol": (("config", "grazing_tol"), -1e-14, "tolerance"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_HEADERS))
 def test_cli_verify_tensor_rejects_invalid_header(case, tmp_path, capsys):
-    field, value = _BAD_HEADERS[case]
+    path, value, error = _BAD_HEADERS[case]
     good = _argv("verify-tensor", list(_head_on_lines()), tmp_path)
     assert cli.main(good) == 0
     capsys.readouterr()
-    doc = _replaced(list(_head_on_lines()), (0, "config", field), value)
+    doc = _replaced(list(_head_on_lines()), (0,) + path, value)
     assert cli.main(_argv("verify-tensor", doc, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == error
+
+
+# simulate configs whose n and N disagree with the vectors they give
+_BAD_SIZES = {
+    "explicit_n_not_the_width": ({
+        "generator": "explicit", "n": 3, "a": 0.01, "positions": [[0, 0], [1, 0]],
+        "velocities": [[1, 0], [-1, 0]]}, "dimension_mismatch"),
+    "explicit_n_zero": ({
+        "generator": "explicit", "n": 0, "a": 0.01, "positions": [[]],
+        "velocities": [[]]}, "dimension"),
+    "gas_of_no_spheres": ({"generator": "random_gas", "n": 2, "N": 0, "a": 0.01},
+                          "particle_count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIZES))
+def test_cli_simulate_rejects_sizes_that_disagree(case, tmp_path, capsys):
+    """n and N come from the vectors; where a config also states them,
+    they must agree and be at least 1, and each refusal names its reason
+    (exit 2)."""
+    scenario, error = _BAD_SIZES[case]
+    assert cli.main(_argv("simulate", {"scenario": scenario}, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == error
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("x", [1e8, 1e10])
+def test_cli_contact_check_is_relative_to_the_coordinates(x, tmp_path, capsys):
+    """Two discs (a = 0.01) meeting near (x, 0.3): the rounding of
+    positions of size x puts them 8e-9 (x = 1e8) and 1.1e-7 (x = 1e10) off
+    2a, beyond overlap_tol * max(a, 1) = 1e-9 but within overlap_tol * x.
+    simulate exits 0, and verify-tensor reads the log it wrote."""
+    doc = {"scenario": {"generator": "explicit", "n": 2, "a": 0.01,
+                        "positions": [[x, 0.3], [x + 1.3, 0.31]],
+                        "velocities": [[0.7, 0.0], [-0.6, 0.0]]}}
+    assert cli.main(_argv("simulate", doc, tmp_path)) == 0
+    assert json.loads(capsys.readouterr().out)["events"] == 1
+    events = tmp_path / "o" / "events.jsonl"
+    assert cli.main(["verify-tensor", "--events", str(events)]) == 0
     _assert_one_json_object(capsys)
+    log = read_events_jsonl(events)
+    miss = abs(np.linalg.norm(log.events.y[0, 1] - log.events.y[0, 0]) - 0.02)
+    assert 1e-9 < miss <= 1e-9 * x
 
 
 def test_run_experiment_failure_leaves_no_output(tmp_path, monkeypatch):

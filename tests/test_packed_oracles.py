@@ -59,6 +59,9 @@ CASES = {
     # parallel to the first
     "skip_n3": lambda: _explicit(3, 0.125 ** 0.5, [[0, 0, 0], [-1, -1.5, -1.5]],
                                  [[-1, -1, -1], [0, 0, 0]]),
+    # -0.0 in the header and the event line, written "-0" (%.17g)
+    "signed_zero_n2": lambda: _explicit(2, 0.5, [[-2, 0], [2, 0]],
+                                        [[1.0, -0.0], [-1.0, 0.0]]),
 }
 
 
@@ -73,6 +76,9 @@ def test_explicit_cases_collide():
         assert len(CASES[name]().events) >= 1
     assert len(CASES["no_events_3d"]().events) == 0
     assert CASES["gas2d_t_max"]().termination == "t_max"
+    signed = CASES["signed_zero_n2"]()
+    assert np.signbit([signed.initial.velocity[0, 1], signed.events.v[0, 0, 1],
+                       signed.events.v_post[0, 0, 1]]).all()
 
 
 def test_events_jsonl_matches_loop(log):
@@ -100,6 +106,9 @@ def test_read_events_matches_loop(log, tmp_path):
     path = tmp_path / "events.jsonl"
     dynamics.write_events_jsonl(log, path)
     read = dynamics.read_events_jsonl(path)
+    for name in ("id", "position", "velocity"):  # bit for bit: np.signbit too
+        got, expected = getattr(read.initial, name), getattr(log.initial, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     b, want = read.events, log.events
     for name in ("t", "i", "j", "y", "v", "v_post"):
         got, expected = getattr(b, name), getattr(want, name)
