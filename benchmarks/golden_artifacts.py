@@ -20,8 +20,9 @@ and names the digests that changed.
 
 The set:
 
-* 24 Maxwell gases, a=0.01, t_max=1: n=2 at covering fraction 0.3 and
-  n=3 at 0.2, N in {64, 128, 256}, seeds 0-3;
+* 25 Maxwell gases, a=0.01, t_max=1, boxes sized by covering fraction:
+  n=2 at 0.3 and n=3 at 0.2, N in {64, 128, 256}, seeds 0-3, and n=4 at
+  0.2, N=64, seed 0;
 * two 2-D gases at N=64 (fraction 0.3, t_max=1) through the transforms
   and the other velocity draw: seed 0 with "boost": [0.5, -0.25] and
   "time_scale": 2.0, and seed 1 with uniform velocities (v0=1);
@@ -42,7 +43,7 @@ Sweeps run in worker processes; KINKBOUND_THREADS caps their number.
 Every dot product and norm on the artifact path adds its components in
 index order (kinkbound/kernel.py), so the BLAS build does not enter the
 digests; libm still can, where the scenario generators call it (the tail
-of the Maxwell draws, the cube roots of box sides).
+of the Maxwell draws, the n-th roots of box sides).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -63,15 +63,12 @@ ARTIFACTS = ("events.jsonl", "ledger.csv", "report.json", "audit.json")
 
 def gas_config(n: int, N: int, seed: int) -> dict:
     """Maxwell gas, a=0.01, t_max=1, in a cube sized for a covering
-    fraction of 0.3 (n=2) or 0.2 (n=3)."""
-    a = 0.01
-    if n == 2:
-        side = a * math.sqrt(math.pi * N / 0.3)
-    else:
-        side = a * (4.0 * math.pi * N / (3.0 * 0.2)) ** (1.0 / 3.0)
+    fraction of 0.3 (n=2) or 0.2 (other n)."""
     return {
-        "scenario": {"generator": "random_gas", "n": n, "N": N, "a": a,
-                     "box": [side] * n, "seed": seed,
+        "scenario": {"generator": "random_gas", "n": n, "N": N, "a": 0.01,
+                     "box_policy": {"kind": "fixed_fraction",
+                                    "value": 0.3 if n == 2 else 0.2},
+                     "seed": seed,
                      "velocities": {"kind": "maxwell", "sigma": 1.0}},
         "sim": {"t_max": 1.0},
     }
@@ -103,6 +100,7 @@ def scenarios() -> dict:
         for N in (64, 128, 256):
             for seed in range(4):
                 out[f"gas{n}d_N{N}_s{seed}"] = gas_config(n, N, seed)
+    out["gas4d_N64_s0"] = gas_config(4, 64, 0)
     out["gas2d_N64_s0_boost_time_scale"] = {
         **gas_config(2, 64, 0), "boost": [0.5, -0.25], "time_scale": 2.0}
     uniform = gas_config(2, 64, 1)

@@ -230,19 +230,19 @@ def check_range(x, field: str, low: float = 0.0, ids=None) -> None:
             "range", {"field": field, **at, "value": float(x.flat[k])})
 
 
-def check_size(states, N: int, n: int) -> None:
-    """Raise ConfigurationError unless n >= 1 ("dimension") and the
-    StateBlock states holds N >= 1 particles ("particle_count") with (N, n)
-    positions and velocities ("dimension_mismatch")."""
-    pos, vel = states.position, states.velocity
+def check_size(N: int, n: int, states=None) -> None:
+    """Raise ConfigurationError unless n >= 1 ("dimension") and N >= 1
+    ("particle_count"), and a StateBlock states, if given, holds N particles
+    ("particle_count") with (N, n) positions and velocities
+    ("dimension_mismatch").  Generators check n and N before they draw."""
     if n < 1:
         raise ConfigurationError("dimension", {"n": n})
-    if N != len(states) or not N:
-        raise ConfigurationError("particle_count", {"N": N, "given": len(states)}
-                                 if N else {"given": 0})
-    if pos.shape != (N, n) or vel.shape != pos.shape:
+    given = {} if states is None else {"given": len(states)}
+    if N < 1 or given.get("given", N) != N:
+        raise ConfigurationError("particle_count", {"N": N, **given})
+    if given and (states.position.shape != (N, n) or states.velocity.shape != (N, n)):
         raise ConfigurationError("dimension_mismatch", {
-            "n": n, "position": pos.shape, "velocity": vel.shape})
+            "n": n, "position": states.position.shape, "velocity": states.velocity.shape})
 
 
 def validate_configuration(states, config: SimConfig) -> None:
@@ -258,7 +258,7 @@ def validate_configuration(states, config: SimConfig) -> None:
     all later rows, at most _BLOCK pairs a block.
     """
     ids, pos, vel = states.id, states.position, states.velocity
-    check_size(states, len(states), pos.shape[-1])
+    check_size(len(states), pos.shape[-1], states)
     N, n = pos.shape
     if not (config.a == 0 or LOW <= config.a <= HIGH):
         raise ConfigurationError("radius", {"a": config.a})
@@ -795,7 +795,7 @@ def read_events_jsonl(path) -> EventLog:
     except (OverflowError, ValueError) as exc:
         raise ValueError(f"initial states need int64 ids and vectors of one "
                          f"length: {exc}") from None
-    check_size(initial, N, n)
+    check_size(N, n, initial)
     validate_configuration(initial, config)
     provenance = read_object(header.get("provenance", {}), "provenance")
     body = lines[1:-1]

@@ -119,6 +119,7 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
     values for random((k, n)) as for k draws of random(n)), so the
     velocities drawn next are the same too.
     """
+    check_size(N, n)
     box = np.broadcast_to(np.asarray(box, dtype=np.float64), (n,))
     if np.any(box <= 0):
         raise ValueError("box sides must be positive")
@@ -126,7 +127,7 @@ def gen_random_gas(n: int, N: int, box, a: float, velocity_dist: dict,
     gen = _rng(seed)
     placed = np.empty((N, n))
     min_dist = 2.0 * a * (1.0 + 1e-9)  # strict separation for clean starts
-    batch = max(1, min(64, _PLACE_BLOCK // max(N, 1)))
+    batch = max(1, min(64, _PLACE_BLOCK // N))
     i = attempts = 0
     while i < N:
         k = min(batch, _PACKING_ATTEMPT_CAP - attempts)
@@ -181,8 +182,7 @@ def gen_line_1d(p: int) -> Scenario:
     })
 
 
-def gen_explicit(n: int, a: float, positions, velocities,
-                 t_max: float | None = None) -> Scenario:
+def gen_explicit(n: int, a: float, positions, velocities) -> Scenario:
     """The given (N, n) positions and velocities, ids 0..N-1; n must be
     their width (ConfigurationError "dimension_mismatch")."""
     positions = np.array(positions, dtype=np.float64)
@@ -191,8 +191,8 @@ def gen_explicit(n: int, a: float, positions, velocities,
         raise ValueError("positions and velocities must both be (N, n)")
     N = positions.shape[0]
     states = StateBlock(np.arange(N, dtype=np.int64), positions, velocities)
-    check_size(states, N, n)
-    return Scenario(config=SimConfig(a=a, t_max=t_max), states=states, provenance={
+    check_size(N, n, states)
+    return Scenario(config=SimConfig(a=a), states=states, provenance={
         "generator": "explicit", "rng": None, "seed": None,
         "params": {"n": n, "N": N, "a": a},
     })
@@ -228,20 +228,20 @@ def apply_time_scale(scenario: Scenario, mu: float) -> Scenario:
 
 
 def _fixed_fraction_box(n: int, N: int, a: float, fraction: float):
-    """Box side at constant covering fraction (area/volume occupied)."""
+    """Sides of the cube that N balls of radius a cover at `fraction`,
+    a * (V_n * N / fraction) ** (1 / n); the unit ball's volume V_n (V_0 = 1,
+    V_1 = 2, V_k = 2 pi / k * V_(k-2)) underflows float64 at n = 453."""
+    check_size(N, n)
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
     if a <= 0:
         raise ValueError("fixed_fraction needs a > 0")
-    if n == 2:
-        side = a * np.sqrt(np.pi * N / fraction)
-    elif n == 3:
-        side = a * (4.0 * np.pi * N / (3.0 * fraction)) ** (1.0 / 3.0)
-    elif n == 1:
-        side = 2.0 * a * N / fraction
-    else:
-        raise ValueError(f"unsupported dimension {n}")
-    return [float(side)] * n
+    before, volume = 1.0, 2.0  # V_0, V_1
+    for k in range(2, n + 1):
+        before, volume = volume, 2.0 * np.pi / k * before
+        if not volume:
+            raise ValueError(f"fixed_fraction needs n < {k} (V_n underflows), got {n}")
+    return [float(a * (volume * N / fraction) ** (1.0 / n))] * n
 
 
 def _box(sc: dict, n: int, N: int, a: float):

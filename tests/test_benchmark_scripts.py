@@ -77,7 +77,7 @@ FAST_SCENES = (
     + [f"rows{n}d_p20" for n in (2, 3)]
     + ["explicit3d_no_events", "explicit2d_one_event"]
     + [f"gas{n}d_N64_s{seed}" for n in (2, 3) for seed in range(4)]
-    + ["gas2d_N64_s0_boost_time_scale", "gas2d_N64_s1_uniform"])
+    + ["gas4d_N64_s0", "gas2d_N64_s0_boost_time_scale", "gas2d_N64_s1_uniform"])
 
 
 def test_fast_scenes_reproduce_the_committed_golden_map(tmp_path, monkeypatch):

@@ -168,8 +168,16 @@ _GENERICITY_CASES = [
     (_third_body(_JUST_INSIDE, bystander=False), True),
 ]
 
+
+def _explicit(n, a, positions, velocities, t_max=None):
+    """kb.gen_explicit's scenario, run to t_max."""
+    sc = kb.gen_explicit(n, a, positions, velocities)
+    sc.config = replace(sc.config, t_max=t_max)
+    return sc
+
+
 # scenes whose raise comes from one time's rescan (the arguments of
-# kb.gen_explicit); the oracle raises on each
+# _explicit); the oracle raises on each
 _ONE_TIME_CASES = {
     "third_body_then_t_max": _third_body_then_t_max(),
     **{f"same_time_{k}": _same_time(*key) for k, key in enumerate(_SAME_TIME)},
@@ -185,7 +193,7 @@ def test_calendar_raises_where_heap_oracle_raises(n, a, positions, velocities):
 
 @pytest.mark.parametrize("name", sorted(_ONE_TIME_CASES))
 def test_one_time_rescan_raises_where_heap_oracle_raises(name):
-    sc = kb.gen_explicit(*_ONE_TIME_CASES[name])
+    sc = _explicit(*_ONE_TIME_CASES[name])
     assert _outcome(run_simulation, sc) == _outcome(heap_simulation, sc)
 
 
@@ -194,7 +202,7 @@ def test_genericity_cases_raise_as_meant():
     at least one third body, and runs the others."""
     cases = _GENERICITY_CASES + [(scene, True) for scene in _ONE_TIME_CASES.values()]
     for scene, raises in cases:
-        kind, *detail = _outcome(heap_simulation, kb.gen_explicit(*scene))
+        kind, *detail = _outcome(heap_simulation, _explicit(*scene))
         assert kind == ("raises" if raises else "runs"), scene
         assert not raises or len(detail[1]) >= 3
 
@@ -549,7 +557,7 @@ def _three_body(draw):
                 0.7))
 def test_calendar_agrees_with_eager_reference(scene):
     n, a, pos, vel, t_max = scene
-    sc = kb.gen_explicit(n, a, pos, vel, t_max=t_max)
+    sc = _explicit(n, a, pos, vel, t_max)
     if ((vel != 0.0) & (np.abs(vel) < dynamics.LOW)).any():
         with pytest.raises(ConfigurationError) as info:  # exit 2
             run_simulation(sc.states, sc.config)

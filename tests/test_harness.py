@@ -8,6 +8,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -108,7 +109,7 @@ def _radius(n, N, fraction):
 
 
 @settings(max_examples=40)
-@given(n=st.sampled_from([1, 2, 3]), N=st.integers(1, 40),
+@given(n=st.integers(1, 4), N=st.integers(1, 40),
        seed=st.integers(0, 2**16), data=st.data())
 def test_batched_placement_matches_one_at_a_time(n, N, seed, data):
     """Candidate batches place the spheres that one attempt at a time
@@ -190,8 +191,8 @@ def test_gen_explicit_validation():
     with pytest.raises(ValueError):
         harness.gen_explicit(2, 0.1, [[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     scn = harness.gen_explicit(2, 0.1, [[0.0, 0.0], [1.0, 0.0]],
-                               [[1.0, 0.0], [0.0, 0.0]], t_max=2.5)
-    assert scn.config.t_max == 2.5
+                               [[1.0, 0.0], [0.0, 0.0]])
+    assert scn.config.t_max is None
     assert scn.provenance["generator"] == "explicit"
 
 
@@ -303,18 +304,25 @@ def test_run_experiment_artifacts(tmp_path):
 
 def test_fixed_fraction_box_covering():
     for n, N, a, f in ((1, 10, 0.01, 0.2), (2, 32, 0.02, 0.3),
-                       (3, 20, 0.05, 0.1)):
+                       (3, 20, 0.05, 0.1), (4, 64, 0.01, 0.2),
+                       (5, 7, 0.3, 0.05), (6, 1000, 0.001, 0.4)):
         sides = harness._fixed_fraction_box(n, N, a, f)
         assert len(sides) == n and len(set(sides)) == 1
         vol = sides[0] ** n
-        ball = {1: 2 * a, 2: np.pi * a**2, 3: 4 * np.pi * a**3 / 3}[n]
+        ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * a**n
         assert N * ball / vol == pytest.approx(f, rel=1e-12)
     with pytest.raises(ValueError):
         harness._fixed_fraction_box(2, 10, 0.01, 1.5)
     with pytest.raises(ValueError):
         harness._fixed_fraction_box(2, 10, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        harness._fixed_fraction_box(4, 10, 0.01, 0.3)
+    # the unit ball's volume underflows float64 at n = 453: the recurrence
+    # stops there, however large n is
+    for n in (453, 2**40):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="n < 453"):
+            harness._fixed_fraction_box(n, 10, 0.01, 0.3)
+        assert time.perf_counter() - start < 1.0
+    assert len(harness._fixed_fraction_box(452, 10, 0.01, 0.3)) == 452
 
 
 def test_sweep_spec_validation():
@@ -794,7 +802,11 @@ def test_cli_verify_tensor_rejects_invalid_header(case, tmp_path, capsys):
     assert json.loads(out)["error"] == error
 
 
-# simulate configs whose n and N disagree with the vectors they give
+_GAS = {"generator": "random_gas", "a": 0.01}
+_FRACTION = {"box_policy": {"kind": "fixed_fraction", "value": 0.3}}
+
+# scenarios whose n or N is below 1 or disagrees with the vectors they
+# give, or whose fixed_fraction box needs the unit ball's volume at n >= 453
 _BAD_SIZES = {
     "explicit_n_not_the_width": ({
         "generator": "explicit", "n": 3, "a": 0.01, "positions": [[0, 0], [1, 0]],
@@ -804,16 +816,49 @@ _BAD_SIZES = {
         "velocities": [[]]}, "dimension"),
     "gas_of_no_spheres": ({"generator": "random_gas", "n": 2, "N": 0, "a": 0.01},
                           "particle_count"),
+    "gas_of_no_spheres_box_policy": ({**_GAS, **_FRACTION, "n": 2, "N": 0},
+                                     "particle_count"),
+    "gas_n_zero": ({**_GAS, "n": 0, "N": 4}, "dimension"),
+    "gas_n_zero_box_policy": ({**_GAS, **_FRACTION, "n": 0, "N": 4}, "dimension"),
+    "gas_negative_N_2d_box_policy": ({**_GAS, **_FRACTION, "n": 2, "N": -5},
+                                     "particle_count"),
+    "gas_negative_N_3d_box_policy": ({**_GAS, **_FRACTION, "n": 3, "N": -5},
+                                     "particle_count"),
+    "gas_n_beyond_the_unit_ball": ({**_GAS, **_FRACTION, "n": 2**40, "N": 4},
+                                   "invalid_input"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_SIZES))
 def test_cli_simulate_rejects_sizes_that_disagree(case, tmp_path, capsys):
-    """n and N come from the vectors; where a config also states them,
-    they must agree and be at least 1, and each refusal names its reason
-    (exit 2)."""
+    """n and N must be at least 1, and agree with the vectors where a
+    config gives them; each refusal names its reason (exit 2), before a
+    box is sized or a sphere drawn."""
     scenario, error = _BAD_SIZES[case]
     assert cli.main(_argv("simulate", {"scenario": scenario}, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == error
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in ("scale-check", "sweep")
+    for case in ("gas_n_zero", "gas_n_zero_box_policy", "gas_n_beyond_the_unit_ball")
+] + [("scale-check", "gas_of_no_spheres_box_policy"),
+     ("scale-check", "gas_negative_N_3d_box_policy")])
+def test_cli_sweep_and_scale_check_reject_sizes_first(command, case, tmp_path,
+                                                       capsys):
+    """scale-check and a sweep's base (whose N each size replaces) refuse
+    the sizes that simulate refuses, before any box is sized or sphere
+    drawn."""
+    scenario, error = _BAD_SIZES[case]
+    if command == "sweep":
+        argv = _argv("sweep", {"sizes": [4], "base": scenario}, tmp_path)
+    else:
+        argv = ["scale-check", "--config",
+                _write(tmp_path / "cfg.json", {"scenario": scenario}), "--mu", "2"]
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
     assert json.loads(out)["error"] == error
@@ -1061,7 +1106,7 @@ _ANY_FLOAT = st.floats(-2.0 ** 1023, 2.0 ** 1023, allow_nan=False)
 @st.composite
 def _numeric_simulate_doc(draw):
     """A simulate config with every float field drawn from _ANY_FLOAT."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
     N = draw(st.integers(1, 8))
 
     def floats(*shape):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from kinkbound import dynamics, harness, ledger
 
 
 def _simulate(n, a, positions, velocities, t_max=None):
-    scn = harness.gen_explicit(n, a, positions, velocities, t_max=t_max)
+    scn = harness.gen_explicit(n, a, positions, velocities)
+    scn.config = replace(scn.config, t_max=t_max)
     return harness.simulate_scenario(scn)
 
 

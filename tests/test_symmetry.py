@@ -25,6 +25,7 @@ stated tolerance (Orban & Bellemans 1967).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,7 +158,8 @@ def test_time_reversal(n, seed):
     assert forward.termination == "queue_empty" and len(forward.events) > 0
     T = float(forward.events.t[-1]) + 1.0
     y, v = _state_at(forward, T)
-    sc = kb.gen_explicit(n, 0.02, y, -v, t_max=T)
+    sc = kb.gen_explicit(n, 0.02, y, -v)
+    sc.config = replace(sc.config, t_max=T)
     back = run_simulation(sc.states, sc.config).events
     f = forward.events
     pairs = np.sort(np.stack((f.i, f.j), axis=1), axis=1)
