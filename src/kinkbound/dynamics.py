@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _jsonio
 from ._columns import Rows
-from ._jsonio import read_array, read_int, read_list, read_number, read_object
+from ._jsonio import read_int, read_number, read_object
 from .kernel import component_sum, contact_times_scan, norms
 
 __all__ = [
@@ -670,51 +670,52 @@ def _decode(text: str):
     return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
-def _initial_state(value, name: str) -> tuple:
-    rec = read_object(value, name)
-    if type(rec["id"]) is not int:  # JSON integers: not 1.0, not true
-        raise ValueError(f"{name}.id must be an integer, got {rec['id']!r}")
-    return (rec["id"], read_array(rec["y"], f"{name}.y"),
-            read_array(rec["v"], f"{name}.v"))
-
-
 def _holds_bool(value) -> bool:
     """Whether the decoded JSON value is a boolean or an array holding one."""
     return type(value) is bool or (type(value) is list and any(map(_holds_bool, value)))
 
 
-def _event_block(docs: list, body: list, config: SimConfig,
+def _column(vals: list, kinds: str, tested: bool):
+    """vals as one array, or None unless they are numbers of a dtype kind
+    in kinds (or none at all), nested to one shape, with no boolean
+    (tested: whether the text they came from holds "true" or "false"; a
+    boolean converts to a number, so then each value is tested)."""
+    try:
+        col = np.array(vals)
+    except ValueError:  # ragged
+        return None
+    if col.size and (col.dtype.kind not in kinds
+                     or (tested and any(map(_holds_bool, vals)))):
+        return None
+    return col
+
+
+def _event_block(docs: list, text: str, config: SimConfig,
                  initial: StateBlock, name: str) -> EventBlock:
-    """The EventBlock of the decoded event lines docs (text body); raises,
+    """The EventBlock of the event lines docs, decoded from text; raises,
     named name, for the first rule they break: JSON objects with every
-    field; numbers, integers for i and j (a boolean converts to a number,
-    so where the text holds "true" or "false" each value is tested); t one
-    number and each vector n; i, j two different ids of initial; the
-    numeric range; yi, yj 2a apart (off_contact).  Messages quote the
-    first line: read_events_jsonl runs the block, then each line.
+    field; numbers, integers for i and j (_column); t one number and each
+    vector n; i, j two different ids of initial; the numeric range; yi, yj
+    2a apart (off_contact).  Messages quote the first line:
+    read_events_jsonl runs the block, then each line.
     """
     E, n, first = len(docs), initial.position.shape[1], docs[0] if docs else {}
     try:
         values = {key: [d[key] for d in docs] for key in _EVENT_FIELDS}
     except (KeyError, TypeError):
         raise ValueError(f"{name} is not a collision event: {first!r}") from None
-    tested = any("true" in s or "false" in s for s in body)
+    tested = "true" in text or "false" in text
     not_ids = (f"{name}: i={first.get('i')!r}, j={first.get('j')!r} are not two "
                "particle ids of the header")
     cols = {}
     for key, vals in values.items():
-        try:
-            cols[key] = col = np.array(vals)
-        except ValueError:  # ragged
-            number = False
-        else:
-            number = (col.dtype.kind in ("i" if key in ("i", "j") else "iuf")
-                      and not (tested and any(map(_holds_bool, vals))))
-        if E and not (number and col.shape == ((E, n) if key in _EVENT_ARRAYS else (E,))):
+        cols[key] = col = _column(vals, "i" if key in ("i", "j") else "iuf", tested)
+        if E and (col is None
+                  or col.shape != ((E, n) if key in _EVENT_ARRAYS else (E,))):
             raise ValueError(
                 not_ids if key in ("i", "j") else
                 f"{name} t must be a finite number, got {first['t']!r}" if key == "t" else
-                f"{name} {key} must be a number or an array of numbers" if not number else
+                f"{name} {key} must be a number or an array of numbers" if col is None else
                 f"{name}: {key} must be {n} numbers, got {first[key]!r}")
     i, j = cols["i"], cols["j"]
     ids = initial.id
@@ -731,6 +732,39 @@ def _event_block(docs: list, body: list, config: SimConfig,
         raise ValueError(f"{name}: yi and yj are not 2a apart")
     return EventBlock(cols["t"].astype(np.float64), i.astype(np.int64), j.astype(np.int64),
                       y, pair("vi", "vj"), pair("vi_post", "vj_post"))
+
+
+def _state_block(docs: list, text: str, name: str, n: int | None = None) -> StateBlock:
+    """The StateBlock of the decoded initial states docs (from the header
+    line text); raises, named name, for the first rule they break: JSON
+    objects with every field; integer ids of int64, and numbers (_column);
+    y and v vectors of one width, and that width n if given.  Messages
+    quote the first state: read_events_jsonl runs the block, then each
+    state with the header's n.
+    """
+    S, first = len(docs), docs[0] if docs else {}
+    try:
+        values = {key: [d[key] for d in docs] for key in ("id", "y", "v")}
+    except (KeyError, TypeError):
+        raise ValueError(f"{name} is not an initial state with id, y and v: "
+                         f"{first!r}") from None
+    tested = "true" in text or "false" in text
+    ids, y, v = (_column(values[key], "i" if key == "id" else "iuf", tested)
+                 for key in values)
+    if not S:
+        return StateBlock(np.zeros(0, dtype=np.int64), np.zeros((0, 0)),
+                          np.zeros((0, 0)))
+    if ids is None or ids.ndim != 1:
+        raise ValueError(f"{name}.id must be an integer, got {first['id']!r}")
+    for key, col in (("y", y), ("v", v)):
+        if col is None or col.ndim != 2:
+            raise ValueError(
+                f"{name}.{key} must be an array of numbers, got {first[key]!r}")
+    if y.shape != v.shape or n not in (None, y.shape[1]):
+        length = "one length" if n is None else f"length {n}"
+        raise ValueError(f"{name}: y and v must be vectors of {length}, "
+                         f"got {first['y']!r} and {first['v']!r}")
+    return StateBlock(ids.astype(np.int64), y.astype(np.float64), v.astype(np.float64))
 
 
 def _check_history(log: EventLog) -> None:
@@ -786,32 +820,33 @@ def read_events_jsonl(path) -> EventLog:
     n, N = (read_int(cfg[key], f"config.{key}") for key in "nN")
     config = SimConfig(a=read_number(cfg["a"], "config.a"),
                        **read_run_fields(cfg, "config"))
-    states = read_list(header.get("initial"), "initial", _initial_state)
-    ids, y, v = zip(*states) if states else ((), (), ())
-    try:  # an id beyond int64, or vectors of unequal lengths
-        initial = StateBlock(np.array(ids, dtype=np.int64),
-                             np.array(y, dtype=np.float64),
-                             np.array(v, dtype=np.float64))
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(f"initial states need int64 ids and vectors of one "
-                         f"length: {exc}") from None
+    states = header.get("initial")
+    if not isinstance(states, list):
+        raise ValueError(f"initial must be an array, got {states!r}")
+    try:
+        initial = _state_block(states, lines[0], "initial")
+    except ValueError:  # name the first state that breaks a rule
+        for k, doc in enumerate(states):
+            _state_block([doc], lines[0], f"initial[{k}]", n)
+        raise
     check_size(N, n, initial)
     validate_configuration(initial, config)
     provenance = read_object(header.get("provenance", {}), "provenance")
     body = lines[1:-1]
+    text = "[" + ",".join(body) + "]"
     try:  # the event lines as one JSON array
-        docs = _decode("[" + ",".join(body) + "]")
+        docs = _decode(text)
         if len(docs) != len(body):
             raise ValueError("event log lines are not one JSON value each")
-        block = _event_block(docs, body, config, initial, "event log lines")
+        block = _event_block(docs, text, config, initial, "event log lines")
     except ValueError:  # name the first line that is not JSON or breaks a rule
-        for k, text in enumerate(body):
+        for k, line in enumerate(body):
             name = f"event log line {k + 2}"
             try:
-                doc = _decode(text)
+                doc = _decode(line)
             except ValueError as exc:
                 raise ValueError(f"{name} is not JSON: {exc}") from None
-            _event_block([doc], [text], config, initial, name)
+            _event_block([doc], line, config, initial, name)
         raise
     if read_int(footer.get("events"), "footer events") != len(block):
         raise ValueError("event count mismatch between footer and body")

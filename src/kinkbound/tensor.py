@@ -432,62 +432,117 @@ def _default_eps(T: GraphTensor, sites: KinkBlock) -> np.ndarray:
     other kink sites add no term: each is an exact endpoint of an edge that
     does not meet the kink (its particle's next trajectory edge starts
     there, its event's colliton ends there), and the clamped projection
-    onto that edge is the site itself or nearer.  Blocks of kinks, at most
-    _BLOCK kink x edge pairs a block, take two stages:
+    onto that edge is the site itself or nearer.
 
-    * the squared gap between the kink and each edge's bounding box
+    Sweep and prune on one sorted axis (Cohen, Lin, Manocha & Ponamgi
+    1995, I-COLLIDE): the coordinate along which the kinks spread widest.
+    The edges are sorted by the low end of their extent on that axis, and
+    the kinks are visited in their order on it, in blocks of at most
+    _BLOCK kink x candidate pairs (or one kink).  A block's candidates are
+    the edges whose extent on the axis comes within R of the block's span:
+    R is +inf for the first block, then 1.25 times the largest clearance
+    found so far.  Each block takes two stages:
+
+    * the squared gap between the kink and each candidate's bounding box
       (_box_gaps), +inf for incident edges: a lower bound on the distance.
-      The exact distance to the edge of least gap, or the walls where
+      The exact distance to the candidate of least gap, or the walls where
       nearer, bounds the clearance from above;
     * the exact distances (_distances), on flat gathered rows, of the
-      pairs whose gap is within that bound, widened by 1e-9 of it and by a
-      few ulps of the largest coordinate to cover the rounding of both.
+      pairs whose gap is within that bound or R, the bound widened by 1e-9
+      of it and by a few ulps of the largest coordinate (slack) to cover
+      the rounding of both.
 
-    A pruned edge is farther than the bound, so each clearance is the
-    minimum over every kink x edge pair, to the bit.  A kink's clearance is
-    Python's min over its window walls and nearest edge, in that order;
-    the first kink in order without room raises ValueError.
+    An edge that is not a candidate is farther than R + slack on the axis
+    alone, and a block whose candidates are every edge takes R = +inf.  So
+    a block whose widened clearances are all within R has kept
+    every pair that the bound over all edges keeps; any other block is
+    redone with R doubled.  A pruned pair is farther than the bound, so
+    each clearance is the minimum over every kink x edge pair, to the bit.
+    A kink's clearance is Python's min over its window walls and nearest
+    edge, in that order; the first kink in index order without room raises
+    ValueError.
     """
     t_lo, t_hi = T.window
     X = sites.vertex
-    A, B = T.edges.x_start, T.edges.x_end
+    K, M = len(X), len(T.edges)
+    c = int(np.argmax(np.ptp(X, axis=0))) if K else 0
+    low = np.minimum(T.edges.x_start, T.edges.x_end)
+    by_low = np.argsort(low[:, c], kind="stable")
+    A, B = T.edges.x_start[by_low], T.edges.x_end[by_low]
     D = B - A
     L2 = squared_norms(D)
-    lo = np.ascontiguousarray(np.minimum(A, B).T)
+    lo = np.ascontiguousarray(low[by_low].T)
     hi = np.ascontiguousarray(np.maximum(A, B).T)
     # a computed distance may fall short of the box gap by a few ulps of
     # the largest coordinate: an end point comes back as A + (B - A)
     slack = 4 * len(lo) * np.finfo(float).eps * max(
         np.abs(X).max(initial=0.0), np.abs(lo).max(initial=0.0),
         np.abs(hi).max(initial=0.0))
-    eps = np.empty(len(X))
-    rows = max(1, _BLOCK // max(1, len(A)))
-    for k0 in range(0, len(X), rows):
-        x = X[k0:k0 + rows]
-        gap = _box_gaps(lo, hi, x)
+    walls = X[:, 0] - t_lo
+    far = t_hi - X[:, 0]
+    walls = np.where(far < walls, far, walls)  # min(...) keeps the first
+
+    def clearances(k, cand, R):
+        """Clearances of kinks k against the sorted edges cand, as above.
+        take and flat indices are numpy's fast gathers."""
+        x = X.take(k, axis=0)
+        gap = _box_gaps(lo.take(cand, axis=1), hi.take(cand, axis=1), x)
+        flat_gap = gap.reshape(-1)
+
+        def pairs(flat):
+            """Rows of k, their kinks and the sorted edges, of flat
+            indices into gap."""
+            r, m = np.divmod(flat, max(1, len(cand)))
+            return r, x.take(r, axis=0), cand[m]
+
+        def exact(x, e):
+            return _distances(x, A.take(e, axis=0), D.take(e, axis=0), L2[e])
+
         # an incident edge has x in its box: only zero gaps need the test
-        r, m = np.nonzero(gap == 0.0)
-        touch = (A[m] == x[r]).all(axis=1) | (B[m] == x[r]).all(axis=1)
-        gap[r[touch], m[touch]] = np.inf
-        walls = x[:, 0] - t_lo
-        far = t_hi - x[:, 0]
-        walls = np.where(far < walls, far, walls)  # min(...) keeps the first
+        zero = np.flatnonzero(flat_gap == 0.0)
+        _, xr, e = pairs(zero)
+        touch = ((A.take(e, axis=0) == xr).all(axis=1)
+                 | (B.take(e, axis=0) == xr).all(axis=1))
+        flat_gap[zero[touch]] = np.inf
         near = np.full(len(x), np.inf)
-        if len(A):
-            least = gap.argmin(axis=1)
-            some = np.flatnonzero(np.isfinite(gap[np.arange(len(x)), least]))
-            m = least[some]
-            near[some] = _distances(x[some], A[m], D[m], L2[m])
-        reach = np.where(near < walls, near, walls) * (1.0 + 1e-9) + slack
-        r, m = np.nonzero(gap <= (reach * reach)[:, None])
-        np.minimum.at(near, r, _distances(x[r], A[m], D[m], L2[m]))
-        best = np.where(near < walls, near, walls)
-        none = best <= 0.0
-        if none.any():
-            raise ValueError(
-                f"no room for segments at kink {X[k0 + np.argmax(none)]}")
-        eps[k0:k0 + rows] = 0.49 * best
-    return eps
+        if len(cand):
+            least = np.arange(len(x)) * len(cand) + gap.argmin(axis=1)
+            r, xr, e = pairs(least[np.isfinite(flat_gap[least])])
+            near[r] = exact(xr, e)
+        w = walls[k]
+        reach = np.minimum(np.where(near < w, near, w) * (1.0 + 1e-9) + slack, R)
+        r, xr, e = pairs(np.flatnonzero(gap <= (reach * reach)[:, None]))
+        np.minimum.at(near, r, exact(xr, e))
+        return np.where(near < w, near, w)
+
+    order = np.argsort(X[:, c], kind="stable")
+    xs = X[order, c]
+    best = np.empty(K)
+    R, most, width, k0 = np.inf, 0.0, M, 0
+    while k0 < K:
+        rows = max(1, _BLOCK // max(1, width))
+        while True:
+            k1 = min(K, k0 + rows)
+            top = np.searchsorted(lo[c], xs[k1 - 1] + (R + slack), side="right")
+            cand = np.flatnonzero(hi[c, :top] >= xs[k0] - (R + slack))
+            width = len(cand)
+            if k1 - k0 > 1 and (k1 - k0) * width > _BLOCK:
+                rows = max(1, _BLOCK // width)
+                continue
+            if width == M:  # nothing is pruned on the axis
+                R = np.inf
+            got = clearances(order[k0:k1], cand, R)
+            if width == M or (got * (1.0 + 1e-9) + slack <= R).all():
+                break
+            R = 2.0 * R if R > 0.0 else np.inf
+        best[order[k0:k1]] = got
+        most = max(most, float(got.max()))
+        R = 1.25 * most
+        k0 = k1
+    none = best <= 0.0
+    if none.any():
+        raise ValueError(f"no room for segments at kink {X[np.argmax(none)]}")
+    return 0.49 * best
 
 
 def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
@@ -501,9 +556,9 @@ def build_augmented(T: GraphTensor, kinks: KinkBlock | None = None,
     for a total added divergence mass of exactly 2(n-1) * sum(b).  eps is
     0.49 times the kink's clearance (_default_eps), and the bases come from
     complement_basis.  Both are array passes over all kinks; the cost is
-    the clearance scan: box gaps of all K x M kink x edge pairs for K kinks
-    and M edges, in blocks of bounded size, and exact distances of the few
-    pairs they keep.
+    the clearance scan: box gaps of the kink x edge pairs that the sweep
+    on one axis keeps as candidates, in blocks of bounded size, and exact
+    distances of the few pairs they keep.
     """
     if T.n < 2:
         raise ValueError("augmentation needs n >= 2 (empty complement on the line)")

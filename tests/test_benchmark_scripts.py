@@ -25,10 +25,14 @@ def test_augment_scaling_measures_a_small_tensor():
     script = _load("augment_scaling")
     log = script.gas_log(16, None)
     T = tensor.build_tensor(log, script.augment_window(log, collisions=5))
+    box_gaps, distances = tensor._box_gaps, tensor._distances
     row = script.measure("tiny", T, repeats=1)
+    assert (tensor._box_gaps, tensor._distances) == (box_gaps, distances)
     assert (row["tensor"], row["kinks"], row["edges"]) == ("tiny", 10, len(T.edges))
-    assert row["kinks_per_block"] == max(1, tensor._BLOCK // len(T.edges))
-    assert 0.0 < row["kept_pairs"] <= 1.0
+    # one block: every edge is a candidate, and each kink's least-gap
+    # edge is one exact pair
+    assert row["box_gap_pairs"] == 10 * len(T.edges)
+    assert 10 <= row["exact_pairs"] <= 10 + 10 * len(T.edges)
     for key in ("default_eps_s", "bases_s", "build_augmented_s"):
         assert row[key] > 0.0
 

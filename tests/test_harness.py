@@ -648,6 +648,14 @@ _BAD_FIELDS = {
 }
 
 
+# a numpy warning would reach stderr: it fails the test.  Hypothesis's
+# report hook raises a DeprecationWarning on mypy_extensions.TypedDict; it
+# is ignored, or a failing hypothesis test would end the session in a
+# pytest INTERNALERROR
+_WARNINGS_FAIL = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
+
 def _assert_one_json_object(capsys) -> None:
     out, err = capsys.readouterr()
     assert err == ""
@@ -655,7 +663,7 @@ def _assert_one_json_object(capsys) -> None:
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@_WARNINGS_FAIL
 @pytest.mark.parametrize(
     "case", sorted(_BAD_SIMULATE) + sorted(_BAD_USAGE) + sorted(_BAD_FIELDS)
     + sorted(_BAD_MU))
@@ -800,6 +808,35 @@ def test_cli_verify_tensor_rejects_invalid_header(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
     assert json.loads(out)["error"] == error
+
+
+# initial states that break a rule of the header: (path in the header's
+# initial, value, k of the state initial[k] that the error names)
+_BAD_STATES = {
+    "bool_id": ((0, "id"), True, 0),
+    "float_id": ((1, "id"), 1.0, 1),
+    "int64_overflowing_id": ((0, "id"), 2**63, 0),
+    "string_in_y": ((1, "y"), [2.0, "0"], 1),
+    "y_of_n_plus_1": ((0, "y"), [-2.0, 0.0, 0.0], 0),
+    "y_and_v_of_n_plus_1": ((1,), {"id": 1, "y": [2.0, 0.0, 0.0],
+                                   "v": [-1.0, 0.0, 0.0]}, 1),
+    "missing_v": ((1,), {"id": 1, "y": [2.0, 0.0]}, 1),
+}
+
+
+@_WARNINGS_FAIL
+@pytest.mark.parametrize("case", sorted(_BAD_STATES))
+def test_cli_verify_tensor_names_a_bad_initial_state(case, tmp_path, capsys):
+    """The states are read as one block; the bad one is named by reading
+    them again one at a time."""
+    path, value, k = _BAD_STATES[case]
+    doc = _replaced(list(_head_on_lines()), (0, "initial") + path, value)
+    assert cli.main(_argv("verify-tensor", doc, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    reply = json.loads(out)
+    assert reply["error"] == "invalid_input"
+    assert f"initial[{k}]" in reply["detail"]
 
 
 _GAS = {"generator": "random_gas", "a": 0.01}
@@ -1034,7 +1071,7 @@ _NAMED_LINE = {"post_speeds_1e200": 2, "j_equals_i": 2,
                "earlier_copy_appended": 3, "copied_line": 3}
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@_WARNINGS_FAIL
 @pytest.mark.parametrize("case", sorted(_BAD_HISTORIES))
 def test_cli_verify_tensor_rejects_bad_history(case, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"scenario": {
@@ -1082,7 +1119,7 @@ _BAD_EVENT_LINES = {
 }
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@_WARNINGS_FAIL
 @pytest.mark.parametrize("case", sorted(_BAD_EVENT_LINES))
 def test_cli_verify_tensor_names_the_bad_event_line(case, tmp_path, capsys):
     """Each rule of an event line, broken on line 7 of a 9-event log, exits
@@ -1153,7 +1190,7 @@ def _numeric_event_lines(draw):
     return lines
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@_WARNINGS_FAIL
 @settings(max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_numeric_simulate_doc() | _numeric_event_lines())

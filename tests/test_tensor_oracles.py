@@ -6,6 +6,9 @@ clearances with np.array_equal, balances field by field in order, audits
 as serialized bytes.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,16 +142,17 @@ def test_default_eps_matches_loop(case):
 
 
 def _blocks(block, T):
-    """_BLOCK for blocks of one kink, or of three kinks (M edges a kink)."""
+    """_BLOCK for blocks of one kink, or for a first block (every edge a
+    candidate) of three kinks, and later blocks of uneven size."""
     return 1 if block == "one" else 3 * len(T.edges)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("block", ["one", "uneven"])
 def test_default_eps_in_blocks_matches_loop(case, block, monkeypatch):
-    """Blocks of one kink (_BLOCK = 1), and blocks of three kinks that
-    leave a shorter last block, give the same clearances or the same first
-    error."""
+    """Blocks of one kink (_BLOCK = 1), and blocks that start at three
+    kinks and vary with the candidates they hold, give the same
+    clearances or the same first error."""
     T = CASES[case]()
     assert len(T.kinks) % 3
     monkeypatch.setattr(tensor, "_BLOCK", _blocks(block, T))
@@ -296,3 +300,143 @@ def test_small_gases_match_loops(seed, n, N):
         A = tensor.build_augmented(T, b=0.5)
         _assert_same_balances(A)
         _assert_same_audit(A)
+
+
+# -- the sweep of _default_eps: tensors (and kink sites) that each stress
+# one part of it, against the loop over every kink x edge pair -------------
+
+
+def _rows(n):
+    # 4 right-movers and 4 left-movers on the first axis: 16 collisions at
+    # 7 times, so up to 4 kinks share one time and differ in space only
+    x = np.r_[-np.arange(1.0, 5.0), np.arange(1.0, 5.0)]
+    pos, vel = np.zeros((8, n)), np.zeros((8, n))
+    pos[:, 0], vel[:, 0] = x, -np.sign(x)
+    T = _full(harness.simulate_scenario(harness.gen_explicit(n, 0.1, pos, vel)))
+    assert len(T.kinks) == 32 and len(np.unique(T.kinks.vertex[:, 0])) == 7
+    return T, T.kinks
+
+
+def _spanning():
+    # a head-on pair, a sphere at rest beside the meeting point and one
+    # that passes later: their trajectory edges span the whole window
+    log = harness.simulate_scenario(harness.gen_explicit(
+        2, 0.05, [[-1.0, 0.0], [1.0, 0.0], [-0.05, 0.104], [-0.4, -2.0]],
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    assert len(log.events) == 1
+    T = tensor.build_tensor(log, (-2.0, 3.0))
+    assert (T.edges.x_end[:, 0] - T.edges.x_start[:, 0] == 5.0).sum() == 2
+    return T, T.kinks
+
+
+def _at_walls(upper_only):
+    # the gas2d tensor with its window moved onto its last kink time, and
+    # onto its first (or kept below it): kinks lie on the walls, so the
+    # first of them in index order has no room
+    T = _gas2d()
+    t = T.kinks.vertex[:, 0]
+    lo = T.window[0] if upper_only else float(t.min())
+    return replace(T, window=(lo, float(t.max()))), T.kinks
+
+
+def _widest(axis):
+    # gas2d's kinks spread widest in time, gas3d's in space
+    T = _gas2d() if axis == "time" else _gas3d()
+    spread = np.ptp(T.kinks.vertex, axis=0)
+    assert (int(np.argmax(spread)) == 0) == (axis == "time")
+    return T, T.kinks
+
+
+SWEEP_CASES = {
+    "rows2d": lambda: _rows(2),
+    "rows3d": lambda: _rows(3),
+    "spanning_edges": _spanning,
+    "kinks_at_both_walls": lambda: _at_walls(False),
+    "kink_at_the_upper_wall": lambda: _at_walls(True),
+    "widest_in_time": lambda: _widest("time"),
+    "widest_in_space": lambda: _widest("space"),
+    "single_kink": lambda: (_gas3d(), _gas3d().kinks[5:6]),
+    "single_kink_of_a_head_on_pair": lambda: (_spanning()[0], _spanning()[1][1:2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+@pytest.mark.parametrize("block", [None, 1, 7, 97, "uneven"])
+def test_default_eps_sweep_matches_loop(case, block, monkeypatch):
+    """The same clearances, bit for bit, or the same first error, at the
+    default block size and at small ones that make blocks uneven."""
+    T, sites = SWEEP_CASES[case]()
+    if block is not None:
+        monkeypatch.setattr(tensor, "_BLOCK", _blocks("uneven", T)
+                            if block == "uneven" else block)
+    got = _eps_outcome(tensor._default_eps, T, sites)
+    want = _eps_outcome(oracles.default_eps, T, list(sites))
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else _same_bits(got, want)
+
+
+def test_kinks_at_the_walls_name_the_first_in_index_order():
+    """With kinks on both walls the first kink, on the lower wall, names
+    the error; with kinks on the upper wall alone, the first kink of the
+    last collision."""
+    for upper_only, k in ((False, 0), (True, -2)):
+        T, sites = _at_walls(upper_only)
+        message = _eps_outcome(tensor._default_eps, T, sites)
+        assert message == f"no room for segments at kink {sites.vertex[k]}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([2, 3]), st.integers(2, 12),
+       st.sampled_from([1, 7, 97, tensor._BLOCK]), st.data())
+def test_default_eps_sweep_fuzz(seed, n, N, block, data):
+    """Small gases cut to a drawn window between collisions, at a drawn
+    block size: the same clearances, bit for bit, or the same first error
+    as the loop."""
+    log = _gas_log(n, N, seed, a=0.03)
+    if not len(log.events):
+        return
+    ends = _midpoints(log.events.t)
+    lo = data.draw(st.integers(0, len(ends) - 2), label="lo")
+    hi = data.draw(st.integers(lo + 1, len(ends) - 1), label="hi")
+    T = tensor.build_tensor(log, (ends[lo], ends[hi]))
+    with mock.patch.object(tensor, "_BLOCK", block):
+        got = _eps_outcome(tensor._default_eps, T)
+    want = _eps_outcome(oracles.default_eps, T, list(T.kinks))
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else _same_bits(got, want)
+
+
+def test_edges_through_kinks_name_the_first_in_index_order():
+    """Edges through two kinks of gas3d, the later one in index order
+    first in the sweep's order (its coordinate on the widest axis is the
+    lower): the earlier one in index order names the error."""
+    T = _gas3d()
+    x = T.kinks.vertex[:, int(np.argmax(np.ptp(T.kinks.vertex, axis=0)))]
+    half = len(x) // 2
+    early = int(np.argmax(x[:half]))
+    late = half + int(np.argmin(x[half:]))
+    assert x[late] < x[early]
+    T = _through(T, [late, early])
+    got = _eps_outcome(tensor._default_eps, T)
+    assert got == _eps_outcome(oracles.default_eps, T)
+    assert got == f"no room for segments at kink {T.kinks.vertex[early]}"
+
+
+def test_a_block_of_every_edge_keeps_pairs_beyond_r(monkeypatch):
+    """Kink 0 is 0.01 from edge E0, so the next block's R is 0.0125.  Kink
+    1 lies 0.01 below the box of E0 in its second space axis (least gap,
+    distance about 1) and 0.5 from the point edge P (gap 0.25): both
+    edges reach its time, so every edge is a candidate, nothing is pruned
+    on the axis, and P is kept although its gap exceeds R squared."""
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    A = np.array([[0.0, 0.0, 0.01], [1.0, 0.5, 0.0]])
+    B = np.array([[1.0, 0.0, 10.01], [1.0, 0.5, 0.0]])
+    edges = tensor.EdgeBlock(A, B, np.ones(2), np.full(2, "trajectory"),
+                             np.array([2, 4]), np.array([3, 4]), np.zeros((2, 3)))
+    T = tensor.GraphTensor(
+        edges=edges, window=(-10.0, 10.0), n=2, vertices=5,
+        kinks=tensor.KinkBlock(x, np.zeros((2, 2)), np.ones((2, 2)), np.arange(2)))
+    monkeypatch.setattr(tensor, "_BLOCK", 1)
+    got = tensor._default_eps(T, T.kinks)
+    assert _same_bits(got, oracles.default_eps(T, list(T.kinks)))
+    assert got.tolist() == [0.49 * 0.01, 0.49 * 0.5]
