@@ -34,6 +34,13 @@ The set:
   in R^3 flying apart (no collision) and a head-on pair in R^2 (one);
 * the configs of the benchmark's gas2d_pipeline (2-D gas, N=256) and
   line1d_dense (line_1d, p=50) workloads at seed 12;
+* five gases at seed 12 at the scale and in the regimes that a neighbor
+  list or a second sweep axis changes: n=2 at N=1024 with t_max=0.5
+  (8,601 collisions); n=2 at N=256 at covering fraction 0.5 (1,339; at
+  0.6 the spheres cannot be placed); n=2 at N=256 run to its last
+  collision (1,083); n=3 at N=1024, whose last collision comes before
+  t_max=1 (3,165); and n=1 at N=256, fraction 0.3, run to its last
+  collision (13,743);
 * two sweeps: the spec of the benchmark's sweep3d workload at seed 12 (3-D
   gas, a=0.01, covering fraction 0.2, sizes 64/128/256, seeds 48-51,
   t_max=1) and line_1d with p in {1, 5, 20}, t_max=2.5.
@@ -61,16 +68,19 @@ from kinkbound import cli
 ARTIFACTS = ("events.jsonl", "ledger.csv", "report.json", "audit.json")
 
 
-def gas_config(n: int, N: int, seed: int) -> dict:
-    """Maxwell gas, a=0.01, t_max=1, in a cube sized for a covering
-    fraction of 0.3 (n=2) or 0.2 (other n)."""
+def gas_config(n: int, N: int, seed: int, t_max: float | None = 1.0,
+               fraction: float | None = None) -> dict:
+    """Maxwell gas, a=0.01, run to t_max (None: to its last collision), in
+    a cube sized for a covering fraction, by default 0.3 (n=2) or 0.2
+    (other n)."""
+    if fraction is None:
+        fraction = 0.3 if n == 2 else 0.2
     return {
         "scenario": {"generator": "random_gas", "n": n, "N": N, "a": 0.01,
-                     "box_policy": {"kind": "fixed_fraction",
-                                    "value": 0.3 if n == 2 else 0.2},
+                     "box_policy": {"kind": "fixed_fraction", "value": fraction},
                      "seed": seed,
                      "velocities": {"kind": "maxwell", "sigma": 1.0}},
-        "sim": {"t_max": 1.0},
+        "sim": {"t_max": t_max},
     }
 
 
@@ -117,6 +127,13 @@ def scenarios() -> dict:
         2, [[-1.0, 0.0625], [1.0, 0.0]], [[1.0, 0.0], [-0.5, 0.0]])
     out["cli_gas2d_pipeline_s12"] = gas_config(2, 256, 12)
     out["cli_line1d_dense_s12"] = line_config(50)
+    # the scale and regimes that a neighbor list or a second sweep axis
+    # changes: N = 1024, a dense packing, whole histories, a > 0 on the line
+    out["gas2d_N1024_s12"] = gas_config(2, 1024, 12, t_max=0.5)
+    out["gas2d_N256_s12_dense"] = gas_config(2, 256, 12, fraction=0.5)
+    out["gas2d_N256_s12_whole"] = gas_config(2, 256, 12, t_max=None)
+    out["gas3d_N1024_s12"] = gas_config(3, 1024, 12)
+    out["gas1d_N256_s12_whole"] = gas_config(1, 256, 12, t_max=None, fraction=0.3)
     return out
 
 

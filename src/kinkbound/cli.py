@@ -17,7 +17,7 @@ import numpy as np
 from . import _jsonio
 from ._jsonio import read_int, read_list, read_number, read_object
 from .dynamics import (ConfigurationError, GenericityViolation, SimulationBug,
-                       read_events_jsonl)
+                       check_range, read_events_jsonl)
 from .detmass import measure_from_dict, measure_report
 from .harness import (PackingError, SweepSpec, _audit_window, apply_time_scale,
                       run_experiment, scenario_from_config, simulate_scenario,
@@ -74,6 +74,7 @@ def _cmd_verify_tensor(args) -> int:
     if args.window is not None:
         lo, hi = (float(x) for x in args.window.split(","))
         window = (lo, hi)
+        check_range(window, "window")
     else:
         window = _audit_window(log)
     audit = audit_tensor(build_tensor(log, window))
@@ -166,6 +167,9 @@ def main(argv=None) -> int:
         return EXIT_BUG
     except PackingError as exc:
         _emit({"error": "packing", "detail": str(exc)})
+        return EXIT_INVALID
+    except MemoryError as exc:  # sizes within check_size that still do not fit
+        _emit({"error": "memory", "detail": str(exc)})
         return EXIT_INVALID
     except (ValueError, KeyError, OSError) as exc:
         _emit({"error": "invalid_input", "detail": str(exc)})

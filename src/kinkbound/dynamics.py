@@ -204,7 +204,7 @@ _PLUS_MINUS = np.array([1.0, -1.0])  # v_i + impulse, v_j - impulse, exactly
 LOW, HIGH = 2.0 ** -128, 2.0 ** 128
 """The numeric range: |positions|, times, a, the tolerances and |velocity
 components| are at most HIGH; a and initial velocity components are 0 or
-at least LOW.  With N n <= 2^40 (memory) no speed exceeds 2^149 (energy
+at least LOW.  With N n <= 2^40 (check_size) no speed exceeds 2^149 (energy
 < 2^296, see _Engine), and up to t = HIGH no position exceeds 2^278:
 |dy| <= 2^279, |dv| <= 2^150, so b^2, A |c|, |dy|^2, grazing_tol (b^2 +
 A |c|) and the ledger's squares stay below 2^988.  A nonzero initial dv
@@ -231,15 +231,18 @@ def check_range(x, field: str, low: float = 0.0, ids=None) -> None:
 
 
 def check_size(N: int, n: int, states=None) -> None:
-    """Raise ConfigurationError unless n >= 1 ("dimension") and N >= 1
-    ("particle_count"), and a StateBlock states, if given, holds N particles
-    ("particle_count") with (N, n) positions and velocities
-    ("dimension_mismatch").  Generators check n and N before they draw."""
+    """Raise ConfigurationError unless n >= 1 ("dimension"), N >= 1
+    ("particle_count") and N n <= 2^40 ("size", which the numeric range of
+    LOW and HIGH assumes), and a StateBlock states, if given, holds N
+    particles ("particle_count") with (N, n) positions and velocities
+    ("dimension_mismatch").  Generators check n and N before they allocate."""
     if n < 1:
         raise ConfigurationError("dimension", {"n": n})
     given = {} if states is None else {"given": len(states)}
     if N < 1 or given.get("given", N) != N:
         raise ConfigurationError("particle_count", {"N": N, **given})
+    if N * n > 2 ** 40:
+        raise ConfigurationError("size", {"N": N, "n": n, "most": 2 ** 40})
     if given and (states.position.shape != (N, n) or states.velocity.shape != (N, n)):
         raise ConfigurationError("dimension_mismatch", {
             "n": n, "position": states.position.shape, "velocity": states.velocity.shape})

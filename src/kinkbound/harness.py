@@ -173,6 +173,7 @@ def gen_line_1d(p: int) -> Scenario:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    check_size(2 * p, 1)
     k = np.arange(1.0, p + 1.0)
     states = StateBlock(np.arange(2 * p, dtype=np.int64),
                         np.concatenate((-k, k))[:, None],

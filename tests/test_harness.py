@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from kinkbound import cli, harness
-from kinkbound.dynamics import (ConfigurationError, GenericityViolation,
+from kinkbound.dynamics import (LOW, ConfigurationError, GenericityViolation,
                                 events_jsonl_bytes, read_events_jsonl)
 
 
@@ -316,11 +316,11 @@ def test_fixed_fraction_box_covering():
     with pytest.raises(ValueError):
         harness._fixed_fraction_box(2, 10, 0.0, 0.3)
     # the unit ball's volume underflows float64 at n = 453: the recurrence
-    # stops there, however large n is
+    # stops there, however large n is (N n <= 2^40: check_size)
     for n in (453, 2**40):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="n < 453"):
-            harness._fixed_fraction_box(n, 10, 0.01, 0.3)
+            harness._fixed_fraction_box(n, 1, 0.01, 0.3)
         assert time.perf_counter() - start < 1.0
     assert len(harness._fixed_fraction_box(452, 10, 0.01, 0.3)) == 452
 
@@ -861,7 +861,7 @@ _BAD_SIZES = {
                                      "particle_count"),
     "gas_negative_N_3d_box_policy": ({**_GAS, **_FRACTION, "n": 3, "N": -5},
                                      "particle_count"),
-    "gas_n_beyond_the_unit_ball": ({**_GAS, **_FRACTION, "n": 2**40, "N": 4},
+    "gas_n_beyond_the_unit_ball": ({**_GAS, **_FRACTION, "n": 2**38, "N": 4},
                                    "invalid_input"),
 }
 
@@ -876,6 +876,37 @@ def test_cli_simulate_rejects_sizes_that_disagree(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
     assert json.loads(out)["error"] == error
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_sizes_past_2_40_before_allocating(tmp_path, capsys):
+    """N n <= 2^40, the size the numeric range assumes, is checked before
+    any array is built: each case exits 2 with error "size"."""
+    for command, doc in [
+            ("simulate", {"scenario": {"generator": "line_1d", "p": 10**12}}),
+            ("simulate", {"scenario": {**_GAS, "n": 2, "N": 10**12}}),
+            ("simulate", {"scenario": {**_GAS, "n": 10**12, "N": 2}}),
+            ("sweep", {"sizes": [10**14], "base": {"generator": "line_1d"}})]:
+        assert cli.main(_argv(command, doc, tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["error"] == "size", doc
+    with pytest.raises(ConfigurationError, match="size"):
+        harness.gen_random_gas(2**20, 2**20 + 1, 1.0, 0.01, {}, 0)
+    assert len(harness.gen_line_1d(1).states) == 2
+
+
+def test_cli_out_of_memory_is_one_json_object(tmp_path, capsys, monkeypatch):
+    """A MemoryError (sizes within check_size that still do not fit) exits
+    2 with one JSON object, error "memory"."""
+    def no_memory(p):
+        raise MemoryError(f"Unable to allocate for p={p}")
+
+    monkeypatch.setattr(harness, "gen_line_1d", no_memory)
+    doc = {"scenario": {"generator": "line_1d", "p": 5}}
+    assert cli.main(_argv("simulate", doc, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {
+        "error": "memory", "detail": "Unable to allocate for p=5"}
     assert not (tmp_path / "o").exists()
 
 
@@ -1043,6 +1074,28 @@ def test_cli_verify_tensor(tmp_path, capsys):
     assert cli.main(["verify-tensor", "--events", events,
                      "--window=-0.125,7.03125"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+@_WARNINGS_FAIL
+def test_cli_verify_tensor_window_in_the_numeric_range(tmp_path, capsys):
+    """A --window end beyond dynamics.HIGH exits 2 with error "range"
+    before any arithmetic (at 1e308 the tensor's subtractions overflowed).
+    The audit window a run computes for itself may pass HIGH: two rods
+    at +-1 closing at speed LOW meet near t = 0.99 HIGH, and the run's
+    audit, padded past it, still goes through."""
+    doc = {"scenario": {"generator": "explicit", "n": 1, "a": 0.01,
+                        "positions": [[-1.0], [1.0]],
+                        "velocities": [[LOW], [-LOW]]}}
+    assert cli.main(_argv("simulate", doc, tmp_path)) == 0
+    assert json.loads(capsys.readouterr().out)["events"] == 1
+    events = str(tmp_path / "o" / "events.jsonl")
+    for window, code in (("-1e308,1e308", 2), ("0,1e39", 2), ("-1,1e38", 0)):
+        assert cli.main(["verify-tensor", "--events", events,
+                         f"--window={window}"]) == code, window
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 1
+        if code:
+            assert json.loads(out)["error"] == "range"
 
 
 def _speeds_after(v):
