@@ -28,6 +28,10 @@ each time is the best of the K runs, taken on its own.  An engine row:
 * scenes, N (their particles together) and n;
 * collisions; repredictions, the entries whose partner had collided
   since, each re-predicted with a one-row kernel call (_predict);
+* heap_pushes, the predictions pushed on the event heap, and stale_pops,
+  the popped entries whose owner had collided since: every pop but the
+  collisions, the re-predictions and a run's last, past t_max (the heap's
+  calls are counted through a stand-in for dynamics.heapq);
 * kernel_calls of dynamics.contact_times_scan in the initial scan, the
   re-predictions ("one_row") and the rescans of the collisions (two rows
   a collision; one call rescans the collisions of one time, up to
@@ -47,12 +51,16 @@ With --parent DIR, DIR is a checkout of another commit whose src/kinkbound
 is loaded as kinkbound_parent.  Both trees build every row with their own
 package; the script asserts that they build bit-identical initial states
 and give bit-identical results (event blocks and terminations, augmented
-tensors).  Then it makes R rounds (default 20): a round runs every row
-once on each tree without wrappers, the tree that goes first alternating,
-so that a drift of the machine's speed falls on both alike.  It prints one
-JSON object per row: the quartiles of each tree's seconds and of the
-ratio change / parent within a round.  This runs the full table, or the
-tiny one with --tiny.
+tensors).  Then it makes R rounds (default 20): a round runs every row on
+each tree without wrappers, the tree that goes first alternating, so that
+a drift of the machine's speed falls on both alike.  A side of a round
+runs its row as many times as last about a second (from the time of the
+check's run; once, for a row that takes longer) and keeps the best, so a
+stall of the machine that hits one run of a short row does not land on
+its side.  It prints one JSON object per row: the runs per side, the
+quartiles of each tree's seconds and of the ratio change / parent within
+a round.  This runs the full table, or with --tiny the tiny one, a smoke
+run in which each side of a round runs once.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ import os
 import platform
 import statistics
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -144,11 +153,14 @@ def predict_phase(self, rows, t=None) -> str:
 
 def targets(kb, step: str) -> list:
     """(owner, attribute, name) of the functions a step is measured by;
-    name is the key, or a function of the call's arguments."""
+    name is the key, or a function of the call's arguments, or for a
+    module a dict {function: key} of the functions of it that are wrapped
+    (the module is replaced by a namespace of them)."""
     if step == "engine":
         return [(kb.dynamics, "contact_times_scan", "kernel"),
                 (kb.dynamics._Engine, "_collide", "collide"),
-                (kb.dynamics._Engine, "_predict", predict_phase)]
+                (kb.dynamics._Engine, "_predict", predict_phase),
+                (kb.dynamics, "heapq", {"heappush": "push", "heappop": "pop"})]
     return [(kb.tensor, "_default_eps", "default_eps"),
             (kb.tensor, "complement_basis", "bases"),
             (kb.tensor, "_box_gaps", "box_gaps"),
@@ -186,6 +198,11 @@ class Meter:
                 setattr(owner, attr, original)
 
     def _wrap(self, original, name):
+        if isinstance(name, dict):
+            return types.SimpleNamespace(**{
+                attr: self._wrap(getattr(original, attr), key)
+                for attr, key in name.items()})
+
         def wrapper(*args):
             key = name(*args) if callable(name) else name
             outer, self.inside = self.inside, key
@@ -209,8 +226,12 @@ def engine_figures(m: Meter, inputs, results, whole: float) -> tuple:
     kernel = {phase: m.tally["kernel", phase, "calls"]
               for phase in ("initial", "one_row", "rescan")}
     collide = m.total("collide", "calls")
+    repredictions = m.total("one_row", "calls")
+    stops = sum(termination == "t_max" for _, termination in results)
     counts = {
-        "collisions": E, "repredictions": m.total("one_row", "calls"),
+        "collisions": E, "repredictions": repredictions,
+        "heap_pushes": m.total("push", "calls"),
+        "stale_pops": m.total("pop", "calls") - E - repredictions - stops,
         "kernel_calls": kernel, "kernel_pairs": m.total("kernel", "pairs"),
         "rows_per_rescan_call": round(
             m.tally["kernel", "rescan", "rows"] / max(kernel["rescan"], 1), 2),
@@ -297,30 +318,44 @@ def quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(sides: dict, rows: dict, rounds: int) -> None:
-    """The A/B of --parent: bit-identity first, then alternating rounds."""
+def best_of(kb, step: str, inputs, runs: int) -> float:
+    """The least seconds of runs runs of the step."""
+    best = math.inf
+    for _ in range(runs):
+        start = perf_counter()
+        run(kb, step, inputs)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def compare(sides: dict, rows: dict, rounds: int, side_s: float) -> None:
+    """The A/B of --parent: bit-identity first, then alternating rounds,
+    each side of a round the best of the runs that last about side_s."""
     built = {side: {name: prepare(kb, row) for name, row in rows.items()}
              for side, kb in sides.items()}
+    runs = {}
     for name, row in rows.items():
         (scenes_p, inputs_p), (scenes_c, inputs_c) = (built[side][name] for side in sides)
         if not same_bits([sc.states for sc in scenes_p], [sc.states for sc in scenes_c]):
             raise AssertionError(f"{name}: the trees build different initial states")
-        if not same_bits(run(sides["parent"], row[0], inputs_p),
-                         run(sides["change"], row[0], inputs_c)):
+        start = perf_counter()
+        changed = run(sides["change"], row[0], inputs_c)
+        runs[name] = max(1, round(side_s / (perf_counter() - start)))
+        if not same_bits(run(sides["parent"], row[0], inputs_p), changed):
             raise AssertionError(f"{name}: the trees give different results")
     seconds = {(name, side): [] for name in rows for side in sides}
     for r in range(max(1, rounds)):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for name, row in rows.items():
             for side in order:
-                start = perf_counter()
-                run(sides[side], row[0], built[side][name][1])
-                seconds[name, side].append(perf_counter() - start)
+                seconds[name, side].append(
+                    best_of(sides[side], row[0], built[side][name][1], runs[name]))
     for name, row in rows.items():
         parent, change = seconds[name, "parent"], seconds[name, "change"]
         ratios = [c / p for p, c in zip(parent, change)]
         print(json.dumps({
             "row": name, "scenes": len(row[1]), "rounds": len(ratios),
+            "runs_per_side": runs[name],
             "parent_s": {k: round(v, 5) for k, v in quartiles(parent).items()},
             "change_s": {k: round(v, 5) for k, v in quartiles(change).items()},
             "ratio": {k: round(v, 4) for k, v in quartiles(ratios).items()},
@@ -340,8 +375,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.parent is not None:
         parent = load(args.parent.resolve() / "src", "kinkbound_parent")
-        compare({"parent": parent, "change": kinkbound},
-                TINY if args.tiny else FULL, args.rounds)
+        compare({"parent": parent, "change": kinkbound}, TINY if args.tiny else FULL,
+                args.rounds, side_s=0.0 if args.tiny else 1.0)
         return
     runs = max(1, args.runs)
     record = {"recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(

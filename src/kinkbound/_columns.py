@@ -27,7 +27,8 @@ class Columns:
     """A dataclass of equal-length arrays, read by column.
 
     Subclasses are dataclasses (eq=False) whose fields are the columns.  A
-    slice is a block of the same type over views of the columns.
+    slice, or an index array, picks rows: a block of the same type (over
+    views of the columns, for a slice).
     """
 
     def _columns(self) -> list:
@@ -36,8 +37,8 @@ class Columns:
     def __len__(self) -> int:
         return len(getattr(self, _names(type(self))[0]))
 
-    def __getitem__(self, k: slice):
-        if not isinstance(k, slice):
+    def __getitem__(self, k):
+        if not isinstance(k, (slice, np.ndarray)):
             raise TypeError(f"{type(self).__name__} is read by column")
         return type(self)(*(column[k] for column in self._columns()))
 

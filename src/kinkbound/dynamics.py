@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _jsonio
-from ._columns import Rows
+from ._columns import Columns, Rows
 from ._jsonio import read_int, read_number, read_object
 from .kernel import component_sum, contact_times_scan, norms
 
@@ -41,6 +41,7 @@ __all__ = [
     "StateBlock",
     "CollisionEvent",
     "EventBlock",
+    "Chains",
     "EventLog",
     "validate_configuration",
     "run_simulation",
@@ -174,6 +175,26 @@ class EventBlock(Rows):
         return map(self._row, range(len(self)))
 
 
+@dataclass(eq=False)
+class Chains(Columns):
+    """The breakpoint chains of a log, particle after particle in row order:
+    each particle's initial state, then its kinks in event order.  owner
+    (B,) is the particle's row in initial, t (B,) the time, y and v (B, n)
+    the center and the velocity after, which holds until the next
+    breakpoint of the chain, and kink (B,) the slot 2e + s of particle s
+    (0 for i, 1 for j) of event e, or -1 at the initial state."""
+
+    owner: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    kink: np.ndarray
+
+    def last(self) -> np.ndarray:
+        """Whether each breakpoint is the last of its chain."""
+        return np.append(self.owner[1:] != self.owner[:-1], True)
+
+
 @dataclass
 class EventLog:
     """Simulation output: config, the initial states as one StateBlock, the
@@ -196,6 +217,16 @@ class EventLog:
         if not np.array_equal(ids[rows], keys):
             raise ValueError("event particle ids are not ids of the initial states")
         return rows
+
+    def chains(self) -> Chains:
+        """Every particle's breakpoint chain: the initial states and the
+        kink slots, put in chains by one stable sort by owner."""
+        b, (N, n), K = self.events, self.initial.position.shape, 2 * len(self.events)
+        c = Chains.concat(Chains(np.arange(N), np.zeros(N), self.initial.position,
+                                 self.initial.velocity, np.full(N, -1)),
+                          Chains(self.rows().reshape(-1), np.repeat(b.t, 2),
+                                 b.y.reshape(K, n), b.v_post.reshape(K, n), np.arange(K)))
+        return c[np.argsort(c.owner, kind="stable")]
 
 
 _BLOCK = 1 << 12  # pairs per pass of the overlap check and of a kernel call
@@ -771,31 +802,33 @@ def _state_block(docs: list, text: str, name: str, n: int | None = None) -> Stat
 
 
 def _check_history(log: EventLog) -> None:
-    """The rules across event lines: no t is below the line before it, and
-    each event's vi and vj are, bit for bit, that particle's velocity after
-    its previous event or, at its first, in the header."""
-    b, (N, n) = log.events, log.initial.position.shape
+    """The rules across event lines: no t is below the line before it; and
+    along each particle's chain (EventLog.chains), each event's vi and vj
+    are, bit for bit, that particle's velocity after its previous event or,
+    at its first, in the header, and its yi and yj are the previous center
+    moved on to t at that velocity, y + (t - t_prev) * v, as the engine
+    moves it."""
+    b, n = log.events, log.initial.position.shape[1]
     back = np.flatnonzero(b.t[1:] < b.t[:-1])
     if len(back):  # event k + 1 is on line k + 3
         k = back[0]
         raise ValueError(f"event log line {k + 3}: t={b.t[k + 1]:.17g} is before "
                          f"the t={b.t[k]:.17g} of the line before it")
-    # the initial states, then slot 2k + s, particle s (i, j) of event k: a
-    # stable sort by particle puts each slot after its particle's previous
-    # slot or initial state (as build_tensor orders breakpoints)
-    rows = np.concatenate((np.arange(N), log.rows().reshape(-1)))
-    order = np.argsort(rows, kind="stable")
-    prev = np.empty_like(order)
-    prev[order[1:]] = order[:-1]
-    after = np.concatenate((log.initial.velocity, b.v_post.reshape(-1, n)))
-    bad = np.flatnonzero((after[prev[N:]].view(np.int64)
-                          != b.v.reshape(-1, n).view(np.int64)).any(axis=1))
-    if len(bad):
-        s, p = int(bad[0]), int(prev[N + bad[0]]) - N
-        was = ("its header velocity" if p < 0 else
-               f"its {('vi_post', 'vj_post')[p % 2]} on line {p // 2 + 2}")
-        raise ValueError(f"event log line {s // 2 + 2}: {('vi', 'vj')[s % 2]} of "
-                         f"particle {log.initial.id[rows[N + s]]} is not {was}")
+    c = log.chains()
+    k = np.flatnonzero(c.kink >= 0)  # the kinks; k - 1 the breakpoints before
+    slot = c.kink[k]
+    moved = c.y[k - 1] + (c.t[k] - c.t[k - 1])[:, None] * c.v[k - 1]
+    for names, got, want, rule in (
+            ("vi vj", b.v.reshape(-1, n)[slot], c.v[k - 1], "its velocity from {}"),
+            ("yi yj", c.y[k], moved, "its center from {} moved on to t")):
+        bad = np.flatnonzero((got.view(np.int64) != want.view(np.int64)).any(axis=1))
+        if len(bad):  # name the first line
+            q = bad[np.argmin(slot[bad])]
+            s, r = slot[q], c.kink[k[q] - 1]
+            prev = "the header" if r < 0 else f"line {r // 2 + 2}"
+            raise ValueError(f"event log line {s // 2 + 2}: {names.split()[s % 2]} of "
+                             f"particle {log.initial.id[c.owner[k[q]]]} is not "
+                             + rule.format(prev))
 
 
 def read_events_jsonl(path) -> EventLog:

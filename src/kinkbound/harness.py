@@ -356,11 +356,15 @@ def run_experiment(config: dict, out_dir) -> dict:
 
 
 def default_workers() -> int:
-    cap = os.environ.get("KINKBOUND_THREADS", "").strip()
-    cpus = os.cpu_count() or 1
-    if cap:
+    """The CPUs this process may run on (its affinity, where the platform
+    tells it, else the CPU count), capped by KINKBOUND_THREADS."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    cap = os.environ.get("KINKBOUND_THREADS", "").strip() or cpus
+    try:
         return max(1, min(int(cap), cpus))
-    return cpus
+    except ValueError:
+        raise ValueError(f"KINKBOUND_THREADS must be an integer, got {cap!r}") from None
 
 
 def _sweep_scenario(base: dict, size: int, seed: int,
@@ -400,13 +404,12 @@ def sweep(spec: SweepSpec, out_dir=None, workers: int | None = None) -> SweepRes
     """Run the (size x seed) grid, aggregate median ratio1 per size.
 
     Rows are sorted by (N, seed) regardless of completion order; workers
-    defaults to cpu count capped by KINKBOUND_THREADS.
+    defaults to default_workers(), and no more start than there are runs.
     """
     tasks = [(spec.base, int(size), int(seed), spec.epsilon, spec.t_max)
              for size in spec.sizes for seed in spec.seeds]
-    if workers is None:
-        workers = default_workers()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(default_workers() if workers is None else workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_run, tasks))
     else:

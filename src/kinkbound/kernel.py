@@ -3,12 +3,15 @@
 Velocities live in R^n.  A "lifted" velocity is the spacetime tangent
 (1, v) in R^(1+n); index 0 is always the time component.
 
-Every dot product, norm and sum of squares in the package adds its
-components in index order, x0*y0 + x1*y1 + ..., through component_sum.
-Each + and * is correctly rounded (IEEE 754), so the bits depend on the
-data alone: not on the CPU, whose model picks the BLAS kernel behind
-numpy's dot products and norms, nor on numpy's pairwise summation.  In
-n = 2, x0*y0 + x1*y1 is symmetric under a swap of the two axes.
+Every dot product and norm of vectors in the package adds its components
+in index order, x0*y0 + x1*y1 + ..., through component_sum.  Each + and *
+is correctly rounded (IEEE 754), so their bits depend on the data alone:
+not on the CPU, whose model picks the BLAS kernel behind numpy's dot
+products and norms, nor on numpy's pairwise summation.  In n = 2,
+x0*y0 + x1*y1 is symmetric under a swap of the two axes.  Sums over whole
+arrays are not among them: bulk_invariants' E and Q (ledger), the
+engine's energy bound (dynamics._Engine) and detmass's sums over a
+measure add with np.sum, in numpy's order.
 
 contact_times_scan, the contact-time kernel, solves a block of pairs in
 one numpy pass, their components stacked on a leading axis.  A pair's

@@ -166,25 +166,19 @@ def hodograph_summaries(log) -> Hodographs:
     The chain is the sequence of velocity values in the mean-velocity
     frame; each kink sweeps the triangle spanned by the old and new frame
     velocities, area (1/2)|(v-w) ^ (v'-w)|.  Finite logs attain their
-    limit velocities, so v_plus is the last segment's velocity.  Each
-    particle's length and area add its kinks in event order.
+    limit velocities, so v_plus is the last segment's velocity.  The
+    chains are EventLog.chains, whose velocity before a kink is the log's
+    vi or vj there; each particle's length and area add its kinks in
+    event order (bincount adds in input order).
     """
-    b = log.events
     V0 = log.initial.velocity
-    n = V0.shape[1]
     w = bulk_invariants(V0).w
-    rows = log.rows().reshape(-1)
-    v = b.v.reshape(-1, n)
-    v_post = b.v_post.reshape(-1, n)
-    ell = np.zeros(len(V0))
-    np.add.at(ell, rows, norms(v_post - v))
-    area = np.zeros(len(V0))
-    np.add.at(area, rows, 0.5 * wedge_norms(v - w, v_post - w))
-    last = np.full(len(V0), -1)
-    np.maximum.at(last, rows, np.arange(len(rows)))
-    v_plus = V0.copy()
-    kinked = last >= 0
-    v_plus[kinked] = v_post[last[kinked]]
+    c = log.chains()
+    k = np.flatnonzero(c.kink >= 0)
+    v, v_post = c.v[k - 1], c.v[k]
+    ell = np.bincount(c.owner[k], norms(v_post - v), len(V0))
+    area = np.bincount(c.owner[k], 0.5 * wedge_norms(v - w, v_post - w), len(V0))
+    v_plus = c.v[c.last()]
     return Hodographs(particle=log.initial.id, ell=ell, area=area, v0=V0,
                       v_plus=v_plus, scatter=norms(v_plus - V0))
 

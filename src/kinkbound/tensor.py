@@ -174,30 +174,20 @@ def build_tensor(log, window) -> GraphTensor:
     def kink_key(k):
         return k if log.config.a > 0.0 else k // 2
 
-    # breakpoints (t_k, y_k, v_k, kink k): velocity v_k holds on
-    # [t_k, t_{k+1}); a stable sort by particle puts each chain in order
-    owner = np.concatenate((np.arange(N), log.rows().reshape(-1)))
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    tk = np.concatenate((np.zeros(N), np.repeat(b.t, 2)))[order]
-    yk = np.concatenate((log.initial.position, b.y.reshape(K, n)))[order]
-    vk = np.concatenate((log.initial.velocity, b.v_post.reshape(K, n)))[order]
-    kink = np.concatenate((np.full(N, -1), np.arange(K)))[order]
-    first = kink < 0  # the first segment extends backward
-    last = np.append(owner[1:] != owner[:-1], True)
-    te = np.where(last, np.inf, np.append(tk[1:], np.inf))
-    ts = np.where(first, -np.inf, tk)
-    lo = np.maximum(ts, t_lo)
-    hi = np.minimum(te, t_hi)
+    # breakpoint k's velocity holds on [t_k, t_{k+1}); each chain's first
+    # segment extends backward, its last forward (EventLog.chains)
+    c = log.chains()
+    ts = np.where(c.kink < 0, -np.inf, c.t)
+    te = np.where(c.last(), np.inf, np.append(c.t[1:], np.inf))
+    lo, hi = np.maximum(ts, t_lo), np.minimum(te, t_hi)
+    start = np.where(lo == ts, kink_key(c.kink), K + c.owner)
+    end = np.where(hi == te, kink_key(np.append(c.kink[1:], -1)), K + N + c.owner)
     seg = np.flatnonzero(lo < hi)
-    lo, hi, ts, te, tk, owner = lo[seg], hi[seg], ts[seg], te[seg], tk[seg], owner[seg]
-    yk, vk = yk[seg], vk[seg]
-    x0 = np.column_stack((lo, yk + (lo - tk)[:, None] * vk))
-    x1 = np.column_stack((hi, yk + (hi - tk)[:, None] * vk))
-    V = np.column_stack((np.ones(len(seg)), vk))
+    c, lo, hi, start, end = c[seg], lo[seg], hi[seg], start[seg], end[seg]
+    x0 = np.column_stack((lo, c.y + (lo - c.t)[:, None] * c.v))
+    x1 = np.column_stack((hi, c.y + (hi - c.t)[:, None] * c.v))
+    V = np.column_stack((np.ones(len(seg)), c.v))
     w = norms(V)
-    start = np.where(lo == ts, kink_key(kink[seg]), K + owner)
-    end = np.where(hi == te, kink_key(np.append(kink[1:], -1)[seg]), K + N + owner)
 
     inside = np.flatnonzero((t_lo < b.t) & (b.t < t_hi))
     participants = np.stack((2 * inside, 2 * inside + 1), axis=1).reshape(-1)

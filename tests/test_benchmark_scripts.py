@@ -3,7 +3,7 @@ counts of a line and a tensor, its tiny table against the newest
 committed record, its A/B against this tree and its bit-identity check;
 golden_artifacts.py's digests of one scenario and one sweep; and the
 committed golden map, golden_digests.json, against the digests of the
-map's fast scenes."""
+map's fast scenes, whose logs verify-tensor reads back."""
 
 import importlib.util
 import json
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import kinkbound
-from kinkbound import dynamics, harness, tensor
+from kinkbound import cli, dynamics, harness, tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
@@ -37,16 +37,20 @@ def _trajectory(monkeypatch):
 
 def test_trajectory_measures_a_small_line(monkeypatch):
     """line_1d p=5: 25 collisions at 9 times, 4 re-predictions; every
-    prediction step is counted, and the wrappers come off again."""
+    prediction step and heap operation is counted, and the wrappers and
+    the heap's stand-in come off again."""
     script = _trajectory(monkeypatch)
     original = (dynamics.contact_times_scan, dynamics._Engine._predict,
-                dynamics._Engine._collide)
+                dynamics._Engine._collide, dynamics.heapq)
     row = script.measure(kinkbound, {"tiny": script.TINY["line1d_p5"]}, runs=1)["tiny"]
     assert original == (dynamics.contact_times_scan, dynamics._Engine._predict,
-                        dynamics._Engine._collide)
+                        dynamics._Engine._collide, dynamics.heapq)
     counts = row["counts"]
     assert (counts["scenes"], counts["N"], counts["n"], counts["collisions"]) == (1, 10, 1, 25)
     assert counts["repredictions"] == 4
+    # the run empties its heap: every push is popped, and every pop that
+    # made no collision and no re-prediction was stale
+    assert (counts["heap_pushes"], counts["stale_pops"]) == (54, 54 - 25 - 4)
     assert counts["kernel_calls"] == {"initial": 1, "one_row": 4, "rescan": 9}
     # rows x columns: all 10 rows of the initial scan, one row a
     # re-prediction and two a collision, each against all 10 particles
@@ -90,6 +94,8 @@ def test_trajectory_tiny_counts_equal_the_newest_record(monkeypatch, capsys):
     _trajectory(monkeypatch).main(["--tiny", "--runs", "1"])
     tiny = json.loads(capsys.readouterr().out)["tiny"]
     assert list(tiny) == list(newest["tiny"])
+    for row in ("line1d_p5", "rows2d_p3", "gas3d_n16", "sweep3d"):
+        assert {"heap_pushes", "stale_pops"} <= set(tiny[row]["counts"])
     assert {row: tiny[row]["counts"] for row in tiny} == {
         row: newest["tiny"][row]["counts"] for row in tiny}
 
@@ -108,6 +114,7 @@ def test_trajectory_ab_smoke_run_on_tiny_rows():
     assert [r["scenes"] for r in rows] == [1, 1, 1, 4, 1]
     for r in rows:
         assert r["rounds"] == 2 and 0 <= r["change_faster"] <= 2
+        assert r["runs_per_side"] == 1  # a smoke run
         for key in ("parent_s", "change_s", "ratio"):
             q = r[key]
             assert 0 < q["q1"] <= q["median"] <= q["q3"]
@@ -153,10 +160,12 @@ FAST_SCENES = (
     + ["gas4d_N64_s0", "gas2d_N64_s0_boost_time_scale", "gas2d_N64_s1_uniform"])
 
 
-def test_fast_scenes_reproduce_the_committed_golden_map(tmp_path, monkeypatch):
+def test_fast_scenes_reproduce_the_committed_golden_map(tmp_path, monkeypatch, capsys):
     """Every artifact of the fast scenes, and of the line_1d sweep, has the
     digest committed in golden_digests.json, which
-    benchmarks/golden_artifacts.py printed for the whole set."""
+    benchmarks/golden_artifacts.py printed for the whole set.  Each scene's
+    events.jsonl passes verify-tensor's rules, its chain rules included,
+    and audits to the bytes of its audit.json."""
     monkeypatch.setenv("KINKBOUND_THREADS", "1")
     script = _load("golden_artifacts")
     committed = json.loads(GOLDEN.read_text())
@@ -173,3 +182,8 @@ def test_fast_scenes_reproduce_the_committed_golden_map(tmp_path, monkeypatch):
                                   ("ratios.csv",), tmp_path))
     assert len(digests) == 4 * len(FAST_SCENES) + 1
     assert digests == {key: committed[key] for key in digests}
+    capsys.readouterr()
+    for name in FAST_SCENES:
+        run = tmp_path / name
+        assert cli.main(["verify-tensor", "--events", str(run / "events.jsonl")]) == 0
+        assert capsys.readouterr().out == (run / "audit.json").read_text(), name

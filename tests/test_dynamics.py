@@ -383,6 +383,35 @@ def test_read_rejects_event_times_that_decrease(tmp_path):
         read_events_jsonl(path)
 
 
+def test_chains_hold_each_particle_state_then_kinks_in_event_order():
+    """EventLog.chains of a gas with ids out of order: per particle in row
+    order, its initial state (kink -1 at t = 0), then its kinks, slot
+    2e + s of event e, in event order, each with that event's center and
+    velocity after; last() marks each chain's end."""
+    sc = kb.gen_random_gas(2, 24, [1.0, 1.0], 0.02,
+                           {"kind": "maxwell", "sigma": 1.0}, seed=5)
+    states = replace(sc.states, id=sc.states.id[::-1].copy())
+    log = run_simulation(states, sc.config)
+    b = log.events
+    assert len(b) > 5
+    c = log.chains()
+    assert len(c) == len(states) + 2 * len(b)
+    for row in range(len(states)):
+        at = np.flatnonzero(c.owner == row)
+        assert (np.diff(at) == 1).all()
+        assert c.last()[at].tolist() == [False] * (len(at) - 1) + [True]
+        assert c.kink[at[0]] == -1 and c.t[at[0]] == 0.0
+        assert c.y[at[0]].tobytes() == states.position[row].tobytes()
+        assert c.v[at[0]].tobytes() == states.velocity[row].tobytes()
+        slots = c.kink[at[1:]]
+        assert (np.diff(slots) > 0).all()
+        e, s = slots // 2, slots % 2
+        assert (np.where(s == 0, b.i[e], b.j[e]) == states.id[row]).all()
+        assert c.t[at[1:]].tobytes() == b.t[e].tobytes()
+        assert c.y[at[1:]].tobytes() == b.y[e, s].tobytes()
+        assert c.v[at[1:]].tobytes() == b.v_post[e, s].tobytes()
+
+
 def test_run_and_transforms_leave_their_input_unchanged():
     """The engine moves copies of the initial states: two runs of one
     scenario give the same bytes, and neither a run nor a transform writes

@@ -448,7 +448,64 @@ def test_default_workers_env_cap(monkeypatch):
     assert harness.default_workers() == 1
     monkeypatch.delenv("KINKBOUND_THREADS")
     import os
-    assert harness.default_workers() == (os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    assert harness.default_workers() == cpus
+
+
+def test_default_workers_count_the_cpu_affinity(monkeypatch):
+    """The CPUs the process may run on bound the workers, not the host's;
+    without an affinity call the CPU count does.  A cap that is not an
+    integer is named in the error."""
+    import os
+    monkeypatch.delenv("KINKBOUND_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+    assert harness.default_workers() == 3
+    for cap, workers in (("2", 2), ("16", 3), ("0", 1)):
+        monkeypatch.setenv("KINKBOUND_THREADS", cap)
+        assert harness.default_workers() == workers
+    monkeypatch.setenv("KINKBOUND_THREADS", "two")
+    with pytest.raises(ValueError, match="KINKBOUND_THREADS must be an integer, got 'two'"):
+        harness.default_workers()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delenv("KINKBOUND_THREADS")
+    assert harness.default_workers() == 64
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    """A sweep starts min(workers, runs) processes, and none for one run;
+    the default workers come from default_workers()."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness, "default_workers", lambda: 3)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    line = {"generator": "line_1d"}
+    two = harness.SweepSpec(sizes=[1, 2], seeds=[0], base=line)
+    six = harness.SweepSpec(sizes=[1, 2], seeds=[0, 1, 2], base=line)
+    one = harness.SweepSpec(sizes=[1], seeds=[0], base=line)
+    assert harness.sweep(two, workers=8).rows == harness.sweep(two, workers=1).rows
+    harness.sweep(six)
+    harness.sweep(one, workers=8)
+    harness.sweep(one)
+    assert _SerialPool.sizes == [2, 3]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -1110,6 +1167,13 @@ def _copied(**fields):
     return edit
 
 
+def _one_ulp_up(key, k=0):
+    """Move component k of the vector key of the first event one ulp up."""
+    def edit(lines):
+        lines[1][key][k] = math.nextafter(lines[1][key][k], math.inf)
+    return edit
+
+
 # edits of the one-event log of two discs meeting head-on
 _BAD_HISTORIES = {
     "post_speeds_100": _speeds_after(100.0),      # slice mass above M+E
@@ -1117,11 +1181,17 @@ _BAD_HISTORIES = {
     "j_equals_i": lambda lines: lines[1].update(j=0),  # 0 collides with 0
     "earlier_copy_appended": _copied(t=0.5),      # time runs backwards
     "copied_line": _copied(),                     # vi is not 0's vi_post
+    # the centers are off the trajectories from the header; the tensor,
+    # which numbers vertices by construction, balanced these
+    "kink_at_t_5": lambda lines: lines[1].update(t=5.0),
+    "kink_at_t_0": lambda lines: lines[1].update(t=0.0),
+    "yj_one_ulp_up": _one_ulp_up("yj"),            # still 2a apart
 }
 
 # the line that each history's error names, where it names one
 _NAMED_LINE = {"post_speeds_1e200": 2, "j_equals_i": 2,
-               "earlier_copy_appended": 3, "copied_line": 3}
+               "earlier_copy_appended": 3, "copied_line": 3,
+               "kink_at_t_5": 2, "kink_at_t_0": 2, "yj_one_ulp_up": 2}
 
 
 @_WARNINGS_FAIL
@@ -1169,6 +1239,9 @@ _BAD_EVENT_LINES = {
     "id_not_in_header": lambda ev: ev.update(j=99),
     "component_1e300": lambda ev: ev["vi_post"].__setitem__(1, 1e300),
     "yj_off_contact": lambda ev: ev["yj"].__setitem__(1, ev["yj"][1] + 0.5),
+    # off the trajectory from the particle's previous kink, still 2a apart
+    "yi_one_ulp_up": lambda ev: ev["yi"].__setitem__(
+        0, math.nextafter(ev["yi"][0], math.inf)),
 }
 
 
