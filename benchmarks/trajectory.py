@@ -19,11 +19,15 @@ harness.scenario_from_config:
 
 Without --parent, each row runs K times (default 5) with wrappers put in
 place around the functions below and taken off again; no file of the
-program changes.  The script prints one JSON record: "tiny" and (without
---tiny) "full", each {row: {"counts": ..., "times": ...}}.  The counts are
-pure functions of the code and the scenes, the same on any machine and in
-every run (checked), so a diff of two records shows each count that moved;
-each time is the best of the K runs, taken on its own.  An engine row:
+program changes.  The whole step is timed in K more runs with no wrapper
+in place, and an engine row runs once more under a sys.setprofile hook.
+The script prints one JSON record: "tiny" and (without --tiny) "full",
+each {row: {"counts": ..., "times": ...}}.  The counts are pure functions
+of the code and the scenes, the same on any machine and in every run
+(checked), but for calls_per_collision, which is the same on every run of
+one Python and numpy version; so a diff of two records shows each count
+that moved.  Each time is the best of the K runs, taken on its own.  An
+engine row:
 
 * scenes, N (their particles together) and n;
 * collisions; repredictions, the entries whose partner had collided
@@ -38,14 +42,20 @@ each time is the best of the K runs, taken on its own.  An engine row:
   max(2, dynamics._BLOCK // N) & -2 rows), with rows_per_rescan_call;
   kernel_pairs, rows x columns over every call;
 * collide_calls of _Engine._collide, with pairs_per_collide_call;
+* calls_per_collision, the C functions called ("c_call" events of the
+  profile hook: Python's builtins and numpy's functions and methods, such
+  as ndarray.take and ufunc.reduce, but neither a call of a ufunc itself
+  nor an array operator) in a run of the step, set-up included, per
+  collision;
 * whole_us, kernel_us, collide_us and rescan_rest_us: microseconds per
-  collision of the step, of every kernel call, of _collide, and of the
-  rescans outside their kernel calls.
+  collision of the step (timed without wrappers), of every kernel call,
+  of _collide, and of the rescans outside their kernel calls.
 
 An augmentation row: kinks and edges of the tensor; box_gap_pairs, rows x
 columns over tensor._box_gaps calls (all kinks x edges, were nothing
 pruned), and exact_pairs, rows over tensor._distances calls; seconds of
-tensor._default_eps, of tensor.complement_basis and of the whole step.
+tensor._default_eps, of tensor.complement_basis and of the whole step
+(timed without wrappers).
 
 With --parent DIR, DIR is a checkout of another commit whose src/kinkbound
 is loaded as kinkbound_parent.  Both trees build every row with their own
@@ -221,6 +231,25 @@ class Meter:
         return wrapper
 
 
+def c_calls(kb, step: str, inputs) -> int:
+    """The C functions called in one run of the step, as the "c_call"
+    events of a sys.setprofile hook count them."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run(kb, step, inputs)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 def engine_figures(m: Meter, inputs, results, whole: float) -> tuple:
     E = sum(len(block) for block, _ in results)
     kernel = {phase: m.tally["kernel", phase, "calls"]
@@ -261,19 +290,21 @@ def measure(kb, rows: dict, runs: int) -> dict:
     for name, row in rows.items():
         step = row[0]
         scenes, inputs = prepare(kb, row)
+        whole = best_of(kb, step, inputs, runs)  # no wrapper in place
         counts, best = None, {}
         for _ in range(runs):
             meter = Meter()
             with meter.wrapped(targets(kb, step)):
-                start = perf_counter()
                 results = run(kb, step, inputs)
-                whole = perf_counter() - start
             got, times = FIGURES[step](meter, inputs, results, whole)
             if counts not in (None, got):
                 raise AssertionError(f"{name}: counts differ between runs")
             counts = got
             for key, value in times.items():
                 best[key] = min(best.get(key, math.inf), value)
+        if step == "engine":
+            counts["calls_per_collision"] = round(
+                c_calls(kb, step, inputs) / max(counts["collisions"], 1), 2)
         shapes = [sc.states.position.shape for sc in scenes]
         record[name] = {
             "counts": {"scenes": len(scenes), "N": sum(N for N, _ in shapes),

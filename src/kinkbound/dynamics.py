@@ -24,6 +24,8 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -205,6 +207,7 @@ class EventLog:
     events: EventBlock
     termination: str
     provenance: dict = field(default_factory=dict)
+    _chains: Chains | None = field(default=None, init=False, repr=False, compare=False)
 
     def rows(self) -> np.ndarray:
         """(E, 2) index into initial of each event's particles i and j."""
@@ -220,13 +223,20 @@ class EventLog:
 
     def chains(self) -> Chains:
         """Every particle's breakpoint chain: the initial states and the
-        kink slots, put in chains by one stable sort by owner."""
-        b, (N, n), K = self.events, self.initial.position.shape, 2 * len(self.events)
-        c = Chains.concat(Chains(np.arange(N), np.zeros(N), self.initial.position,
-                                 self.initial.velocity, np.full(N, -1)),
-                          Chains(self.rows().reshape(-1), np.repeat(b.t, 2),
-                                 b.y.reshape(K, n), b.v_post.reshape(K, n), np.arange(K)))
-        return c[np.argsort(c.owner, kind="stable")]
+        kink slots, put in chains by one stable sort by owner.  Built at
+        the first call and kept: the reader's history rules, the
+        hodographs and the tensor of one log share it, so a log is not
+        changed in place once it is read."""
+        if self._chains is None:
+            b, (N, n) = self.events, self.initial.position.shape
+            K = 2 * len(b)
+            c = Chains.concat(Chains(np.arange(N), np.zeros(N), self.initial.position,
+                                     self.initial.velocity, np.full(N, -1)),
+                              Chains(self.rows().reshape(-1), np.repeat(b.t, 2),
+                                     b.y.reshape(K, n), b.v_post.reshape(K, n),
+                                     np.arange(K)))
+            self._chains = c[np.argsort(c.owner, kind="stable")]
+        return self._chains
 
 
 _BLOCK = 1 << 12  # pairs per pass of the overlap check and of a kernel call
@@ -445,10 +455,11 @@ class _Engine:
         are the latest collisions made, so each row's left-out partner is
         the other particle of its pair.  Every row was advanced to t, and
         every other particle was last updated no later, so the scan refers
-        every pair to t: its gap c = |dy|^2 - 4a^2 is the third bodies'
-        distance from the pair at the collision.  A third body k within
-        contact distance plus tau = time_tie_tol * (speed of k + speed of
-        the partner) aborts the run (_check_third_bodies).  The reach
+        every pair to t, which the kernel is passed: its gap c = |dy|^2 -
+        4a^2 is the third bodies' distance from the pair at the collision.
+        A third body k within contact distance plus tau = time_tie_tol *
+        (speed of k + speed of the partner) aborts the run
+        (_check_third_bodies).  The reach
         tau * (4a + tau) grows with |tau|, in floating point too, so a
         call's least gap beyond self.reach, the reach at twice the largest
         speed any particle can have, clears every third body, and only a
@@ -461,7 +472,7 @@ class _Engine:
             both = np.empty((2, len(part), len(self.idx)))
             out, gap = both[0], both[1]
             contact_times_scan(self.pos, self.vel, self.tupd, part, self.idx,
-                               self.four_a2, self.config.grazing_tol, out, gap)
+                               self.four_a2, self.config.grazing_tol, out, gap, t)
             # scalar setitems: a fancy-indexed one costs more for a lone pair
             for r, p in enumerate(part):
                 gap[r, p] = np.inf
@@ -481,7 +492,7 @@ class _Engine:
 
     # -- event processing ---------------------------------------------------
 
-    def _collide(self, t: float, rows: np.ndarray) -> None:
+    def _collide(self, t: float, rows: list) -> None:
         """Advance the particles of k disjoint pairs to t and swap each
         pair's normal velocity components.
 
@@ -490,6 +501,8 @@ class _Engine:
         gathered into one block, laid out as state, where the positions are
         moved to the centers at contact and the velocities after are worked
         out; it goes back to state and to the record; _close logs times and pairs.
+        A lone pair, every collision of a gas, takes _collide_pair instead,
+        the same steps in Python floats.
 
         Each pair gets the bits it would get alone: every step is
         elementwise or a reduction within one pair.  The two guards
@@ -502,6 +515,10 @@ class _Engine:
         while 2 * c + m > self.recorded.shape[1]:
             self.recorded = np.concatenate(
                 (self.recorded, np.empty_like(self.recorded)), axis=1)
+        if m == 2:
+            self._collide_pair(t, *rows)
+            return
+        rows = np.array(rows)
         slot = self.recorded[:, 2 * c:2 * c + m]
         block = self.state.take(rows, axis=2)  # C-ordered, (2, n, m)
         y, v = block
@@ -516,7 +533,7 @@ class _Engine:
             scale = max(map(abs, centers[2 * p] + centers[2 * p + 1]))
             if off_contact(r, scale, self.config):
                 if p:
-                    self._collide(t, rows[:2 * p])
+                    self._collide(t, rows[:2 * p].tolist())
                 i, j = rows[2 * p:2 * p + 2].tolist()
                 raise SimulationBug(f"contact distance {r!r} vs 2a={2 * a!r} at "
                                     f"t={t!r} for pair ({i}, {j})")
@@ -538,11 +555,50 @@ class _Engine:
         self.tupd[rows] = t
         self.count = c + (m >> 1)
 
+    def _collide_pair(self, t: float, i: int, j: int) -> None:
+        """_collide of the one pair (i, j), in Python floats.
+
+        Python's and numpy's +, -, *, / and sqrt are correctly rounded
+        alike, and each step below is the block's, in its order: the move
+        (t - tupd) * v, then + y; the differences j - i; the sums of
+        products component by component, as component_sum adds them; the
+        impulse added to v_i and taken from v_j (v_j + impulse * -1.0 is
+        v_j - impulse).  So the pair gets the bits, and raises the
+        messages, of the block path.
+        """
+        (yi, vi), (yj, vj) = self.state[:, :, i].tolist(), self.state[:, :, j].tolist()
+        si, sj = t - self.tupd.item(i), t - self.tupd.item(j)
+        yi = [y + si * v for y, v in zip(yi, vi)]
+        yj = [y + sj * v for y, v in zip(yj, vj)]
+        dy = list(map(sub, yj, yi))
+        dv = list(map(sub, vj, vi))
+        dist = math.sqrt(reduce(add, map(mul, dy, dy)))
+        a = self.config.a
+        if off_contact(dist, max(map(abs, yi + yj)), self.config):
+            raise SimulationBug(f"contact distance {dist!r} vs 2a={2 * a!r} at "
+                                f"t={t!r} for pair ({i}, {j})")
+        if a > 0.0:
+            u = [x / dist for x in dy]
+            impulse = reduce(add, map(mul, dv, u))
+            impulse = [impulse * x for x in u]
+            wi, wj = list(map(add, vi, impulse)), list(map(sub, vj, impulse))
+        else:
+            u = [1.0 if x < 0.0 else -1.0 for x in dv]
+            wi, wj = vj, vi
+        if reduce(add, map(mul, map(sub, wj, wi), u)) <= 0.0:
+            raise SimulationBug(f"pair ({i}, {j}) not separating after collision")
+        c = self.count
+        self.recorded[:, 2 * c:2 * c + 2] = (yi, yj), (vi, vj), (wi, wj)
+        self.state[:, :, i] = yi, wi
+        self.state[:, :, j] = yj, wj
+        self.tupd[i] = self.tupd[j] = t
+        self.count = c + 1
+
     def _close(self, t: float, rows: list, done: int) -> None:
         """Collide the pairs at t that still wait, rows[done:], rescan all
         of rows, and log their times and pairs."""
         if done < len(rows):
-            self._collide(t, np.array(rows[done:]))
+            self._collide(t, rows[done:])
         self._predict(rows, t)
         self.times += [t] * (len(rows) >> 1)
         self.pairs += rows
@@ -591,7 +647,7 @@ class _Engine:
                 continue  # the owner collided since and was re-predicted then
             if cc[hi if owner == lo else lo] != c_partner:
                 if done < len(rows):  # the scan reads the collided states
-                    self._collide(t_prev, np.array(rows[done:]))
+                    self._collide(t_prev, rows[done:])
                     done = len(rows)
                 self._predict([owner])
                 continue

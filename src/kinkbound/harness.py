@@ -405,13 +405,24 @@ def sweep(spec: SweepSpec, out_dir=None, workers: int | None = None) -> SweepRes
 
     Rows are sorted by (N, seed) regardless of completion order; workers
     defaults to default_workers(), and no more start than there are runs.
+    A pool is handed the runs largest size first (seeds in grid order
+    within a size), so that it does not end on one worker with a large
+    run; the results are taken in grid order, so a failing sweep raises
+    the failure of the first failing run in grid order, as the serial
+    path does, and the runs not yet started are cancelled.
     """
     tasks = [(spec.base, int(size), int(seed), spec.epsilon, spec.t_max)
              for size in spec.sizes for seed in spec.seeds]
     workers = min(default_workers() if workers is None else workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_run, tasks))
+            largest_first = sorted(range(len(tasks)), key=lambda k: -tasks[k][1])
+            futures = {k: pool.submit(_sweep_run, tasks[k]) for k in largest_first}
+            try:
+                rows = [futures[k].result() for k in range(len(tasks))]
+            finally:  # after a failure, the runs not started are dropped
+                for future in futures.values():
+                    future.cancel()
     else:
         rows = [_sweep_run(t) for t in tasks]
     rows.sort(key=lambda r: (r["N"], r["seed"]))

@@ -101,7 +101,7 @@ def running_sum(values) -> float:
 
 
 def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
-                       gap=None):
+                       gap=None, t=None):
     """Earliest contact times of the row particle(s) i against each js.
 
     i is one index (out has shape (m,)) or a sequence of r row indices
@@ -114,7 +114,8 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     rows share one update time that no column is later than (a rescan
     after a collision, the initial scan), the columns are moved to it once
     for all rows; the rows' own move, by 0 * v, is skipped, which changes
-    at most the sign of a zero difference, never an output.
+    at most the sign of a zero difference, never an output.  A caller that
+    knows that time passes it as t, and the kernel skips its test.
 
     out receives the absolute contact time of each pair, or +inf when the
     pair never reaches center distance sqrt(four_a2) while approaching, or
@@ -122,8 +123,20 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     never NaN.  gap, when given, receives c = |dy|^2 - four_a2 at ref, the
     squared-distance gap of each pair at its reference time.
 
+    The pairs that pass (b < 0, disc past the grazing bound, s = c / q
+    >= 0) are masked in at the end: sqrt and c / q run on every pair, and
+    a pair that fails may take the root of a negative disc (NaN) or divide
+    by zero (a pair at relative rest, b = A = 0; points on the line with
+    b = 0).  Those values never reach out, and the two operations run
+    under one np.errstate that ignores invalid, divide and overflow, so no
+    warning reaches stderr and no caller's errstate raises for them.  A
+    passing pair goes through the same IEEE operations as when it is
+    solved alone.
+
     Inside the numeric range of dynamics.LOW, which derives it, nothing
-    here overflows, and no underflow changes a time up to dynamics.HIGH.
+    here overflows but c / q, which a collision can push past the float
+    range by leaving |dv| subnormal (then the time is +inf), and no
+    underflow changes a time up to dynamics.HIGH.
     """
     m = js.shape[0]
     if m == 0:
@@ -137,35 +150,28 @@ def contact_times_scan(pos, vel, tupd, i, js, four_a2, grazing_tol, out,
     vj = vel.T.take(cols, axis=1)
     pi = pos.T.take(rows, axis=1)
     pj = pos.T.take(cols, axis=1)
-    ti = tupd.take(rows)
     tj = tupd.take(js)
-    t_rows = ti.ravel().tolist()
-    ref = t_rows[0]
-    if min(t_rows) == ref == max(t_rows) and tj.max() <= ref:
-        # every pair is referred to the rows' common time (a rescan after
-        # a collision, or the initial scan): the rows stay put, and the
-        # columns are moved once for all rows
-        dy = pi - (pj + (ref - tj) * vj)
-    else:
-        ref = np.maximum(ti, tj)
-        dy = (pi + (ref - ti) * vi) - (pj + (ref - tj) * vj)
+    if t is None:
+        ti = tupd.take(rows)
+        t_rows = ti.ravel().tolist()
+        t = t_rows[0]
+        if not (min(t_rows) == t == max(t_rows) and tj.max() <= t):
+            t = np.maximum(ti, tj)  # ref, pair by pair
+            pi = pi + (t - ti) * vi
+    dy = pi - (pj + (t - tj) * vj)
     dv = vi - vj
     b, A = component_sum(dy * dv), component_sum(dv * dv)
-    c = component_sum(dy * dy) - four_a2
-    if gap is not None:
-        gap[...] = c
+    c = np.subtract(component_sum(dy * dy), four_a2, out=gap)
     ok = b < 0.0  # approaching
-    if four_a2 == 0.0:
+    if four_a2 != 0.0:
+        bb = b * b
+        Ac = A * c  # A >= 0, so |A c| is A |c|
+        disc = bb - Ac
+        ok &= disc >= grazing_tol * (bb + np.abs(Ac))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # point particles on the line: approaching points always meet, and
         # the quadratic is a perfect square (disc == 0 up to roundoff)
-        q = -b
-    else:
-        bb = b * b
-        disc = bb - A * c
-        ok &= disc >= grazing_tol * (bb + A * np.abs(c))
-        q = np.sqrt(np.where(ok, disc, 0.0)) - b
-    # kept: a collision can leave |dv| subnormal and s past the float range
-    with np.errstate(over="ignore"):
-        s = c / np.where(ok, q, 1.0)
-    out[...] = np.where(ok & (s >= 0.0), ref + s, np.inf)
-
+        s = c / (-b if four_a2 == 0.0 else np.sqrt(disc) - b)
+    ok &= s >= 0.0
+    out.fill(np.inf)
+    np.add(t, s, out=out, where=ok)

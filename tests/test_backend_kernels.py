@@ -5,6 +5,7 @@ including the gap it reports."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,3 +228,51 @@ def test_scan_matches_bisection_oracle_on_random_pairs():
             assert t_oracle is not None
             assert t == pytest.approx(t_oracle, rel=1e-9, abs=1e-9)
     assert hits > 30  # the draw really exercises the colliding branch
+
+
+def test_masked_pairs_raise_and_warn_nothing():
+    """Without guards in front of sqrt and c / q, the pairs the kernel
+    masks take the root of a negative discriminant or divide by zero; under
+    np.errstate(all="raise"), with warnings as errors, nothing escapes,
+    and each such pair reports +inf: two spheres at relative rest (dv = 0,
+    so b = A = 0), a receding pair, a grazing pass (b < 0, disc < 0), and
+    points on the line at rest or receding (b >= 0).  The approaching pair
+    in the same call meets."""
+    a = 0.25
+    # row 0 at the origin, moving along +x; the columns
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    vel = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    rest, receding, grazing, approaching = 1, 2, 3, 4
+    line_pos = np.array([[0.0], [2.0], [-1.0], [4.0]])
+    line_vel = np.array([[1.0], [1.0], [-2.0], [-1.0]])
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (None, 0.0):
+            out, gap = np.empty((1, 4)), np.empty((1, 4))
+            py_scan(pos, vel, np.zeros(5), [0], np.arange(1, 5), 4 * a * a,
+                    1e-14, out, gap, t)
+            times = dict(zip((rest, receding, grazing, approaching), out[0].tolist()))
+            assert times[rest] == times[receding] == times[grazing] == np.inf
+            assert times[approaching] == (3.0 - 2 * a) / 2.0
+            assert gap.tolist() == [[4.0 - 4 * a * a, 4.0 - 4 * a * a,
+                                     5.0 - 4 * a * a, 9.0 - 4 * a * a]]
+            out = np.empty(3)
+            py_scan(line_pos, line_vel, np.zeros(4), 0, np.arange(1, 4), 0.0,
+                    1e-14, out, None, t)
+            assert out.tolist() == [np.inf, np.inf, 2.0]
+
+
+@pytest.mark.parametrize("n", DIMENSIONS)
+def test_known_time_gives_the_kernel_s_own_bits(n):
+    """Rows that share the latest update time, passed as t, give the times
+    and gaps, to the bit, of the kernel's own test of that time."""
+    rng = np.random.default_rng(11)
+    for trial in range(50):
+        pos, vel, tupd, js = _random_scan_case(rng, n, 9)
+        tupd[[0, 3]] = t = float(tupd.max()) + 0.05
+        a = float(rng.uniform(0.0, 0.2)) if n == 1 else float(rng.uniform(0.01, 0.2))
+        got = [np.empty((2, 9)) for _ in range(4)]
+        for out, gap, known in ((got[0], got[1], None), (got[2], got[3], t)):
+            py_scan(pos, vel, tupd, [0, 3], js - 1, 4 * a * a, 1e-14, out, gap, known)
+        assert got[0].tobytes() == got[2].tobytes(), (n, trial)
+        assert got[1].tobytes() == got[3].tobytes(), (n, trial)

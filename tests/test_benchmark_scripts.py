@@ -58,6 +58,12 @@ def test_trajectory_measures_a_small_line(monkeypatch):
     assert counts["rows_per_rescan_call"] == round(50 / 9, 2)
     assert counts["collide_calls"] >= 9
     assert counts["pairs_per_collide_call"] == round(25 / counts["collide_calls"], 2)
+    # C calls under the profile hook, which comes off again: the same in
+    # every run, and at least the engine's kernel and _collide calls
+    assert counts["calls_per_collision"] >= (14 + counts["collide_calls"]) / 25
+    assert sys.getprofile() is None
+    again = script.measure(kinkbound, {"tiny": script.TINY["line1d_p5"]}, runs=1)["tiny"]
+    assert again["counts"] == counts
     assert sorted(row["times"]) == ["collide_us", "kernel_us", "rescan_rest_us", "whole_us"]
     assert all(value > 0.0 for value in row["times"].values())
 
@@ -87,15 +93,25 @@ def test_trajectory_measures_a_small_tensor(monkeypatch):
 
 def test_trajectory_tiny_counts_equal_the_newest_record(monkeypatch, capsys):
     """Every count of the tiny table equals the one in the newest
-    committed BENCH_*.json; a change that moves a count records anew."""
+    committed BENCH_*.json; a change that moves a count records anew.
+    calls_per_collision is compared where Python and numpy are the
+    record's versions, whose builtins and functions it counts."""
     records = [json.loads(path.read_text()) for path in ROOT.glob("BENCH_*.json")]
     assert records, "no BENCH_*.json at the repository root"
     newest = max(records, key=lambda record: record["recorded"])
     _trajectory(monkeypatch).main(["--tiny", "--runs", "1"])
-    tiny = json.loads(capsys.readouterr().out)["tiny"]
+    record = json.loads(capsys.readouterr().out)
+    tiny = record["tiny"]
     assert list(tiny) == list(newest["tiny"])
-    for row in ("line1d_p5", "rows2d_p3", "gas3d_n16", "sweep3d"):
-        assert {"heap_pushes", "stale_pops"} <= set(tiny[row]["counts"])
+    engine_rows = ("line1d_p5", "rows2d_p3", "gas3d_n16", "sweep3d")
+    for row in engine_rows:
+        assert {"heap_pushes", "stale_pops", "calls_per_collision"} <= set(
+            tiny[row]["counts"])
+    versions = [(record["machine"][k], newest["machine"][k]) for k in ("python", "numpy")]
+    if any(ours != theirs for ours, theirs in versions):
+        for row in engine_rows:
+            for counts in (tiny[row]["counts"], newest["tiny"][row]["counts"]):
+                counts.pop("calls_per_collision")
     assert {row: tiny[row]["counts"] for row in tiny} == {
         row: newest["tiny"][row]["counts"] for row in tiny}
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kinkbound as kb
-from kinkbound import dynamics
+from kinkbound import cli, dynamics
 from kinkbound.dynamics import (
+    Chains,
     ConfigurationError,
     EVENTS_FORMAT,
     GenericityViolation,
@@ -412,6 +414,38 @@ def test_chains_hold_each_particle_state_then_kinks_in_event_order():
         assert c.v[at[1:]].tobytes() == b.v_post[e, s].tobytes()
 
 
+def test_simulate_and_verify_tensor_build_each_log_s_chains_once(tmp_path, monkeypatch,
+                                                                 capsys):
+    """simulate (the report's hodographs and the audit's tensor) and
+    verify-tensor (the history rules and the tensor) each sort one log's
+    chains once, and write the artifacts of the golden map."""
+    builds = []
+    concat = Chains.concat.__func__
+
+    def counting(cls, *blocks):
+        builds.append(cls)
+        return concat(cls, *blocks)
+
+    monkeypatch.setattr(Chains, "concat", classmethod(counting))
+    root = Path(__file__).resolve().parents[1]
+    golden = json.loads((root / "tests" / "golden_digests.json").read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": {
+        "generator": "random_gas", "n": 2, "N": 64, "a": 0.01, "seed": 0,
+        "box_policy": {"kind": "fixed_fraction", "value": 0.3},
+        "velocities": {"kind": "maxwell", "sigma": 1.0}}, "sim": {"t_max": 1.0}}))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert len(builds) == 1
+    for name in ("events.jsonl", "ledger.csv", "report.json", "audit.json"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == golden[f"gas2d_N64_s0/{name}"], name
+    capsys.readouterr()
+    assert cli.main(["verify-tensor", "--events", str(out / "events.jsonl")]) == 0
+    assert len(builds) == 2
+    assert capsys.readouterr().out == (out / "audit.json").read_text()
+
+
 def test_run_and_transforms_leave_their_input_unchanged():
     """The engine moves copies of the initial states: two runs of one
     scenario give the same bytes, and neither a run nor a transform writes
@@ -579,3 +613,81 @@ def test_point_rods_livelock_seeds_terminate():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, 0]
+
+
+def _pairs_at_contact(seed, n, k, a, t, edit=None):
+    """An engine whose 2k particles form k disjoint pairs (2p, 2p + 1) that
+    reach contact at t, approaching, each stored at its own update time
+    before t, and the rows of the pairs in a shuffled pop order.  edit
+    puts the first pair in pop order 3a apart ("off") or swaps its
+    velocities, so that it recedes ("receding"; points on the line get
+    one velocity, which no swap separates)."""
+    rng = np.random.default_rng(seed)
+    N = 2 * k
+    sc = kb.gen_explicit(n, a, [[4.0 * p] + [0.0] * (n - 1) for p in range(N)],
+                         [[0.0] * n for _ in range(N)])
+    engine = dynamics._Engine(sc.states, sc.config)
+    order = rng.permutation(k)
+    flip = rng.random(k) < 0.5
+    rows = [int(r) for p in order
+            for r in ((2 * p + 1, 2 * p) if flip[p] else (2 * p, 2 * p + 1))]
+    centers = rng.normal(0.0, 3.0, size=(N, n))
+    v = rng.normal(0.0, 1.0, size=(N, n))
+    for p in range(k):
+        u = rng.normal(size=n)
+        u /= np.sqrt(u @ u)
+        centers[2 * p + 1] = centers[2 * p] + (3.0 if edit == "off" and p == order[0]
+                                               else 2.0) * a * u
+        dv = v[2 * p + 1] - v[2 * p]
+        if dv @ u > 0.0 or a == 0.0 and dv[0] == 0.0:
+            v[2 * p + 1] = v[2 * p] - dv
+        if edit == "receding" and p == order[0]:  # points: at rest, relatively
+            v[[2 * p, 2 * p + 1]] = v[[2 * p + 1, 2 * p + (a == 0.0)]]
+    tupd = rng.uniform(0.0, t, size=N)
+    engine.state[0] = (centers - (t - tupd)[:, None] * v).T
+    engine.state[1] = v.T
+    engine.tupd[:] = tupd
+    return engine, rows
+
+
+def _collided(seed, n, k, a, t, lone):
+    """The state, update times and record of the engine of
+    _pairs_at_contact after it collides its pairs at t, one _collide call
+    each (lone) or all in one."""
+    engine, rows = _pairs_at_contact(seed, n, k, a, t)
+    for p in range(0, len(rows), 2) if lone else [0]:
+        engine._collide(t, rows[p:p + 2] if lone else rows)
+    return [engine.state.tobytes(), engine.tupd.tobytes(), engine.count,
+            engine.recorded[:, :2 * engine.count].tobytes()]
+
+
+def _raised(seed, n, k, a, t, edit, lone):
+    """The message of the SimulationBug that colliding the edited pairs
+    raises: the first pair alone (lone) or all pairs in one call."""
+    engine, rows = _pairs_at_contact(seed, n, k, a, t, edit)
+    with pytest.raises(dynamics.SimulationBug) as info:
+        engine._collide(t, rows[:2] if lone else rows)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_lone_pair_collide_has_the_block_path_s_bits_and_messages(n):
+    """_collide of one pair takes Python floats, of more pairs one numpy
+    block; pairs at contact collided one by one get the block's centers,
+    velocities, update times and record slots to the bit, and a pair off
+    contact or not separating after the collision raises the block's
+    message."""
+    rng = np.random.default_rng(n)
+    t = 2.5
+    for trial in range(20):
+        a = 0.0 if n == 1 and trial % 2 else float(rng.uniform(0.01, 0.5))
+        k = int(rng.integers(2, 6))
+        seed = int(rng.integers(2 ** 32))
+        assert (_collided(seed, n, k, a, t, lone=True)
+                == _collided(seed, n, k, a, t, lone=False)), (n, trial)
+        for edit, words in (("off", "contact distance"), ("receding", "not separating")):
+            if edit == "off" and a == 0.0:
+                continue
+            lone = _raised(seed, n, k, a, t, edit, lone=True)
+            assert lone == _raised(seed, n, k, a, t, edit, lone=False), (n, trial)
+            assert words in lone

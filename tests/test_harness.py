@@ -1,7 +1,10 @@
 """Scenario generators, config ingestion, experiment artifacts, sweeps, CLI."""
 
+import concurrent.futures
 import copy
 import functools
+import hashlib
+import importlib.util
 import json
 import math
 import pickle
@@ -9,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +23,8 @@ import oracles
 from kinkbound import cli, harness
 from kinkbound.dynamics import (LOW, ConfigurationError, GenericityViolation,
                                 events_jsonl_bytes, read_events_jsonl)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- generators ---------------------------------------------------------------
@@ -474,9 +480,12 @@ def test_default_workers_count_the_cpu_affinity(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+    """Stands in for ProcessPoolExecutor: records its size and the sizes of
+    the runs in the order they are submitted, and runs each in process when
+    it is submitted, into a finished Future."""
 
     sizes: list = []
+    submitted: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -487,8 +496,14 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        self.submitted.append(task[1])
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(task))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
@@ -506,6 +521,52 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     harness.sweep(one, workers=8)
     harness.sweep(one)
     assert _SerialPool.sizes == [2, 3]
+
+
+def _golden_script():
+    spec = importlib.util.spec_from_file_location(
+        "golden_artifacts", ROOT / "benchmarks" / "golden_artifacts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["sweep3d_s12", "sweep_line1d"])
+def test_largest_first_sweep_keeps_the_golden_ratios(name, tmp_path, monkeypatch):
+    """A pool is handed the runs largest size first, seeds in grid order
+    within a size, and ratios.csv keeps its committed golden digest."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "submitted", [])
+    doc = _golden_script().sweeps()[name]
+    spec = harness.SweepSpec(**doc)
+    harness.sweep(spec, out_dir=tmp_path, workers=2)
+    assert _SerialPool.submitted == [
+        size for size in sorted(spec.sizes, reverse=True) for _ in spec.seeds]
+    digest = hashlib.sha256((tmp_path / "ratios.csv").read_bytes()).hexdigest()
+    golden = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
+    assert digest == golden[f"{name}/ratios.csv"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_largest_first_sweep_raises_the_first_failure_in_grid_order(workers,
+                                                                     monkeypatch):
+    """Runs of sizes 2 and 3 fail; the pool meets size 3 first, but the
+    sweep raises the failure of size 2, the first that the grid order
+    reaches, as the serial path does."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "submitted", [])
+
+    def run(task):
+        if task[1] in (2, 3):
+            raise ValueError(f"run of size {task[1]}, seed {task[2]} failed")
+        return {"N": task[1], "size": task[1], "seed": task[2], "ratio1": 0.5}
+
+    monkeypatch.setattr(harness, "_sweep_run", run)
+    spec = harness.SweepSpec(sizes=[1, 2, 3], seeds=[7, 8],
+                             base={"generator": "line_1d"})
+    with pytest.raises(ValueError, match="^run of size 2, seed 7 failed$"):
+        harness.sweep(spec, workers=workers)
+    assert _SerialPool.submitted == ([] if workers == 1 else [3, 3, 2, 2, 1, 1])
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -747,6 +808,18 @@ def _simulate_subprocess(doc, tmp_path):
     return subprocess.run(
         [sys.executable, "-m", "kinkbound.cli", "simulate", "--config", cfg,
          "--out", str(tmp_path / "o")], capture_output=True, text=True)
+
+
+def test_cli_parallel_spheres_at_equal_velocity_subprocess(tmp_path):
+    """Two spheres moving in parallel at one velocity (relative rest: b =
+    A = 0, so the kernel takes c / 0 for the pair, which it masks) run to
+    no event: exit 0, an empty stderr."""
+    proc = _simulate_subprocess({"scenario": {
+        "generator": "explicit", "n": 2, "a": 0.25,
+        "positions": [[0.0, 0.0], [1.0, 0.5]],
+        "velocities": [[1.0, -0.5], [1.0, -0.5]]}}, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["events"] == 0
 
 
 def test_cli_negative_tolerance_subprocess(tmp_path):
